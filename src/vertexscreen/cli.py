@@ -209,12 +209,7 @@ def make_parser():
 
 
 def main(argv=None):
-    ap = make_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors already
-        raise
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SystemExit2, DatumError, NotGoodGrading, CriticalLevel,

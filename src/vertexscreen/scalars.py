@@ -9,7 +9,8 @@ pair carries no common integer content.  No floating point anywhere.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import count
+from math import gcd, isqrt
 
 
 # ---------------------------------------------------------------------------
@@ -167,78 +168,101 @@ def p_str(a, sym):
     return "".join(parts)
 
 
-def p_rational_roots(a, divisor_cap=10 ** 12):
-    """All rational roots of an integer polynomial, as a set of Fractions.
+def p_derivative(a):
+    return _trim(i * c for i, c in enumerate(a))[1:]
 
-    When the constant or leading coefficient exceeds divisor_cap, full
-    divisor enumeration is replaced by a dense small-fraction search
-    (|p| <= 256, q <= 64), which covers every level a desk-scale
-    specialization would use.
+
+def _p_hom_eval(a, p, q):
+    """q**deg(a) * a(p/q), in integers."""
+    acc, qpow = a[-1], 1
+    for c in reversed(a[:-1]):
+        qpow *= q
+        acc = acc * p + c * qpow
+    return acc
+
+
+def _p_div_linear(a, p, q):
+    """a / (q*x - p) for a root p/q of a; exact in integers by Gauss's lemma."""
+    out = [0] * (len(a) - 1)
+    b = 0
+    for i in range(len(a) - 1, 0, -1):
+        b = (a[i] + p * b) // q
+        out[i - 1] = b
+    return tuple(out)
+
+
+def _squarefree_rational_roots(s):
+    """The rational roots of a squarefree integer polynomial with s(0) != 0.
+
+    A root p/q (lowest terms) has q | lc(s), so c = lc(s) * p/q is an
+    integer, and |c| < h by Cauchy's bound.  Pick a prime l not dividing
+    lc(s) such that every root of s mod l is simple; then each rational
+    root reduces to its own root mod l.  Lift every root mod l by Newton
+    iteration to l**m > 2h, read c off as the symmetric residue of
+    lc(s) * root and keep c / lc(s) when it is a root (von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 15).  Such a prime exists since
+    the discriminant of s is nonzero, so the search is complete.
     """
-    a = _trim(a)
+    lc = s[-1]
+    ds = p_derivative(s)
+    for ell in count(2):
+        if lc % ell == 0 or any(ell % d == 0
+                                for d in range(2, isqrt(ell) + 1)):
+            continue
+        s_ell = tuple(c % ell for c in s)
+        residues = [r for r in range(ell)
+                    if _p_hom_eval(s_ell, r, 1) % ell == 0]
+        if any(_p_hom_eval(ds, r, 1) % ell == 0 for r in residues):
+            continue
+        break
+    h = abs(lc) + max(abs(c) for c in s)
+    modulus, precision = ell, 1
+    while modulus <= 2 * h:
+        modulus *= modulus
+        precision *= 2
     roots = set()
-    if not a:
-        return roots
-    # strip x**v factor
-    v = 0
-    while a[v] == 0:
-        v += 1
-    if v:
-        roots.add(Fraction(0))
-        a = a[v:]
-    if len(a) == 1:
-        return roots
-    a0, an = abs(a[0]), abs(a[-1])
-    if a0 > divisor_cap or an > divisor_cap:
-        for q in range(1, 65):
-            if an % q:
-                continue
-            for p in range(1, 257):
-                if a0 % p:
-                    continue
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if cand not in roots and p_eval(a, cand) == 0:
-                        roots.add(cand)
-        return roots
-
-    def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return out
-
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and p_eval(a, cand) == 0:
-                    roots.add(cand)
+    for r in residues:
+        for _ in range(precision.bit_length() - 1):
+            r = (r - _p_hom_eval(s, r, 1)
+                 * pow(_p_hom_eval(ds, r, 1), -1, modulus)) % modulus
+        c = lc * r % modulus
+        if c > modulus // 2:
+            c -= modulus
+        root = Fraction(c, lc)
+        if _p_hom_eval(s, root.numerator, root.denominator) == 0:
+            roots.add(root)
     return roots
 
 
 def p_linear_factors(a):
-    """Split off rational linear factors.
+    """Split an integer polynomial over its rational roots.
 
-    Returns (factors, residual) where factors is a list of primitive
-    (q*x - p) tuples with multiplicity and residual has no rational root.
+    Returns (factors, residual): factors lists the primitive (q*x - p)
+    tuples, q > 0, one per rational root p/q repeated by its multiplicity,
+    and residual is the primitive cofactor, which has no rational root.
+    Their product is the primitive part of a.
     """
-    a = p_primitive(a)
-    factors = []
-    for r in sorted(p_rational_roots(a)):
-        lin = _trim((-r.numerator, r.denominator))
-        while True:
-            try:
-                q = p_div_exact(a, lin)
-            except ArithmeticError:
-                break
-            factors.append(lin)
-            a = q
-            if p_eval(a, r) != 0:
-                break
+    a = p_primitive(_trim(a))
+    if len(a) <= 1:
+        return [], a
+    v = 0
+    while a[v] == 0:
+        v += 1
+    factors = [(0, 1)] * v
+    a = a[v:]
+    if len(a) > 1:
+        s = p_div_exact(a, p_gcd(a, p_derivative(a)))
+        for r in sorted(_squarefree_rational_roots(s)):
+            p, q = r.numerator, r.denominator
+            while len(a) > 1 and _p_hom_eval(a, p, q) == 0:
+                a = _p_div_linear(a, p, q)
+                factors.append((-p, q))
     return factors, a
+
+
+def p_rational_roots(a):
+    """All rational roots of an integer polynomial, as a set of Fractions."""
+    return {Fraction(-f[0], f[1]) for f in p_linear_factors(a)[0]}
 
 
 class RationalFunction:
@@ -349,18 +373,10 @@ class RationalFunction:
         return p_eval(self.num, x) / den
 
     def denominator_roots(self):
-        return p_rational_roots(self.den)
+        return self.field.denominators((self,))[1]
 
     def denominator_labels(self):
-        out = set()
-        if self.den == P_ONE:
-            return out
-        factors, residual = p_linear_factors(self.den)
-        for f in factors:
-            out.add(p_str(f, self.field.symbol))
-        if len(residual) > 1:
-            out.add(p_str(residual, self.field.symbol))
-        return out
+        return self.field.denominators((self,))[0]
 
     def __str__(self):
         n = p_str(self.num, self.field.symbol)
@@ -447,11 +463,28 @@ class RationalFunctionField:
     def is_zero(self, x):
         return not x
 
+    def denominators(self, values):
+        """(labels, roots) of the denominators of values.
+
+        Each distinct denominator polynomial is factored once.  The labels
+        are its primitive linear factors and its rootless residual, as
+        strings; the roots are every rational zero of those denominators.
+        """
+        labels, roots = set(), set()
+        for den in {x.den for x in values} - {P_ONE}:
+            factors, residual = p_linear_factors(den)
+            for f in factors:
+                labels.add(p_str(f, self.symbol))
+                roots.add(Fraction(-f[0], f[1]))
+            if len(residual) > 1:
+                labels.add(p_str(residual, self.symbol))
+        return labels, roots
+
     def denominator_labels(self, x):
-        return x.denominator_labels()
+        return self.denominators((x,))[0]
 
     def denominator_roots(self, x):
-        return x.denominator_roots()
+        return self.denominators((x,))[1]
 
     def to_str(self, x):
         return str(x)
@@ -472,6 +505,9 @@ class Rationals:
 
     def is_zero(self, x):
         return x == 0
+
+    def denominators(self, values):
+        return set(), set()
 
     def denominator_labels(self, x):
         return set()
@@ -576,6 +612,3 @@ def _parse_rational_expr(field, text):
         raise ValueError("trailing junk in %r" % text)
     return out
 
-
-def scalar_str(x):
-    return str(x)

@@ -22,6 +22,7 @@ screenings again.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 from .linalg import nullspace
 from .superdata import DatumError
@@ -422,8 +423,6 @@ def kernel_basis(ctx, screenings, weight2, expected=None, recheck=True):
     mod = ctx.module
     basis = graded_basis(mod, weight2)
     ncols = len(basis)
-    denominators = set()
-    roots = set()
     rows = []
     for op in screenings:
         images = []
@@ -434,39 +433,28 @@ def kernel_basis(ctx, screenings, weight2, expected=None, recheck=True):
             keys.update(img)
         keys = sorted(keys, key=_state_key)
         for key in keys:
-            row = [img.get(key, field.zero) for img in images]
-            for x in row:
-                denominators |= field.denominator_labels(x)
-                roots |= field.denominator_roots(x)
-            rows.append(row)
+            rows.append([img.get(key, field.zero) for img in images])
     pivots = []
     kernel = nullspace(rows, ncols, field, pivot_sink=pivots)
-    for p in pivots:
-        # divisions by pivots happen during back substitution; the levels
-        # where a pivot vanishes count as denominators crossed
-        if not field.is_zero(p):
-            inv = field.one / p
-            denominators |= field.denominator_labels(inv)
-            roots |= field.denominator_roots(inv)
     basis_fields = []
     for vec in kernel:
         st = {}
         for c, (w, t) in zip(vec, basis):
             if not field.is_zero(c):
                 st[(w, t)] = c
-        for x in st.values():
-            denominators |= field.denominator_labels(x)
-            roots |= field.denominator_roots(x)
         if recheck:
             for op in screenings:
                 if op.apply(st):
                     raise AssertionError(
                         "kernel vector fails re-application of %s" % op.label)
         basis_fields.append(state_field(st, ctx.system))
-    if not field.is_zero(ctx.kappa_shift):
-        critical = field.one / ctx.kappa_shift
-        denominators |= field.denominator_labels(critical)
-        roots |= field.denominator_roots(critical)
+    # divisions by pivots happen during back substitution; the levels
+    # where a pivot vanishes count as denominators crossed
+    denominators, roots = field.denominators(chain(
+        (x for row in rows for x in row),
+        (field.one / p for p in pivots if not field.is_zero(p)),
+        (c for vec in kernel for c in vec),
+        (field.one / ctx.kappa_shift,)))
     return KernelReport(weight2, ncols, len(kernel),
                         expected if expected is not None else -1,
                         basis_fields, denominators, roots)

@@ -64,6 +64,25 @@ def test_poly_gcd_and_roots():
     assert residual == (1, 0, 1)
 
 
+LARGE = p_mul(p_mul((7, 1000003), (1, 999983)), (10 ** 13, 0, 1))
+
+
+@pytest.mark.parametrize("a, roots", [
+    (LARGE, {Fraction(-7, 1000003), Fraction(-1, 999983)}),
+    ((104603532030, 20920706406), {Fraction(-5)}),
+])
+def test_rational_roots_at_any_coefficient_size(a, roots):
+    assert p_rational_roots(a) == roots
+
+
+def test_denominator_labels_at_any_coefficient_size(F):
+    x = 1 / ((1000003 * F.gen + 7) * (999983 * F.gen + 1)
+             * (F.gen * F.gen + 10 ** 13))
+    assert x.den == LARGE
+    assert x.denominator_labels() == {"1000003*k+7", "999983*k+1",
+                                      "k^2+10000000000000"}
+
+
 def test_parse_round_trip(F):
     k = F.gen
     for x in (k, (k + 2) / (3 * k - 1), F.lift(Fraction(-7, 3)),

@@ -295,3 +295,30 @@ def test_kernel_inclusion_bound():
         rep = kernel_basis(ctx, ops, w2, expected=char[w2])
         assert rep.kernel_dim <= rep.expected_dim
         assert rep.kernel_dim == rep.expected_dim
+
+
+# frozen "denominators crossed" per doubled weight, from 0 up
+KERNEL_DENOMINATORS = {
+    ("osp1_2-regular", "exponential"): [
+        ["2*k+3"], ["2*k+3"], ["2*k+3"], ["2*k+3", "k+1"], ["2*k+3"],
+        ["2*k+3", "4*k+3", "4*k+5", "k", "k+1"],
+        ["2*k+3", "4*k+5", "k", "k+1"],
+        ["2*k+3", "24*k^2+50*k+27", "3*k+4", "4*k+5", "4*k^2+6*k+1", "k",
+         "k+1"]],
+    ("sl3-subregular", "generic"): [
+        ["k+3"], ["k+3"], ["k+3"], ["k+3"], ["k+2", "k+3"]],
+}
+
+
+@pytest.mark.parametrize("preset, kind", sorted(KERNEL_DENOMINATORS))
+def test_kernel_denominator_labels_and_roots(preset, kind):
+    """Roots reported are exactly the zeros of the linear labels."""
+    ctx = preset_context(preset)
+    ops = exponential_screenings(ctx) if kind == "exponential" \
+        else generic_screenings(ctx)
+    for w2, expected in enumerate(KERNEL_DENOMINATORS[(preset, kind)]):
+        rep = kernel_basis(ctx, ops, w2)
+        assert sorted(rep.denominators) == expected
+        polys = [ctx.field.parse(label).num for label in rep.denominators]
+        assert rep.denominator_roots == {
+            Fraction(-a[0], a[1]) for a in polys if len(a) == 2}

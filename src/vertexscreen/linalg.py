@@ -1,79 +1,24 @@
 """Exact linear algebra over Q or Q(x).
 
-Row reduction is fraction-free in spirit: rows are rescaled to clear
-denominators and stripped of content after every elimination step, which
-keeps polynomial growth in check at the sizes this engine works with.
+row_reduce is the one elimination loop; ranks, nullspaces, decompositions
+over a fixed family and span tests are all read off its output.  It is
+fraction-free in spirit: every row is rescaled by the field's strip_row
+to clear denominators and strip content after each elimination step,
+which keeps polynomial growth in check at the sizes this engine works
+with.
 """
-
-from fractions import Fraction
-
-from .scalars import RationalFunction, p_div_exact, p_gcd, p_mul, P_ONE
-
-
-def _p_lcm(a, b):
-    g = p_gcd(a, b)
-    return p_mul(a, p_div_exact(b, g))
-
-
-def _strip_row(row, field, factor_sink=None):
-    """Scale a row by a nonzero scalar to a small canonical form.
-
-    A common polynomial factor of a row vanishes at its roots, so when a
-    factor_sink is supplied every stripped factor is recorded there (its
-    roots are candidate rank-drop levels).
-    """
-    if isinstance(field.zero, Fraction):
-        den = 1
-        num_gcd = 0
-        for x in row:
-            if x:
-                den = den * x.denominator // _gcd(den, x.denominator)
-        for x in row:
-            if x:
-                num_gcd = _gcd(num_gcd, abs(x.numerator * (den // x.denominator)))
-        if num_gcd == 0:
-            return row
-        s = Fraction(den, num_gcd)
-        return [x * s for x in row]
-    # rational functions: clear denominators by their lcm, then strip both
-    # the integer content and any common polynomial factor
-    den = P_ONE
-    for x in row:
-        if x and x.den != P_ONE:
-            den = _p_lcm(den, x.den)
-    if den != P_ONE:
-        scale = RationalFunction(field, den, P_ONE)
-        row = [x * scale if x else x for x in row]
-    gpoly = None
-    for x in row:
-        if x:
-            gpoly = x.num if gpoly is None else p_gcd(gpoly, x.num)
-            if len(gpoly) == 1:
-                break
-    if gpoly and (len(gpoly) > 1 or abs(gpoly[0]) > 1):
-        if factor_sink is not None and len(gpoly) > 1:
-            factor_sink.append(RationalFunction(field, gpoly, P_ONE))
-        inv = RationalFunction(field, P_ONE, gpoly)
-        row = [x * inv if x else x for x in row]
-    return row
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def row_reduce(rows, ncols, field, pivot_sink=None):
-    """Return (echelon_rows, pivot_cols).  Destroys the input list.
+    """Return (echelon_rows, pivot_cols); the input rows are not modified.
 
     pivot_sink, when given, receives every pivot value used and every
     stripped common row factor: divisions by pivots happen during
     elimination and back substitution, so their vanishing loci belong to
     the "denominators crossed" by the computation.
     """
-    rows = [list(r) for r in rows]
-    rows = [_strip_row(r, field, pivot_sink) for r in rows]
+    strip = field.strip_row
+    rows = [strip(list(r), pivot_sink) for r in rows]
     pivots = []
     rank = 0
     for col in range(ncols):
@@ -96,7 +41,7 @@ def row_reduce(rows, ncols, field, pivot_sink=None):
             if v:
                 f = v / pval
                 rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-                rows[i] = _strip_row(rows[i], field, pivot_sink)
+                rows[i] = strip(rows[i], pivot_sink)
         pivots.append(col)
         rank += 1
     return rows[:rank], pivots
@@ -132,6 +77,33 @@ def nullspace(rows, ncols, field, pivot_sink=None):
                 v[pc] = -r[fc] / r[pc]
         basis.append(v)
     return basis
+
+
+def decompose(family, targets, field):
+    """Coordinates of each target over an independent family of vectors.
+
+    [family | targets] is row-reduced once, with the family vectors and the
+    targets as its columns.  Returns None when the family is linearly
+    dependent; otherwise one entry per target, in order: its coordinate
+    list, or None when the target lies outside the span of the family.
+    """
+    m = len(family)
+    rows = [[v[r] for v in family] + [t[r] for t in targets]
+            for r in range(len(family[0]))]
+    reduced, pivots = row_reduce(rows, m + len(targets), field)
+    if pivots[:m] != list(range(m)):
+        return None
+    # rows past the m-th vanish on the family, so a target is in the span
+    # exactly when they vanish on it too; eliminating with them leaves the
+    # columns of such targets unchanged
+    outside = reduced[m:]
+    coords = []
+    for j in range(m, m + len(targets)):
+        if any(r[j] for r in outside):
+            coords.append(None)
+        else:
+            coords.append([r[j] / r[i] for i, r in enumerate(reduced[:m])])
+    return coords
 
 
 def solve_in_span(vectors, target, field):

@@ -10,7 +10,7 @@ pair carries no common integer content.  No floating point anywhere.
 
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +463,35 @@ class RationalFunctionField:
     def is_zero(self, x):
         return not x
 
+    def strip_row(self, row, factor_sink=None):
+        """Scale a row by a nonzero scalar to a small canonical form.
+
+        Denominators are cleared by their lcm, then the integer content
+        and any common polynomial factor are stripped.  Such a factor
+        vanishes at its roots, so when a factor_sink is supplied every
+        stripped nonconstant factor is recorded there (its roots are
+        candidate rank-drop levels).
+        """
+        den = P_ONE
+        for x in row:
+            if x and x.den != P_ONE:
+                den = p_mul(den, p_div_exact(x.den, p_gcd(den, x.den)))
+        if den != P_ONE:
+            scale = RationalFunction(self, den, P_ONE)
+            row = [x * scale if x else x for x in row]
+        gpoly = None
+        for x in row:
+            if x:
+                gpoly = x.num if gpoly is None else p_gcd(gpoly, x.num)
+                if len(gpoly) == 1:
+                    break
+        if gpoly and (len(gpoly) > 1 or abs(gpoly[0]) > 1):
+            if factor_sink is not None and len(gpoly) > 1:
+                factor_sink.append(RationalFunction(self, gpoly, P_ONE))
+            inv = RationalFunction(self, P_ONE, gpoly)
+            row = [x * inv if x else x for x in row]
+        return row
+
     def denominators(self, values):
         """(labels, roots) of the denominators of values.
 
@@ -505,6 +534,21 @@ class Rationals:
 
     def is_zero(self, x):
         return x == 0
+
+    def strip_row(self, row, factor_sink=None):
+        """Scale a row by a nonzero rational to coprime integer entries."""
+        den = 1
+        for x in row:
+            if x:
+                den = lcm(den, x.denominator)
+        num_gcd = 0
+        for x in row:
+            if x:
+                num_gcd = gcd(num_gcd, x.numerator * (den // x.denominator))
+        if num_gcd == 0:
+            return row
+        s = Fraction(den, num_gcd)
+        return [x * s for x in row]
 
     def denominators(self, values):
         return set(), set()

@@ -24,7 +24,8 @@ screenings again.
 from fractions import Fraction
 from itertools import chain
 
-from .linalg import nullspace
+from .linalg import decompose, nullspace
+from .scalars import QQ
 from .superdata import DatumError
 from .vertexcalc import (
     CriticalLevel, GenSystem, GradingMismatch, comb, apply_field_coeff,
@@ -177,18 +178,22 @@ class ScreeningContext:
             d = self.datum
             field = self.field
             n = len(self.g0)
-            gram = [[d.form_entry(b, b2) for b2 in self.g0] for b in self.g0]
-            inv = _invert_fraction_matrix(gram)
-            if inv is None:
+            gram_cols = [[d.form_entry(b, b2) for b in self.g0]
+                         for b2 in self.g0]
+            # column i of the inverse Gram matrix: the dual of e_i
+            units = [[QQ.one if i == j else QQ.zero for j in range(n)]
+                     for i in range(n)]
+            duals = decompose(gram_cols, units, QQ)
+            if duals is None:
                 raise DegenerateForm("invariant form degenerates on g_0")
             pairs = []
-            for i, b in enumerate(self.g0):
+            for b, coeffs in zip(self.g0, duals):
                 dual = None
-                for j, b2 in enumerate(self.g0):
-                    if inv[j][i] == 0:
+                for b2, c in zip(self.g0, coeffs):
+                    if c == 0:
                         continue
                     t = self.system.gen_field(self.current_of_basis[b2]) \
-                        .scale_fraction(inv[j][i])
+                        .scale_fraction(c)
                     dual = t if dual is None else dual + t
                 pairs.append((dual, self.system.gen_field(
                     self.current_of_basis[b])))
@@ -197,9 +202,6 @@ class ScreeningContext:
         return self._sugawara
 
     # -- the generic screening series --------------------------------------------
-
-    def root_field(self, bidx):
-        return self.system.gen_field(self.current_of_basis[bidx])
 
     def split_word(self, word):
         wj = tuple(l for l in word if l[0] < self.n_j_gens)
@@ -246,29 +248,6 @@ class ScreeningContext:
                 val = c * c2
                 out[key] = val if cur is None else cur + val
         return {k: v for k, v in out.items() if not field.is_zero(v)}
-
-
-def _invert_fraction_matrix(m):
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(1) if i == j else Fraction(0)
-                                         for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------

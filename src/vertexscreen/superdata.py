@@ -12,6 +12,9 @@ throughout; no floating point is used anywhere.
 import json
 from fractions import Fraction
 
+from .linalg import decompose, matrix_rank, nullspace
+from .scalars import QQ
+
 
 class DatumError(ValueError):
     pass
@@ -57,51 +60,14 @@ def mat_zero_p(a):
     return all(all(x == 0 for x in row) for row in a)
 
 
-class _LinearSolver:
-    """Decompose vectors over a fixed independent family, exactly."""
-
-    def __init__(self, basis_vectors):
-        # augmented echelon of [v_i | e_i]; basis_vectors: list of tuples
-        self.dim = len(basis_vectors)
-        self.width = len(basis_vectors[0])
-        rows = []
-        for i, v in enumerate(basis_vectors):
-            tail = [Fraction(0)] * self.dim
-            tail[i] = Fraction(1)
-            rows.append([Fraction(x) for x in v] + tail)
-        pivots = []
-        rank = 0
-        for col in range(self.width):
-            piv = None
-            for r in range(rank, len(rows)):
-                if rows[r][col]:
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            prow = rows[rank]
-            pv = prow[col]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col]:
-                    f = rows[r][col] / pv
-                    rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
-            pivots.append(col)
-            rank += 1
-        if rank != self.dim:
-            raise DatumError("basis vectors are linearly dependent")
-        self.rows = rows[:rank]
-        self.pivots = pivots
-
-    def decompose(self, vector):
-        v = list(vector) + [Fraction(0)] * self.dim
-        for row, pc in zip(self.rows, self.pivots):
-            if v[pc]:
-                f = v[pc] / row[pc]
-                v = [x - f * y for x, y in zip(v, row)]
-        if any(v[: self.width]):
-            raise DatumError("vector outside the span of the basis")
-        return tuple(-x for x in v[self.width:])
+def _coordinates(family, targets):
+    """Exact coordinates of each target over an independent family."""
+    coords = decompose(family, targets, QQ)
+    if coords is None:
+        raise DatumError("basis vectors are linearly dependent")
+    if None in coords:
+        raise DatumError("vector outside the span of the basis")
+    return [tuple(c) for c in coords]
 
 
 class Root:
@@ -134,8 +100,8 @@ class SuperRootDatum:
         self.theta_pos = theta_pos
         self.label = label
         self.nbasis = rank + len(roots)
-        self._root_by_coords = {r.coords: pos for pos, r in enumerate(roots)}
         self._ad = {}
+        self._killing = None
 
     # -- indexing -----------------------------------------------------------
 
@@ -153,10 +119,6 @@ class SuperRootDatum:
             return "h%d" % (index + 1)
         return self.roots[index - self.rank].name
 
-    def find_root(self, coords):
-        pos = self._root_by_coords.get(tuple(coords))
-        return pos
-
     def neg_index(self, index):
         return self.root_index(self.root_at(index).neg_pos)
 
@@ -173,10 +135,9 @@ class SuperRootDatum:
 
     def pairing_to_cartan(self, functional):
         """t in the Cartan with (t|e_l) = functional_l for all l."""
-        g = [[self.form[i][j] for j in range(self.rank)]
-             for i in range(self.rank)]
-        solver = _LinearSolver([tuple(row) for row in zip(*g)])
-        return solver.decompose(tuple(functional))
+        cols = [[self.form[i][j] for i in range(self.rank)]
+                for j in range(self.rank)]
+        return _coordinates(cols, [functional])[0]
 
     def adjoint(self, i):
         """Matrix of ad(e_i) over the basis, columns = images."""
@@ -196,8 +157,12 @@ class SuperRootDatum:
         return self.supertrace(mat_mul(self.adjoint(i), self.adjoint(j)))
 
     def killing_matrix(self):
-        return [[self.killing(i, j) for j in range(self.nbasis)]
-                for i in range(self.nbasis)]
+        """The Killing form over the basis, computed once per datum."""
+        if self._killing is None:
+            self._killing = tuple(
+                tuple(self.killing(i, j) for j in range(self.nbasis))
+                for i in range(self.nbasis))
+        return self._killing
 
     # -- invariants ---------------------------------------------------------
 
@@ -348,9 +313,9 @@ def _datum_from_matrices(rank, cartan_mats, root_entries, space_parity,
         raise DatumError("wrong number of simple roots")
 
     # simple coordinates by solving over the simple-root coordinate vectors
-    solver = _LinearSolver([roots[p].coords for p in simple_positions])
-    for r in roots:
-        sc = solver.decompose(r.coords)
+    for r, sc in zip(roots, _coordinates(
+            [roots[p].coords for p in simple_positions],
+            [r.coords for r in roots])):
         if any(x.denominator != 1 for x in sc):
             raise DatumError("root not an integer combination of simple roots")
         r.simple_coords = tuple(int(x) for x in sc)
@@ -359,18 +324,17 @@ def _datum_from_matrices(rank, cartan_mats, root_entries, space_parity,
     # structure constants over the indexed basis
     basis_mats = cartan_mats + [m for m, _, _ in root_entries]
     parity = [0] * rank + [r.parity for r in roots]
-    flat = [tuple(x for row in m for x in row) for m in basis_mats]
-    dec = _LinearSolver(flat)
-    sc_table = {}
     n = rank + len(roots)
-    for i in range(n):
-        for j in range(n):
-            br = super_bracket(basis_mats[i], basis_mats[j],
-                               parity[i], parity[j])
-            coords = dec.decompose(tuple(x for row in br for x in row))
-            comb = {l: c for l, c in enumerate(coords) if c}
-            if comb:
-                sc_table[(i, j)] = comb
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    brackets = [super_bracket(basis_mats[i], basis_mats[j],
+                              parity[i], parity[j]) for i, j in pairs]
+    sc_table = {}
+    for ij, coords in zip(pairs, _coordinates(
+            [_flatten(m) for m in basis_mats],
+            [_flatten(m) for m in brackets])):
+        comb = {l: c for l, c in enumerate(coords) if c}
+        if comb:
+            sc_table[ij] = comb
 
     # supertrace form, rescaled so (theta|theta) = 2
     def strace(m):
@@ -395,6 +359,10 @@ def _datum_from_matrices(rank, cartan_mats, root_entries, space_parity,
     if norm != 2:
         datum.form = mat_scale(raw, Fraction(2) / norm)
     return datum
+
+
+def _flatten(m):
+    return [x for row in m for x in row]
 
 
 def build_sl(n):
@@ -529,7 +497,7 @@ class GoodGrading:
                     for l, c in d.bracket(fi, b).items():
                         img[l] = img.get(l, Fraction(0)) + c
                 rows.append([img.get(l, Fraction(0)) for l in dst])
-            rank = _fraction_rank(rows, len(dst))
+            rank = matrix_rank(rows, len(dst), QQ)
             if j2 >= 1 and rank != len(src):
                 raise NotGoodGrading(
                     "ad f not injective on degree %s" % _half(j2))
@@ -542,9 +510,7 @@ class GoodGrading:
         rows = [d.roots[p].coords for p in d.simple]
         rhs = [Fraction(self.labels2[p], 2) for p in d.simple]
         # want x with alpha_i(x) = rhs_i, i.e. sum_l x_l alpha_i(e_l) = rhs_i
-        cols = list(zip(*rows))
-        solver = _LinearSolver([tuple(c) for c in cols])
-        return solver.decompose(tuple(rhs))
+        return _coordinates(list(zip(*rows)), [rhs])[0]
 
     # -- derived sets --------------------------------------------------------
 
@@ -567,17 +533,6 @@ class GoodGrading:
         return [d.root_index(p) for p, r in enumerate(d.roots)
                 if r.positive and self.deg2[d.root_index(p)] > 0]
 
-    def pi_split(self):
-        """Simple-root positions by doubled label {0: [...], 1: [...], 2: [...]}."""
-        out = {0: [], 1: [], 2: []}
-        for p in self.datum.simple:
-            out[self.labels2[p]].append(p)
-        return out
-
-    def f_element_coords(self):
-        """f as {basis index: coefficient} (sum of e_{-alpha})."""
-        return {fi: Fraction(1) for fi in self.f_indices}
-
     def centralizer_generators(self):
         """Homogeneous basis of g^f as [(basis comb dict, deg2, parity)]."""
         d = self.datum
@@ -595,7 +550,8 @@ class GoodGrading:
                     for l, c in d.bracket(fi, b).items():
                         img[l] = img.get(l, Fraction(0)) + c
                 rows.append([img.get(l, Fraction(0)) for l in dst])
-            for coeffs in _fraction_nullspace(rows, len(dst), len(src)):
+            # combinations sum c_b [f, e_b] = 0: the kernel of the transpose
+            for coeffs in nullspace(list(zip(*rows)), len(src), QQ):
                 comb = {b: c for b, c in zip(src, coeffs) if c}
                 par = d.parity[src[0]] if src else 0
                 pars = {d.parity[b] for b in comb}
@@ -607,65 +563,6 @@ class GoodGrading:
 
 def _half(j2):
     return "%d" % (j2 // 2) if j2 % 2 == 0 else "%d/2" % j2
-
-
-def _fraction_rank(rows, ncols):
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _fraction_nullspace(rows, ncols, nvars):
-    """Nullspace of the map given by rows (vectors of length ncols)."""
-    # unknown combination sum c_i row_i = 0
-    cols = [[rows[i][j] for i in range(nvars)] for j in range(ncols)]
-    work = [list(c) for c in cols]
-    rank = 0
-    pivots = []
-    for col in range(nvars):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
-    work = work[:rank]
-    pivot_set = set(pivots)
-    out = []
-    for fc in range(nvars):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * nvars
-        v[fc] = Fraction(1)
-        for row, pc in zip(work, pivots):
-            if row[fc]:
-                v[pc] = -row[fc] / row[pc]
-        out.append(v)
-    return out
 
 
 def good_grading(datum, labels, f_support):
@@ -892,9 +789,8 @@ def datum_from_json(doc):
             simple.append(p)
     if len(simple) != rank:
         raise DatumError("rank does not match the number of simple roots")
-    solver = _LinearSolver([roots[p].coords for p in simple])
-    for r in roots:
-        scarr = solver.decompose(r.coords)
+    for r, scarr in zip(roots, _coordinates(
+            [roots[p].coords for p in simple], [r.coords for r in roots])):
         if any(x.denominator != 1 for x in scarr):
             raise DatumError("root outside the root lattice")
         r.simple_coords = tuple(int(x) for x in scarr)

@@ -142,7 +142,6 @@ class BRSTComplex:
         field = self.field
         sys = self.system
         self.d0_image = {}
-        self.dst_lambda = {}
         p_plus = [b for b in range(d.nbasis) if g.deg2[b] > 0]
         adm = {b: d.adjoint(b) for b in range(d.nbasis)}
 
@@ -154,21 +153,7 @@ class BRSTComplex:
                     acc += (-1) ** d.parity[b] * av[b][m] * aw[m][b]
             return field.lift(acc) + self.level * field.lift(d.form_entry(v, w))
 
-        pplus_set = set(p_plus)
-
-        def b_k(v, w):
-            # str(p_+ (ad v)(ad w)): only diagonal entries inside g_+ survive
-            acc = Fraction(0)
-            av, aw = adm[v], adm[w]
-            for b in pplus_set:
-                s = Fraction(0)
-                for m in range(d.nbasis):
-                    s += av[b][m] * aw[m][b]
-                acc += (-1) ** d.parity[b] * s
-            return field.lift(acc) + self.level * field.lift(d.form_entry(v, w))
-
         self.a_k = a_k
-        self.b_k = b_k
 
         for u in self.gle0:
             terms = {}
@@ -209,14 +194,6 @@ class BRSTComplex:
                     key = (((self.phigen[b2], 0),), None)
                     terms[key] = terms.get(key, field.zero) + field.lift(val)
             self.d0_image[self.jgen[u]] = FieldExpr(sys, terms)
-            # lambda^1 part of the standard component (kept for reference)
-            lam = {}
-            for b2 in self.restricted_pos:
-                bkv = b_k(u, b2)
-                if not field.is_zero(bkv):
-                    key = (((self.phigen[b2], 0),), None)
-                    lam[key] = lam.get(key, field.zero) + bkv
-            self.dst_lambda[self.jgen[u]] = FieldExpr(sys, lam)
 
         for b in self.restricted_pos:
             terms = {}

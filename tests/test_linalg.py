@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from vertexscreen.linalg import matrix_rank, nullspace, solve_in_span
+from vertexscreen.linalg import decompose, matrix_rank, nullspace, solve_in_span
 from vertexscreen.scalars import QQ, RationalFunctionField
 
 
@@ -54,3 +54,32 @@ def test_solve_in_span():
     sol = solve_in_span([v1, v2], target, F)
     assert sol == [k, F.one]
     assert solve_in_span([v1], {"c": F.one}, F) is None
+
+
+def test_decompose_several_targets():
+    F = RationalFunctionField("k")
+    k = F.gen
+    family = [[F.one, F.zero, k], [F.zero, k + 1, F.one]]
+    targets = [
+        [k, k * k - 1, k * k + k - 1],   # k v1 + (k - 1) v2
+        [F.one, F.one, F.one],           # outside the span
+        [F.zero, F.zero, F.zero],
+        [F.zero, F.one, F.one / (k + 1)],  # v2 / (k + 1)
+    ]
+    got = decompose(family, targets, F)
+    assert got == [[k, k - 1], None, [F.zero, F.zero],
+                   [F.zero, F.one / (k + 1)]]
+    half = Fraction(1, 2)
+    got = decompose([[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1)]],
+                    [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(3)]],
+                    QQ)
+    assert got == [[half, 0], [-Fraction(3, 2), 3]]
+
+
+def test_decompose_dependent_family():
+    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    assert decompose(rows, [[Fraction(1), Fraction(2)]], QQ) is None
+    F = RationalFunctionField("k")
+    k = F.gen
+    family = [[k, F.one], [k * k, k], [F.one, F.zero]]
+    assert decompose(family, [[F.one, F.one]], F) is None

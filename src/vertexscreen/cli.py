@@ -8,7 +8,10 @@ Subcommands:
 
 Weights on the command line are doubled integers ("--max-weight 12" means
 conformal weight 6), so half-integer weights never need fraction parsing.
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input errors.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input errors
+(bad arguments, an unreadable or invalid datum, a grading that is not
+good, a critical level, a degenerate form), 3 an internal error, reported
+on one line.
 Output is deterministic for a fixed configuration and seed.
 """
 
@@ -20,7 +23,8 @@ from fractions import Fraction
 
 from .presets import build_preset, preset_context, preset_names
 from .scalars import QQ, RationalFunctionField
-from .screening import (exponential_screenings, generic_screenings,
+from .screening import (DegenerateForm, NonCartanZeroPart,
+                        exponential_screenings, generic_screenings,
                         expected_character, kernel_basis)
 from .superdata import (DatumError, NotGoodGrading, chi, good_grading,
                         load_datum, restricted_base, tau_form)
@@ -31,7 +35,11 @@ from . import verify as verify_mod
 def _parse_level(text):
     if text == "symbolic":
         return "symbolic"
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SystemExit2("--level must be \"symbolic\" or a rational p/q, "
+                          "not %r" % text) from None
 
 
 def _context_from_args(args):
@@ -211,11 +219,17 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
+        _parse_level(args.level)  # the verify suites read --level themselves
         return args.func(args)
     except (SystemExit2, DatumError, NotGoodGrading, CriticalLevel,
-            ValueError, OSError, json.JSONDecodeError) as exc:
+            DegenerateForm, NonCartanZeroPart, OSError,
+            json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,11 +1,16 @@
 """Exact linear algebra over Q or Q(x).
 
 row_reduce is the one elimination loop; ranks, nullspaces, decompositions
-over a fixed family and span tests are all read off its output.  It is
-fraction-free in spirit: every row is rescaled by the field's strip_row
-to clear denominators and strip content after each elimination step,
-which keeps polynomial growth in check at the sizes this engine works
-with.
+over a fixed family and span tests are all read off its output.  Each
+field supplies the elimination step: strip_row scales a row to a
+canonical form without denominators, eliminate clears one entry against
+a pivot row and strips the result, and quo divides two entries of
+reduced rows.  Over Q elimination is fraction-free: rows are coprime
+Python ints, a step is an integer combination over the nonzero columns of
+the pivot row, and only the outputs are divided back into Fractions.
+Over Q(k) a step divides rational functions and strips common polynomial
+factors, which keeps degree growth in check at the sizes this engine
+works with.
 """
 
 
@@ -17,8 +22,8 @@ def row_reduce(rows, ncols, field, pivot_sink=None):
     elimination and back substitution, so their vanishing loci belong to
     the "denominators crossed" by the computation.
     """
-    strip = field.strip_row
-    rows = [strip(list(r), pivot_sink) for r in rows]
+    eliminate = field.eliminate
+    rows = [field.strip_row(list(r), pivot_sink) for r in rows]
     pivots = []
     rank = 0
     for col in range(ncols):
@@ -37,11 +42,8 @@ def row_reduce(rows, ncols, field, pivot_sink=None):
         for i in range(len(rows)):
             if i == rank:
                 continue
-            v = rows[i][col]
-            if v:
-                f = v / pval
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-                rows[i] = strip(rows[i], pivot_sink)
+            if rows[i][col]:
+                rows[i] = eliminate(rows[i], prow, col, pivot_sink)
         pivots.append(col)
         rank += 1
     return rows[:rank], pivots
@@ -74,7 +76,7 @@ def nullspace(rows, ncols, field, pivot_sink=None):
         # back substitution: pivot rows are mutually reduced already
         for r, pc in zip(reduced, pivots):
             if r[fc]:
-                v[pc] = -r[fc] / r[pc]
+                v[pc] = field.quo(-r[fc], r[pc])
         basis.append(v)
     return basis
 
@@ -102,7 +104,8 @@ def decompose(family, targets, field):
         if any(r[j] for r in outside):
             coords.append(None)
         else:
-            coords.append([r[j] / r[i] for i, r in enumerate(reduced[:m])])
+            coords.append([field.quo(r[j], r[i])
+                           for i, r in enumerate(reduced[:m])])
     return coords
 
 
@@ -130,7 +133,7 @@ def solve_in_span(vectors, target, field):
         return None  # inconsistent
     sol = [field.zero] * n
     for r, pc in zip(reduced, pivots):
-        sol[pc] = r[n] / r[pc]
+        sol[pc] = field.quo(r[n], r[pc])
     # verify (cheap insurance against rank edge cases)
     for key in keys:
         acc = field.zero

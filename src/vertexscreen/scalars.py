@@ -492,6 +492,15 @@ class RationalFunctionField:
             row = [x * inv if x else x for x in row]
         return row
 
+    def eliminate(self, row, prow, col, factor_sink=None):
+        """Clear row[col] against the pivot row prow, then strip the result."""
+        f = row[col] / prow[col]
+        return self.strip_row([a - f * b for a, b in zip(row, prow)],
+                              factor_sink)
+
+    def quo(self, a, b):
+        return a / b
+
     def denominators(self, values):
         """(labels, roots) of the denominators of values.
 
@@ -536,19 +545,38 @@ class Rationals:
         return x == 0
 
     def strip_row(self, row, factor_sink=None):
-        """Scale a row by a nonzero rational to coprime integer entries."""
-        den = 1
-        for x in row:
-            if x:
-                den = lcm(den, x.denominator)
-        num_gcd = 0
-        for x in row:
-            if x:
-                num_gcd = gcd(num_gcd, x.numerator * (den // x.denominator))
-        if num_gcd == 0:
-            return row
-        s = Fraction(den, num_gcd)
-        return [x * s for x in row]
+        """Scale a row by a positive rational to coprime ints.
+
+        Entries may be ints or Fractions; a zero row comes back as int
+        zeros.
+        """
+        den = lcm(*[x.denominator for x in row])
+        row = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+
+    def eliminate(self, row, prow, col, factor_sink=None):
+        """Clear row[col] against the pivot row prow, fraction-free.
+
+        Both rows are stripped int rows.  The result is the stripped form
+        of row - (row[col]/prow[col]) * prow, computed as
+        (p/g)*row - (v/g)*prow with g = gcd(p, v) and the sign of p
+        divided out, subtracting only where prow is nonzero.
+        """
+        p, v = prow[col], row[col]
+        g = gcd(p, v)
+        a, b = p // g, v // g
+        if a < 0:
+            a, b = -a, -b
+        out = [a * x for x in row] if a != 1 else list(row)
+        for j, y in enumerate(prow):
+            if y:
+                out[j] -= b * y
+        g = gcd(*out)
+        return [x // g for x in out] if g > 1 else out
+
+    def quo(self, a, b):
+        return Fraction(a, b)
 
     def denominators(self, values):
         return set(), set()

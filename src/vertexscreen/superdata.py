@@ -149,12 +149,21 @@ class SuperRootDatum:
             self._ad[i] = mat
         return self._ad[i]
 
-    def supertrace(self, mat):
-        return sum((-1) ** self.parity[b] * mat[b][b]
-                   for b in range(self.nbasis))
+    def killing(self, i, j, span=None):
+        """Supertrace of ad(e_i) ad(e_j), from the structure constants.
 
-    def killing(self, i, j):
-        return self.supertrace(mat_mul(self.adjoint(i), self.adjoint(j)))
+        sum_b (-1)^p_b sum_m [e_j, e_b]_m [e_i, e_m]_b over the basis
+        indices in span, a subalgebra closed under the bracket (all of g
+        when None).
+        """
+        sc, parity = self.sc, self.parity
+        total = Fraction(0)
+        for b in range(self.nbasis) if span is None else span:
+            for m, c in sc.get((j, b), {}).items():
+                x = sc.get((i, m), {}).get(b)
+                if x:
+                    total += -c * x if parity[b] else c * x
+        return total
 
     def killing_matrix(self):
         """The Killing form over the basis, computed once per datum."""
@@ -572,14 +581,16 @@ def good_grading(datum, labels, f_support):
     f_support: iterable of positive-root names or positions (f = sum e_{-a}).
     """
     name_to_pos = {datum.roots[p].name: p for p in range(len(datum.roots))}
-    labels2 = {}
-    for key, val in labels.items():
-        pos = key if isinstance(key, int) else name_to_pos[key]
-        labels2[pos] = int(val)
-    support = []
-    for key in f_support:
-        pos = key if isinstance(key, int) else name_to_pos[key]
-        support.append(pos)
+
+    def position(key):
+        if isinstance(key, int):
+            return key
+        if key not in name_to_pos:
+            raise DatumError("unknown root name %r" % (key,))
+        return name_to_pos[key]
+
+    labels2 = {position(key): int(val) for key, val in labels.items()}
+    support = [position(key) for key in f_support]
     return GoodGrading(datum, labels2, support)
 
 
@@ -667,20 +678,12 @@ class LevelForm:
         g0 = grading.g0_indices()
         self.g0 = g0
         pos = {b: i for i, b in enumerate(g0)}
-        ad0 = []
         for b in g0:
-            mat = [[Fraction(0)] * len(g0) for _ in range(len(g0))]
             for j in g0:
                 for l, c in datum.bracket(b, j).items():
-                    if l in pos:
-                        mat[pos[l]][pos[j]] = c
-                    elif c:
+                    if c and l not in pos:
                         raise DatumError("g_0 is not closed under the bracket")
-            ad0.append(mat)
-        self.killing_g0 = [[
-            sum((-1) ** datum.parity[g0[a]]
-                * mat_mul(ad0[i], ad0[j])[a][a] for a in range(len(g0)))
-            for j in range(len(g0))] for i in range(len(g0))]
+        self.killing_g0 = [[datum.killing(i, j, g0) for j in g0] for i in g0]
         self._g0_pos = pos
 
     def tau_pair(self, i, j):

@@ -6,7 +6,7 @@ from vertexscreen.cli import main, make_parser
 from vertexscreen.presets import preset_context
 from vertexscreen.serialize import field_from_json, field_to_json
 from vertexscreen.superdata import build_sl, datum_to_json
-from vertexscreen.vertexcalc import derive, normal_order
+from vertexscreen.vertexcalc import GradingMismatch, derive, normal_order
 
 
 def run_cli(args, capsys):
@@ -143,3 +143,31 @@ def test_table_format(tmp_path, capsys):
                         capsys)
     assert code == 0
     assert "h_dual" in out and "{" not in out.splitlines()[0]
+
+
+def test_bad_level_text_is_usage_error(capsys):
+    assert main(["kernel", "--preset", "sl2-regular", "--level", "abc"]) == 2
+    assert main(["verify", "brst", "--level", "1/0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: --level") == 2 and "internal" not in err
+
+
+def test_unknown_root_name_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(datum_to_json(build_sl(2))))
+    assert main(["kernel", "--datum", str(path),
+                 "--labels", '{"nope": 2}']) == 2
+    assert "unknown root name" in capsys.readouterr().err
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    """An engine fault is not a usage error, even when it is a ValueError."""
+    import vertexscreen.cli as cli
+
+    def broken(*args):
+        raise GradingMismatch("weights disagree")
+
+    monkeypatch.setattr(cli, "expected_character", broken)
+    assert main(["info", "--preset", "sl2-regular"]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == "internal error: GradingMismatch: weights disagree"

@@ -83,3 +83,64 @@ def test_decompose_dependent_family():
     k = F.gen
     family = [[k, F.one], [k * k, k], [F.one, F.zero]]
     assert decompose(family, [[F.one, F.one]], F) is None
+
+
+BIG = 2**64 + 13
+
+
+def _all_fractions(values):
+    return all(type(x) is Fraction for x in values)
+
+
+def test_integer_path_over_q_returns_fractions():
+    """Rows of plain ints, and the same rows each scaled by a rational with
+    a non-unit denominator, give the same exact Fraction results, with
+    entries beyond 2**64 and a zero row."""
+    ints = [[BIG, 0, 3, 0],
+            [0, 0, 0, 0],
+            [2, 5, 0, 3 * BIG],
+            [BIG + 2, 5, 3, 3 * BIG]]
+    scales = [Fraction(1, 3), Fraction(-5, 7), Fraction(2**70, 3**45),
+              Fraction(7, 2)]
+    fracs = [[s * x for x in row] for s, row in zip(scales, ints)]
+    null = nullspace(ints, 4, QQ)
+    assert len(null) == 2 and null == nullspace(fracs, 4, QQ)
+    assert matrix_rank(ints, 4, QQ) == matrix_rank(fracs, 4, QQ) == 2
+    for v in null:
+        assert _all_fractions(v)
+        for row in ints:
+            assert sum(a * b for a, b in zip(row, v)) == 0
+
+    # coordinate 1 vanishes on every vector: a zero row of [family | targets]
+    v1, v2 = [BIG, 0, 2, 1], [3, 0, BIG, 5]
+    targets = [[3 * a - Fraction(1, 7) * b for a, b in zip(v1, v2)],
+               [0, 1, 0, 0],
+               [0, 0, 0, 0]]
+    got = decompose([v1, v2], targets, QQ)
+    assert got == [[3, Fraction(-1, 7)], None, [0, 0]]
+    assert _all_fractions(got[0] + got[2])
+    scale = [Fraction(1, 6), 5, Fraction(-3, 4), Fraction(BIG, 7)]
+
+    def scaled(v):
+        return [s * x for s, x in zip(scale, v)]
+
+    assert decompose([scaled(v1), scaled(v2)],
+                     [scaled(t) for t in targets], QQ) == got
+
+    vecs = [dict(zip("abcd", v1)), dict(zip("abcd", v2))]
+    target = dict(zip("abcd", targets[0]))
+    sol = solve_in_span(vecs, target, QQ)
+    assert sol == [3, Fraction(-1, 7)] and _all_fractions(sol)
+    assert solve_in_span([{k: Fraction(x) for k, x in v.items()}
+                          for v in vecs], target, QQ) == sol
+
+
+def test_all_zero_matrix_over_q():
+    zero = [[0, 0, 0], [0, 0, 0]]
+    assert matrix_rank(zero, 3, QQ) == 0
+    null = nullspace(zero, 3, QQ)
+    assert null == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _all_fractions(x for v in null for x in v)
+    assert decompose([[0, 0], [0, 0]], [[0, 0]], QQ) is None
+    sol = solve_in_span([{"a": 0}], {}, QQ)
+    assert sol == [0] and _all_fractions(sol)

@@ -14,10 +14,16 @@ DomainMatrix = sympy.polys.matrices.DomainMatrix
 
 K_SYM = sympy.Symbol("k")
 F = RationalFunctionField("k")
-# each field with its sympy counterpart and a strategy for small entries:
-# integers over Q, integer polynomials of degree <= 1 over Q(k)
+# a rational with a small denominator and a numerator up to 10**20, or
+# zero two times in three, so that the matrices come out sparse
+RATIONALS = st.tuples(st.integers(0, 2),
+                      st.builds(Fraction, st.integers(-10**20, 10**20),
+                                st.integers(1, 7))) \
+    .map(lambda t: t[1] if t[0] == 0 else Fraction(0))
+# each field with its sympy counterpart and a strategy for its entries:
+# sparse rationals over Q, integer polynomials of degree <= 1 over Q(k)
 FIELDS = {
-    "Q": (QQ, sympy.QQ, st.integers(-2, 2).map(Fraction)),
+    "Q": (QQ, sympy.QQ, RATIONALS),
     "Q(k)": (F, sympy.QQ.frac_field(K_SYM),
              st.tuples(st.integers(-2, 2), st.integers(-2, 2))
              .map(lambda ab: F.lift(ab[0]) + F.lift(ab[1]) * F.gen)),
@@ -39,11 +45,11 @@ def _matrix(rows, ncols, dom):
 
 @st.composite
 def problems(draw):
-    """(field name, rows, ncols, extra targets) with small shapes."""
+    """(field name, rows, ncols, extra targets), up to 6 x 6."""
     name = draw(st.sampled_from(sorted(FIELDS)))
     entries = FIELDS[name][2]
-    nrows = draw(st.integers(1, 4))
-    ncols = draw(st.integers(1, 4))
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
     rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     targets = draw(st.lists(st.lists(entries, min_size=nrows,
@@ -76,8 +82,8 @@ def test_rank_and_nullspace_match_sympy(problem):
 
 
 @hypothesis.settings(max_examples=80, deadline=None)
-@hypothesis.given(problems(), st.lists(st.integers(-2, 2), min_size=4,
-                                       max_size=4))
+@hypothesis.given(problems(), st.lists(st.integers(-2, 2), min_size=6,
+                                       max_size=6))
 def test_decompose_matches_sympy(problem, mix):
     name, rows, ncols, targets = problem
     field, dom, _ = FIELDS[name]

@@ -322,3 +322,29 @@ def test_kernel_denominator_labels_and_roots(preset, kind):
         polys = [ctx.field.parse(label).num for label in rep.denominators]
         assert rep.denominator_roots == {
             Fraction(-a[0], a[1]) for a in polys if len(a) == 2}
+
+
+@pytest.mark.parametrize("preset, kind, max_w2", [
+    ("sl3-subregular", "generic", 6),
+    ("osp1_2-regular", "exponential", 7)])
+def test_symbolic_basis_specializes_to_basis_over_q(preset, kind, max_w2):
+    """The symbolic kernel basis evaluated at k = 7/2 equals the basis
+    computed over Q at k = 7/2.  This holds where no reported denominator
+    vanishes at 7/2, since elimination then takes the same pivots; that is
+    asserted first."""
+    level = Fraction(7, 2)
+    sym = preset_context(preset)
+    spec = preset_context(preset, level=level)
+    screenings = exponential_screenings if kind == "exponential" \
+        else generic_screenings
+    ops_sym, ops_spec = screenings(sym), screenings(spec)
+    char = expected_character(sym.datum, sym.grading, max_w2)
+    for w2 in range(max_w2 + 1):
+        rep = kernel_basis(sym, ops_sym, w2)
+        assert level not in rep.denominator_roots
+        got = [{key: c.evaluate(level) for key, c in f.terms.items()}
+               for f in rep.basis_fields]
+        got = [{key: c for key, c in vec.items() if c} for vec in got]
+        want = [dict(f.terms)
+                for f in kernel_basis(spec, ops_spec, w2).basis_fields]
+        assert got == want and len(got) == char[w2], (preset, w2)

@@ -50,8 +50,14 @@ def _context_from_args(args):
     datum = load_datum(args.datum)
     if not args.labels:
         raise SystemExit2("--labels is required with --datum")
-    labels = json.loads(args.labels)
-    support = json.loads(args.f_support) if args.f_support else []
+    labels = _json_arg("--labels", args.labels, dict)
+    support = _json_arg("--f-support", args.f_support, list) \
+        if args.f_support else []
+    if not all(type(v) is int for v in labels.values()):
+        raise SystemExit2("--labels values must be integers")
+    if not all(type(x) in (int, str) for x in support):
+        raise SystemExit2("--f-support entries must be root names or "
+                          "positions")
     grading = good_grading(datum, labels, support)
     base = restricted_base(grading)
     lf = tau_form(datum, grading)
@@ -69,6 +75,15 @@ def _context_from_args(args):
 
 class SystemExit2(Exception):
     pass
+
+
+def _json_arg(flag, text, kind):
+    value = json.loads(text)
+    if not isinstance(value, kind):
+        raise SystemExit2("%s must be a JSON %s, not %s"
+                          % (flag, "object" if kind is dict else "list",
+                             type(value).__name__))
+    return value
 
 
 def _emit(doc, args):

@@ -5,12 +5,14 @@ over a fixed family and span tests are all read off its output.  Each
 field supplies the elimination step: strip_row scales a row to a
 canonical form without denominators, eliminate clears one entry against
 a pivot row and strips the result, and quo divides two entries of
-reduced rows.  Over Q elimination is fraction-free: rows are coprime
-Python ints, a step is an integer combination over the nonzero columns of
-the pivot row, and only the outputs are divided back into Fractions.
-Over Q(k) a step divides rational functions and strips common polynomial
-factors, which keeps degree growth in check at the sizes this engine
-works with.
+reduced rows back into the field.  Elimination is fraction-free over
+both fields: rows are coprime Python ints over Q and integer polynomials
+with no common factor over Q(k), and a step is the combination
+(p/g)*row - (v/g)*pivot_row with g = gcd(p, v), taken over the nonzero
+columns of the pivot row.  Where Bareiss (1968) bounds entry growth by
+exact division by the previous pivot, each row here is divided by its own
+gcd instead.  Only the outputs are divided back into Fractions or
+rational functions.
 """
 
 
@@ -18,9 +20,10 @@ def row_reduce(rows, ncols, field, pivot_sink=None):
     """Return (echelon_rows, pivot_cols); the input rows are not modified.
 
     pivot_sink, when given, receives every pivot value used and every
-    stripped common row factor: divisions by pivots happen during
-    elimination and back substitution, so their vanishing loci belong to
-    the "denominators crossed" by the computation.
+    stripped common row factor, as entries of stripped rows: divisions by
+    pivots happen during elimination and back substitution, so their
+    vanishing loci belong to the "denominators crossed" by the
+    computation.
     """
     eliminate = field.eliminate
     rows = [field.strip_row(list(r), pivot_sink) for r in rows]
@@ -76,7 +79,7 @@ def nullspace(rows, ncols, field, pivot_sink=None):
         # back substitution: pivot rows are mutually reduced already
         for r, pc in zip(reduced, pivots):
             if r[fc]:
-                v[pc] = field.quo(-r[fc], r[pc])
+                v[pc] = -field.quo(r[fc], r[pc])
         basis.append(v)
     return basis
 

@@ -118,29 +118,30 @@ def p_gcd(a, b):
 
 
 def p_div_exact(a, b):
-    """Quotient a/b assuming exact divisibility over Q (integer result)."""
+    """Quotient a/b assuming exact divisibility with an integer result.
+
+    Raises ArithmeticError when b does not divide a or the quotient has a
+    non-integer coefficient.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return P_ZERO
-    r = [Fraction(x) for x in a]
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
     d = len(b) - 1
-    lb = Fraction(b[-1])
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - d)
     for k in range(len(a) - 1 - d, -1, -1):
-        c = r[k + d] / lb
-        q[k] = c
+        c, rem = divmod(r[k + d], lb)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
         if c:
-            for j, y in enumerate(b):
-                r[k + j] -= c * y
-    if any(r):
+            q[k] = c
+            for j in range(d):
+                r[k + j] -= c * b[j]
+    if any(r[:d]):
         raise ArithmeticError("inexact polynomial division")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise ArithmeticError("non-integer exact quotient")
-        out.append(c.numerator)
-    return _trim(out)
+    return _trim(q)
 
 
 def p_from_fraction(fr):
@@ -398,10 +399,12 @@ def _reduce(num, den):
         raise ZeroDivisionError("zero denominator")
     if not num:
         return P_ZERO, P_ONE
-    g = p_gcd(num, den)
-    if len(g) > 1:
-        num = p_div_exact(num, g)
-        den = p_div_exact(den, g)
+    # a constant on either side leaves no polynomial gcd to divide out
+    if len(num) > 1 and len(den) > 1:
+        g = p_gcd(num, den)
+        if len(g) > 1:
+            num = p_div_exact(num, g)
+            den = p_div_exact(den, g)
     c = gcd(p_content(num), p_content(den))
     if c > 1:
         num = tuple(x // c for x in num)
@@ -409,6 +412,43 @@ def _reduce(num, den):
     if den[-1] < 0:
         num, den = p_neg(num), p_neg(den)
     return num, den
+
+
+def _p_lcm(a, b):
+    """The lcm of two integer polynomials, integer content included."""
+    if a == b or b == P_ONE:
+        return a
+    if a == P_ONE:
+        return b
+    g = p_scale(p_gcd(a, b), gcd(p_content(a), p_content(b)))
+    return p_mul(a, p_div_exact(b, g))
+
+
+def _strip_polys(row, factor_sink=None):
+    """Divide a row of integer polynomials by its gcd, content included.
+
+    A nonconstant common factor vanishes at its roots, so when a
+    factor_sink is supplied it is recorded there (its roots are
+    candidate rank-drop levels).  A zero row comes back unchanged.
+    """
+    entries = [x for x in row if x]
+    if not entries:
+        return row
+    # start from the lowest degree: a constant entry settles it at once
+    g = min(entries, key=len)
+    for x in entries:
+        if len(g) == 1:
+            break
+        if x is not g:
+            g = p_gcd(g, x)
+    if len(g) > 1:
+        if factor_sink is not None:
+            factor_sink.append(g)
+        row = [p_div_exact(x, g) if x else x for x in row]
+    c = gcd(*[c for x in row for c in x])
+    if c > 1:
+        row = [tuple(y // c for y in x) for x in row]
+    return row
 
 
 class RationalFunctionField:
@@ -464,42 +504,45 @@ class RationalFunctionField:
         return not x
 
     def strip_row(self, row, factor_sink=None):
-        """Scale a row by a nonzero scalar to a small canonical form.
+        """Scale a row of rational functions to coprime integer polynomials.
 
-        Denominators are cleared by their lcm, then the integer content
-        and any common polynomial factor are stripped.  Such a factor
-        vanishes at its roots, so when a factor_sink is supplied every
-        stripped nonconstant factor is recorded there (its roots are
-        candidate rank-drop levels).
+        The row is multiplied by the lcm of its denominators, then its
+        common factor is divided out as in _strip_polys.
         """
         den = P_ONE
         for x in row:
-            if x and x.den != P_ONE:
-                den = p_mul(den, p_div_exact(x.den, p_gcd(den, x.den)))
-        if den != P_ONE:
-            scale = RationalFunction(self, den, P_ONE)
-            row = [x * scale if x else x for x in row]
-        gpoly = None
-        for x in row:
             if x:
-                gpoly = x.num if gpoly is None else p_gcd(gpoly, x.num)
-                if len(gpoly) == 1:
-                    break
-        if gpoly and (len(gpoly) > 1 or abs(gpoly[0]) > 1):
-            if factor_sink is not None and len(gpoly) > 1:
-                factor_sink.append(RationalFunction(self, gpoly, P_ONE))
-            inv = RationalFunction(self, P_ONE, gpoly)
-            row = [x * inv if x else x for x in row]
-        return row
+                den = _p_lcm(den, x.den)
+        return _strip_polys([x.num if not x or x.den == den
+                             else p_mul(x.num, p_div_exact(den, x.den))
+                             for x in row], factor_sink)
 
     def eliminate(self, row, prow, col, factor_sink=None):
-        """Clear row[col] against the pivot row prow, then strip the result."""
-        f = row[col] / prow[col]
-        return self.strip_row([a - f * b for a, b in zip(row, prow)],
-                              factor_sink)
+        """Clear row[col] against the pivot row prow, fraction-free.
+
+        Both rows are stripped polynomial rows.  The result is the stripped
+        form of row - (row[col]/prow[col]) * prow, computed as
+        (p/g)*row - (v/g)*prow with g = gcd(p, v), subtracting only where
+        prow is nonzero.  The factor stripped from it is the one stripped
+        from row - (v/p)*prow once its denominators are cleared: it has no
+        factor in common with p/g, since prow is primitive and p/g is
+        coprime to v/g.
+        """
+        p, v = prow[col], row[col]
+        g = p_gcd(p, v) if len(p) > 1 and len(v) > 1 else P_ONE
+        c = gcd(p_content(p), p_content(v))
+        if c > 1:
+            g = p_scale(g, c)
+        if g != P_ONE:
+            p, v = p_div_exact(p, g), p_div_exact(v, g)
+        out = list(row) if p == P_ONE else [p_mul(p, x) for x in row]
+        for j, y in enumerate(prow):
+            if y:
+                out[j] = p_sub(out[j], p_mul(v, y))
+        return _strip_polys(out, factor_sink)
 
     def quo(self, a, b):
-        return a / b
+        return RationalFunction(self, a, b)
 
     def denominators(self, values):
         """(labels, roots) of the denominators of values.

@@ -428,10 +428,13 @@ def kernel_basis(ctx, screenings, weight2, expected=None, recheck=True):
                         "kernel vector fails re-application of %s" % op.label)
         basis_fields.append(state_field(st, ctx.system))
     # divisions by pivots happen during back substitution; the levels
-    # where a pivot vanishes count as denominators crossed
+    # where a pivot or a stripped row factor vanishes count as
+    # denominators crossed.  Both are entries of stripped rows, so they
+    # are inverted against the unit entry of such a row.
+    unit, = field.strip_row([field.one])
     denominators, roots = field.denominators(chain(
         (x for row in rows for x in row),
-        (field.one / p for p in pivots if not field.is_zero(p)),
+        (field.quo(unit, p) for p in pivots),
         (c for vec in kernel for c in vec),
         (field.one / ctx.kappa_shift,)))
     return KernelReport(weight2, ncols, len(kernel),

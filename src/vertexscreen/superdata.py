@@ -757,14 +757,41 @@ def datum_from_json(doc):
     of "roots".  Rationals are "p/q" strings; half-integer grading labels
     elsewhere in the toolchain are doubled integers.
     """
-    rank = int(doc["rank"])
-    roots = []
-    for spec in doc["roots"]:
-        coords = [Fraction(c) for c in spec["coords"]]
-        positive = spec.get("positive")
-        if positive is None:
-            positive = _lex_positive(coords)
-        roots.append(Root(coords, int(spec["parity"]), bool(positive)))
+    if not isinstance(doc, dict):
+        raise DatumError("a datum is a JSON object, not %s"
+                         % type(doc).__name__)
+    missing = [key for key in ("rank", "roots", "structure_constants", "form")
+               if key not in doc]
+    if missing:
+        raise DatumError("datum lacks %s" % ", ".join(map(repr, missing)))
+    try:
+        rank = int(doc["rank"])
+        roots = []
+        for spec in doc["roots"]:
+            coords = [Fraction(c) for c in spec["coords"]]
+            if len(coords) != rank:
+                raise DatumError("a root has %d coordinates, not rank %d"
+                                 % (len(coords), rank))
+            positive = spec.get("positive")
+            if positive is None:
+                positive = _lex_positive(coords)
+            parity = int(spec["parity"])
+            if parity not in (0, 1):
+                raise DatumError("root parity must be 0 or 1")
+            roots.append(Root(coords, parity, bool(positive)))
+        nbasis = rank + len(roots)
+        sc = {}
+        for i, j, l, c in doc["structure_constants"]:
+            if not all(0 <= int(x) < nbasis for x in (i, j, l)):
+                raise DatumError("structure constant index out of range")
+            sc.setdefault((int(i), int(j)), {})[int(l)] = Fraction(c)
+        form = [[Fraction(x) for x in row] for row in doc["form"]]
+        if len(form) != nbasis or any(len(row) != nbasis for row in form):
+            raise DatumError("form must be %d x %d" % (nbasis, nbasis))
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
+        raise DatumError("malformed datum: %s: %s"
+                         % (type(exc).__name__, exc)) from None
     by_coords = {}
     for p, r in enumerate(roots):
         if r.coords in by_coords:
@@ -775,10 +802,6 @@ def datum_from_json(doc):
         if neg not in by_coords:
             raise DatumError("root system is not symmetric")
         r.neg_pos = by_coords[neg]
-    sc = {}
-    for i, j, l, c in doc["structure_constants"]:
-        sc.setdefault((int(i), int(j)), {})[int(l)] = Fraction(c)
-    form = [[Fraction(x) for x in row] for row in doc["form"]]
     parity = [0] * rank + [r.parity for r in roots]
 
     pos_positions = [p for p, r in enumerate(roots) if r.positive]

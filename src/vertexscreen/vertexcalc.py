@@ -334,26 +334,30 @@ class Module:
                 out = {(((g, m),), tag): field.one}
         else:
             g1, m1 = word[0]
-            if m <= -1 and (g, m) <= (g1, m1):
-                if (g, m) == (g1, m1) and gens[g].parity:
-                    out = {}
-                else:
-                    out = {(((g, m),) + word, tag): field.one}
+            repeat = (g, m) == (g1, m1)
+            if m <= -1 and (g, m) < (g1, m1) or \
+                    repeat and not gens[g].parity:
+                out = {(((g, m),) + word, tag): field.one}
             else:
                 rest = word[1:]
                 acc = {}
+                # a repeated odd mode squares to half its self-bracket,
+                # g_m g_m = [g_m, g_m] / 2, which vanishes only when
+                # g_(j) g = 0 for every j (free fermions)
+                scale = Fraction(1, 2) if repeat else 1
                 entry = self.system.bracket_entry(g, g1)
                 for j, lc in entry.items():
-                    bj = _binom(m, j)
+                    bj = _binom(m, j) * scale
                     if bj:
                         part = self.comb_mode(lc, m + m1 - j, rest, tag)
                         _acc_state(acc, part, field.lift(bj), field)
-                sign = (-1) ** (gens[g].parity * gens[g1].parity)
-                inner = self.gen_mode(g, m, rest, tag)
-                for (w2, t2), c in inner.items():
-                    part = self.gen_mode(g1, m1, w2, t2)
-                    cc = c if sign > 0 else -c
-                    _acc_state(acc, part, cc, field)
+                if not repeat:
+                    sign = (-1) ** (gens[g].parity * gens[g1].parity)
+                    inner = self.gen_mode(g, m, rest, tag)
+                    for (w2, t2), c in inner.items():
+                        part = self.gen_mode(g1, m1, w2, t2)
+                        cc = c if sign > 0 else -c
+                        _acc_state(acc, part, cc, field)
                 out = {k: v for k, v in acc.items() if not field.is_zero(v)}
         self._mode_memo[key] = out
         return out

@@ -171,3 +171,36 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert main(["info", "--preset", "sl2-regular"]) == 3
     err = capsys.readouterr().err.strip()
     assert err == "internal error: GradingMismatch: weights disagree"
+
+
+@pytest.mark.parametrize("doc", [
+    {key: val for key, val in datum_to_json(build_sl(2)).items()
+     if key != "rank"},
+    {key: val for key, val in datum_to_json(build_sl(2)).items()
+     if key != "roots"},
+    [1, 2],
+    dict(datum_to_json(build_sl(2)), rank="two"),
+    dict(datum_to_json(build_sl(2)), form=[["1"]]),
+])
+def test_malformed_datum_is_usage_error(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["kernel", "--datum", str(path),
+                 "--labels", '{"s1": 2}', "--max-weight", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--labels", "[1]"],
+    ["--labels", '{"s1": "two"}'],
+    ["--labels", '{"s1": 2}', "--f-support", '{"s1": 1}'],
+    ["--labels", '{"s1": 2}', "--f-support", "[[1]]"],
+])
+def test_wrong_json_type_in_flags_is_usage_error(flags, tmp_path, capsys):
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(datum_to_json(build_sl(2))))
+    assert main(["kernel", "--datum", str(path), "--max-weight", "2"]
+                + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and "internal" not in err

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from vertexscreen.linalg import decompose, matrix_rank, nullspace, solve_in_span
-from vertexscreen.scalars import QQ, RationalFunctionField
+from vertexscreen.scalars import QQ, RationalFunction, RationalFunctionField
 
 
 def test_rank_and_nullspace_rationals():
@@ -144,3 +144,37 @@ def test_all_zero_matrix_over_q():
     assert decompose([[0, 0], [0, 0]], [[0, 0]], QQ) is None
     sol = solve_in_span([{"a": 0}], {}, QQ)
     assert sol == [0] and _all_fractions(sol)
+
+
+def test_polynomial_path_over_qk_returns_rational_functions():
+    """Rows run through elimination as integer-polynomial tuples; every
+    nullspace, decompose and solve_in_span entry comes back as a reduced
+    RationalFunction, with denominators and a zero row in the input."""
+    F = RationalFunctionField("k")
+    k = F.gen
+    r1 = [k + 1, F.zero, F.one / (k + 2), k * k]
+    r3 = [F.lift(Fraction(1, 3)), k, F.zero, F.one]
+    rows = [r1, [F.zero] * 4, r3,
+            [a / 5 + b * k / (k - 1) for a, b in zip(r1, r3)]]
+    null = nullspace(rows, 4, F)
+    assert len(null) == 4 - matrix_rank(rows, 4, F) == 2
+    for v in null:
+        assert all(type(x) is RationalFunction for x in v)
+        for row in rows:
+            acc = F.zero
+            for a, b in zip(row, v):
+                acc = acc + a * b
+            assert F.is_zero(acc)
+
+    v1, v2 = [k, F.zero, F.one, F.one / k], [F.one, F.zero, k + 3, F.zero]
+    targets = [[(k + 1) * a - b / (k - 2) for a, b in zip(v1, v2)],
+               [F.zero, F.one, F.zero, F.zero],
+               [F.zero] * 4]
+    got = decompose([v1, v2], targets, F)
+    assert got == [[k + 1, -F.one / (k - 2)], None, [F.zero, F.zero]]
+    assert all(type(x) is RationalFunction for x in got[0] + got[2])
+
+    vecs = [dict(zip("abcd", v1)), dict(zip("abcd", v2))]
+    sol = solve_in_span(vecs, dict(zip("abcd", targets[0])), F)
+    assert sol == got[0]
+    assert all(type(x) is RationalFunction for x in sol)

@@ -1,0 +1,151 @@
+"""Differential property tests of the Q(k) arithmetic and elimination step.
+
+_reduce and p_gcd are checked against sympy.  The fraction-free step of
+RationalFunctionField (strip_row, eliminate) is checked against the
+quotient form it replaces, written out below on RationalFunctions: divide
+the row by the pivot entry, subtract, clear denominators and strip the
+common factor.  Both must agree up to a rational constant and record the
+same common factors.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from vertexscreen.scalars import (P_ONE, RationalFunction,
+                                  RationalFunctionField, _reduce,
+                                  p_div_exact, p_gcd, p_mul, p_neg,
+                                  p_primitive)
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+st = hypothesis.strategies
+
+F = RationalFunctionField("k")
+K = sympy.Symbol("k")
+
+# integer polynomials of degree <= 2, low coefficient first, trimmed
+polys = st.lists(st.integers(-6, 6), min_size=1, max_size=3).map(
+    lambda c: tuple(c[:max((i + 1 for i, x in enumerate(c) if x),
+                           default=0)]))
+nonzero_polys = polys.filter(bool)
+linear_factors = st.tuples(st.integers(-4, 4), st.integers(1, 3))
+
+
+def _sym(a):
+    return sum(c * K ** i for i, c in enumerate(a))
+
+
+def _poly(expr):
+    return tuple(int(c) for c in reversed(sympy.Poly(expr, K).all_coeffs()))
+
+
+def _normalized(a):
+    """The primitive part with positive leading coefficient."""
+    a = p_primitive(a)
+    return p_neg(a) if a[-1] < 0 else a
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(polys, nonzero_polys, st.lists(linear_factors, max_size=2),
+                  st.integers(-5, 5).filter(bool))
+def test_reduce_and_gcd_match_sympy(num, den, common, scale):
+    for lin in common:
+        num, den = p_mul(num, lin), p_mul(den, lin)
+    num = p_mul(num, (scale,))
+    n, d = _reduce(num, den)
+    want_n, want_d = sympy.fraction(sympy.cancel(_sym(num) / _sym(den)))
+    # canonical form: coprime, no common content, positive leading den
+    assert sympy.expand(_sym(n) * want_d - _sym(d) * want_n) == 0
+    assert sympy.gcd(_sym(n), _sym(d)).is_number
+    assert d[-1] > 0
+    if num:
+        assert _normalized(p_gcd(num, den)) == p_gcd(num, den)
+        assert p_gcd(num, den) == _normalized(
+            _poly(sympy.gcd(_sym(num), _sym(den))))
+
+
+def _old_strip(row, sink):
+    """Clear denominators of a RationalFunction row, strip its factor."""
+    den = P_ONE
+    for x in row:
+        if x:
+            den = p_mul(den, p_div_exact(x.den, p_gcd(den, x.den)))
+    row = [x * RationalFunction(F, den, P_ONE) for x in row]
+    g = None
+    for x in row:
+        if x:
+            g = x.num if g is None else p_gcd(g, x.num)
+    if g is not None and len(g) > 1:
+        sink.append(g)
+        row = [x / RationalFunction(F, g, P_ONE) for x in row]
+    return row
+
+
+def _same_up_to_constant(polyrow, row):
+    """polyrow (integer polynomials) is c * row for a nonzero rational c."""
+    assert [bool(x) for x in polyrow] == [bool(x) for x in row]
+    if not any(row):
+        return
+    got = [RationalFunction(F, x, P_ONE) for x in polyrow]
+    j = next(j for j, x in enumerate(row) if x)
+    c = got[j] / row[j]
+    assert c.as_fraction() is not None
+    assert got == [c * x for x in row]
+
+
+@st.composite
+def elimination_problems(draw):
+    """Rows row, prow with prow[col] != 0 != row[col].
+
+    row is s * prow + q * w for random polynomials s, q and row w, so that
+    clearing row[col] leaves q * (w - (w[col]/prow[col]) prow), whose
+    common factor includes q.  Entries of prow may carry denominators.
+    """
+    ncols = draw(st.integers(1, 5))
+    col = draw(st.integers(0, ncols - 1))
+    prow = draw(st.lists(st.tuples(polys, nonzero_polys), min_size=ncols,
+                         max_size=ncols))
+    prow = [RationalFunction(F, n, d) for n, d in prow]
+    hypothesis.assume(prow[col])
+    s, q = draw(polys), draw(nonzero_polys)
+    w = draw(st.lists(polys, min_size=ncols, max_size=ncols))
+    row = [RationalFunction(F, p_mul(q, x), P_ONE) + RationalFunction(
+        F, s, P_ONE) * y for x, y in zip(w, prow)]
+    hypothesis.assume(row[col])
+    return row, prow, col
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(elimination_problems())
+def test_eliminate_matches_quotient_form(problem):
+    row, prow, col = problem
+    new_sink, old_sink = [], []
+    prow_poly = F.strip_row(prow, new_sink)
+    row_poly = F.strip_row(row, new_sink)
+    old_prow = _old_strip(prow, old_sink)
+    old_row = _old_strip(row, old_sink)
+    _same_up_to_constant(prow_poly, old_prow)
+    _same_up_to_constant(row_poly, old_row)
+    out = F.eliminate(row_poly, prow_poly, col, new_sink)
+    # the quotient form, on the rows as the old strip left them
+    f = old_row[col] / old_prow[col]
+    ref = _old_strip([a - f * b for a, b in zip(old_row, old_prow)],
+                     old_sink)
+    assert not out[col]
+    _same_up_to_constant(out, ref)
+    assert [_normalized(g) for g in new_sink] == \
+        [_normalized(g) for g in old_sink]
+    assert all(type(x) is tuple and all(type(c) is int for c in x)
+               for x in out)
+    # a stripped nonzero row has no common factor, content included
+    if any(out):
+        assert sympy.gcd_list([_sym(x) for x in out if x]).is_number
+        assert gcd(*[c for x in out for c in x]) == 1
+
+
+def test_quo_is_a_reduced_rational_function():
+    x = F.quo((2, 2), (0, 4))
+    assert isinstance(x, RationalFunction)
+    assert x == (F.gen + F.one) / (F.gen * F.lift(Fraction(2)))

@@ -19,8 +19,8 @@ from .screening import (ScreeningContext, ScreeningOp, KernelReport,
                         expected_character, character_of_generators,
                         kernel_basis)
 from .walgebras import (BRSTComplex, WBnModel, W2nModel, WakimotoMap,
-                        TopCoefficientMismatch, BracketMismatch,
-                        NonZeroCharge, build_complex, build_wbn, build_w2n,
+                        TopCoefficientMismatch, NonZeroCharge,
+                        build_complex, build_wbn, build_w2n,
                         miura_project, verify_fs, verify_wbn_screening)
 from .presets import PRESETS, build_preset, preset_context, preset_names
 

@@ -21,9 +21,8 @@ import random
 import sys
 from fractions import Fraction
 
-from .presets import build_preset, preset_context, preset_names
-from .scalars import QQ, RationalFunctionField
-from .screening import (DegenerateForm, NonCartanZeroPart,
+from .presets import build_preset, level_field, preset_context, preset_names
+from .screening import (DegenerateForm, NonCartanZeroPart, ScreeningContext,
                         exponential_screenings, generic_screenings,
                         expected_character, kernel_basis)
 from .superdata import (DatumError, NotGoodGrading, chi, good_grading,
@@ -44,7 +43,7 @@ def _parse_level(text):
 
 def _context_from_args(args):
     if args.preset:
-        return preset_context(args.preset, level=_parse_level(args.level))
+        return preset_context(args.preset, args.level)
     if not args.datum:
         raise SystemExit2("one of --preset or --datum is required")
     datum = load_datum(args.datum)
@@ -59,18 +58,9 @@ def _context_from_args(args):
         raise SystemExit2("--f-support entries must be root names or "
                           "positions")
     grading = good_grading(datum, labels, support)
-    base = restricted_base(grading)
-    lf = tau_form(datum, grading)
-    ch = chi(datum, grading)
-    level = _parse_level(args.level)
-    if level == "symbolic":
-        field = RationalFunctionField("k")
-        lev = field.gen
-    else:
-        field = QQ
-        lev = level
-    from .screening import ScreeningContext
-    return ScreeningContext(datum, grading, base, lf, ch, field, lev)
+    return ScreeningContext(datum, grading, restricted_base(grading),
+                            tau_form(datum, grading), chi(datum, grading),
+                            *level_field(args.level))
 
 
 class SystemExit2(Exception):
@@ -234,7 +224,7 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        _parse_level(args.level)  # the verify suites read --level themselves
+        _parse_level(args.level)  # checked once; mapped by level_field
         return args.func(args)
     except (SystemExit2, DatumError, NotGoodGrading, CriticalLevel,
             DegenerateForm, NonCartanZeroPart, OSError,

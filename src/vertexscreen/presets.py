@@ -49,14 +49,17 @@ def build_preset(name):
     return datum, grading, base, levelform, chifun
 
 
+def level_field(level):
+    """(field, k) for a level: Q(k) and its generator for "symbolic",
+    else Q and the rational level (a Fraction or "p/q" text)."""
+    if level == "symbolic":
+        field = RationalFunctionField("k")
+        return field, field.gen
+    return QQ, Fraction(level)
+
+
 def preset_context(name, level="symbolic"):
     """A ScreeningContext at symbolic level k or a rational specialization."""
     datum, grading, base, levelform, chifun = build_preset(name)
-    if level == "symbolic":
-        field = RationalFunctionField("k")
-        lev = field.gen
-    else:
-        field = QQ
-        lev = Fraction(level)
     return ScreeningContext(datum, grading, base, levelform, chifun,
-                            field, lev)
+                            *level_field(level))

@@ -373,12 +373,6 @@ class RationalFunction:
                                                          self.field.symbol), x))
         return p_eval(self.num, x) / den
 
-    def denominator_roots(self):
-        return self.field.denominators((self,))[1]
-
-    def denominator_labels(self):
-        return self.field.denominators((self,))[0]
-
     def __str__(self):
         n = p_str(self.num, self.field.symbol)
         if self.den == P_ONE:
@@ -479,15 +473,6 @@ class RationalFunctionField:
         fr = Fraction(fr)
         num, den = p_from_fraction(fr)
         return RationalFunction(self, num, den, _canonical=True)
-
-    def poly(self, coeffs):
-        """Polynomial from a list of Fraction coefficients (low to high)."""
-        den = 1
-        for c in coeffs:
-            den = den * Fraction(c).denominator // gcd(
-                den, Fraction(c).denominator)
-        num = _trim(int(Fraction(c) * den) for c in coeffs)
-        return RationalFunction(self, num, (den,))
 
     def parse(self, text):
         """Parse "p(x)/q(x)" with integer or rational coefficients."""

@@ -2,8 +2,9 @@
 
 The ambient space is the vacuum module of the affine vertex superalgebra
 of g_0 at the shifted form tau, tensored with the neutral free
-superfermions attached to g_{1/2}.  Screening charges come in two
-constructions:
+superfermions attached to g_{1/2}: the g_0 and neutral-fermion part of
+the BRST complex, whose tables set_free_field_tables builds for both.
+Screening charges come in two constructions:
 
   * the generic intertwiner S^a(z), defined through
     S^a(z) A = +- e^{z L_{-1}} Y(A, -z) x_a on the induced module whose
@@ -42,11 +43,52 @@ class DegenerateForm(ZeroDivisionError):
     pass
 
 
+def set_free_field_tables(sys, datum, levelform, chifun, level, currents,
+                          fermions):
+    """Pairing and brackets of the currents and neutral fermions of sys.
+
+    currents maps the basis indices of a bracket-closed span of g (g_0 for
+    the screening ambient, g_{<=0} for the BRST complex) to their current
+    generators, in generator order; fermions maps the root indices of
+    degree 1/2 to their neutral fermions.  The pairing is tau_k on the
+    span, [J^u_lambda J^v] = J^{[u,v]} + lambda tau_k(u|v) and
+    [Phi_a_lambda Phi_b] = chi([e_a, e_b]).
+    """
+    field = sys.field
+    span = list(currents)
+    gram = [[levelform.tau_scalar(field, level, b, b2) for b2 in span]
+            for b in span]
+    sys.set_pairing(gram)
+    for i, b in enumerate(span):
+        for j, b2 in enumerate(span[i:], i):
+            terms = []
+            for l, c in datum.bracket(b, b2).items():
+                if l in currents:
+                    terms.append((currents[l], 0, field.lift(c)))
+                elif c:
+                    raise ValueError("the current span is not bracket-closed")
+            entries = {}
+            if terms:
+                entries[0] = comb(terms=terms)
+            if not field.is_zero(gram[i][j]):
+                entries[1] = comb(const=gram[i][j])
+            if entries:
+                sys.set_bracket(currents[b], currents[b2], entries)
+    half = sorted(fermions)
+    for i, b in enumerate(half):
+        for b2 in half[i:]:
+            val = chifun.of_comb(datum.bracket(b, b2))
+            if val:
+                sys.set_bracket(fermions[b], fermions[b2],
+                                {0: comb(const=field.lift(val))})
+
+
 class ScreeningContext:
     """Everything needed to realize screenings over a chosen level.
 
-    level: the coefficient-field element playing the role of k (the field
-    generator for symbolic computations, a Fraction for specializations).
+    level: the element of field playing the role of k (the field generator
+    for symbolic computations, a Fraction for specializations); see
+    presets.level_field.
     """
 
     def __init__(self, datum, grading, base, levelform, chifun, field, level):
@@ -56,8 +98,7 @@ class ScreeningContext:
         self.levelform = levelform
         self.chi = chifun
         self.field = field
-        self.level = field.lift(level) if isinstance(level, (int, Fraction)) \
-            else level
+        self.level = level
         self.h_dual = levelform.h_dual
         shifted = self.level + field.lift(self.h_dual)
         if field.is_zero(shifted):
@@ -71,9 +112,8 @@ class ScreeningContext:
 
     def _build_system(self):
         d, g = self.datum, self.grading
-        field = self.field
         sysname = "%s ambient" % d.label
-        sys = GenSystem(field, sysname)
+        sys = GenSystem(self.field, sysname)
         self.g0 = g.g0_indices()
         self.current_of_basis = {}
         for b in self.g0:
@@ -86,37 +126,8 @@ class ScreeningContext:
             idx = sys.add_gen("Phi[%s]" % d.basis_name(b),
                               parity=d.parity[b], weight2=1)
             self.fermion_of_root[b] = idx
-        # pairing on the current span: tau restricted to g_0
-        gram = []
-        for b in self.g0:
-            row = []
-            for b2 in self.g0:
-                row.append(self.levelform.tau_scalar(field, self.level, b, b2))
-            gram.append(row)
-        sys.set_pairing(gram)
-        # bracket table
-        for i, b in enumerate(self.g0):
-            for b2 in self.g0[i:]:
-                terms = []
-                for l, c in d.bracket(b, b2).items():
-                    terms.append((self.current_of_basis[l], 0, field.lift(c)))
-                tau = gram[i][self.g0.index(b2)]
-                entries = {}
-                if terms:
-                    entries[0] = comb(terms=terms)
-                if not field.is_zero(tau):
-                    entries[1] = comb(const=tau)
-                if entries:
-                    sys.set_bracket(self.current_of_basis[b],
-                                    self.current_of_basis[b2], entries)
-        half = sorted(self.fermion_of_root)
-        for i, b in enumerate(half):
-            for b2 in half[i:]:
-                val = self.chi.of_comb(d.bracket(b, b2))
-                if val:
-                    sys.set_bracket(self.fermion_of_root[b],
-                                    self.fermion_of_root[b2],
-                                    {0: comb(const=field.lift(val))})
+        set_free_field_tables(sys, d, self.levelform, self.chi, self.level,
+                              self.current_of_basis, self.fermion_of_root)
         self.system = sys
         self.module = sys.module()
 
@@ -396,7 +407,7 @@ class KernelReport:
         }
 
 
-def kernel_basis(ctx, screenings, weight2, expected=None, recheck=True):
+def kernel_basis(ctx, screenings, weight2, expected=None):
     """Exact intersection of screening kernels at one doubled weight."""
     field = ctx.field
     mod = ctx.module
@@ -421,11 +432,10 @@ def kernel_basis(ctx, screenings, weight2, expected=None, recheck=True):
         for c, (w, t) in zip(vec, basis):
             if not field.is_zero(c):
                 st[(w, t)] = c
-        if recheck:
-            for op in screenings:
-                if op.apply(st):
-                    raise AssertionError(
-                        "kernel vector fails re-application of %s" % op.label)
+        for op in screenings:
+            if op.apply(st):
+                raise AssertionError(
+                    "kernel vector fails re-application of %s" % op.label)
         basis_fields.append(state_field(st, ctx.system))
     # divisions by pivots happen during back substitution; the levels
     # where a pivot or a stripped row factor vanishes count as

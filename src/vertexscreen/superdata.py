@@ -100,7 +100,6 @@ class SuperRootDatum:
         self.theta_pos = theta_pos
         self.label = label
         self.nbasis = rank + len(roots)
-        self._ad = {}
         self._killing = None
 
     # -- indexing -----------------------------------------------------------
@@ -138,16 +137,6 @@ class SuperRootDatum:
         cols = [[self.form[i][j] for i in range(self.rank)]
                 for j in range(self.rank)]
         return _coordinates(cols, [functional])[0]
-
-    def adjoint(self, i):
-        """Matrix of ad(e_i) over the basis, columns = images."""
-        if i not in self._ad:
-            mat = [[Fraction(0)] * self.nbasis for _ in range(self.nbasis)]
-            for j in range(self.nbasis):
-                for l, c in self.bracket(i, j).items():
-                    mat[l][j] = c
-            self._ad[i] = mat
-        return self._ad[i]
 
     def killing(self, i, j, span=None):
         """Supertrace of ad(e_i) ad(e_j), from the structure constants.
@@ -494,20 +483,23 @@ class GoodGrading:
         return [b for b in range(self.datum.nbasis) if self.deg2[b] == j2]
 
     def _check_good(self):
+        """ad f must map degree j injectively for j >= 1/2 and onto degree
+        j - 1 for j <= 1/2; the matrix of each slice is kept for
+        centralizer_generators."""
         d = self.datum
-        degrees = sorted(set(self.deg2))
-        for j2 in degrees:
-            src = self.slice_indices(j2)
+        self._ad_f = {}
+        for j2 in sorted(set(self.deg2)):
             dst = self.slice_indices(j2 - 2)
             rows = []
-            for b in src:
+            for b in self.slice_indices(j2):
                 img = {}
                 for fi in self.f_indices:
                     for l, c in d.bracket(fi, b).items():
                         img[l] = img.get(l, Fraction(0)) + c
                 rows.append([img.get(l, Fraction(0)) for l in dst])
+            self._ad_f[j2] = rows
             rank = matrix_rank(rows, len(dst), QQ)
-            if j2 >= 1 and rank != len(src):
+            if j2 >= 1 and rank != len(rows):
                 raise NotGoodGrading(
                     "ad f not injective on degree %s" % _half(j2))
             if j2 <= 1 and rank != len(dst):
@@ -546,23 +538,11 @@ class GoodGrading:
         """Homogeneous basis of g^f as [(basis comb dict, deg2, parity)]."""
         d = self.datum
         out = []
-        for j2 in sorted(set(self.deg2)):
+        for j2, rows in sorted(self._ad_f.items()):
             src = self.slice_indices(j2)
-            if not src:
-                continue
-            dst = sorted(set(l for b in src for fi in self.f_indices
-                             for l in d.bracket(fi, b)))
-            rows = []
-            for b in src:
-                img = {}
-                for fi in self.f_indices:
-                    for l, c in d.bracket(fi, b).items():
-                        img[l] = img.get(l, Fraction(0)) + c
-                rows.append([img.get(l, Fraction(0)) for l in dst])
             # combinations sum c_b [f, e_b] = 0: the kernel of the transpose
             for coeffs in nullspace(list(zip(*rows)), len(src), QQ):
                 comb = {b: c for b, c in zip(src, coeffs) if c}
-                par = d.parity[src[0]] if src else 0
                 pars = {d.parity[b] for b in comb}
                 if len(pars) != 1:
                     raise DatumError("mixed parity in centralizer slice")

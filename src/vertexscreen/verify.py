@@ -8,8 +8,7 @@ with "status": "pass"/"fail" and a first-failure witness when applicable.
 from fractions import Fraction
 
 from .linalg import solve_in_span
-from .presets import build_preset, preset_context
-from .scalars import RationalFunctionField
+from .presets import build_preset, level_field, preset_context
 from .screening import exponential_screenings, expected_character, kernel_basis
 from .serialize import field_to_json
 from .vertexcalc import (
@@ -25,16 +24,14 @@ from .walgebras import (WakimotoMap, build_complex, build_w2n, build_wbn,
 # sampling
 
 
-def random_homogeneous_field(module, rng, weight2, parity=None):
+def random_homogeneous_field(module, rng, weight2):
     """A random parity-homogeneous field of the given doubled weight."""
     sys = module.system
-    cands = [key for key in graded_basis(module, weight2)
-             if parity is None or module.mono_parity(*key) == parity]
-    if parity is None and cands:
-        want = module.mono_parity(*cands[rng.randrange(len(cands))])
-        cands = [key for key in cands if module.mono_parity(*key) == want]
+    cands = graded_basis(module, weight2)
     if not cands:
         return None
+    want = module.mono_parity(*cands[rng.randrange(len(cands))])
+    cands = [key for key in cands if module.mono_parity(*key) == want]
     nterms = min(len(cands), 1 + rng.randrange(2))
     st = {}
     for key in rng.sample(cands, nterms):
@@ -216,11 +213,7 @@ def verify_brst(args, rng):
     preset = args.preset or "sl2-regular"
     maxw2 = min(args.max_weight, 8)
     datum, grading, base, lf, ch = build_preset(preset)
-    field = RationalFunctionField("k")
-    level = field.gen if args.level == "symbolic" else Fraction(args.level)
-    if args.level != "symbolic":
-        from .scalars import QQ
-        field = QQ
+    field, level = level_field(args.level)
     brst = build_complex(datum, grading, lf, ch, field, level)
     witness = []
     # d0 squares to zero on every monomial
@@ -313,12 +306,12 @@ def verify_wakimoto(args, rng):
 def verify_miura(args, rng):
     preset = args.preset or "sl2-regular"
     maxw2 = min(args.max_weight, 8)
-    field = RationalFunctionField("k")
-    datum, grading, base, lf, ch = build_preset(preset)
-    brst = build_complex(datum, grading, lf, ch, field, field.gen)
-    ctx = preset_context(preset)
+    ctx = preset_context(preset, args.level)
+    field = ctx.field
+    brst = build_complex(ctx.datum, ctx.grading, ctx.levelform, ctx.chi,
+                         field, ctx.level)
     ops = exponential_screenings(ctx)
-    char = expected_character(datum, grading, maxw2)
+    char = expected_character(ctx.datum, ctx.grading, maxw2)
     witness = []
     scalars = {}
     for w2 in range(0, maxw2 + 1):

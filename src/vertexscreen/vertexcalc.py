@@ -849,16 +849,14 @@ def lambda_shift_skew(lp, pa, pb, system, module=None):
     return out
 
 
-def graded_basis(module, weight2, hv_tags=None, charge=None, parity=None):
-    """Deterministic PBW basis of the given doubled weight (depth).
+def graded_basis(module, weight2, charge=None):
+    """Deterministic PBW basis of the vacuum module at one doubled weight
+    (depth), optionally of one charge.
 
-    Returns a list of (word, tag) pairs in lexicographic order of
-    (tag, word); odd generators never repeat a mode.
+    Returns a list of (word, vacuum tag) pairs in lexicographic order of
+    the words; odd generators never repeat a mode.
     """
-    sys = module.system
-    if hv_tags is None:
-        hv_tags = [sys.vacuum_tag()]
-    gens = sys.gens
+    gens = module.system.gens
 
     def per_gen(gidx, budget2):
         """All sorted letter tuples for one generator, with their depth."""
@@ -892,18 +890,10 @@ def graded_basis(module, weight2, hv_tags=None, charge=None, parity=None):
             build(gidx + 1, rem2 - used, acc)
             del acc[len(acc) - len(letters):]
 
-    basis = []
-    for tag in sorted(hv_tags, key=str):
-        module.hv(tag)
-        out_words = []
-        build(0, weight2, [])
-        for w in sorted(out_words):
-            if charge is not None and module.word_charge(w) != charge:
-                continue
-            if parity is not None and module.mono_parity(w, tag) != parity:
-                continue
-            basis.append((w, tag))
-    return basis
+    build(0, weight2, [])
+    tag = module.system.vacuum_tag()
+    return [(w, tag) for w in sorted(out_words)
+            if charge is None or module.word_charge(w) == charge]
 
 
 def sugawara_field(system, dual_pairs, denom):

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .linalg import matrix_rank, nullspace
 from .scalars import QQ, RationalFunctionField
+from .screening import set_free_field_tables
 from .vertexcalc import (
     FieldExpr, GenSystem, comb, apply_field_coeff, bracket, derive,
     field_state, graded_basis, normal_order, state_add, state_scale,
@@ -21,10 +22,6 @@ from .vertexcalc import (
 
 
 class TopCoefficientMismatch(AssertionError):
-    pass
-
-
-class BracketMismatch(AssertionError):
     pass
 
 
@@ -51,8 +48,7 @@ class BRSTComplex:
         self.levelform = levelform
         self.chi = chifun
         self.field = field
-        self.level = field.lift(level) if isinstance(level, (int, Fraction)) \
-            else level
+        self.level = level
         self._build()
 
     def _build(self):
@@ -61,14 +57,12 @@ class BRSTComplex:
         sys = GenSystem(field, "%s brst" % d.label)
         self.gle0 = g.gle0_indices()
         self.restricted_pos = g.restricted_positive_indices()
-        self.half = [b for b in range(d.nbasis)
-                     if d.is_root_index(b) and g.deg2[b] == 1]
+        self.half = g.delta_half_indices()
         self.jgen = {}
         for b in self.gle0:
             self.jgen[b] = sys.add_gen("J[%s]" % d.basis_name(b),
                                        parity=d.parity[b],
                                        weight2=2 - g.deg2[b], current=True)
-        self.n_j = len(self.gle0)
         self.phigen = {}
         for b in self.restricted_pos:
             self.phigen[b] = sys.add_gen("ph[%s]" % d.basis_name(b),
@@ -78,26 +72,8 @@ class BRSTComplex:
         for b in self.half:
             self.neutral[b] = sys.add_gen("Phi[%s]" % d.basis_name(b),
                                           parity=d.parity[b], weight2=1)
-        gram = [[self.levelform.tau_scalar(field, self.level, b, b2)
-                 for b2 in self.gle0] for b in self.gle0]
-        sys.set_pairing(gram)
-        # current-current
-        for i, b in enumerate(self.gle0):
-            for b2 in self.gle0[i:]:
-                terms = []
-                for l, c in d.bracket(b, b2).items():
-                    if l in self.jgen:
-                        terms.append((self.jgen[l], 0, field.lift(c)))
-                    elif c:
-                        raise ValueError("g_{<=0} is not bracket-closed")
-                entries = {}
-                if terms:
-                    entries[0] = comb(terms=terms)
-                tau = gram[i][self.gle0.index(b2)]
-                if not field.is_zero(tau):
-                    entries[1] = comb(const=tau)
-                if entries:
-                    sys.set_bracket(self.jgen[b], self.jgen[b2], entries)
+        set_free_field_tables(sys, d, self.levelform, self.chi, self.level,
+                              self.jgen, self.neutral)
         # charged fermions against currents:
         # [phi^a_lambda J^u] = sum_b c^a_{u,b} phi^b
         for b in self.restricted_pos:
@@ -110,19 +86,25 @@ class BRSTComplex:
                 if terms:
                     sys.set_bracket(self.phigen[b], self.jgen[u],
                                     {0: comb(terms=sorted(terms))})
-        # neutral fermions: central pairing through chi
-        for i, b in enumerate(self.half):
-            for b2 in self.half[i:]:
-                val = self.chi.of_comb(d.bracket(b, b2))
-                if val:
-                    sys.set_bracket(self.neutral[b], self.neutral[b2],
-                                    {0: comb(const=field.lift(val))})
         self.system = sys
         self.module = sys.module()
         self._build_differential()
         self._d0_memo = {}
 
     # -- the differential tables ------------------------------------------------
+
+    def a_k(self, v, w):
+        """lambda-coefficient of ph^w in d J^v: the supertrace of
+        ad(e_v) pi_{>0} ad(e_w) plus k (e_v|e_w).
+
+        Since [e_v, e_m] has parity p(v) + p(m), that supertrace is
+        (-1)^p(v) str_{g>0}(ad e_w ad e_v).
+        """
+        d, g, field = self.datum, self.grading, self.field
+        acc = d.killing(w, v, [b for b in range(d.nbasis) if g.deg2[b] > 0])
+        if d.parity[v]:
+            acc = -acc
+        return field.lift(acc) + self.level * field.lift(d.form_entry(v, w))
 
     def _phi_word(self, b1, b2):
         """Canonical field for :ph^{b1} ph^{b2}: (zero mutual bracket)."""
@@ -138,23 +120,10 @@ class BRSTComplex:
         return (((g1, 0), (g2, 0)),), sign
 
     def _build_differential(self):
-        d, g = self.datum, self.grading
+        d = self.datum
         field = self.field
         sys = self.system
         self.d0_image = {}
-        p_plus = [b for b in range(d.nbasis) if g.deg2[b] > 0]
-        adm = {b: d.adjoint(b) for b in range(d.nbasis)}
-
-        def a_k(v, w):
-            acc = Fraction(0)
-            av, aw = adm[v], adm[w]
-            for b in range(d.nbasis):
-                for m in p_plus:
-                    acc += (-1) ** d.parity[b] * av[b][m] * aw[m][b]
-            return field.lift(acc) + self.level * field.lift(d.form_entry(v, w))
-
-        self.a_k = a_k
-
         for u in self.gle0:
             terms = {}
             # standard component, lambda^0
@@ -166,7 +135,7 @@ class BRSTComplex:
                         key = (word, None)
                         add = field.lift(-sgn * c)
                         terms[key] = terms.get(key, field.zero) + add
-                akv = a_k(u, b2)
+                akv = self.a_k(u, b2)
                 if not field.is_zero(akv):
                     key = (((self.phigen[b2], 1),), None)
                     terms[key] = terms.get(key, field.zero) + akv

@@ -13,18 +13,16 @@ import random
 import time
 from fractions import Fraction
 
-from vertexscreen.linalg import solve_in_span
-from vertexscreen.presets import build_preset, preset_context
-from vertexscreen.scalars import QQ, RationalFunctionField
+from vertexscreen.presets import preset_context
+from vertexscreen.scalars import RationalFunctionField
 from vertexscreen.screening import (character_of_generators,
                                     expected_character,
                                     exponential_screenings,
                                     generic_screenings, kernel_basis)
-from vertexscreen.vertexcalc import bracket, derive, field_state
-from vertexscreen.verify import verify_wick
-from vertexscreen.walgebras import (WakimotoMap, build_complex, build_w2n,
-                                    build_wbn, miura_project, verify_fs,
-                                    verify_wbn_screening)
+from vertexscreen.vertexcalc import bracket, derive
+from vertexscreen.verify import verify_brst, verify_miura, verify_wick
+from vertexscreen.walgebras import (WakimotoMap, build_w2n, build_wbn,
+                                    verify_fs, verify_wbn_screening)
 
 F = RationalFunctionField("k")
 SEED = 20240
@@ -217,32 +215,20 @@ def test_criterion_5_kernel_character_agreement():
 
 
 def _criterion6_run(level="symbolic"):
-    if level == "symbolic":
-        field, lev = F, F.gen
-    else:
-        field, lev = QQ, Fraction(level)
-    datum, grading, base, lf, ch = build_preset("sl2-regular")
-    brst = build_complex(datum, grading, lf, ch, field, lev)
-    ctx = preset_context("sl2-regular", level=level)
-    ops = exponential_screenings(ctx)
-    char = expected_character(datum, grading, 8)
-    dims = brst.cohomology_dims(8)
-    h0 = [dims.get((w2, 0), 0) for w2 in range(0, 9)]
-    assert all(v == 0 for (w2, c), v in dims.items() if c != 0), \
-        "nonzero cohomology outside degree zero"
-    scalars = {}
-    for w2 in range(0, 9, 2):
-        rep = kernel_basis(ctx, ops, w2, expected=char[w2])
-        cls = brst.h0_basis(w2)
-        assert len(cls) == rep.kernel_dim == char[w2]
-        kvecs = [field_state(fe, ctx.module) for fe in rep.basis_fields]
-        for st in cls:
-            img = miura_project(brst, st, ctx)
-            sol = solve_in_span(kvecs, img, field)
-            assert sol is not None, ("projection outside kernel", w2)
-            if len(kvecs) == 1:
-                scalars[w2] = field.to_str(sol[0])
-    return h0, scalars
+    """The brst and miura suites on sl2-regular to doubled weight 8.
+
+    verify_brst passes only if H^c = 0 for every charge c != 0 and dim H0
+    equals the character; verify_miura only if dim H0 equals the kernel
+    dimension and every Miura image of H0 lies in the screening kernel.
+    """
+    args = argparse.Namespace(preset="sl2-regular", level=level,
+                              max_weight=8)
+    brst = verify_brst(args, None)
+    assert brst["status"] == "pass", ("brst", brst["witness"])
+    assert brst["h0_dims"] == brst["character"]
+    miura = verify_miura(args, None)
+    assert miura["status"] == "pass", ("miura", miura["witness"])
+    return brst["h0_dims"], miura["scalars_vs_kernel_basis"]
 
 
 def test_criterion_6_brst_cross_check():

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from vertexscreen.cli import main, make_parser
 from vertexscreen.presets import preset_context
+from vertexscreen.scalars import RationalFunctionField
 from vertexscreen.serialize import field_from_json, field_to_json
 from vertexscreen.superdata import build_sl, datum_to_json
 from vertexscreen.vertexcalc import GradingMismatch, derive, normal_order
@@ -97,6 +99,25 @@ def test_verify_commands(capsys):
     assert code == 0
     code, out = run_cli(["verify", "fs", "--n", "2"], capsys)
     assert json.loads(out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("preset, max_w2", [
+    ("sl2-regular", 8), ("osp1_4-regular", 6), ("sl3-subregular-cartan", 6)])
+def test_verify_miura_honours_level(preset, max_w2, capsys):
+    """At --level 7/2 the projection scalars are plain rationals, equal to
+    the Q(k) scalars evaluated at k = 7/2."""
+    docs = {}
+    for level in ("symbolic", "7/2"):
+        code, out = run_cli(["verify", "miura", "--preset", preset,
+                             "--max-weight", str(max_w2), "--level", level],
+                            capsys)
+        assert code == 0
+        docs[level] = json.loads(out)["scalars_vs_kernel_basis"]
+    F = RationalFunctionField("k")
+    sym, spec = docs["symbolic"], docs["7/2"]
+    assert spec and sorted(spec) == sorted(sym)
+    for w2, text in spec.items():
+        assert Fraction(text) == F.parse(sym[w2]).evaluate(Fraction(7, 2))
 
 
 def test_verify_deterministic_output(capsys):

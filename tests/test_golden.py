@@ -1,14 +1,16 @@
-"""Byte-for-byte regression of kernel reports against stored output.
+"""Byte-for-byte regression of CLI reports against stored output.
 
-Each file under tests/golden holds the JSON that
+Each kernel file under tests/golden holds the JSON that
 
     vertexscreen kernel --preset P --level L --max-weight W --out FILE
 
-wrote before elimination over Q(k) became fraction-free.  The engine
-promises identical output for a fixed configuration, so a change that
-moves any byte of a basis, a dimension or a reported denominator fails
-here.  Regenerate a file only for an intended change of output, and say
-why in the commit.
+wrote before elimination over Q(k) became fraction-free; each verify and
+info file holds what ``verify SUITE`` and ``info`` wrote before the
+screening ambient and the BRST complex shared one table builder.  The
+engine promises identical output for a fixed configuration, so a change
+that moves any byte of a basis, a dimension, a cohomology count, a
+projection scalar or a reported denominator fails here.  Regenerate a
+file only for an intended change of output, and say why in the commit.
 """
 
 from pathlib import Path
@@ -24,14 +26,42 @@ CASES = [
     ("sl3-subregular", "symbolic", 6),
     ("sl4-subregular", "7/2", 6),
 ]
+VERIFY_CASES = [
+    ("brst", "sl3-subregular", "symbolic", 8),
+    ("brst", "osp1_4-regular", "symbolic", 6),
+    ("brst", "sl2-regular", "7/2", 8),
+    ("miura", "osp1_4-regular", "symbolic", 6),
+    ("miura", "sl3-subregular-cartan", "symbolic", 6),
+]
+INFO_CASES = [("osp1_6-regular", 8), ("sl4-subregular", 8)]
+
+
+def _run_to_file(argv, name, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("preset, level, max_w2", CASES)
 def test_kernel_report_matches_golden(preset, level, max_w2, tmp_path,
                                       capsys):
     name = "kernel-%s-%s-%d.json" % (preset, level.replace("/", "_"), max_w2)
-    out = tmp_path / name
-    assert main(["kernel", "--preset", preset, "--level", level,
-                 "--max-weight", str(max_w2), "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    _run_to_file(["kernel", "--preset", preset, "--level", level,
+                  "--max-weight", str(max_w2)], name, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("suite, preset, level, max_w2", VERIFY_CASES)
+def test_verify_report_matches_golden(suite, preset, level, max_w2,
+                                      tmp_path, capsys):
+    name = "verify-%s-%s-%s-%d.json" % (suite, preset,
+                                        level.replace("/", "_"), max_w2)
+    _run_to_file(["verify", suite, "--preset", preset, "--level", level,
+                  "--max-weight", str(max_w2)], name, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("preset, max_w2", INFO_CASES)
+def test_info_report_matches_golden(preset, max_w2, tmp_path, capsys):
+    name = "info-%s-%d.json" % (preset, max_w2)
+    _run_to_file(["info", "--preset", preset, "--max-weight", str(max_w2)],
+                 name, tmp_path, capsys)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from vertexscreen.linalg import nullspace, solve_in_span
-from vertexscreen.presets import build_preset, preset_context
+from vertexscreen.presets import build_preset, preset_context, preset_names
 from vertexscreen.scalars import RationalFunctionField
 from vertexscreen.screening import (expected_character, generic_screenings,
                                     exponential_screenings, kernel_basis)
@@ -53,6 +53,27 @@ def test_brst_a_k_on_base_roots():
             neg = datum.neg_index(bidx)
             want = shift * F.lift(datum.form_entry(neg, bidx))
             assert brst.a_k(neg, bidx) == want, (preset, bidx)
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_brst_a_k_is_the_restricted_supertrace(preset):
+    """a_k(v, w) = str(ad(e_v) pi_{>0} ad(e_w)) + k (e_v|e_w) on every pair
+    of basis indices, with the supertrace summed here from the structure
+    constants.  On osp(1|2n) this pins the sign of the odd currents."""
+    brst, (datum, grading, base, lf, ch) = make_brst(preset)
+    n = datum.nbasis
+    plus = {b for b in range(n) if grading.deg2[b] > 0}
+    for v in range(n):
+        for w in range(n):
+            acc = Fraction(0)
+            for b in range(n):
+                # diagonal entry at e_b of ad(e_v) pi_{>0} ad(e_w)
+                for m, c in datum.bracket(w, b).items():
+                    if m in plus:
+                        acc += (-1) ** datum.parity[b] * c * \
+                            datum.bracket(v, m).get(b, 0)
+            want = F.lift(acc) + F.gen * F.lift(datum.form_entry(v, w))
+            assert brst.a_k(v, w) == want, (preset, v, w)
 
 
 def test_brst_neutral_differential_osp():
@@ -133,7 +154,8 @@ def test_verify_brst_and_miura_osp():
         doc = verify_brst(args, None)
         assert doc["status"] == "pass", doc["witness"]
         assert doc["h0_dims"] == doc["character"]
-    args = SimpleNamespace(preset="osp1_2-regular", max_weight=8)
+    args = SimpleNamespace(preset="osp1_2-regular", level="symbolic",
+                           max_weight=8)
     doc = verify_miura(args, None)
     assert doc["status"] == "pass", doc["witness"]
 

@@ -135,6 +135,7 @@ class ScreeningContext:
         """Highest vectors x_a of the induced modules, one per class member."""
         d, g = self.datum, self.grading
         field = self.field
+        sys = self.system
         self.xtag_of_root = {}
         for cls in self.base.classes:
             for bidx in cls:
@@ -146,7 +147,8 @@ class ScreeningContext:
                     for b2 in cls:
                         c = d.bracket(b2, b).get(bidx)
                         if c:
-                            table[("x", ("scr", b2 - d.rank))] = field.lift(c)
+                            xtag = sys.induced_tag(("scr", b2 - d.rank))
+                            table[xtag] = field.lift(c)
                     if table:
                         zero_modes[self.current_of_basis[b]] = table
                 parity = (d.parity[bidx] + 1) % 2

@@ -87,6 +87,17 @@ def comb(const=None, terms=()):
     return (const, tuple(terms))
 
 
+class HvTag(tuple):
+    """A highest-vector tag, ("m", coords) or ("x", key), as handed out by
+    GenSystem: one object per distinct tag, so it hashes and compares by
+    identity.  Indexing and str are those of the plain tuple."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+
+
 class GenSystem:
     """Finite generator family with an exact lambda-bracket table."""
 
@@ -100,6 +111,7 @@ class GenSystem:
         self.current_pos = {}
         self.pairing = None
         self._module = None
+        self._tags = {}
 
     def add_gen(self, name, parity, weight2, charge=0, current=False):
         g = Gen(len(self.gens), name, parity, weight2, charge, current)
@@ -163,14 +175,25 @@ class GenSystem:
             self._module = Module(self)
         return self._module
 
+    def _tag(self, kind, payload):
+        key = (kind, payload)
+        tag = self._tags.get(key)
+        if tag is None:
+            tag = self._tags[key] = HvTag(key)
+        return tag
+
     def vacuum_tag(self):
-        return ("m", (self.field.zero,) * len(self.currents))
+        return self._tag("m", (self.field.zero,) * len(self.currents))
 
     def momentum_tag(self, coords):
         coords = tuple(coords)
         if len(coords) != len(self.currents):
             raise NonAbelianMomentum("momentum must live in the current span")
-        return ("m", coords)
+        return self._tag("m", coords)
+
+    def induced_tag(self, key):
+        """The tag of the registered induced-module highest vector key."""
+        return self._tag("x", key)
 
     def pair_momenta(self, a, b):
         if self.pairing is None:
@@ -245,7 +268,11 @@ class Module:
 
     Highest vectors are keyed by tags: ("m", coords) for Fock-type vectors
     over the current span (the vacuum is momentum zero) and ("x", key) for
-    registered induced-module vectors with a finite zero-mode table.
+    registered induced-module vectors with a finite zero-mode table.  Tags
+    are interned by the generator system (vacuum_tag, momentum_tag,
+    induced_tag): each distinct tag is one HvTag object, hashed and
+    compared by identity, so a state key (word, tag) hashes without
+    touching the coordinates.  A tag built any other way matches nothing.
     """
 
     def __init__(self, system):
@@ -287,7 +314,7 @@ class Module:
         return h
 
     def register_hv(self, key, parity=0, zero_modes=None, translate_state=None):
-        tag = ("x", key)
+        tag = self.system.induced_tag(key)
         self.hvs[tag] = HighestVector(tag, parity=parity,
                                       zero_modes=zero_modes,
                                       translate_state=translate_state)
@@ -483,53 +510,53 @@ class Module:
         return out
 
     def exp_coeff_mono(self, mom, J, w0, tag):
-        """[z^J] of e^{int mu}(z) acting on a monomial of a Fock module."""
+        """[z^J] of e^{int mu}(z) acting on a monomial of a Fock module.
+
+        With p = (mu|momentum of tag) and S_mu the shift of the momentum,
+        e^{int mu}(z) = S_mu z^p C(z) A(z), where
+            A(z) = exp(-sum_{j>0} mu_(j) z^(-j) / j) = sum_b A_b z^(-b),
+            C(z) = exp(sum_{j>0} mu_(-j) z^j / j) = sum_a C_a z^a.
+        The modes of mu of one sign commute, so differentiating each
+        exponential gives the recurrences
+            A_b = -(1/b) sum_{j=1..b} mu_(j) A_{b-j},
+            C_a = (1/a) sum_{j=1..a} mu_(-j) C_{a-j},
+        and the coefficient is sum_b C_{J-p+b} S_mu A_b on the monomial.
+        """
         field = self.field
-        sys = self.system
         p_int = self._mom_pairing_int(mom, tag)
         hv = self.hv(tag)
         new_coords = tuple(a + b for a, b in zip(hv.momentum, mom))
-        new_tag = sys.momentum_tag(new_coords)
+        new_tag = self.system.momentum_tag(new_coords)
         self.hv(new_tag)
-        D2 = self.word_depth2(w0)
+        ladder = [{(w0, tag): field.one}]
+        for b in range(1, self.word_depth2(w0) // 2 + 1):
+            ladder.append(self._exp_step(mom, ladder, 1, Fraction(-1, b)))
         out = {}
-        for bsum in range(0, D2 // 2 + 1):
-            asum = J - p_int + bsum
-            if asum < 0:
+        for b, st in enumerate(ladder):
+            top = J - p_int + b
+            if top < 0 or not st:
                 continue
-            for bpart in _partition_mults(bsum):
-                st = {(w0, tag): field.one}
-                coeff = Fraction(1)
-                for n, mult in bpart.items():
-                    coeff *= Fraction((-1) ** mult, n ** mult * _fact(mult))
-                    for _ in range(mult):
-                        st = self.mom_mode(mom, n, st)
-                        if not st:
-                            break
-                    if not st:
-                        break
-                if not st:
-                    continue
-                # shift operator: retag the highest vector
-                st = {(w, new_tag): c for (w, t), c in st.items()}
-                for apart in _partition_mults(asum):
-                    st2 = st
-                    c2 = coeff
-                    for n, mult in apart.items():
-                        c2 *= Fraction(1, n ** mult * _fact(mult))
-                        for _ in range(mult):
-                            st2 = self.mom_mode(mom, -n, st2)
-                    _acc_state(out, st2, field.lift(c2), field)
+            # shift operator: retag the highest vector
+            up = [{(w, new_tag): c for (w, t), c in st.items()}]
+            for a in range(1, top + 1):
+                up.append(self._exp_step(mom, up, -1, Fraction(1, a)))
+            _acc_state(out, up[top], field.one, field)
         return {k: v for k, v in out.items() if not field.is_zero(v)}
 
-    def mom_mode(self, mom, n, state):
+    def _exp_step(self, mom, ladder, sign, scale):
+        """scale * sum_{j=1..n} mu_(sign*j) ladder[n-j], n = len(ladder)."""
         field = self.field
+        currents = self.system.currents
+        scale = field.lift(scale)
+        parts = [(currents[i], c * scale) for i, c in enumerate(mom)
+                 if not field.is_zero(c)]
+        n = len(ladder)
         acc = {}
-        for j, c in enumerate(mom):
-            if not field.is_zero(c):
-                g = self.system.currents[j]
-                part = self.gen_mode_state(g, n, state)
-                _acc_state(acc, part, c, field)
+        for j in range(1, n + 1):
+            for (w, t), c in ladder[n - j].items():
+                for g, cg in parts:
+                    _acc_state(acc, self.gen_mode(g, sign * j, w, t), c * cg,
+                               field)
         return {k: v for k, v in acc.items() if not field.is_zero(v)}
 
     def word_coeff_state(self, word, mom, J, state):
@@ -546,24 +573,6 @@ def _acc_state(acc, part, coeff, field):
     for key, c in part.items():
         cur = acc.get(key)
         acc[key] = c * coeff if cur is None else cur + c * coeff
-
-
-def _partition_mults(total):
-    """All multiplicity dicts {part: mult} with sum part*mult == total."""
-    out = []
-
-    def rec(remaining, max_part, current):
-        if remaining == 0:
-            out.append(dict(current))
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            for mult in range(remaining // part, 0, -1):
-                current[part] = mult
-                rec(remaining - part * mult, part - 1, current)
-                del current[part]
-
-    rec(total, total, {})
-    return out
 
 
 # ---------------------------------------------------------------------------

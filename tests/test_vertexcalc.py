@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from vertexscreen.presets import preset_context
 from vertexscreen.scalars import QQ, RationalFunctionField
+from vertexscreen.screening import exponential_screenings
 from vertexscreen.vertexcalc import (GenSystem, GradingMismatch,
                                      NonVacuumModule, comb, apply_field_coeff,
                                      bracket, derive, field_state,
                                      graded_basis, mode_apply, normal_order,
                                      normal_order_list, state_field,
                                      sugawara_field)
+from vertexscreen.walgebras import WBnModel
 from vertexscreen.verify import (check_commutator, check_jacobi, check_skew,
                                  check_wick, random_homogeneous_field)
 
@@ -246,8 +250,8 @@ def test_axioms_on_seeded_samples(heis_fermion):
         assert check_jacobi(a, b, c, mod)
         assert check_wick(a, b, c, mod)
         v = {key: sys.field.one for key in graded_basis(mod, 3)}
-        assert check_commutator(a, b, v, rng.randint(-2, 2),
-                                rng.randint(-2, 2), mod)
+        case = (v, rng.randint(-2, 2), rng.randint(-2, 2))
+        assert check_commutator(a, b, [case], mod) is None, case
 
 
 def test_lattice_affine_sl2_realization():
@@ -293,3 +297,175 @@ def test_mode_apply_physical_indexing(heis_fermion):
     assert st == {(((1, -2),), sys.vacuum_tag()): sys.field.one}
     with pytest.raises(GradingMismatch):
         mode_apply(P, -2, vac)  # integer mode of a half-integer weight field
+
+
+def _partition_mults(total):
+    """All multiplicity dicts {part: mult} with sum part*mult == total."""
+    out = []
+
+    def rec(remaining, max_part, current):
+        if remaining == 0:
+            out.append(dict(current))
+            return
+        for part in range(min(max_part, remaining), 0, -1):
+            for mult in range(remaining // part, 0, -1):
+                current[part] = mult
+                rec(remaining - part * mult, part - 1, current)
+                del current[part]
+
+    rec(total, total, {})
+    return out
+
+
+def _mom_mode(mod, mom, n, state):
+    """mu_(n) on a state: sum_i mu_i J^i_(n)."""
+    field = mod.field
+    acc = {}
+    for j, c in enumerate(mom):
+        if not field.is_zero(c):
+            part = mod.gen_mode_state(mod.system.currents[j], n, state)
+            for key, v in part.items():
+                cur = acc.get(key)
+                acc[key] = v * c if cur is None else cur + v * c
+    return {k: v for k, v in acc.items() if not field.is_zero(v)}
+
+
+def _pairing(mod, mom, tag):
+    """(mu|momentum of tag), which is an integer in every case here."""
+    return int(str(mod.system.pair_momenta(mom, mod.hv(tag).momentum)))
+
+
+def _exp_coeff_by_partitions(mod, mom, J, w0, tag):
+    """[z^J] e^{int mu}(z) on one monomial, expanding both exponentials
+    as sums over partitions: the coefficient of z^(-b) in
+    exp(-sum_j mu_(j) z^(-j)/j) is sum over partitions of b of
+    prod_n (-mu_(n)/n)^m_n / m_n!, and likewise for the creation part."""
+    field = mod.field
+    sys = mod.system
+    hv = mod.hv(tag)
+    p_int = _pairing(mod, mom, tag)
+    new_tag = sys.momentum_tag(tuple(a + b for a, b in zip(hv.momentum, mom)))
+    out = {}
+    for bsum in range(0, mod.word_depth2(w0) // 2 + 1):
+        asum = J - p_int + bsum
+        if asum < 0:
+            continue
+        for bpart in _partition_mults(bsum):
+            st = {(w0, tag): field.one}
+            coeff = Fraction(1)
+            for n, mult in bpart.items():
+                coeff *= Fraction((-1) ** mult, n ** mult * factorial(mult))
+                for _ in range(mult):
+                    st = _mom_mode(mod, mom, n, st)
+            st = {(w, new_tag): c for (w, t), c in st.items()}
+            for apart in _partition_mults(asum):
+                st2 = st
+                c2 = coeff
+                for n, mult in apart.items():
+                    c2 *= Fraction(1, n ** mult * factorial(mult))
+                    for _ in range(mult):
+                        st2 = _mom_mode(mod, mom, -n, st2)
+                for key, v in st2.items():
+                    cur = out.get(key, field.zero)
+                    out[key] = cur + v * field.lift(c2)
+    return {k: v for k, v in out.items() if not field.is_zero(v)}
+
+
+def _check_exp_against_partitions(mod, momenta, starts, max_w2=8):
+    """Module.word_coeff_state((), mu, J, .) equals the partition sum on
+    every monomial to doubled depth max_w2 over each starting momentum.
+    On a monomial of doubled depth w2 the coefficient is nonzero from
+    J = p - w2 // 2 on (p the momentum pairing) and lands at doubled depth
+    w2 + 2 (J - p); J runs from one below that range to the last J that
+    lands within max_w2."""
+    sys = mod.system
+    field = mod.field
+    checked = 0
+    for mu in momenta:
+        for start in starts:
+            tag = sys.momentum_tag(start)
+            p = _pairing(mod, mu, tag)
+            for w2 in range(max_w2 + 1):
+                for (w, _) in graded_basis(mod, w2):
+                    for J in range(p - w2 // 2 - 1,
+                                   p + (max_w2 - w2) // 2 + 1):
+                        got = mod.word_coeff_state((), mu, J,
+                                                   {(w, tag): field.one})
+                        want = _exp_coeff_by_partitions(mod, mu, J, w, tag)
+                        assert got == want, (mu, start, w, J)
+                        checked += bool(want)
+    assert checked
+
+
+def test_exp_recurrence_matches_partitions_heisenberg(heis_fermion):
+    sys = heis_fermion
+    F = sys.field
+    mu = (F.one / (F.gen + 2),)
+    # (mu|nu) = 2 nu: starting momenta with pairing 0, 1 and -2
+    starts = [(F.zero,), (F.lift(Fraction(1, 2)),), (-F.one,)]
+    _check_exp_against_partitions(sys.module(), [mu], starts)
+
+
+@pytest.mark.parametrize("level", [Fraction(7, 2), "symbolic"])
+def test_exp_recurrence_matches_partitions_osp1_4(level):
+    ctx = preset_context("osp1_4-regular", level)
+    momenta = [op.momentum for op in exponential_screenings(ctx)]
+    assert len(momenta) == 2
+    # 2 (k + h_dual) mu pairs integrally with both screening momenta
+    starts = [ctx.system.vacuum_tag()[1]]
+    starts += [tuple(2 * ctx.kappa_shift * x for x in mu) for mu in momenta]
+    _check_exp_against_partitions(ctx.module, momenta, starts)
+
+
+def test_exp_recurrence_matches_partitions_wb3():
+    model = WBnModel(3, gamma_mode="split")
+    F = model.field
+    s = F.gen
+    z = F.zero
+    momenta = [(s, -s, z), (z, s, -s), (z, z, s)]
+    # (mu_1|nu) = 1 and (mu_i|nu) = 0 otherwise
+    starts = [(z, z, z), (F.one / s, z, z)]
+    _check_exp_against_partitions(model.module, momenta, starts)
+
+
+def test_tags_are_interned(heis_fermion):
+    sys = heis_fermion
+    F = sys.field
+    assert sys.vacuum_tag() is sys.vacuum_tag()
+    mu0 = F.one / (F.gen + 2)
+    tag = sys.momentum_tag((mu0,))
+    assert sys.momentum_tag((F.zero + mu0,)) is tag
+    k2 = F.gen + 2
+    assert sys.momentum_tag([k2 / (k2 * k2)]) is tag
+    assert sys.momentum_tag((mu0 - mu0,)) is sys.vacuum_tag()
+    # indexing and str are those of the plain tuple
+    assert (tag[0], tag[1]) == ("m", (mu0,))
+    assert str(tag) == str(("m", (mu0,)))
+    assert str(sys.vacuum_tag()) == str(("m", (F.zero,)))
+    xtag = sys.module().register_hv(("y", 1))
+    assert xtag is sys.induced_tag(("y", 1))
+    assert str(xtag) == str(("x", ("y", 1)))
+    # a tag equals only itself: the equal-looking vacuum of another system
+    # is a different tag
+    other = GenSystem(F, "other")
+    other.add_gen("J", parity=0, weight2=2, current=True)
+    assert str(other.vacuum_tag()) == str(sys.vacuum_tag())
+    assert other.vacuum_tag() != sys.vacuum_tag()
+    assert not other.vacuum_tag() == sys.vacuum_tag()
+
+
+def test_screening_zero_modes_use_registered_tags():
+    ctx = preset_context("sl3-subregular", "symbolic")
+    sys = ctx.system
+    hvs = ctx.module.hvs
+    xtags = set(ctx.xtag_of_root.values())
+    assert xtags
+    seen = 0
+    for tag in xtags:
+        assert hvs[tag].tag is tag
+        assert tag is sys.induced_tag(tag[1])
+        for table in hvs[tag].zero_modes.values():
+            for t2 in table:
+                assert t2 in xtags and hvs[t2].tag is t2
+                seen += 1
+    assert seen

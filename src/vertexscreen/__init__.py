@@ -1,6 +1,7 @@
 """Exact vertex-superalgebra calculus over Q(k): root data, lambda
 brackets, screening operators, kernels and BRST reduction."""
 
+from .errors import InputError
 from .scalars import QQ, RationalFunction, RationalFunctionField
 from .superdata import (SuperRootDatum, GoodGrading, RestrictedBase,
                         LevelForm, ChiFunctional, DatumError, NotGoodGrading,

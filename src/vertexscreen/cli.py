@@ -21,13 +21,12 @@ import random
 import sys
 from fractions import Fraction
 
+from .errors import InputError
 from .presets import build_preset, level_field, preset_context, preset_names
-from .screening import (DegenerateForm, NonCartanZeroPart, ScreeningContext,
-                        exponential_screenings, generic_screenings,
-                        expected_character, kernel_basis)
-from .superdata import (DatumError, NotGoodGrading, chi, good_grading,
-                        load_datum, restricted_base, tau_form)
-from .vertexcalc import CriticalLevel
+from .screening import (ScreeningContext, exponential_screenings,
+                        generic_screenings, expected_character, kernel_basis)
+from .superdata import (chi, good_grading, load_datum, restricted_base,
+                        tau_form)
 from . import verify as verify_mod
 
 
@@ -37,54 +36,56 @@ def _parse_level(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SystemExit2("--level must be \"symbolic\" or a rational p/q, "
-                          "not %r" % text) from None
+        raise InputError("--level must be \"symbolic\" or a rational p/q, "
+                         "not %r" % text) from None
 
 
 def _context_from_args(args):
     if args.preset:
         return preset_context(args.preset, args.level)
     if not args.datum:
-        raise SystemExit2("one of --preset or --datum is required")
+        raise InputError("one of --preset or --datum is required")
     datum = load_datum(args.datum)
     if not args.labels:
-        raise SystemExit2("--labels is required with --datum")
+        raise InputError("--labels is required with --datum")
     labels = _json_arg("--labels", args.labels, dict)
     support = _json_arg("--f-support", args.f_support, list) \
         if args.f_support else []
     if not all(type(v) is int for v in labels.values()):
-        raise SystemExit2("--labels values must be integers")
+        raise InputError("--labels values must be integers")
     if not all(type(x) in (int, str) for x in support):
-        raise SystemExit2("--f-support entries must be root names or "
-                          "positions")
+        raise InputError("--f-support entries must be root names or "
+                         "positions")
     grading = good_grading(datum, labels, support)
     return ScreeningContext(datum, grading, restricted_base(grading),
                             tau_form(datum, grading), chi(datum, grading),
                             *level_field(args.level))
 
 
-class SystemExit2(Exception):
-    pass
-
-
 def _json_arg(flag, text, kind):
-    value = json.loads(text)
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(exc) from exc
     if not isinstance(value, kind):
-        raise SystemExit2("%s must be a JSON %s, not %s"
-                          % (flag, "object" if kind is dict else "list",
-                             type(value).__name__))
+        raise InputError("%s must be a JSON %s, not %s"
+                         % (flag, "object" if kind is dict else "list",
+                            type(value).__name__))
     return value
 
 
 def _emit(doc, args):
     text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    if args.format == "json" or not args.out:
-        print(text)
-    elif args.format == "table":
-        _print_table(doc)
+    try:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        if args.format == "json" or not args.out:
+            print(text)
+        elif args.format == "table":
+            _print_table(doc)
+    except OSError as exc:
+        raise InputError(exc) from exc
 
 
 def _print_table(doc):
@@ -226,9 +227,7 @@ def main(argv=None):
     try:
         _parse_level(args.level)  # checked once; mapped by level_field
         return args.func(args)
-    except (SystemExit2, DatumError, NotGoodGrading, CriticalLevel,
-            DegenerateForm, NonCartanZeroPart, OSError,
-            json.JSONDecodeError) as exc:
+    except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:

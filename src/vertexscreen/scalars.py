@@ -6,6 +6,13 @@ rational functions in one named symbol (usually the level ``k``).
 Rational functions are stored as a pair of coprime integer-coefficient
 polynomials; the denominator has positive leading coefficient and the
 pair carries no common integer content.  No floating point anywhere.
+
+A value whose denominator is P_ONE = (1,) is canonical as soon as its
+numerator is trimmed: the content gcd with 1 is 1 and the sign is already
+positive.  Sums, differences and products of two such values are built
+from the numerators alone, without _reduce, and most of the values the
+bracket engine makes are of this kind.  The polynomial helpers return
+trimmed tuples when given trimmed ones.
 """
 
 from fractions import Fraction
@@ -45,6 +52,14 @@ def p_sub(a, b):
 def p_mul(a, b):
     if not a or not b:
         return P_ZERO
+    if len(a) == 1 or len(b) == 1:
+        # a constant factor scales the other; (0,) is a zero constant
+        if len(a) != 1:
+            a, b = b, a
+        s = a[0]
+        if not s or not b[-1]:
+            return P_ZERO
+        return b if s == 1 else tuple(x * s for x in b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -287,11 +302,8 @@ class RationalFunction:
                 raise TypeError("mixed rational-function fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.lift(Fraction(other))
+            return self.field.lift(other)
         return None
-
-    def is_zero(self):
-        return not self.num
 
     def __bool__(self):
         return bool(self.num)
@@ -302,6 +314,9 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den == P_ONE and o.den == P_ONE:
+            return RationalFunction(self.field, p_add(self.num, o.num), P_ONE,
+                                    _canonical=True)
         num = p_add(p_mul(self.num, o.den), p_mul(o.num, self.den))
         return RationalFunction(self.field, num, p_mul(self.den, o.den))
 
@@ -315,7 +330,11 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        if self.den == P_ONE and o.den == P_ONE:
+            return RationalFunction(self.field, p_sub(self.num, o.num), P_ONE,
+                                    _canonical=True)
+        num = p_sub(p_mul(self.num, o.den), p_mul(o.num, self.den))
+        return RationalFunction(self.field, num, p_mul(self.den, o.den))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -324,6 +343,9 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den == P_ONE and o.den == P_ONE:
+            return RationalFunction(self.field, p_mul(self.num, o.num), P_ONE,
+                                    _canonical=True)
         return RationalFunction(self.field, p_mul(self.num, o.num),
                                 p_mul(self.den, o.den))
 
@@ -470,8 +492,10 @@ class RationalFunctionField:
     name = property(lambda self: "Q(%s)" % self.symbol)
 
     def lift(self, fr):
-        fr = Fraction(fr)
-        num, den = p_from_fraction(fr)
+        if type(fr) is int:
+            return RationalFunction(self, (fr,) if fr else P_ZERO, P_ONE,
+                                    _canonical=True)
+        num, den = p_from_fraction(Fraction(fr))
         return RationalFunction(self, num, den, _canonical=True)
 
     def parse(self, text):
@@ -484,9 +508,6 @@ class RationalFunctionField:
             except ValueError:
                 pass
         return _parse_rational_expr(self, text)
-
-    def is_zero(self, x):
-        return not x
 
     def strip_row(self, row, factor_sink=None):
         """Scale a row of rational functions to coprime integer polynomials.
@@ -552,9 +573,6 @@ class RationalFunctionField:
     def denominator_roots(self, x):
         return self.denominators((x,))[1]
 
-    def to_str(self, x):
-        return str(x)
-
 
 class Rationals:
     """Adapter giving plain Fractions the same factory interface."""
@@ -568,9 +586,6 @@ class Rationals:
 
     def lift(self, fr):
         return Fraction(fr)
-
-    def is_zero(self, x):
-        return x == 0
 
     def strip_row(self, row, factor_sink=None):
         """Scale a row by a positive rational to coprime ints.
@@ -614,9 +629,6 @@ class Rationals:
 
     def denominator_roots(self, x):
         return set()
-
-    def to_str(self, x):
-        return str(x)
 
 
 QQ = Rationals()

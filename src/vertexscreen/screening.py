@@ -25,6 +25,7 @@ screenings again.
 from fractions import Fraction
 from itertools import chain
 
+from .errors import InputError
 from .linalg import decompose, nullspace
 from .scalars import QQ
 from .superdata import DatumError
@@ -35,11 +36,11 @@ from .vertexcalc import (
 )
 
 
-class NonCartanZeroPart(ValueError):
+class NonCartanZeroPart(InputError, ValueError):
     pass
 
 
-class DegenerateForm(ZeroDivisionError):
+class DegenerateForm(InputError, ZeroDivisionError):
     pass
 
 
@@ -70,7 +71,7 @@ def set_free_field_tables(sys, datum, levelform, chifun, level, currents,
             entries = {}
             if terms:
                 entries[0] = comb(terms=terms)
-            if not field.is_zero(gram[i][j]):
+            if gram[i][j]:
                 entries[1] = comb(const=gram[i][j])
             if entries:
                 sys.set_bracket(currents[b], currents[b2], entries)
@@ -101,7 +102,7 @@ class ScreeningContext:
         self.level = level
         self.h_dual = levelform.h_dual
         shifted = self.level + field.lift(self.h_dual)
-        if field.is_zero(shifted):
+        if not shifted:
             raise CriticalLevel("level k = -h_dual is excluded")
         self.kappa_shift = shifted
         self._build_system()
@@ -181,7 +182,7 @@ class ScreeningContext:
                 key = (word, self.xtag_of_root[b2])
                 cur = state.get(key)
                 state[key] = coeff if cur is None else cur + coeff
-        return {k: v for k, v in state.items() if not field.is_zero(v)}
+        return {k: v for k, v in state.items() if v}
 
     # -- Sugawara ---------------------------------------------------------------
 
@@ -241,16 +242,15 @@ class ScreeningContext:
             part = apply_field_coeff(a_field, -j - 1, xstate, self.module)
             if part:
                 c = Fraction((-1) ** ((m + n) % 2) * sigma, _fact(m))
-                part = state_scale(part, field.lift(c), field)
+                part = state_scale(part, field.lift(c))
                 for _ in range(m):
                     part = self.module.translate(part)
-                out = state_add(out, part, field)
+                out = state_add(out, part)
             m += 1
         return out
 
     def s_alpha_apply(self, bidx, n, state):
         """S^a_n on a state of the ambient (current and fermion letters)."""
-        field = self.field
         out = {}
         for (word, tag), c in state.items():
             wj, wf = self.split_word(word)
@@ -260,7 +260,7 @@ class ScreeningContext:
                 cur = out.get(key)
                 val = c * c2
                 out[key] = val if cur is None else cur + val
-        return {k: v for k, v in out.items() if not field.is_zero(v)}
+        return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +305,7 @@ class ScreeningOp:
                 if not cval:
                     continue
                 part = ctx.s_alpha_apply(bidx, 1, state)
-                out = state_add(out, state_scale(part, field.lift(cval), field),
-                                field)
+                out = state_add(out, state_scale(part, field.lift(cval)))
             return out
         if self.kind == "generic-half":
             out = {}
@@ -319,16 +318,16 @@ class ScreeningOp:
                 for n in range(0, -(depth2 // 2) - 2, -1):
                     lowered = mod.gen_mode_state(phi, -n, state)
                     if lowered:
-                        out = state_add(out, ctx.s_alpha_apply(bidx, n, lowered),
-                                        field)
+                        out = state_add(out,
+                                        ctx.s_alpha_apply(bidx, n, lowered))
                 sgn = (-1) ** (p_s * p_phi)
                 for n in range(1, depth2 // 2 + 2):
                     part = ctx.s_alpha_apply(bidx, n, state)
                     if part:
                         part = mod.gen_mode_state(phi, -n, part)
                         if sgn < 0:
-                            part = state_scale(part, field.lift(-1), field)
-                        out = state_add(out, part, field)
+                            part = state_scale(part, field.lift(-1))
+                        out = state_add(out, part)
             return out
         raise ValueError("unknown screening kind %r" % self.kind)
 
@@ -432,7 +431,7 @@ def kernel_basis(ctx, screenings, weight2, expected=None):
     for vec in kernel:
         st = {}
         for c, (w, t) in zip(vec, basis):
-            if not field.is_zero(c):
+            if c:
                 st[(w, t)] = c
         for op in screenings:
             if op.apply(st):

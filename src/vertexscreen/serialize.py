@@ -17,11 +17,11 @@ def field_to_json(fe):
     for (word, mom), c in sorted(fe.terms.items(),
                                  key=lambda kv: _sort_key(kv[0])):
         term = {
-            "coeff": sys.field.to_str(c),
+            "coeff": str(c),
             "word": [[sys.gens[g].name, d] for (g, d) in word],
         }
         if mom is not None:
-            term["momentum"] = [sys.field.to_str(x) for x in mom]
+            term["momentum"] = [str(x) for x in mom]
         out.append(term)
     return out
 

@@ -12,15 +12,16 @@ throughout; no floating point is used anywhere.
 import json
 from fractions import Fraction
 
+from .errors import InputError
 from .linalg import decompose, matrix_rank, nullspace
 from .scalars import QQ
 
 
-class DatumError(ValueError):
+class DatumError(InputError, ValueError):
     pass
 
 
-class NotGoodGrading(ValueError):
+class NotGoodGrading(InputError, ValueError):
     pass
 
 
@@ -814,8 +815,11 @@ def datum_from_json(doc):
 
 
 def load_datum(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DatumError(exc) from exc
     return datum_from_json(doc)
 
 

@@ -35,8 +35,7 @@ def random_homogeneous_field(module, rng, weight2):
     nterms = min(len(cands), 1 + rng.randrange(2))
     st = {}
     for key in rng.sample(cands, nterms):
-        st[key] = sys.field.lift(Fraction(rng.randint(1, 3) *
-                                          rng.choice((1, -1))))
+        st[key] = sys.field.lift(rng.randint(1, 3) * rng.choice((1, -1)))
     return state_field(st, sys)
 
 
@@ -156,14 +155,13 @@ def check_commutator(a, b, cases, module):
         lhs = apply_field_coeff(a, -m - 1, av, module)
         bv = apply_field_coeff(a, -m - 1, v, module)
         lhs = state_add(lhs, state_scale(
-            apply_field_coeff(b, -n - 1, bv, module), sign, field), field)
+            apply_field_coeff(b, -n - 1, bv, module), sign))
         rhs = {}
         for j, f in ab.items():
             bj = _binom(m, j)
             if bj:
                 part = apply_field_coeff(f, -(m + n - j) - 1, v, module)
-                rhs = state_add(rhs, state_scale(part, field.lift(bj), field),
-                                field)
+                rhs = state_add(rhs, state_scale(part, field.lift(bj)))
         if lhs != rhs:
             return v, m, n
     return None
@@ -275,7 +273,7 @@ def verify_wbn(args, rng):
     return {
         "status": "pass" if not witness else "fail",
         "n": n,
-        "top_coefficient": model.field.to_str(model.gamma_consts[n]),
+        "top_coefficient": str(model.gamma_consts[n]),
         "witness": witness,
     }
 
@@ -332,7 +330,7 @@ def verify_miura(args, rng):
             if sol is None:
                 witness.append({"check": "membership", "weight2": w2})
             elif len(kvecs) == 1:
-                scalars[str(w2)] = field.to_str(sol[0])
+                scalars[str(w2)] = str(sol[0])
     return {
         "status": "pass" if not witness else "fail",
         "preset": preset,

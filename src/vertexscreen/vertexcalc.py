@@ -24,6 +24,8 @@ are graded by depth above the highest vector, a doubled integer.
 
 from fractions import Fraction
 
+from .errors import InputError
+
 
 class UnknownGenerator(KeyError):
     pass
@@ -45,7 +47,7 @@ class NonAbelianMomentum(ValueError):
     pass
 
 
-class CriticalLevel(ZeroDivisionError):
+class CriticalLevel(InputError, ZeroDivisionError):
     pass
 
 
@@ -128,7 +130,7 @@ class GenSystem:
 
     def set_bracket(self, i, j, entries):
         """entries: {n: comb(...)}; the (j, i) table is filled by skew-symmetry."""
-        entries = {n: lc for n, lc in entries.items() if not _comb_zero(lc, self.field)}
+        entries = {n: lc for n, lc in entries.items() if not _comb_zero(lc)}
         self.brackets[(i, j)] = entries
         mirror = self._skew_entries(i, j, entries)
         if i == j:
@@ -161,9 +163,9 @@ class GenSystem:
                     key = (g2, d + e)
                     term_acc[key] = term_acc.get(key, field.zero) + cf * coeff
             terms = tuple((g2, d, c) for (g2, d), c in sorted(term_acc.items())
-                          if not field.is_zero(c))
-            lc = (None if field.is_zero(const_acc) else const_acc, terms)
-            if not _comb_zero(lc, field):
+                          if c)
+            lc = (const_acc or None, terms)
+            if not _comb_zero(lc):
                 out[m] = lc
         return out
 
@@ -200,9 +202,9 @@ class GenSystem:
             raise NonAbelianMomentum("no pairing on the current span")
         acc = self.field.zero
         for i, x in enumerate(a):
-            if not self.field.is_zero(x):
+            if x:
                 for j, y in enumerate(b):
-                    if not self.field.is_zero(y):
+                    if y:
                         acc = acc + x * y * self.pairing[i][j]
         return acc
 
@@ -227,11 +229,9 @@ def _fact(n):
     return out
 
 
-def _comb_zero(lc, field):
+def _comb_zero(lc):
     const, terms = lc
-    if const is not None and not field.is_zero(const):
-        return False
-    return all(field.is_zero(c) for (_, _, c) in terms)
+    return not const and not any(c for (_, _, c) in terms)
 
 
 def _entries_equal(a, b, field):
@@ -298,13 +298,13 @@ class Module:
                 row = sys.pairing[sys.current_pos[g]] if sys.pairing else None
                 if row is not None:
                     for j, c in enumerate(coords):
-                        if not self.field.is_zero(c):
+                        if c:
                             val = val + row[j] * c
-                if not self.field.is_zero(val):
+                if val:
                     zero[g] = {tag: val}
             translate = {}
             for j, c in enumerate(coords):
-                if not self.field.is_zero(c):
+                if c:
                     g = sys.currents[j]
                     word = ((g, -1),)
                     translate[(word, tag)] = c
@@ -385,7 +385,7 @@ class Module:
                         part = self.gen_mode(g1, m1, w2, t2)
                         cc = c if sign > 0 else -c
                         _acc_state(acc, part, cc, field)
-                out = {k: v for k, v in acc.items() if not field.is_zero(v)}
+                out = {k: v for k, v in acc.items() if v}
         self._mode_memo[key] = out
         return out
 
@@ -399,17 +399,17 @@ class Module:
             ff = _ffact(s, d)
             if ff == 0:
                 continue
-            c = coeff * field.lift(Fraction((-1) ** d * ff))
+            c = coeff * field.lift((-1) ** d * ff)
             part = self.gen_mode(g2, s - d, word, tag)
             _acc_state(acc, part, c, field)
-        return {k: v for k, v in acc.items() if not field.is_zero(v)}
+        return {k: v for k, v in acc.items() if v}
 
     def gen_mode_state(self, g, m, state):
         field = self.field
         acc = {}
         for (w, t), c in state.items():
             _acc_state(acc, self.gen_mode(g, m, w, t), c, field)
-        return {k: v for k, v in acc.items() if not field.is_zero(v)}
+        return {k: v for k, v in acc.items() if v}
 
     # -- translation -------------------------------------------------------------
 
@@ -426,11 +426,11 @@ class Module:
             rest = word[1:]
             acc = {}
             part = self.gen_mode(g1, m1 - 1, rest, tag)
-            _acc_state(acc, part, field.lift(Fraction(-m1)), field)
+            _acc_state(acc, part, field.lift(-m1), field)
             inner = self.translate_mono(rest, tag)
             for (w2, t2), c in inner.items():
                 _acc_state(acc, self.gen_mode(g1, m1, w2, t2), c, field)
-            out = {k: v for k, v in acc.items() if not field.is_zero(v)}
+            out = {k: v for k, v in acc.items() if v}
         self._translate_memo[key] = out
         return out
 
@@ -439,7 +439,7 @@ class Module:
         acc = {}
         for (w, t), c in state.items():
             _acc_state(acc, self.translate_mono(w, t), c, field)
-        return {k: v for k, v in acc.items() if not field.is_zero(v)}
+        return {k: v for k, v in acc.items() if v}
 
     # -- coefficient extraction for normally ordered word fields ----------------
 
@@ -447,7 +447,7 @@ class Module:
         ff = _ffact(n, d)
         if ff == 0:
             return {}
-        sgn = Fraction((-1) ** d * ff)
+        sgn = (-1) ** d * ff
         part = self.gen_mode(g, n - d, word, tag)
         if sgn == 1:
             return part
@@ -505,7 +505,7 @@ class Module:
                     part = self.word_coeff_mono(rest, mom, J + i + 1, w2, t2)
                     cc = c if sign > 0 else -c
                     _acc_state(acc, part, cc, field)
-            out = {k: v for k, v in acc.items() if not field.is_zero(v)}
+            out = {k: v for k, v in acc.items() if v}
         self._word_memo[key] = out
         return out
 
@@ -541,7 +541,7 @@ class Module:
             for a in range(1, top + 1):
                 up.append(self._exp_step(mom, up, -1, Fraction(1, a)))
             _acc_state(out, up[top], field.one, field)
-        return {k: v for k, v in out.items() if not field.is_zero(v)}
+        return {k: v for k, v in out.items() if v}
 
     def _exp_step(self, mom, ladder, sign, scale):
         """scale * sum_{j=1..n} mu_(sign*j) ladder[n-j], n = len(ladder)."""
@@ -549,7 +549,7 @@ class Module:
         currents = self.system.currents
         scale = field.lift(scale)
         parts = [(currents[i], c * scale) for i, c in enumerate(mom)
-                 if not field.is_zero(c)]
+                 if c]
         n = len(ladder)
         acc = {}
         for j in range(1, n + 1):
@@ -557,18 +557,23 @@ class Module:
                 for g, cg in parts:
                     _acc_state(acc, self.gen_mode(g, sign * j, w, t), c * cg,
                                field)
-        return {k: v for k, v in acc.items() if not field.is_zero(v)}
+        return {k: v for k, v in acc.items() if v}
 
     def word_coeff_state(self, word, mom, J, state):
         field = self.field
         acc = {}
         for (w, t), c in state.items():
             _acc_state(acc, self.word_coeff_mono(word, mom, J, w, t), c, field)
-        return {k: v for k, v in acc.items() if not field.is_zero(v)}
+        return {k: v for k, v in acc.items() if v}
 
 
 def _acc_state(acc, part, coeff, field):
-    if field.is_zero(coeff):
+    if not coeff:
+        return
+    if coeff is field.one:
+        for key, c in part.items():
+            cur = acc.get(key)
+            acc[key] = c if cur is None else cur + c
         return
     for key, c in part.items():
         cur = acc.get(key)
@@ -579,16 +584,16 @@ def _acc_state(acc, part, coeff, field):
 # state <-> field
 
 
-def state_add(a, b, field):
+def state_add(a, b):
     out = dict(a)
     for k, c in b.items():
         cur = out.get(k)
         out[k] = c if cur is None else cur + c
-    return {k: v for k, v in out.items() if not field.is_zero(v)}
+    return {k: v for k, v in out.items() if v}
 
 
-def state_scale(a, c, field):
-    if field.is_zero(c):
+def state_scale(a, c):
+    if not c:
         return {}
     return {k: v * c for k, v in a.items()}
 
@@ -604,7 +609,7 @@ class FieldExpr:
         self.terms = {}
         if terms:
             for k, c in terms.items():
-                if not system.field.is_zero(c):
+                if c:
                     self.terms[k] = c
 
     # -- ring-ish operations ---------------------------------------------------
@@ -621,17 +626,17 @@ class FieldExpr:
         return NotImplemented
 
     def __sub__(self, other):
-        return self + other.scale(self.system.field.lift(Fraction(-1)))
+        return self + other.scale(self.system.field.lift(-1))
 
     def __neg__(self):
-        return self.scale(self.system.field.lift(Fraction(-1)))
+        return self.scale(self.system.field.lift(-1))
 
     def scale(self, c):
         return FieldExpr(self.system,
                          {k: v * c for k, v in self.terms.items()})
 
     def scale_fraction(self, fr):
-        return self.scale(self.system.field.lift(Fraction(fr)))
+        return self.scale(self.system.field.lift(fr))
 
     def is_zero(self):
         return not self.terms
@@ -680,11 +685,10 @@ class FieldExpr:
                 letters.append(nm if d == 0 else "d^%d %s" % (d, nm)
                                if d > 1 else "d %s" % nm)
             if mom is not None:
-                letters.append("e^{%s}" % ",".join(sys.field.to_str(x)
-                                                   for x in mom))
+                letters.append("e^{%s}" % ",".join(map(str, mom)))
             body = ":" + " ".join(letters) + ":" if len(letters) > 1 else \
                 (letters[0] if letters else "1")
-            bits.append("(%s)*%s" % (sys.field.to_str(c), body))
+            bits.append("(%s)*%s" % (c, body))
         return " + ".join(bits)
 
     __repr__ = __str__
@@ -706,7 +710,7 @@ def field_state(fe, module=None):
         module.hv(tag)
         st = {((), tag): c}
         for (g, d) in reversed(word):
-            scale = field.lift(Fraction(_fact(d)))
+            scale = field.lift(_fact(d))
             nxt = {}
             for (w, t), cc in st.items():
                 _acc_state(nxt, module.gen_mode(g, -d - 1, w, t), cc * scale,
@@ -715,7 +719,7 @@ def field_state(fe, module=None):
         for k, v in st.items():
             cur = out.get(k)
             out[k] = v if cur is None else cur + v
-    return {k: v for k, v in out.items() if not field.is_zero(v)}
+    return {k: v for k, v in out.items() if v}
 
 
 def state_field(state, system):
@@ -751,7 +755,7 @@ def apply_field_coeff(fe, J, state, module=None):
     for (word, mom), c in fe.terms.items():
         part = module.word_coeff_state(word, mom, J, state)
         _acc_state(acc, part, c, field)
-    return {k: v for k, v in acc.items() if not field.is_zero(v)}
+    return {k: v for k, v in acc.items() if v}
 
 
 def mode_apply(fe, n2, state, module=None):
@@ -784,7 +788,6 @@ def bracket(a, b, module=None):
     module = module or a.system.module()
     if a.system is not b.system:
         raise UnknownGenerator("bracket of fields over different systems")
-    field = module.field
     bstate = field_state(b, module)
     if not bstate:
         return {}
@@ -799,10 +802,10 @@ def bracket(a, b, module=None):
             part = module.word_coeff_state(word, mom, -n - 1, bstate)
             if part:
                 cur = out.get(n)
-                st = state_scale(part, c, field)
-                out[n] = st if cur is None else state_add(cur, st, field)
+                st = state_scale(part, c)
+                out[n] = st if cur is None else state_add(cur, st)
     return {n: state_field(st, a.system) for n, st in out.items()
-            if any(not field.is_zero(v) for v in st.values())}
+            if any(st.values())}
 
 
 def _mom_bound(system, mom, bstate, module):

@@ -136,7 +136,7 @@ class BRSTComplex:
                         add = field.lift(-sgn * c)
                         terms[key] = terms.get(key, field.zero) + add
                 akv = self.a_k(u, b2)
-                if not field.is_zero(akv):
+                if akv:
                     key = (((self.phigen[b2], 1),), None)
                     terms[key] = terms.get(key, field.zero) + akv
             # neutral component: sum c^a_{u,b} :Phi_a ph^b:
@@ -212,18 +212,15 @@ class BRSTComplex:
             if inner:
                 sign = (-1) ** self.system.gens[g].parity
                 part = self.module.gen_mode_state(g, m, inner)
-                acc = state_add(acc, state_scale(
-                    part, field.lift(sign), field), field)
+                acc = state_add(acc, state_scale(part, field.lift(sign)))
             out = acc
         self._d0_memo[key] = out
         return out
 
     def d0_state(self, state):
-        field = self.field
         out = {}
         for (w, t), c in state.items():
-            out = state_add(out, state_scale(self.d0_mono(w, t), c, field),
-                            field)
+            out = state_add(out, state_scale(self.d0_mono(w, t), c))
         return out
 
     # -- graded pieces and cohomology ---------------------------------------------
@@ -270,7 +267,7 @@ class BRSTComplex:
         vecs = nullspace(mat, len(src), field)
         out = []
         for v in vecs:
-            st = {key: c for key, c in zip(src, v) if not field.is_zero(c)}
+            st = {key: c for key, c in zip(src, v) if c}
             out.append(st)
         return out
 
@@ -305,7 +302,7 @@ def miura_project(brst, state, ctx):
         new_word = tuple(sorted((rename[g], m) for (g, m) in word))
         key = (new_word, ctx.system.vacuum_tag())
         out[key] = out.get(key, field.zero) + c
-    return {k: v for k, v in out.items() if not field.is_zero(v)}
+    return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +379,7 @@ class WBnModel:
         w = {0: self.brackets.get(0, zero)}
         for i in range(1, self.n):
             gi = self.gamma_consts[i]
-            if field.is_zero(gi):
+            if not gi:
                 raise ZeroDivisionError(
                     "degenerate coupling: gamma_%d = 0" % i)
             inv = field.one / gi
@@ -503,7 +500,7 @@ class W2nModel:
             for g2 in sys.currents:
                 if g <= g2:
                     val = gram[pos(g)][pos(g2)]
-                    if not field.is_zero(val):
+                    if val:
                         sys.set_bracket(g, g2, {1: comb(const=val)})
         self.system = sys
         self.module = sys.module()
@@ -550,7 +547,7 @@ class W2nModel:
                 add(((self.psig, 0),) + word, c)
                 for i in range(1, j + 1):
                     add(((self.agen[i - 1], 0),) + word, c)
-            words = [(w, c) for w, c in nxt.items() if not field.is_zero(c)]
+            words = [(w, c) for w, c in nxt.items() if c]
         return [(w, -c) for (w, c) in words]
 
     def _assemble(self, words, tail_field):
@@ -697,7 +694,7 @@ class WakimotoMap:
                 zero = FieldExpr(self.model.system, {})
                 ok = got.get(0, zero) == want0
                 want1 = FieldExpr(self.model.system,
-                                  {((), None): tau} if not field.is_zero(tau)
+                                  {((), None): tau} if tau
                                   else {})
                 ok = ok and got.get(1, zero) == want1
                 ok = ok and all(got[nn].is_zero() for nn in got if nn >= 2)
@@ -713,7 +710,6 @@ class WakimotoMap:
         (for a screening ambient: {gen: b for b, gen in
         ctx.current_of_basis.items()}).
         """
-        field = self.field
         out = {}
         target_vac = self.model.system.vacuum_tag()
         for (word, tag), c in state.items():
@@ -723,5 +719,5 @@ class WakimotoMap:
             for (g, m) in reversed(word):
                 fe = self.image_of_basis[basis_of_gen[g]]
                 img = apply_field_coeff(fe, -m - 1, img, self.model.module)
-            out = state_add(out, img, field)
+            out = state_add(out, img)
         return out

@@ -4,11 +4,15 @@ from fractions import Fraction
 import pytest
 
 from vertexscreen.cli import main, make_parser
+from vertexscreen.errors import InputError
 from vertexscreen.presets import preset_context
 from vertexscreen.scalars import RationalFunctionField
+from vertexscreen.screening import DegenerateForm, NonCartanZeroPart
 from vertexscreen.serialize import field_from_json, field_to_json
-from vertexscreen.superdata import build_sl, datum_to_json
-from vertexscreen.vertexcalc import GradingMismatch, derive, normal_order
+from vertexscreen.superdata import (DatumError, DegreeMismatch, NotGoodGrading,
+                                    build_sl, datum_to_json)
+from vertexscreen.vertexcalc import (CriticalLevel, GradingMismatch, derive,
+                                     normal_order)
 
 
 def run_cli(args, capsys):
@@ -225,3 +229,36 @@ def test_wrong_json_type_in_flags_is_usage_error(flags, tmp_path, capsys):
                 + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --") and "internal" not in err
+
+
+
+def _stdlib_error(fn):
+    try:
+        fn()
+    except (OSError, ValueError) as exc:
+        return "error: %s" % exc
+    raise AssertionError("no error raised")
+
+
+def test_io_and_json_errors_keep_their_messages(tmp_path, capsys):
+    """Unreadable or unparsable input and an unwritable --out exit 2 with
+    the message of the underlying error; every input error shares one
+    base class."""
+    missing, junk = tmp_path / "missing.json", tmp_path / "junk.json"
+    junk.write_text("{")
+    sl2 = tmp_path / "sl2.json"
+    sl2.write_text(json.dumps(datum_to_json(build_sl(2))))
+    cases = [
+        (["kernel", "--datum", str(missing)], lambda: open(missing)),
+        (["kernel", "--datum", str(junk)], lambda: json.loads("{")),
+        (["kernel", "--datum", str(sl2), "--labels", "{"],
+         lambda: json.loads("{")),
+        (["info", "--preset", "sl2-regular", "--out", str(tmp_path)],
+         lambda: open(tmp_path, "w")),
+    ]
+    for argv, fn in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.strip() == _stdlib_error(fn), argv
+    for exc in (DatumError, NotGoodGrading, DegreeMismatch, CriticalLevel,
+                DegenerateForm, NonCartanZeroPart):
+        assert issubclass(exc, InputError)

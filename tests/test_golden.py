@@ -8,7 +8,10 @@ wrote before elimination over Q(k) became fraction-free, except the two
 at level 7/2 on the exponential path (osp1_4-regular, sl3-regular),
 written before e^{int mu} was expanded by recurrence; each verify and
 info file holds what ``verify SUITE`` and ``info`` wrote before the
-screening ambient and the BRST complex shared one table builder.  The
+screening ambient and the BRST complex shared one table builder, except
+the ``verify wbn --n 3`` and ``verify wick --trials 5`` reports (the
+first carries the exact top coefficient of WB_3 as a string), written
+before Q(k) arithmetic on integer polynomials skipped normalization.  The
 engine promises identical output for a fixed configuration, so a change
 that moves any byte of a basis, a dimension, a cohomology count, a
 projection scalar or a reported denominator fails here.  Regenerate a
@@ -38,6 +41,10 @@ VERIFY_CASES = [
     ("miura", "sl3-subregular-cartan", "symbolic", 6),
 ]
 INFO_CASES = [("osp1_6-regular", 8), ("sl4-subregular", 8)]
+SUITE_CASES = [
+    ("verify-wbn-n3.json", ["verify", "wbn", "--n", "3"]),
+    ("verify-wick-symbolic-trials5.json", ["verify", "wick", "--trials", "5"]),
+]
 
 
 def _run_to_file(argv, name, tmp_path, capsys):
@@ -69,3 +76,8 @@ def test_info_report_matches_golden(preset, max_w2, tmp_path, capsys):
     name = "info-%s-%d.json" % (preset, max_w2)
     _run_to_file(["info", "--preset", preset, "--max-weight", str(max_w2)],
                  name, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name, argv", SUITE_CASES)
+def test_suite_report_matches_golden(name, argv, tmp_path, capsys):
+    _run_to_file(argv, name, tmp_path, capsys)

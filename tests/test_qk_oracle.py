@@ -1,6 +1,10 @@
 """Differential property tests of the Q(k) arithmetic and elimination step.
 
-_reduce and p_gcd are checked against sympy.  The fraction-free step of
+_reduce and p_gcd are checked against sympy.  The field operations and
+lift, whose operands with denominator 1 skip _reduce, are checked against
+the general reduction RationalFunction(F, num, den) of the textbook
+formula, against sympy.cancel and against the canonical-form invariants;
+p_mul with a constant operand is checked against the plain convolution.  The fraction-free step of
 RationalFunctionField (strip_row, eliminate) is checked against the
 quotient form it replaces, written out below on RationalFunctions: divide
 the row by the pivot entry, subtract, clear denominators and strip the
@@ -13,7 +17,7 @@ from math import gcd
 
 import pytest
 
-from vertexscreen.scalars import (P_ONE, RationalFunction,
+from vertexscreen.scalars import (P_ONE, P_ZERO, RationalFunction,
                                   RationalFunctionField, _reduce,
                                   p_div_exact, p_gcd, p_mul, p_neg,
                                   p_primitive)
@@ -149,3 +153,100 @@ def test_quo_is_a_reduced_rational_function():
     x = F.quo((2, 2), (0, 4))
     assert isinstance(x, RationalFunction)
     assert x == (F.gen + F.one) / (F.gen * F.lift(Fraction(2)))
+
+
+def _conv(a, b):
+    """Plain convolution of coefficient tuples, trimmed."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _sum(a, b):
+    n = max(len(a), len(b))
+    return tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                 for i in range(n))
+
+
+def _assert_canonical(x):
+    num, den = x.num, x.den
+    assert type(num) is tuple and type(den) is tuple
+    assert all(type(c) is int for c in num + den)
+    assert den and den[-1] > 0
+    assert not num or num[-1] != 0
+    if not num:
+        assert den == P_ONE
+        return
+    assert gcd(*num, *den) == 1
+    assert sympy.gcd(_sym(num), _sym(den)).is_number
+
+
+def _value(x):
+    return _sym(x.num) / _sym(x.den)
+
+
+# operands: integer polynomials (denominator 1), constants with a
+# non-unit denominator, one, zero and general quotients
+operands = st.one_of(
+    polys.map(lambda a: RationalFunction(F, a, P_ONE, _canonical=True)),
+    st.builds(lambda a, b: F.lift(Fraction(a, b)), st.integers(-9, 9),
+              st.integers(2, 6)),
+    st.just(F.one), st.just(F.zero),
+    st.builds(lambda a, b: RationalFunction(F, a, b), polys, nonzero_polys))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(operands, operands)
+def test_field_operations_match_general_reduction(x, y):
+    xn, xd, yn, yd = x.num, x.den, y.num, y.den
+    cross = _conv(xn, yd), _conv(yn, xd)
+    want = {
+        "+": RationalFunction(F, _sum(*cross), _conv(xd, yd)),
+        "-": RationalFunction(F, _sum(cross[0], p_neg(cross[1])),
+                              _conv(xd, yd)),
+        "*": RationalFunction(F, _conv(xn, yn), _conv(xd, yd)),
+    }
+    got = {"+": x + y, "-": x - y, "*": x * y}
+    if y:
+        want["/"] = RationalFunction(F, _conv(xn, yd), _conv(xd, yn))
+        got["/"] = x / y
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    ref = {"+": _value(x) + _value(y), "-": _value(x) - _value(y),
+           "*": _value(x) * _value(y)}
+    if y:
+        ref["/"] = _value(x) / _value(y)
+    for op, r in got.items():
+        _assert_canonical(r)
+        assert (r.num, r.den) == (want[op].num, want[op].den), op
+        assert sympy.cancel(_value(r) - ref[op]) == 0, op
+    # an int or Fraction operand is coerced through lift
+    for c in (3, -1, 0, Fraction(-2, 3)):
+        lc = RationalFunction(F, (c.numerator,), (c.denominator,))
+        assert (x + c, c - x, x * c) == (x + lc, lc - x, x * lc)
+        _assert_canonical(c - x)
+
+
+@hypothesis.given(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                            st.fractions(max_denominator=50)))
+def test_lift_matches_general_reduction(c):
+    got = F.lift(c)
+    fr = Fraction(c)
+    _assert_canonical(got)
+    assert (got.num, got.den) == _reduce((fr.numerator,), (fr.denominator,))
+    assert got.as_fraction() == fr
+
+
+@hypothesis.given(st.integers(-5, 5), polys)
+def test_p_mul_by_a_constant_matches_convolution(s, b):
+    for a in ((s,), (0,)):
+        assert p_mul(a, b) == _conv(a, b)
+        assert p_mul(b, a) == _conv(a, b)
+    if b:
+        assert p_mul((1,), b) is b
+    assert p_mul((1,), (0,)) == p_mul((0,), (1,)) == P_ZERO

@@ -50,15 +50,14 @@ def test_s_series_current_commutator():
                     state_scale(
                         ctx.s_alpha_apply(bidx, n,
                                           mod.gen_mode_state(gu, m, v)),
-                        ctx.field.lift(-1), ctx.field),
-                    ctx.field)
+                        ctx.field.lift(-1)))
                 rhs = {}
                 for b2 in cls:
                     c = d.bracket(b2, u).get(bidx)
                     if c:
                         rhs = state_add(rhs, state_scale(
                             ctx.s_alpha_apply(b2, m + n, v),
-                            ctx.field.lift(c), ctx.field), ctx.field)
+                            ctx.field.lift(c)))
                 assert lhs == rhs, (preset, bidx, m, n)
 
 
@@ -83,7 +82,7 @@ def test_s_series_derivative_relation():
                     for n in range(0, w2 // 2 + 2):
                         lhs = state_scale(
                             ctx.s_alpha_apply(bidx, n - 1, v),
-                            field.lift(-(n - 1)), field)
+                            field.lift(-(n - 1)))
                         rhs = {}
                         for b2 in cls:
                             for gam, c in d.bracket(b2, neg).items():
@@ -99,15 +98,15 @@ def test_s_series_derivative_relation():
                                 for i in range(0, w2 // 2 - n + 1):
                                     part = ctx.s_alpha_apply(b2, n + i, v)
                                     part = mod.gen_mode_state(gj, -i - 1, part)
-                                    acc = state_add(acc, part, field)
+                                    acc = state_add(acc, part)
                                 for i in range(0, w2 // 2 + 1):
                                     part = mod.gen_mode_state(gj, i, v)
                                     if part:
                                         part = ctx.s_alpha_apply(
                                             b2, n - i - 1, part)
-                                        acc = state_add(acc, part, field)
+                                        acc = state_add(acc, part)
                                 rhs = state_add(
-                                    rhs, state_scale(acc, coeff, field), field)
+                                    rhs, state_scale(acc, coeff))
                         assert lhs == rhs, (preset, bidx, n, key)
 
 
@@ -220,7 +219,7 @@ def test_exponential_q_on_current_state():
     img = op.apply(st)
     tag = ctx.system.momentum_tag(op.momentum)
     assert set(img) == {((), tag)}
-    assert not ctx.field.is_zero(img[((), tag)])
+    assert img[((), tag)]
 
 
 def test_exponential_screenings_shape_osp():

@@ -319,15 +319,14 @@ def _partition_mults(total):
 
 def _mom_mode(mod, mom, n, state):
     """mu_(n) on a state: sum_i mu_i J^i_(n)."""
-    field = mod.field
     acc = {}
     for j, c in enumerate(mom):
-        if not field.is_zero(c):
+        if c:
             part = mod.gen_mode_state(mod.system.currents[j], n, state)
             for key, v in part.items():
                 cur = acc.get(key)
                 acc[key] = v * c if cur is None else cur + v * c
-    return {k: v for k, v in acc.items() if not field.is_zero(v)}
+    return {k: v for k, v in acc.items() if v}
 
 
 def _pairing(mod, mom, tag):
@@ -368,7 +367,7 @@ def _exp_coeff_by_partitions(mod, mom, J, w0, tag):
                 for key, v in st2.items():
                     cur = out.get(key, field.zero)
                     out[key] = cur + v * field.lift(c2)
-    return {k: v for k, v in out.items() if not field.is_zero(v)}
+    return {k: v for k, v in out.items() if v}
 
 
 def _check_exp_against_partitions(mod, momenta, starts, max_w2=8):

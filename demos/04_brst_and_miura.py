@@ -44,7 +44,7 @@ ops = exponential_screenings(ctx)
 print("projection of each H^0 class lies in the screening kernel:")
 for w2 in (0, 4, 6, 8):
     rep = kernel_basis(ctx, ops, w2, expected=char[w2])
-    kvecs = [field_state(f, ctx.module) for f in rep.basis_fields]
+    kvecs = [field_state(f) for f in rep.basis_fields]
     for cls in brst.h0_basis(w2):
         img = miura_project(brst, cls, ctx)
         sol = solve_in_span(kvecs, img, F)

@@ -17,7 +17,7 @@ for n in (2, 3):
     print("  F =", m.F if n == 2 else "(%d canonical terms)" % len(m.F.terms))
     print("  pulled-inside form equals the definition:",
           m.rewritten_f() == m.F)
-    print("  [E_l E] =", bracket(m.E, m.E, m.module) or "0")
+    print("  [E_l E] =", bracket(m.E, m.E) or "0")
     fails = verify_fs(m)
     print("  screenings annihilate E and F:", "yes" if not fails else fails)
 

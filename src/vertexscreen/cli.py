@@ -94,8 +94,6 @@ def _print_table(doc):
             for key in sorted(node):
                 walk("%s.%s" % (prefix, key) if prefix else str(key),
                      node[key])
-        elif isinstance(node, list):
-            print("%-40s %s" % (prefix, node))
         else:
             print("%-40s %s" % (prefix, node))
 

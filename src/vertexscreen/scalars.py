@@ -509,6 +509,10 @@ class RationalFunctionField:
                 pass
         return _parse_rational_expr(self, text)
 
+    def as_fraction(self, x):
+        """x as a Fraction if it is constant, else None."""
+        return x.as_fraction()
+
     def strip_row(self, row, factor_sink=None):
         """Scale a row of rational functions to coprime integer polynomials.
 
@@ -586,6 +590,12 @@ class Rationals:
 
     def lift(self, fr):
         return Fraction(fr)
+
+    def parse(self, text):
+        return Fraction(text)
+
+    def as_fraction(self, x):
+        return Fraction(x)
 
     def strip_row(self, row, factor_sink=None):
         """Scale a row by a positive rational to coprime ints.

@@ -31,8 +31,7 @@ from .scalars import QQ
 from .superdata import DatumError
 from .vertexcalc import (
     CriticalLevel, GenSystem, GradingMismatch, comb, apply_field_coeff,
-    graded_basis, state_add, state_field, state_scale, sugawara_field,
-    _fact,
+    graded_basis, state_acc, state_field, sugawara_field, _fact,
 )
 
 
@@ -239,15 +238,14 @@ class ScreeningContext:
         m = 0
         while 2 * (m + n) <= w2:
             j = m + n - 1
-            part = apply_field_coeff(a_field, -j - 1, xstate, self.module)
+            part = apply_field_coeff(a_field, -j - 1, xstate)
             if part:
-                c = Fraction((-1) ** ((m + n) % 2) * sigma, _fact(m))
-                part = state_scale(part, field.lift(c))
                 for _ in range(m):
                     part = self.module.translate(part)
-                out = state_add(out, part)
+                c = Fraction((-1) ** ((m + n) % 2) * sigma, _fact(m))
+                state_acc(out, part, field.lift(c), field)
             m += 1
-        return out
+        return {k: v for k, v in out.items() if v}
 
     def s_alpha_apply(self, bidx, n, state):
         """S^a_n on a state of the ambient (current and fermion letters)."""
@@ -293,22 +291,17 @@ class ScreeningOp:
         ctx = self.ctx
         field = ctx.field
         mod = ctx.module
-        if self.kind == "exp":
-            return mod.word_coeff_state((), self.momentum, -1, state)
-        if self.kind == "exp-fermion":
-            word = ((self.fermion, 0),)
+        if self.kind in ("exp", "exp-fermion"):
+            word = ((self.fermion, 0),) if self.kind == "exp-fermion" else ()
             return mod.word_coeff_state(word, self.momentum, -1, state)
+        out = {}
         if self.kind == "generic-one":
-            out = {}
             for bidx in self.class_roots:
                 cval = ctx.chi.of_index(bidx)
-                if not cval:
-                    continue
-                part = ctx.s_alpha_apply(bidx, 1, state)
-                out = state_add(out, state_scale(part, field.lift(cval)))
-            return out
-        if self.kind == "generic-half":
-            out = {}
+                if cval:
+                    part = ctx.s_alpha_apply(bidx, 1, state)
+                    state_acc(out, part, field.lift(cval), field)
+        elif self.kind == "generic-half":
             depth2 = mod.state_depth2(state) if state else 0
             for bidx in self.class_roots:
                 phi = ctx.fermion_of_root[bidx]
@@ -318,18 +311,17 @@ class ScreeningOp:
                 for n in range(0, -(depth2 // 2) - 2, -1):
                     lowered = mod.gen_mode_state(phi, -n, state)
                     if lowered:
-                        out = state_add(out,
-                                        ctx.s_alpha_apply(bidx, n, lowered))
-                sgn = (-1) ** (p_s * p_phi)
+                        state_acc(out, ctx.s_alpha_apply(bidx, n, lowered),
+                                  field.one, field)
+                sgn = -field.one if p_s * p_phi else field.one
                 for n in range(1, depth2 // 2 + 2):
                     part = ctx.s_alpha_apply(bidx, n, state)
                     if part:
                         part = mod.gen_mode_state(phi, -n, part)
-                        if sgn < 0:
-                            part = state_scale(part, field.lift(-1))
-                        out = state_add(out, part)
-            return out
-        raise ValueError("unknown screening kind %r" % self.kind)
+                        state_acc(out, part, sgn, field)
+        else:
+            raise ValueError("unknown screening kind %r" % self.kind)
+        return {k: v for k, v in out.items() if v}
 
 
 def generic_screenings(ctx):
@@ -465,9 +457,13 @@ def expected_character(datum, grading, max_weight2):
     This is a pure combinatorial oracle: it never touches the bracket
     engine.  Returns {doubled weight: dimension}.
     """
-    gens = []
-    for comb_, j2, par in grading.centralizer_generators():
-        gens.append((2 - j2, par))  # conformal doubled weight of the generator
+    # conformal doubled weight 2 - j2 of each generator, with its parity
+    gens = [(2 - j2, par) for _, j2, par in grading.centralizer_generators()]
+    return character_of_generators(gens, max_weight2)
+
+
+def character_of_generators(gens, max_weight2):
+    """The free-algebra character from explicit (doubled weight, parity)."""
     series = {0: 1}
     for (w2, par) in gens:
         factor = {0: 1}
@@ -477,11 +473,9 @@ def expected_character(datum, grading, max_weight2):
                 new = dict(factor)
                 for start, c in factor.items():
                     total = start + mode
-                    mult = 1
                     while total <= max_weight2:
                         new[total] = new.get(total, 0) + c
                         total += mode
-                        mult += 1
                 factor = new
         else:
             for mode in range(w2, max_weight2 + 1, 2):
@@ -497,16 +491,3 @@ def expected_character(datum, grading, max_weight2):
                     merged[a + b] = merged.get(a + b, 0) + ca * cb
         series = merged
     return {w2: series.get(w2, 0) for w2 in range(0, max_weight2 + 1)}
-
-
-def character_of_generators(gens, max_weight2):
-    """Same free-algebra character from explicit (doubled weight, parity)."""
-
-    class _G:
-        def __init__(self, entries):
-            self.entries = entries
-
-        def centralizer_generators(self):
-            return [({}, 2 - w2, par) for (w2, par) in self.entries]
-
-    return expected_character(None, _G(gens), max_weight2)

@@ -6,16 +6,14 @@ A field expression serializes as a list of terms
 Mode and weight integers are doubled wherever half-integers can occur.
 """
 
-from fractions import Fraction
-
-from .vertexcalc import FieldExpr
+from .vertexcalc import FieldExpr, _term_sort_key
 
 
 def field_to_json(fe):
     sys = fe.system
     out = []
     for (word, mom), c in sorted(fe.terms.items(),
-                                 key=lambda kv: _sort_key(kv[0])):
+                                 key=lambda kv: _term_sort_key(kv[0])):
         term = {
             "coeff": str(c),
             "word": [[sys.gens[g].name, d] for (g, d) in word],
@@ -26,26 +24,16 @@ def field_to_json(fe):
     return out
 
 
-def _sort_key(key):
-    word, mom = key
-    return (word, () if mom is None else tuple(str(x) for x in mom))
-
-
 def field_from_json(system, doc):
     field = system.field
     terms = {}
     for term in doc:
-        coeff = _parse_scalar(field, term["coeff"])
+        coeff = field.parse(term["coeff"])
         word = tuple((system.by_name[name], int(d)) for name, d in term["word"])
         mom = term.get("momentum")
         if mom is not None:
-            mom = tuple(_parse_scalar(field, x) for x in mom)
+            mom = tuple(field.parse(x) for x in mom)
         key = (word, mom)
         terms[key] = terms.get(key, field.zero) + coeff
     return FieldExpr(system, terms)
 
-
-def _parse_scalar(field, text):
-    if hasattr(field, "parse"):
-        return field.parse(text)
-    return Fraction(text)

@@ -818,7 +818,7 @@ def load_datum(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatumError(exc) from exc
     return datum_from_json(doc)
 

@@ -13,8 +13,7 @@ from .screening import exponential_screenings, expected_character, kernel_basis
 from .serialize import field_to_json
 from .vertexcalc import (
     FieldExpr, apply_field_coeff, bracket, derive, field_state, graded_basis,
-    lambda_shift_skew, normal_order, state_field, state_add, state_scale,
-    _binom, _fact,
+    lambda_shift_skew, normal_order, state_acc, state_field, _binom, _fact,
 )
 from .walgebras import (WakimotoMap, build_complex, build_w2n, build_wbn,
                         miura_project, verify_fs, verify_wbn_screening)
@@ -57,10 +56,10 @@ def _sample_triple(module, rng, wmax2):
 # the four bracket axioms
 
 
-def check_skew(a, b, module):
-    lp = bracket(a, b, module)
-    direct = bracket(b, a, module)
-    want = lambda_shift_skew(lp, a.parity(), b.parity(), a.system, module)
+def check_skew(a, b):
+    lp = bracket(a, b)
+    direct = bracket(b, a)
+    want = lambda_shift_skew(lp, a.parity(), b.parity(), a.system)
     keys = set(direct) | set(want)
     zero = FieldExpr(a.system, {})
     for n in keys:
@@ -69,12 +68,12 @@ def check_skew(a, b, module):
     return True
 
 
-def _double_left(a, b, c, module):
+def _double_left(a, b, c):
     """{(i, j): field} with   [a_l [b_m c]] = sum F_ij l^i m^j."""
-    inner = bracket(b, c, module)
+    inner = bracket(b, c)
     out = {}
     for j, cj in inner.items():
-        outer = bracket(a, cj, module)
+        outer = bracket(a, cj)
         for i, f in outer.items():
             coeff = Fraction(1, _fact(i) * _fact(j))
             key = (i, j)
@@ -83,13 +82,13 @@ def _double_left(a, b, c, module):
     return out
 
 
-def _jacobi_rhs(a, b, c, module):
+def _jacobi_rhs(a, b, c):
     """{(i, j): field} for [[a_l b]_{l+m} c]."""
-    first = bracket(a, b, module)
+    first = bracket(a, b)
     out = {}
     field = a.system.field
     for n, fn in first.items():
-        second = bracket(fn, c, module)
+        second = bracket(fn, c)
         for j, f in second.items():
             for t in range(j + 1):
                 coeff = Fraction(_binom(j, t), _fact(n) * _fact(j))
@@ -99,38 +98,38 @@ def _jacobi_rhs(a, b, c, module):
     return out
 
 
-def check_jacobi(a, b, c, module):
+def check_jacobi(a, b, c):
     field = a.system.field
-    lhs = _double_left(a, b, c, module)
-    swapped = _double_left(b, a, c, module)
+    lhs = _double_left(a, b, c)
+    swapped = _double_left(b, a, c)
     sign = (-1) ** (a.parity() * b.parity())
     for (i, j), f in swapped.items():
         term = f.scale(field.lift(-sign))
         key = (j, i)
         lhs[key] = lhs[key] + term if key in lhs else term
-    rhs = _jacobi_rhs(a, b, c, module)
+    rhs = _jacobi_rhs(a, b, c)
     zero = FieldExpr(a.system, {})
     keys = set(lhs) | set(rhs)
     return all(lhs.get(k, zero) == rhs.get(k, zero) for k in keys)
 
 
-def check_wick(a, b, c, module):
+def check_wick(a, b, c):
     """[a_l :bc:] = :[a_l b]c: + (-1)^{p(a)p(b)} :b [a_l c]: + integral term."""
     field = a.system.field
     zero = FieldExpr(a.system, {})
-    lhs = bracket(a, normal_order(b, c, module), module)
-    ab = bracket(a, b, module)
-    ac = bracket(a, c, module)
+    lhs = bracket(a, normal_order(b, c))
+    ab = bracket(a, b)
+    ac = bracket(a, c)
     sign = (-1) ** (a.parity() * b.parity())
     rhs = {}
     for n, f in ab.items():
-        rhs[n] = normal_order(f, c, module)
+        rhs[n] = normal_order(f, c)
     for n, f in ac.items():
-        term = normal_order(b, f, module).scale(field.lift(sign))
+        term = normal_order(b, f).scale(field.lift(sign))
         rhs[n] = rhs[n] + term if n in rhs else term
     # integral_0^l [[a_l b]_m c] dm  =  sum_{n,j} X_nj l^{n+j+1} / (n! j! (j+1))
     for n, fn in ab.items():
-        second = bracket(fn, c, module)
+        second = bracket(fn, c)
         for j, f in second.items():
             m = n + j + 1
             coeff = Fraction(_fact(m), _fact(n) * _fact(j) * (j + 1))
@@ -142,27 +141,24 @@ def check_wick(a, b, c, module):
                                      and k not in lhs))
 
 
-def check_commutator(a, b, cases, module):
+def check_commutator(a, b, cases):
     """The first (v, m, n) of cases where [a_(m), b_(n)] v differs from
     sum_j C(m, j) (a_(j) b)_(m+n-j) v, or None when every case holds.
 
     The bracket depends only on the pair, so it is computed once."""
     field = a.system.field
     sign = field.lift(-(-1) ** (a.parity() * b.parity()))
-    ab = bracket(a, b, module)
+    ab = bracket(a, b)
     for v, m, n in cases:
-        av = apply_field_coeff(b, -n - 1, v, module)
-        lhs = apply_field_coeff(a, -m - 1, av, module)
-        bv = apply_field_coeff(a, -m - 1, v, module)
-        lhs = state_add(lhs, state_scale(
-            apply_field_coeff(b, -n - 1, bv, module), sign))
-        rhs = {}
+        diff = apply_field_coeff(a, -m - 1, apply_field_coeff(b, -n - 1, v))
+        state_acc(diff, apply_field_coeff(
+            b, -n - 1, apply_field_coeff(a, -m - 1, v)), sign, field)
         for j, f in ab.items():
             bj = _binom(m, j)
             if bj:
-                part = apply_field_coeff(f, -(m + n - j) - 1, v, module)
-                rhs = state_add(rhs, state_scale(part, field.lift(bj)))
-        if lhs != rhs:
+                part = apply_field_coeff(f, -(m + n - j) - 1, v)
+                state_acc(diff, part, field.lift(-bj), field)
+        if any(diff.values()):
             return v, m, n
     return None
 
@@ -188,14 +184,13 @@ def verify_wick(args, rng):
                 continue
             a, b, c = triple
             count += 3
-            ok = check_skew(a, b, module) and \
-                check_jacobi(a, b, c, module) and \
-                check_wick(a, b, c, module)
+            ok = check_skew(a, b) and check_jacobi(a, b, c) and \
+                check_wick(a, b, c)
             if ok:
                 v = {key: ctx.field.one
                      for key in graded_basis(module, rng.randrange(0, 5))}
                 m, n = rng.randint(-2, 2), rng.randint(-2, 2)
-                ok = check_commutator(a, b, [(v, m, n)], module) is None
+                ok = check_commutator(a, b, [(v, m, n)]) is None
             if not ok:
                 failures.append({"preset": preset, "trial": t,
                                  "a": field_to_json(a), "b": field_to_json(b),
@@ -259,15 +254,10 @@ def verify_wbn(args, rng):
         witness.append({"check": "screening", "first": str(fails[0][0])})
     if n == 1:
         got = model.brackets
-        want0 = (normal_order(model.system.gen_field(model.bgen[0]),
-                              model.system.gen_field(model.bgen[0]),
-                              model.module) +
-                 derive(model.system.gen_field(model.bgen[0]),
-                        model.module).scale(model.gamma) +
-                 normal_order(derive(model.system.gen_field(model.psi),
-                                     model.module),
-                              model.system.gen_field(model.psi),
-                              model.module))
+        b = model.system.gen_field(model.bgen[0])
+        psi = model.system.gen_field(model.psi)
+        want0 = normal_order(b, b) + derive(b).scale(model.gamma) + \
+            normal_order(derive(psi), psi)
         if got.get(0) != want0:
             witness.append({"check": "n=1 closed form"})
     return {
@@ -323,7 +313,7 @@ def verify_miura(args, rng):
         if len(h0) != rep.kernel_dim:
             witness.append({"check": "dim", "weight2": w2})
             continue
-        kvecs = [field_state(f, ctx.module) for f in rep.basis_fields]
+        kvecs = [field_state(f) for f in rep.basis_fields]
         for cls in h0:
             img = miura_project(brst, cls, ctx)
             sol = solve_in_span(kvecs, img, field)

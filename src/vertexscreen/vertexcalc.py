@@ -20,6 +20,12 @@ Highest vectors carry momentum (Fock modules over the abelian current
 part) or a finite zero-mode action table (induced modules); lattice
 exponential operators act through their explicit mode series.  All states
 are graded by depth above the highest vector, a doubled integer.
+
+A field carries its generator system, and each system has one module
+(GenSystem.module), so the derived operations (field_state, bracket,
+normal_order, derive, apply_field_coeff, ...) take fields and states
+only.  States are dicts {(word, tag): coeff}; state_acc, which adds
+coeff * part into a state in place, is the one way to add them.
 """
 
 from fractions import Fraction
@@ -377,14 +383,14 @@ class Module:
                     bj = _binom(m, j) * scale
                     if bj:
                         part = self.comb_mode(lc, m + m1 - j, rest, tag)
-                        _acc_state(acc, part, field.lift(bj), field)
+                        state_acc(acc, part, field.lift(bj), field)
                 if not repeat:
                     sign = (-1) ** (gens[g].parity * gens[g1].parity)
                     inner = self.gen_mode(g, m, rest, tag)
                     for (w2, t2), c in inner.items():
                         part = self.gen_mode(g1, m1, w2, t2)
                         cc = c if sign > 0 else -c
-                        _acc_state(acc, part, cc, field)
+                        state_acc(acc, part, cc, field)
                 out = {k: v for k, v in acc.items() if v}
         self._mode_memo[key] = out
         return out
@@ -401,14 +407,14 @@ class Module:
                 continue
             c = coeff * field.lift((-1) ** d * ff)
             part = self.gen_mode(g2, s - d, word, tag)
-            _acc_state(acc, part, c, field)
+            state_acc(acc, part, c, field)
         return {k: v for k, v in acc.items() if v}
 
     def gen_mode_state(self, g, m, state):
         field = self.field
         acc = {}
         for (w, t), c in state.items():
-            _acc_state(acc, self.gen_mode(g, m, w, t), c, field)
+            state_acc(acc, self.gen_mode(g, m, w, t), c, field)
         return {k: v for k, v in acc.items() if v}
 
     # -- translation -------------------------------------------------------------
@@ -426,10 +432,10 @@ class Module:
             rest = word[1:]
             acc = {}
             part = self.gen_mode(g1, m1 - 1, rest, tag)
-            _acc_state(acc, part, field.lift(-m1), field)
+            state_acc(acc, part, field.lift(-m1), field)
             inner = self.translate_mono(rest, tag)
             for (w2, t2), c in inner.items():
-                _acc_state(acc, self.gen_mode(g1, m1, w2, t2), c, field)
+                state_acc(acc, self.gen_mode(g1, m1, w2, t2), c, field)
             out = {k: v for k, v in acc.items() if v}
         self._translate_memo[key] = out
         return out
@@ -438,7 +444,7 @@ class Module:
         field = self.field
         acc = {}
         for (w, t), c in state.items():
-            _acc_state(acc, self.translate_mono(w, t), c, field)
+            state_acc(acc, self.translate_mono(w, t), c, field)
         return {k: v for k, v in acc.items() if v}
 
     # -- coefficient extraction for normally ordered word fields ----------------
@@ -460,7 +466,7 @@ class Module:
             raise GradingMismatch(
                 "lattice exponential applied to a non-Fock highest vector")
         val = self.system.pair_momenta(mom, hv.momentum)
-        fr = val.as_fraction() if hasattr(val, "as_fraction") else Fraction(val)
+        fr = self.field.as_fraction(val)
         if fr is None or fr.denominator != 1:
             raise GradingMismatch(
                 "momentum pairing %s is not an integer" % val)
@@ -495,7 +501,7 @@ class Module:
                 inner = self.word_coeff_mono(rest, mom, J - i, w0, tag)
                 for (w2, t2), c in inner.items():
                     part = self.letter_mode(g, d, -i - 1, w2, t2)
-                    _acc_state(acc, part, c, field)
+                    state_acc(acc, part, c, field)
             w2a = gens[g].weight2 + 2 * d
             imax2 = (D2 + w2a) // 2 - 1
             sign = (-1) ** (p_a * p_rest)
@@ -504,7 +510,7 @@ class Module:
                 for (w2, t2), c in lower.items():
                     part = self.word_coeff_mono(rest, mom, J + i + 1, w2, t2)
                     cc = c if sign > 0 else -c
-                    _acc_state(acc, part, cc, field)
+                    state_acc(acc, part, cc, field)
             out = {k: v for k, v in acc.items() if v}
         self._word_memo[key] = out
         return out
@@ -540,7 +546,7 @@ class Module:
             up = [{(w, new_tag): c for (w, t), c in st.items()}]
             for a in range(1, top + 1):
                 up.append(self._exp_step(mom, up, -1, Fraction(1, a)))
-            _acc_state(out, up[top], field.one, field)
+            state_acc(out, up[top], field.one, field)
         return {k: v for k, v in out.items() if v}
 
     def _exp_step(self, mom, ladder, sign, scale):
@@ -555,19 +561,24 @@ class Module:
         for j in range(1, n + 1):
             for (w, t), c in ladder[n - j].items():
                 for g, cg in parts:
-                    _acc_state(acc, self.gen_mode(g, sign * j, w, t), c * cg,
-                               field)
+                    state_acc(acc, self.gen_mode(g, sign * j, w, t), c * cg,
+                              field)
         return {k: v for k, v in acc.items() if v}
 
     def word_coeff_state(self, word, mom, J, state):
         field = self.field
         acc = {}
         for (w, t), c in state.items():
-            _acc_state(acc, self.word_coeff_mono(word, mom, J, w, t), c, field)
+            state_acc(acc, self.word_coeff_mono(word, mom, J, w, t), c, field)
         return {k: v for k, v in acc.items() if v}
 
 
-def _acc_state(acc, part, coeff, field):
+def state_acc(acc, part, coeff, field):
+    """Add coeff * part into the state acc, in place.
+
+    This is the one way states are added: a caller starts acc from {} or
+    from a result it owns (never from a memo entry; part is only read),
+    and trims zero coefficients once at the end."""
     if not coeff:
         return
     if coeff is field.one:
@@ -582,20 +593,6 @@ def _acc_state(acc, part, coeff, field):
 
 # ---------------------------------------------------------------------------
 # state <-> field
-
-
-def state_add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        cur = out.get(k)
-        out[k] = c if cur is None else cur + c
-    return {k: v for k, v in out.items() if v}
-
-
-def state_scale(a, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
 
 
 class FieldExpr:
@@ -699,26 +696,24 @@ def _term_sort_key(key):
     return (word, () if mom is None else tuple(str(x) for x in mom))
 
 
-def field_state(fe, module=None):
+def field_state(fe):
     """The state A_(-1)...|0> (or |mu> for a momentum factor) of a field."""
-    module = module or fe.system.module()
-    field = module.field
+    sys = fe.system
+    module = sys.module()
+    field = sys.field
     out = {}
     for (word, mom), c in fe.terms.items():
-        tag = module.system.momentum_tag(mom) if mom is not None \
-            else module.system.vacuum_tag()
+        tag = sys.momentum_tag(mom) if mom is not None else sys.vacuum_tag()
         module.hv(tag)
         st = {((), tag): c}
         for (g, d) in reversed(word):
             scale = field.lift(_fact(d))
             nxt = {}
             for (w, t), cc in st.items():
-                _acc_state(nxt, module.gen_mode(g, -d - 1, w, t), cc * scale,
-                           field)
+                state_acc(nxt, module.gen_mode(g, -d - 1, w, t), cc * scale,
+                          field)
             st = nxt
-        for k, v in st.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
+        state_acc(out, st, field.one, field)
     return {k: v for k, v in out.items() if v}
 
 
@@ -747,25 +742,24 @@ def state_field(state, system):
 # derived operations
 
 
-def apply_field_coeff(fe, J, state, module=None):
+def apply_field_coeff(fe, J, state):
     """[z^J] (F(z) state) for a field expression F."""
-    module = module or fe.system.module()
+    module = fe.system.module()
     field = module.field
     acc = {}
     for (word, mom), c in fe.terms.items():
         part = module.word_coeff_state(word, mom, J, state)
-        _acc_state(acc, part, c, field)
+        state_acc(acc, part, c, field)
     return {k: v for k, v in acc.items() if v}
 
 
-def mode_apply(fe, n2, state, module=None):
+def mode_apply(fe, n2, state):
     """Physical mode A_{n} (doubled index n2) applied to a state.
 
     For a field of doubled weight w2 the physical index m (with
     A(z) = sum_m A_m z^{-m-w}) relates to the integer mode index by
     A_m = A_(m + w - 1); n2 + w2 must be even.
     """
-    module = module or fe.system.module()
     weights = {sum(fe.system.gens[g].weight2 + 2 * d for (g, d) in word)
                for (word, mom) in fe.terms}
     for (word, mom) in fe.terms:
@@ -779,16 +773,16 @@ def mode_apply(fe, n2, state, module=None):
         raise GradingMismatch("mode index %s/2 incompatible with weight %s/2"
                               % (n2, w2))
     n = (n2 + w2) // 2 - 1
-    return apply_field_coeff(fe, -n - 1, state, module)
+    return apply_field_coeff(fe, -n - 1, state)
 
 
-def bracket(a, b, module=None):
+def bracket(a, b):
     """[a_lambda b] as {n: field of (a_(n) b)}; lambda-poly coefficients
     carry the 1/n! normalization implicitly (entry n is a_(n) b)."""
-    module = module or a.system.module()
     if a.system is not b.system:
         raise UnknownGenerator("bracket of fields over different systems")
-    bstate = field_state(b, module)
+    module = a.system.module()
+    bstate = field_state(b)
     if not bstate:
         return {}
     depth_b = module.state_depth2(bstate)
@@ -797,18 +791,15 @@ def bracket(a, b, module=None):
         w2a = sum(a.system.gens[g].weight2 + 2 * d for (g, d) in word)
         # a_(n) b vanishes once the target depth would go negative; the
         # momentum pairing shifts the cutoff for lattice factors
-        nmax = (depth_b + w2a) // 2 - _mom_bound(a.system, mom, bstate, module)
+        nmax = (depth_b + w2a) // 2 - _mom_bound(mom, bstate, module)
         for n in range(0, nmax + 1):
             part = module.word_coeff_state(word, mom, -n - 1, bstate)
-            if part:
-                cur = out.get(n)
-                st = state_scale(part, c)
-                out[n] = st if cur is None else state_add(cur, st)
+            state_acc(out.setdefault(n, {}), part, c, module.field)
     return {n: state_field(st, a.system) for n, st in out.items()
             if any(st.values())}
 
 
-def _mom_bound(system, mom, bstate, module):
+def _mom_bound(mom, bstate, module):
     if mom is None:
         return 0
     worst = 0
@@ -818,32 +809,29 @@ def _mom_bound(system, mom, bstate, module):
     return worst
 
 
-def normal_order(a, b, module=None):
+def normal_order(a, b):
     """The normally ordered product :ab: in canonical form."""
-    module = module or a.system.module()
-    st = apply_field_coeff(a, 0, field_state(b, module), module)
-    return state_field(st, a.system)
+    return state_field(apply_field_coeff(a, 0, field_state(b)), a.system)
 
 
-def normal_order_list(factors, module=None):
+def normal_order_list(factors):
     out = factors[-1]
     for f in reversed(factors[:-1]):
-        out = normal_order(f, out, module)
+        out = normal_order(f, out)
     return out
 
 
-def derive(a, module=None):
-    module = module or a.system.module()
-    return state_field(module.translate(field_state(a, module)), a.system)
+def derive(a):
+    return state_field(a.system.module().translate(field_state(a)), a.system)
 
 
-def derive_n(a, n, module=None):
+def derive_n(a, n):
     for _ in range(n):
-        a = derive(a, module)
+        a = derive(a)
     return a
 
 
-def lambda_shift_skew(lp, pa, pb, system, module=None):
+def lambda_shift_skew(lp, pa, pb, system):
     """Apply skew-symmetry: from [a_lambda b] compute [b_lambda a]."""
     field = system.field
     out = {}
@@ -854,7 +842,7 @@ def lambda_shift_skew(lp, pa, pb, system, module=None):
             if n not in lp:
                 continue
             c = Fraction((-1) ** n, _fact(n - m)) * (-(-1) ** (pa * pb))
-            term = derive_n(lp[n], n - m, module).scale(field.lift(c))
+            term = derive_n(lp[n], n - m).scale(field.lift(c))
             acc = term if acc is None else acc + term
         if acc is not None and not acc.is_zero():
             out[m] = acc

@@ -17,7 +17,7 @@ from .scalars import QQ, RationalFunctionField
 from .screening import set_free_field_tables
 from .vertexcalc import (
     FieldExpr, GenSystem, comb, apply_field_coeff, bracket, derive,
-    field_state, graded_basis, normal_order, state_add, state_scale,
+    field_state, graded_basis, normal_order, state_acc,
 )
 
 
@@ -202,26 +202,24 @@ class BRSTComplex:
         else:
             (g, m) = word[0]
             rest = word[1:]
-            acc = {}
+            out = {}
             img = self.d0_image.get(g)
             if img is not None and img.terms:
-                part = apply_field_coeff(img, -m - 1, {(rest, tag): field.one},
-                                         self.module)
-                acc = dict(part)
+                out = apply_field_coeff(img, -m - 1, {(rest, tag): field.one})
             inner = self.d0_mono(rest, tag)
             if inner:
-                sign = (-1) ** self.system.gens[g].parity
+                sign = -field.one if self.system.gens[g].parity else field.one
                 part = self.module.gen_mode_state(g, m, inner)
-                acc = state_add(acc, state_scale(part, field.lift(sign)))
-            out = acc
+                state_acc(out, part, sign, field)
+                out = {k: v for k, v in out.items() if v}
         self._d0_memo[key] = out
         return out
 
     def d0_state(self, state):
         out = {}
         for (w, t), c in state.items():
-            out = state_add(out, state_scale(self.d0_mono(w, t), c))
-        return out
+            state_acc(out, self.d0_mono(w, t), c, self.field)
+        return {k: v for k, v in out.items() if v}
 
     # -- graded pieces and cohomology ---------------------------------------------
 
@@ -343,15 +341,14 @@ class WBnModel:
         self.module = sys.module()
         self.G = self._build_g()
         self.gamma_consts = self._gamma_consts()
-        self.brackets = bracket(self.G, self.G, self.module)
+        self.brackets = bracket(self.G, self.G)
         self.W = self._solve_w()
 
     def _build_g(self):
         out = self.system.gen_field(self.psi)
         for i in range(self.n - 1, -1, -1):
             b = self.system.gen_field(self.bgen[i])
-            out = derive(out, self.module).scale(self.gamma) + \
-                normal_order(b, out, self.module)
+            out = derive(out).scale(self.gamma) + normal_order(b, out)
         return out
 
     def _gamma_consts(self):
@@ -435,7 +432,7 @@ def verify_wbn_screening(n):
     field = model.field
     s = field.gen
     mod = model.module
-    gstate = field_state(model.G, mod)
+    gstate = field_state(model.G)
     failures = []
     for i in range(1, n + 1):
         coords = [field.zero] * n
@@ -515,10 +512,7 @@ class W2nModel:
         self.Q = self.exp_field({self.psig: field.one})
 
     def exp_field(self, comps):
-        coords = [self.field.zero] * len(self.system.currents)
-        for g, c in comps.items():
-            coords[self.system.current_pos[g]] = c
-        return self.system.exp_field(tuple(coords))
+        return self.system.exp_field(self.coords(comps))
 
     def coords(self, comps):
         out = [self.field.zero] * len(self.system.currents)
@@ -558,8 +552,7 @@ class W2nModel:
             cur = tail_field
             for (g, dd) in reversed(word):
                 letter = self.system.gen_field(g, dd)
-                cur = letter if cur is None else \
-                    normal_order(letter, cur, self.module)
+                cur = letter if cur is None else normal_order(letter, cur)
             term = cur.scale(c)
             acc = term if acc is None else acc + term
         return acc
@@ -570,16 +563,14 @@ class W2nModel:
         kn1 = self.k + field.lift(self.n - 1)
         xi = self.system.gen_field(self.xig)
         base = normal_order(self.system.gen_field(self.psig),
-                            self.exp_field({self.xig: -field.one}),
-                            self.module)
+                            self.exp_field({self.xig: -field.one}))
         out = base
         for j in range(1, self.n):
             dressing = self.system.gen_field(self.psig)
             for i in range(1, j + 1):
                 dressing = dressing + self.system.gen_field(self.agen[i - 1])
-            out = (derive(out, self.module) +
-                   normal_order(xi, out, self.module)).scale(kn1) + \
-                normal_order(dressing, out, self.module)
+            out = (derive(out) + normal_order(xi, out)).scale(kn1) + \
+                normal_order(dressing, out)
         return out.scale(field.lift(-1))
 
     def screening_momenta(self):
@@ -600,7 +591,7 @@ def verify_fs(model):
     """A_i and Q annihilate E and F; returns failing witnesses."""
     failures = []
     for name, fe in (("E", model.E), ("F", model.F)):
-        st = field_state(fe, model.module)
+        st = field_state(fe)
         for i, mu in enumerate(model.screening_momenta()):
             img = model.apply_screening(mu, st)
             if img:
@@ -642,14 +633,10 @@ class WakimotoMap:
         self.h_images = h_imgs
         # e_{a1} and e_{-a1}
         e_img = m.E
-        base = normal_order(
-            m.system.gen_field(m.psig),
-            m.exp_field({m.xig: -field.one}), m.module)
-        inner = (derive(base, m.module) +
-                 normal_order(m.system.gen_field(m.xig), base, m.module)) \
+        base = normal_order(cur(m.psig), m.exp_field({m.xig: -field.one}))
+        inner = (derive(base) + normal_order(cur(m.xig), base)) \
             .scale(k + field.lift(n - 1)) + \
-            normal_order(m.system.gen_field(m.psig) +
-                         m.system.gen_field(m.agen[0]), base, m.module)
+            normal_order(cur(m.psig) + cur(m.agen[0]), base)
         f_img = inner.scale(field.lift(-1))
         self.e_image = e_img
         self.f_image = f_img
@@ -687,8 +674,7 @@ class WakimotoMap:
         checked = 0
         for u in self.g0:
             for v in self.g0:
-                got = bracket(self.image_of_basis[u], self.image_of_basis[v],
-                              self.model.module)
+                got = bracket(self.image_of_basis[u], self.image_of_basis[v])
                 want0 = self.image_of_comb(d.bracket(u, v))
                 tau = self.levelform.tau_scalar(field, field.gen, u, v)
                 zero = FieldExpr(self.model.system, {})
@@ -718,6 +704,6 @@ class WakimotoMap:
             img = {((), target_vac): c}
             for (g, m) in reversed(word):
                 fe = self.image_of_basis[basis_of_gen[g]]
-                img = apply_field_coeff(fe, -m - 1, img, self.model.module)
-            out = state_add(out, img)
-        return out
+                img = apply_field_coeff(fe, -m - 1, img)
+            state_acc(out, img, self.field.one, self.field)
+        return {k: v for k, v in out.items() if v}

@@ -26,8 +26,8 @@ def test_serialize_round_trip():
     sys_ = ctx.system
     J = sys_.gen_field(0)
     P = sys_.gen_field(ctx.fermion_of_root[ctx.base.pi_half[0]])
-    fe = normal_order(J, derive(P, ctx.module), ctx.module).scale(
-        sys_.field.gen / (sys_.field.gen + 2))
+    fe = normal_order(J, derive(P)).scale(sys_.field.gen /
+                                          (sys_.field.gen + 2))
     doc = field_to_json(fe)
     assert field_from_json(sys_, doc) == fe
     # momentum factors survive the trip
@@ -230,6 +230,15 @@ def test_wrong_json_type_in_flags_is_usage_error(flags, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --") and "internal" not in err
 
+
+def test_datum_file_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bom16.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["kernel", "--datum", str(path),
+                 "--labels", '{"s1": 2}']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UnicodeDecodeError" not in err \
+        and "internal" not in err
 
 
 def _stdlib_error(fn):

@@ -12,6 +12,10 @@ screening ambient and the BRST complex shared one table builder, except
 the ``verify wbn --n 3`` and ``verify wick --trials 5`` reports (the
 first carries the exact top coefficient of WB_3 as a string), written
 before Q(k) arithmetic on integer polynomials skipped normalization.  The
+two ``kernel-generic-*`` files hold what ``kernel --screenings generic``
+wrote before the vertex calculus read each field's module off its
+generator system and added states only through ``state_acc``; they cover
+both generic screening constructions on whole graded pieces.  The
 engine promises identical output for a fixed configuration, so a change
 that moves any byte of a basis, a dimension, a cohomology count, a
 projection scalar or a reported denominator fails here.  Regenerate a
@@ -40,6 +44,10 @@ VERIFY_CASES = [
     ("miura", "osp1_4-regular", "symbolic", 6),
     ("miura", "sl3-subregular-cartan", "symbolic", 6),
 ]
+GENERIC_CASES = [
+    ("osp1_2-regular", "symbolic", 6),
+    ("sl3-subregular-cartan", "symbolic", 6),
+]
 INFO_CASES = [("osp1_6-regular", 8), ("sl4-subregular", 8)]
 SUITE_CASES = [
     ("verify-wbn-n3.json", ["verify", "wbn", "--n", "3"]),
@@ -60,6 +68,15 @@ def test_kernel_report_matches_golden(preset, level, max_w2, tmp_path,
     name = "kernel-%s-%s-%d.json" % (preset, level.replace("/", "_"), max_w2)
     _run_to_file(["kernel", "--preset", preset, "--level", level,
                   "--max-weight", str(max_w2)], name, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("preset, level, max_w2", GENERIC_CASES)
+def test_generic_kernel_report_matches_golden(preset, level, max_w2,
+                                              tmp_path, capsys):
+    name = "kernel-generic-%s-%s-%d.json" % (preset, level, max_w2)
+    _run_to_file(["kernel", "--preset", preset, "--level", level,
+                  "--max-weight", str(max_w2), "--screenings", "generic"],
+                 name, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("suite, preset, level, max_w2", VERIFY_CASES)

@@ -90,6 +90,13 @@ def test_parse_round_trip(F):
         assert F.parse(str(x)) == x
     assert F.parse("(k+1)^2/(k-1)") == (k + 1) * (k + 1) / (k - 1)
     assert QQ.lift(Fraction(3, 4)) == Fraction(3, 4)
+    assert QQ.parse(str(Fraction(-7, 3))) == Fraction(-7, 3)
+
+
+def test_as_fraction_on_both_fields(F):
+    assert F.as_fraction(F.lift(Fraction(5, 2))) == Fraction(5, 2)
+    assert F.as_fraction(F.gen) is None
+    assert QQ.as_fraction(Fraction(-4)) == Fraction(-4)
 
 
 def test_division_by_zero(F):

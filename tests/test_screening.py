@@ -8,8 +8,7 @@ from vertexscreen.screening import (NonCartanZeroPart, expected_character,
                                     character_of_generators,
                                     exponential_screenings,
                                     generic_screenings, kernel_basis)
-from vertexscreen.vertexcalc import (CriticalLevel, graded_basis, state_add,
-                                     state_scale)
+from vertexscreen.vertexcalc import CriticalLevel, graded_basis, state_acc
 
 
 def test_s_series_on_vacuum():
@@ -31,6 +30,7 @@ def test_s_series_current_commutator():
     for preset in ("sl3-subregular", "sl2-regular"):
         ctx = preset_context(preset)
         d = ctx.datum
+        field = ctx.field
         mod = ctx.module
         for bidx in ctx.base.pi_half:
             cls = ctx.base.class_of(bidx)
@@ -45,20 +45,17 @@ def test_s_series_current_commutator():
                 gu = ctx.current_of_basis[u]
                 m = rng.randint(-2, 2)
                 n = rng.randint(-1, w2 // 2 + 1)
-                lhs = state_add(
-                    mod.gen_mode_state(gu, m, ctx.s_alpha_apply(bidx, n, v)),
-                    state_scale(
-                        ctx.s_alpha_apply(bidx, n,
-                                          mod.gen_mode_state(gu, m, v)),
-                        ctx.field.lift(-1)))
-                rhs = {}
+                # lhs - rhs
+                diff = mod.gen_mode_state(gu, m,
+                                          ctx.s_alpha_apply(bidx, n, v))
+                state_acc(diff, ctx.s_alpha_apply(
+                    bidx, n, mod.gen_mode_state(gu, m, v)), -field.one, field)
                 for b2 in cls:
                     c = d.bracket(b2, u).get(bidx)
                     if c:
-                        rhs = state_add(rhs, state_scale(
-                            ctx.s_alpha_apply(b2, m + n, v),
-                            ctx.field.lift(c)))
-                assert lhs == rhs, (preset, bidx, m, n)
+                        state_acc(diff, ctx.s_alpha_apply(b2, m + n, v),
+                                  field.lift(-c), field)
+                assert not any(diff.values()), (preset, bidx, m, n)
 
 
 def test_s_series_derivative_relation():
@@ -80,10 +77,10 @@ def test_s_series_derivative_relation():
                         continue
                     v = {key: field.one}
                     for n in range(0, w2 // 2 + 2):
-                        lhs = state_scale(
-                            ctx.s_alpha_apply(bidx, n - 1, v),
-                            field.lift(-(n - 1)))
-                        rhs = {}
+                        # lhs - rhs
+                        diff = {}
+                        state_acc(diff, ctx.s_alpha_apply(bidx, n - 1, v),
+                                  field.lift(-(n - 1)), field)
                         for b2 in cls:
                             for gam, c in d.bracket(b2, neg).items():
                                 if gam not in ctx.current_of_basis:
@@ -94,20 +91,17 @@ def test_s_series_derivative_relation():
                                 # [z^{-n}] :J(z) S(z): with S in the z^{-m}
                                 # convention: sum_i J_(-i-1) S_{n+i}
                                 #           + sum_i S_{n-i-1} J_(i)
-                                acc = {}
                                 for i in range(0, w2 // 2 - n + 1):
                                     part = ctx.s_alpha_apply(b2, n + i, v)
                                     part = mod.gen_mode_state(gj, -i - 1, part)
-                                    acc = state_add(acc, part)
+                                    state_acc(diff, part, -coeff, field)
                                 for i in range(0, w2 // 2 + 1):
                                     part = mod.gen_mode_state(gj, i, v)
                                     if part:
                                         part = ctx.s_alpha_apply(
                                             b2, n - i - 1, part)
-                                        acc = state_add(acc, part)
-                                rhs = state_add(
-                                    rhs, state_scale(acc, coeff))
-                        assert lhs == rhs, (preset, bidx, n, key)
+                                        state_acc(diff, part, -coeff, field)
+                        assert not any(diff.values()), (preset, bidx, n, key)
 
 
 def test_generic_matches_exponential_modes():
@@ -141,7 +135,7 @@ def test_neutral_fermion_pairing():
     phi = ctx.system.gen_field(ctx.fermion_of_root[b])
     val = ctx.chi.of_comb(ctx.datum.bracket(b, b))
     assert val != 0
-    br = bracket(phi, phi, ctx.module)
+    br = bracket(phi, phi)
     assert br == {0: ctx.system.one_field().scale(ctx.field.lift(val))}
 
 

@@ -141,7 +141,7 @@ def test_state_field_round_trip(heis_fermion):
     for w2 in range(0, 7):
         for key in graded_basis(mod, w2):
             st = {key: sys.field.one}
-            assert field_state(state_field(st, sys), mod) == st
+            assert field_state(state_field(st, sys)) == st
 
 
 def test_state_field_rejects_induced_modules(heis_fermion):
@@ -176,7 +176,6 @@ def test_exp_weight_under_sugawara(heis_fermion):
     sys = heis_fermion
     F = sys.field
     k = F.gen
-    mod = sys.module()
     J = sys.gen_field("J")
     L = sugawara_field(sys, [(J.scale_fraction(Fraction(1, 2)), J)],
                        (k + 2) * 2)
@@ -231,7 +230,7 @@ def test_bracket_lambda_degree_bound(heis_fermion):
         b = random_homogeneous_field(mod, rng, 1 + rng.randrange(4))
         if a is None or b is None:
             continue
-        br = bracket(a, b, mod)
+        br = bracket(a, b)
         bound = (a.letter_weight2() + b.letter_weight2()) // 2
         assert all(n <= bound for n in br)
 
@@ -246,12 +245,12 @@ def test_axioms_on_seeded_samples(heis_fermion):
         c = random_homogeneous_field(mod, rng, 1 + rng.randrange(4))
         if None in (a, b, c):
             continue
-        assert check_skew(a, b, mod)
-        assert check_jacobi(a, b, c, mod)
-        assert check_wick(a, b, c, mod)
+        assert check_skew(a, b)
+        assert check_jacobi(a, b, c)
+        assert check_wick(a, b, c)
         v = {key: sys.field.one for key in graded_basis(mod, 3)}
         case = (v, rng.randint(-2, 2), rng.randint(-2, 2))
-        assert check_commutator(a, b, [case], mod) is None, case
+        assert check_commutator(a, b, [case]) is None, case
 
 
 def test_lattice_affine_sl2_realization():
@@ -264,20 +263,19 @@ def test_lattice_affine_sl2_realization():
     j = sysA.add_gen("J", parity=0, weight2=2, current=True)
     sysA.set_pairing([[F.lift(2)]])
     sysA.set_bracket(j, j, {1: comb(const=F.lift(2))})
-    mod = sysA.module()
     Ep = sysA.exp_field((F.one,))
     Em = sysA.exp_field((-F.one,))
     Jf = sysA.gen_field("J")
     one = sysA.one_field()
-    assert bracket(Ep, Em, mod) == {0: Jf, 1: one}
-    assert bracket(Em, Ep, mod) == {0: -Jf, 1: one}
-    assert bracket(Jf, Ep, mod) == {0: Ep.scale_fraction(2)}
-    assert bracket(Ep, Ep, mod) == {}
-    assert check_skew(Ep, Em, mod) and check_skew(Jf, Ep, mod)
-    assert check_jacobi(Ep, Em, Jf, mod)
-    assert check_jacobi(Jf, Ep, Em, mod)
-    assert check_wick(Ep, Em, Jf, mod)
-    assert check_wick(Jf, Ep, Em, mod)
+    assert bracket(Ep, Em) == {0: Jf, 1: one}
+    assert bracket(Em, Ep) == {0: -Jf, 1: one}
+    assert bracket(Jf, Ep) == {0: Ep.scale_fraction(2)}
+    assert bracket(Ep, Ep) == {}
+    assert check_skew(Ep, Em) and check_skew(Jf, Ep)
+    assert check_jacobi(Ep, Em, Jf)
+    assert check_jacobi(Jf, Ep, Em)
+    assert check_wick(Ep, Em, Jf)
+    assert check_wick(Jf, Ep, Em)
 
 
 def test_momentum_needs_current_span(heis_fermion):

@@ -36,8 +36,8 @@ def test_brst_tables_sl2():
     assert img == brst.system.gen_field("ph[a1]").scale_fraction(2)
     img = brst.d0_image[names["J[-a1]"]]
     want = normal_order(brst.system.gen_field("J[h1]"),
-                        brst.system.gen_field("ph[a1]"), brst.module) + \
-        derive(brst.system.gen_field("ph[a1]"), brst.module).scale(F.gen + 2)
+                        brst.system.gen_field("ph[a1]")) + \
+        derive(brst.system.gen_field("ph[a1]")).scale(F.gen + 2)
     assert img == want
     # charged fermion of the base root is closed
     assert brst.d0_image[names["ph[a1]"]].is_zero()
@@ -117,8 +117,35 @@ def test_brst_mode_commutators(preset, w2max):
              for m in (-1, 0) for n in (-1, 0)]
     for a in fields:
         for b in fields:
-            bad = check_commutator(a, b, cases, brst.module)
+            bad = check_commutator(a, b, cases)
             assert bad is None, (preset, str(a), str(b)) + bad
+
+
+def test_state_sums_leave_memo_entries_intact():
+    """States are added in place, so a sum started from a memo entry would
+    corrupt the memo.  After cohomology_dims fills the gen_mode and d0
+    memos, scaled d0 sums and mode commutators must leave every stored
+    entry as it was."""
+    brst, _ = make_brst("sl3-subregular")
+    brst.cohomology_dims(6)
+    memos = (brst.module._mode_memo, brst._d0_memo)
+    snaps = [{key: dict(val) for key, val in memo.items()} for memo in memos]
+    assert all(snaps)
+    for w2 in range(0, 7):
+        keys = graded_basis(brst.module, w2)
+        brst.d0_state({key: F.lift(i + 1) for i, key in enumerate(keys)})
+        for key in keys:
+            brst.d0_state({key: F.one})
+    sys_ = brst.system
+    fields = [sys_.gen_field(g) for g in range(len(sys_.gens))]
+    cases = [({key: F.one}, m, n) for key in graded_basis(brst.module, 2)
+             for m in (-1, 0) for n in (-1, 0)]
+    for a in fields:
+        for b in fields:
+            assert check_commutator(a, b, cases) is None
+    for memo, snap in zip(memos, snaps):
+        for key, val in snap.items():
+            assert memo[key] == val, key
 
 
 def test_brst_d0_grading():
@@ -172,8 +199,8 @@ def test_sugawara_virasoro_sl3_subregular():
     are primary of weight one."""
     ctx = preset_context("sl3-subregular")
     L = ctx.sugawara()
-    br = bracket(L, L, ctx.module)
-    assert br[0] == derive(L, ctx.module)
+    br = bracket(L, L)
+    assert br[0] == derive(L)
     assert br[1] == L.scale_fraction(2)
     assert 2 not in br
     c_over_2 = br[3]
@@ -184,8 +211,8 @@ def test_sugawara_virasoro_sl3_subregular():
     assert c_over_2.terms[((), None)] == want
     for b in ctx.g0:
         J = ctx.system.gen_field(ctx.current_of_basis[b])
-        brj = bracket(L, J, ctx.module)
-        assert brj == {0: derive(J, ctx.module), 1: J}, b
+        brj = bracket(L, J)
+        assert brj == {0: derive(J), 1: J}, b
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +238,7 @@ def test_miura_images_in_kernel_sl2():
         h0 = brst.h0_basis(w2)
         rep = kernel_basis(ctx, ops, w2, expected=char[w2])
         assert len(h0) == rep.kernel_dim
-        kvecs = [field_state(f, ctx.module) for f in rep.basis_fields]
+        kvecs = [field_state(f) for f in rep.basis_fields]
         for cls in h0:
             img = miura_project(brst, cls, ctx)
             assert solve_in_span(kvecs, img, F) is not None, w2
@@ -226,9 +253,8 @@ def test_wbn_closed_form_n1():
     sys = m.system
     b = sys.gen_field(m.bgen[0])
     psi = sys.gen_field(m.psi)
-    want0 = normal_order(b, b, m.module) + \
-        derive(b, m.module).scale(m.gamma) + \
-        normal_order(derive(psi, m.module), psi, m.module)
+    want0 = normal_order(b, b) + derive(b).scale(m.gamma) + \
+        normal_order(derive(psi), psi)
     assert m.brackets[0] == want0
     assert 1 not in m.brackets
     g2 = m.gamma * m.gamma
@@ -320,7 +346,7 @@ def test_w2n_f_forms_and_screenings():
         m = build_w2n(n)
         assert m.rewritten_f() == m.F
         assert verify_fs(m) == []
-        assert bracket(m.E, m.E, m.module) == {}
+        assert bracket(m.E, m.E) == {}
 
 
 def test_w2n_f_printed_form_n2():
@@ -330,9 +356,8 @@ def test_w2n_f_printed_form_n2():
     psi = sys.gen_field(m.psig)
     a1 = sys.gen_field(m.agen[0])
     em = m.exp_field({m.xig: -m.field.one})
-    want = normal_order(derive(psi, m.module), em, m.module) \
-        .scale(-(k + 1)) - \
-        normal_order(psi + a1, normal_order(psi, em, m.module), m.module)
+    want = normal_order(derive(psi), em).scale(-(k + 1)) - \
+        normal_order(psi + a1, normal_order(psi, em))
     assert m.F == want
 
 
@@ -378,10 +403,9 @@ def test_wakimoto_transports_f_field():
     cur = {b: ctx.system.gen_field(ctx.current_of_basis[b]) for b in ctx.g0}
     fneg = cur[names["-a1"]]
     b2 = cur[names["h1"]] + cur[names["h2"]]
-    f_sl = derive(fneg, ctx.module).scale(k + 2) + \
-        normal_order(b2, fneg, ctx.module)
-    got = _transport(ctx, wm, field_state(f_sl, ctx.module))
-    want = field_state(m.F, m.module)
+    f_sl = derive(fneg).scale(k + 2) + normal_order(b2, fneg)
+    got = _transport(ctx, wm, field_state(f_sl))
+    want = field_state(m.F)
     assert got == want
 
 
@@ -404,6 +428,6 @@ def test_wakimoto_kernel_transport():
         rows = [[img.get(kk, field.zero) for img in a2_imgs] for kk in keys]
         assert len(nullspace(rows, len(basis), field)) == rep.kernel_dim
         for fe in rep.basis_fields:
-            st = _transport(ctx, wm, field_state(fe, ctx.module))
+            st = _transport(ctx, wm, field_state(fe))
             for mu in momenta:
                 assert m.apply_screening(mu, st) == {}

@@ -107,6 +107,7 @@ class ScreeningContext:
         self._build_system()
         self._register_class_modules()
         self._sugawara = None
+        self._s_alpha_memo = {}
 
     # -- ambient system -------------------------------------------------------
 
@@ -222,30 +223,33 @@ class ScreeningContext:
         return wj, wf
 
     def s_alpha_mono(self, bidx, n, word, tag):
-        """S^a_n applied to one pure-current vacuum monomial."""
-        d = self.datum
-        field = self.field
+        """S^a_n applied to one pure-current vacuum monomial.
+
+        S^a_n A = sum_{m>=0} (-1)^(m+n) sigma / m! T^m A_(-m-n) x_a, summed
+        by Horner's rule in T.  Results are stored per (bidx, n, word) and
+        only read by callers.
+        """
         if tag != self.system.vacuum_tag():
             raise GradingMismatch("screenings act on the vacuum module")
+        key = (bidx, n, word)
+        out = self._s_alpha_memo.get(key)
+        if out is not None:
+            return out
+        field = self.field
         a_field = state_field({(word, tag): field.one}, self.system)
-        p_a = d.parity[bidx]
         p_word = self.module.word_parity(word)
-        sigma = (-1) ** (p_a * p_word + p_word)
-        xtag = self.xtag_of_root[bidx]
-        xstate = {((), xtag): field.one}
-        w2 = self.module.word_depth2(word)
+        sigma = (-1) ** (self.datum.parity[bidx] * p_word + p_word)
+        xstate = {((), self.xtag_of_root[bidx]): field.one}
         out = {}
-        m = 0
-        while 2 * (m + n) <= w2:
-            j = m + n - 1
-            part = apply_field_coeff(a_field, -j - 1, xstate)
-            if part:
-                for _ in range(m):
-                    part = self.module.translate(part)
-                c = Fraction((-1) ** ((m + n) % 2) * sigma, _fact(m))
-                state_acc(out, part, field.lift(c), field)
-            m += 1
-        return {k: v for k, v in out.items() if v}
+        for m in range(self.module.word_depth2(word) // 2 - n, -1, -1):
+            if out:
+                out = self.module.translate(out)
+            part = apply_field_coeff(a_field, -m - n, xstate)
+            c = Fraction((-1) ** ((m + n) % 2) * sigma, _fact(m))
+            state_acc(out, part, field.lift(c), field)
+        out = {k: v for k, v in out.items() if v}
+        self._s_alpha_memo[key] = out
+        return out
 
     def s_alpha_apply(self, bidx, n, state):
         """S^a_n on a state of the ambient (current and fermion letters)."""

@@ -288,6 +288,7 @@ class Module:
         self._mode_memo = {}
         self._translate_memo = {}
         self._word_memo = {}
+        self._ladder_memo = {}
 
     # -- highest vectors -----------------------------------------------------
 
@@ -530,13 +531,7 @@ class Module:
         """
         field = self.field
         p_int = self._mom_pairing_int(mom, tag)
-        hv = self.hv(tag)
-        new_coords = tuple(a + b for a, b in zip(hv.momentum, mom))
-        new_tag = self.system.momentum_tag(new_coords)
-        self.hv(new_tag)
-        ladder = [{(w0, tag): field.one}]
-        for b in range(1, self.word_depth2(w0) // 2 + 1):
-            ladder.append(self._exp_step(mom, ladder, 1, Fraction(-1, b)))
+        ladder, new_tag = self._annihilation_ladder(mom, w0, tag)
         out = {}
         for b, st in enumerate(ladder):
             top = J - p_int + b
@@ -548,6 +543,23 @@ class Module:
                 up.append(self._exp_step(mom, up, -1, Fraction(1, a)))
             state_acc(out, up[top], field.one, field)
         return {k: v for k, v in out.items() if v}
+
+    def _annihilation_ladder(self, mom, w0, tag):
+        """A_0..A_{D/2} on the monomial and the shifted tag, stored per
+        (mom, w0, tag) and only read by callers."""
+        key = (mom, w0, tag)
+        out = self._ladder_memo.get(key)
+        if out is not None:
+            return out
+        hv = self.hv(tag)
+        new_coords = tuple(a + b for a, b in zip(hv.momentum, mom))
+        new_tag = self.system.momentum_tag(new_coords)
+        self.hv(new_tag)
+        ladder = [{(w0, tag): self.field.one}]
+        for b in range(1, self.word_depth2(w0) // 2 + 1):
+            ladder.append(self._exp_step(mom, ladder, 1, Fraction(-1, b)))
+        out = self._ladder_memo[key] = (tuple(ladder), new_tag)
+        return out
 
     def _exp_step(self, mom, ladder, sign, scale):
         """scale * sum_{j=1..n} mu_(sign*j) ladder[n-j], n = len(ladder)."""

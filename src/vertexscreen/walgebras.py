@@ -278,9 +278,18 @@ def build_complex(datum, grading, levelform, chifun, field, level):
 # Miura projection
 
 
+def koszul_sorted(letters, gens):
+    """The sorted word of letters (g, m) and the sign of the sort: -1 to the
+    number of pairs of odd letters (parity of gens[g]) it swaps."""
+    odd = [l for l in letters if gens[l[0]].parity]
+    swaps = sum(1 for i, a in enumerate(odd) for b in odd[i + 1:] if b < a)
+    return tuple(sorted(letters)), (-1) ** swaps
+
+
 def miura_project(brst, state, ctx):
     """Kill all current letters of negative degree; identify the rest with
-    the screening ambient of ctx (same g_0 currents and neutral fermions)."""
+    the screening ambient of ctx (same g_0 currents and neutral fermions),
+    reordering each word with the sign of its odd letters."""
     field = brst.field
     bad = {brst.jgen[b] for b in brst.gle0 if brst.grading.deg2[b] < 0}
     rename = {}
@@ -297,9 +306,10 @@ def miura_project(brst, state, ctx):
             raise NonZeroCharge("projection needs a charge-zero state")
         if any(g in bad for (g, _) in word):
             continue
-        new_word = tuple(sorted((rename[g], m) for (g, m) in word))
+        new_word, sign = koszul_sorted(
+            [(rename[g], m) for (g, m) in word], ctx.system.gens)
         key = (new_word, ctx.system.vacuum_tag())
-        out[key] = out.get(key, field.zero) + c
+        out[key] = out.get(key, field.zero) + (c if sign > 0 else -c)
     return {k: v for k, v in out.items() if v}
 
 
@@ -557,15 +567,18 @@ class W2nModel:
             acc = term if acc is None else acc + term
         return acc
 
-    def rewritten_f(self):
-        """The pulled-inside form with (d + xi(z)) factors acting on :psi e^{-xi}:."""
+    def rewritten_f(self, steps=None):
+        """The pulled-inside form with (d + xi(z)) factors acting on :psi e^{-xi}:.
+
+        Step j dresses the field X so far as
+        (k+n-1) (d X + :xi X:) + :(psi + a_1 + ... + a_j) X:; all n - 1
+        steps give F, the first alone the Wakimoto image of e_{-a1}."""
         field = self.field
         kn1 = self.k + field.lift(self.n - 1)
         xi = self.system.gen_field(self.xig)
-        base = normal_order(self.system.gen_field(self.psig),
-                            self.exp_field({self.xig: -field.one}))
-        out = base
-        for j in range(1, self.n):
+        out = normal_order(self.system.gen_field(self.psig),
+                           self.exp_field({self.xig: -field.one}))
+        for j in range(1, (self.n if steps is None else steps + 1)):
             dressing = self.system.gen_field(self.psig)
             for i in range(1, j + 1):
                 dressing = dressing + self.system.gen_field(self.agen[i - 1])
@@ -632,14 +645,8 @@ class WakimotoMap:
             h_imgs.append(cur(m.agen[i - 1]))
         self.h_images = h_imgs
         # e_{a1} and e_{-a1}
-        e_img = m.E
-        base = normal_order(cur(m.psig), m.exp_field({m.xig: -field.one}))
-        inner = (derive(base) + normal_order(cur(m.xig), base)) \
-            .scale(k + field.lift(n - 1)) + \
-            normal_order(cur(m.psig) + cur(m.agen[0]), base)
-        f_img = inner.scale(field.lift(-1))
-        self.e_image = e_img
-        self.f_image = f_img
+        self.e_image = m.E
+        self.f_image = m.rewritten_f(steps=1)
         self._index_images()
 
     def _index_images(self):

@@ -15,7 +15,11 @@ before Q(k) arithmetic on integer polynomials skipped normalization.  The
 two ``kernel-generic-*`` files hold what ``kernel --screenings generic``
 wrote before the vertex calculus read each field's module off its
 generator system and added states only through ``state_acc``; they cover
-both generic screening constructions on whole graded pieces.  The
+both generic screening constructions on whole graded pieces.
+``kernel-sl4-subregular-symbolic-6.json``, the generic screenings of
+sl4-subregular (both classes of degree one, chi(e_a) S^a_1) over Q(k),
+holds what ``kernel`` wrote before each S^a_n on a current monomial was
+stored and its translations summed by Horner's rule.  The
 engine promises identical output for a fixed configuration, so a change
 that moves any byte of a basis, a dimension, a cohomology count, a
 projection scalar or a reported denominator fails here.  Regenerate a
@@ -36,6 +40,7 @@ CASES = [
     ("sl4-subregular", "7/2", 6),
     ("osp1_4-regular", "7/2", 10),
     ("sl3-regular", "7/2", 8),
+    ("sl4-subregular", "symbolic", 6),
 ]
 VERIFY_CASES = [
     ("brst", "sl3-subregular", "symbolic", 8),

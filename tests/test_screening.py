@@ -8,7 +8,8 @@ from vertexscreen.screening import (NonCartanZeroPart, expected_character,
                                     character_of_generators,
                                     exponential_screenings,
                                     generic_screenings, kernel_basis)
-from vertexscreen.vertexcalc import CriticalLevel, graded_basis, state_acc
+from vertexscreen.vertexcalc import (CriticalLevel, _fact, apply_field_coeff,
+                                     graded_basis, state_acc, state_field)
 
 
 def test_s_series_on_vacuum():
@@ -341,3 +342,75 @@ def test_symbolic_basis_specializes_to_basis_over_q(preset, kind, max_w2):
         want = [dict(f.terms)
                 for f in kernel_basis(spec, ops_spec, w2).basis_fields]
         assert got == want and len(got) == char[w2], (preset, w2)
+
+
+def _s_alpha_by_powers(ctx, bidx, n, word, tag):
+    """S^a_n on a current monomial as sum_m (-1)^(m+n) sigma / m! T^m P_m,
+    P_m = A_(-m-n) x_a, translating each P_m m times: the reference for
+    the Horner sum of ScreeningContext.s_alpha_mono."""
+    field = ctx.field
+    mod = ctx.module
+    a_field = state_field({(word, tag): field.one}, ctx.system)
+    p_word = mod.word_parity(word)
+    sigma = (-1) ** (ctx.datum.parity[bidx] * p_word + p_word)
+    xstate = {((), ctx.xtag_of_root[bidx]): field.one}
+    out = {}
+    m = 0
+    while 2 * (m + n) <= mod.word_depth2(word):
+        part = apply_field_coeff(a_field, -m - n, xstate)
+        for _ in range(m):
+            part = mod.translate(part)
+        c = Fraction((-1) ** ((m + n) % 2) * sigma, _fact(m))
+        state_acc(out, part, field.lift(c), field)
+        m += 1
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("preset", ["sl3-subregular", "sl4-subregular"])
+@pytest.mark.parametrize("level", ["symbolic", Fraction(7, 2)])
+def test_s_alpha_horner_matches_powers(preset, level):
+    """The memoized Horner sum equals the sum of powers of T for every
+    root and every current monomial to doubled weight 6, on a first call
+    and from the memo.  n runs from -1 (the generic-half construction
+    asks for n <= 0) to one past the last n with a term, where both sums
+    are empty; lower n cost minutes over Q(k) and add no new case."""
+    ctx = preset_context(preset, level=level)
+    words = [(w, t) for w2 in range(7) for (w, t) in
+             graded_basis(ctx.module, w2)
+             if all(g < ctx.n_j_gens for g, _ in w)]
+    nonzero = 0
+    for bidx in sorted(ctx.xtag_of_root):
+        for w, t in words:
+            top = ctx.module.word_depth2(w) // 2
+            for n in range(-1, top + 2):
+                want = _s_alpha_by_powers(ctx, bidx, n, w, t)
+                assert ctx.s_alpha_mono(bidx, n, w, t) == want, (bidx, n, w)
+                assert ctx.s_alpha_mono(bidx, n, w, t) == want
+                nonzero += bool(want)
+    assert nonzero
+
+
+def _memo_snapshot(ctx):
+    return ({key: dict(val) for key, val in ctx._s_alpha_memo.items()},
+            {key: ([dict(st) for st in ladder], tag) for key, (ladder, tag)
+             in ctx.module._ladder_memo.items()})
+
+
+@pytest.mark.parametrize("preset, screenings, max_w2, filled", [
+    ("sl4-subregular", generic_screenings, 6, 0),
+    ("osp1_4-regular", exponential_screenings, 8, 1)])
+def test_screening_memos_left_intact(preset, screenings, max_w2, filled):
+    """The S^a_n memo and the e^{int mu} annihilation-ladder memo are only
+    read: a second kernel_basis run, with its re-application check, finds
+    every stored entry as the first run left it and gives equal reports."""
+    ctx = preset_context(preset, level=Fraction(7, 2))
+    ops = screenings(ctx)
+    first = [kernel_basis(ctx, ops, w2).to_json() for w2 in range(max_w2 + 1)]
+    snaps = _memo_snapshot(ctx)
+    assert snaps[filled]
+    second = [kernel_basis(ctx, ops, w2).to_json()
+              for w2 in range(max_w2 + 1)]
+    assert second == first
+    for memo, snap in zip(_memo_snapshot(ctx), snaps):
+        for key, val in snap.items():
+            assert memo[key] == val, key

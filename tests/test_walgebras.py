@@ -13,7 +13,7 @@ from vertexscreen.vertexcalc import (bracket, derive, field_state,
 from vertexscreen.verify import check_commutator, verify_brst, verify_miura
 from vertexscreen.walgebras import (NonZeroCharge, WakimotoMap,
                                     build_complex, build_w2n, build_wbn,
-                                    miura_project, verify_fs,
+                                    koszul_sorted, miura_project, verify_fs,
                                     verify_wbn_screening)
 
 F = RationalFunctionField("k")
@@ -227,6 +227,22 @@ def test_miura_vacuum_and_leading_terms():
     with pytest.raises(NonZeroCharge):
         key = graded_basis(brst.module, 2, charge=1)[0]
         miura_project(brst, {key: F.one}, ctx)
+
+
+def test_koszul_sorted_signs_odd_swaps():
+    """Sorting a word costs -1 per pair of odd letters it swaps; even
+    letters move freely."""
+    gens = [SimpleNamespace(parity=p) for p in (1, 0, 1, 1)]
+    assert koszul_sorted([(2, -1), (0, -1)], gens) == \
+        (((0, -1), (2, -1)), -1)
+    assert koszul_sorted([(2, -1), (1, -1), (0, -1)], gens) == \
+        (((0, -1), (1, -1), (2, -1)), -1)
+    assert koszul_sorted([(3, -1), (2, -1), (0, -2)], gens)[1] == -1
+    assert koszul_sorted([(0, -2), (3, -1), (2, -1)], gens)[1] == -1
+    assert koszul_sorted([(1, -1), (0, -1), (2, -1)], gens) == \
+        (((0, -1), (1, -1), (2, -1)), 1)
+    assert koszul_sorted([(1, -1), (1, -2), (1, -1)], gens) == \
+        (((1, -2), (1, -1), (1, -1)), 1)
 
 
 def test_miura_images_in_kernel_sl2():

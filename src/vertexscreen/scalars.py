@@ -13,6 +13,15 @@ positive.  Sums, differences and products of two such values are built
 from the numerators alone, without _reduce, and most of the values the
 bracket engine makes are of this kind.  The polynomial helpers return
 trimmed tuples when given trimmed ones.
+
+Polynomial gcds are taken by evaluation (the heuristic gcd of Char,
+Geddes & Gonnet, J. Symbolic Comput. 7, 1989; von zur Gathen & Gerhard,
+Modern Computer Algebra, 6.8): the integer gcd h of the values a_i(xi),
+read back in balanced base xi and made primitive, is a candidate G, and
+one call covers a numerator and denominator or a whole row.  G is exact
+as soon as it divides every a_i, provided xi >= 2 * min ||a_i||_inf + 2;
+the quotients of that check are the cofactors.  When six points fail,
+the primitive pseudo-remainder sequence decides instead.
 """
 
 from fractions import Fraction
@@ -116,7 +125,12 @@ def p_pseudo_rem(a, b):
     return r
 
 
-def p_gcd(a, b):
+def _prs_gcd(a, b):
+    """The gcd by the primitive pseudo-remainder sequence.
+
+    The fallback of _gcd_cofactors, the gcd when an operand is zero, and
+    the reference the tests compare against.
+    """
     a, b = p_primitive(a), p_primitive(b)
     if not a:
         g = b
@@ -130,6 +144,63 @@ def p_gcd(a, b):
     if g and g[-1] < 0:
         g = p_neg(g)
     return g if g else P_ZERO
+
+
+def _heu_gcd(polys):
+    """(g, [a/g for a in polys]) for nonconstant polys, or None.
+
+    The heuristic gcd of the module docstring.  A constant reading of h
+    makes g = P_ONE with no division; None when six points xi all fail.
+    """
+    xi = 2 * min(max(map(abs, a)) for a in polys) + 29
+    for _ in range(6):
+        values = []
+        for a in polys:
+            acc = 0
+            for c in reversed(a):
+                acc = acc * xi + c
+            values.append(acc)
+        h = gcd(*values)
+        g = []
+        while h:
+            c = h % xi
+            if c > xi // 2:
+                c -= xi
+            g.append(c)
+            h = (h - c) // xi
+        if len(g) == 1:
+            return P_ONE, polys
+        # the top digit of h > 0 is positive, and so is g's
+        g = p_primitive(tuple(g))
+        try:
+            return g, [p_div_exact(a, g) for a in polys]
+        except ArithmeticError:
+            xi = xi * 73794 // 27011
+    return None
+
+
+def _gcd_cofactors(polys):
+    """(g, [a/g for a in polys]) for nonconstant polys.
+
+    g is their primitive gcd with positive leading coefficient; when g is
+    P_ONE the cofactors equal polys.
+    """
+    out = _heu_gcd(polys)
+    if out is None:
+        g = P_ZERO
+        for a in polys:
+            g = _prs_gcd(g, a)
+        out = g, [p_div_exact(a, g) for a in polys]
+    return out
+
+
+def p_gcd(a, b):
+    """The primitive gcd of a and b with positive leading coefficient."""
+    if not a or not b:
+        return _prs_gcd(a, b)
+    if len(a) == 1 or len(b) == 1:
+        return P_ONE
+    return _gcd_cofactors([a, b])[0]
 
 
 def p_div_exact(a, b):
@@ -362,6 +433,8 @@ class RationalFunction:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o / self
 
     def __eq__(self, other):
@@ -372,9 +445,10 @@ class RationalFunction:
 
     def __hash__(self):
         if self._hash is None:
-            if self.den == P_ONE and len(self.num) <= 1:
+            if len(self.num) <= 1 and len(self.den) == 1:
                 # agree with Fraction/int hashing for constants
-                self._hash = hash(Fraction(self.num[0] if self.num else 0))
+                self._hash = hash(Fraction(self.num[0] if self.num else 0,
+                                           self.den[0]))
             else:
                 self._hash = hash((self.field.symbol, self.num, self.den))
         return self._hash
@@ -417,10 +491,7 @@ def _reduce(num, den):
         return P_ZERO, P_ONE
     # a constant on either side leaves no polynomial gcd to divide out
     if len(num) > 1 and len(den) > 1:
-        g = p_gcd(num, den)
-        if len(g) > 1:
-            num = p_div_exact(num, g)
-            den = p_div_exact(den, g)
+        num, den = _gcd_cofactors([num, den])[1]
     c = gcd(p_content(num), p_content(den))
     if c > 1:
         num = tuple(x // c for x in num)
@@ -450,17 +521,20 @@ def _strip_polys(row, factor_sink=None):
     entries = [x for x in row if x]
     if not entries:
         return row
-    # start from the lowest degree: a constant entry settles it at once
+    # a constant entry leaves no polynomial gcd; a row whose nonzero
+    # entries are all one tuple, as a single entry is, is divided by it as
+    # it stands, sign and content included
     g = min(entries, key=len)
-    for x in entries:
-        if len(g) == 1:
-            break
-        if x is not g:
-            g = p_gcd(g, x)
     if len(g) > 1:
-        if factor_sink is not None:
-            factor_sink.append(g)
-        row = [p_div_exact(x, g) if x else x for x in row]
+        if any(x is not g for x in entries):
+            g, entries = _gcd_cofactors(entries)
+        else:
+            entries = [P_ONE] * len(entries)
+        if len(g) > 1:
+            if factor_sink is not None:
+                factor_sink.append(g)
+            quotients = iter(entries)
+            row = [next(quotients) if x else x for x in row]
     c = gcd(*[c for x in row for c in x])
     if c > 1:
         row = [tuple(y // c for y in x) for x in row]
@@ -699,11 +773,10 @@ def _parse_rational_expr(field, text):
         v = atom()
         while peek() == "^":
             take()
-            e = take()
-            if e[0] != "int":
-                raise ValueError("exponent must be an integer")
+            if peek() != "int":
+                raise ValueError("exponent must be an integer in %r" % text)
             out = field.one
-            for _ in range(e[1]):
+            for _ in range(take()[1]):
                 out = out * v
             v = out
         return v

@@ -1,7 +1,9 @@
 """Differential property tests of the Q(k) arithmetic and elimination step.
 
-_reduce and p_gcd are checked against sympy.  The field operations and
-lift, whose operands with denominator 1 skip _reduce, are checked against
+_reduce and p_gcd are checked against sympy, and p_gcd and _strip_polys
+against the pseudo-remainder gcd _prs_gcd they replaced, also with the
+heuristic gcd switched off so that its fallback runs.  The field operations
+and lift, whose operands with denominator 1 skip _reduce, are checked against
 the general reduction RationalFunction(F, num, den) of the textbook
 formula, against sympy.cancel and against the canonical-form invariants;
 p_mul with a constant operand is checked against the plain convolution.  The fraction-free step of
@@ -17,10 +19,11 @@ from math import gcd
 
 import pytest
 
+from vertexscreen import scalars
 from vertexscreen.scalars import (P_ONE, P_ZERO, RationalFunction,
-                                  RationalFunctionField, _reduce,
-                                  p_div_exact, p_gcd, p_mul, p_neg,
-                                  p_primitive)
+                                  RationalFunctionField, _prs_gcd, _reduce,
+                                  _strip_polys, p_div_exact, p_gcd, p_mul,
+                                  p_neg, p_primitive, p_scale)
 
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
@@ -29,10 +32,12 @@ st = hypothesis.strategies
 F = RationalFunctionField("k")
 K = sympy.Symbol("k")
 
+def _trimmed(c):
+    return tuple(c[:max((i + 1 for i, x in enumerate(c) if x), default=0)])
+
+
 # integer polynomials of degree <= 2, low coefficient first, trimmed
-polys = st.lists(st.integers(-6, 6), min_size=1, max_size=3).map(
-    lambda c: tuple(c[:max((i + 1 for i, x in enumerate(c) if x),
-                           default=0)]))
+polys = st.lists(st.integers(-6, 6), min_size=1, max_size=3).map(_trimmed)
 nonzero_polys = polys.filter(bool)
 linear_factors = st.tuples(st.integers(-4, 4), st.integers(1, 3))
 
@@ -68,6 +73,94 @@ def test_reduce_and_gcd_match_sympy(num, den, common, scale):
         assert _normalized(p_gcd(num, den)) == p_gcd(num, den)
         assert p_gcd(num, den) == _normalized(
             _poly(sympy.gcd(_sym(num), _sym(den))))
+
+
+# degree <= 4, coefficients all small or some at least 10**15
+small_coeffs = st.integers(-6, 6)
+wide_coeffs = st.one_of(small_coeffs, st.integers(10 ** 15, 10 ** 18),
+                        st.integers(-10 ** 18, -10 ** 15))
+wide_polys = st.one_of(*[st.lists(c, max_size=5).map(_trimmed)
+                         for c in (small_coeffs, wide_coeffs)])
+factors = st.one_of(*[st.lists(c, min_size=2, max_size=3).map(_trimmed)
+                      for c in (small_coeffs, wide_coeffs)]).filter(
+                          lambda a: len(a) > 1)
+
+
+def _without_heuristic(f, *args):
+    """f(*args) with the heuristic gcd failing, so the fallback runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "_heu_gcd", lambda polys: None)
+        return f(*args)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(wide_polys, wide_polys, st.lists(factors, max_size=2),
+                  st.sampled_from([1, -1, 6, -10 ** 15]))
+@hypothesis.example((), (), [], 1)
+@hypothesis.example((0, 4), (), [], -1)
+@hypothesis.example((3,), (0, 0, 2), [], 1)
+def test_gcd_matches_sympy_and_prs(a, b, common, scale):
+    for f in common:
+        a, b = p_mul(a, f), p_mul(b, f)
+    a = p_scale(a, scale)
+    g = p_gcd(a, b)
+    assert g == _prs_gcd(a, b) == _without_heuristic(p_gcd, a, b)
+    if a or b:
+        assert g == _normalized(_poly(sympy.gcd(_sym(a), _sym(b))))
+    else:
+        assert g == P_ZERO
+    if b:
+        assert _reduce(a, b) == _without_heuristic(_reduce, a, b)
+
+
+def _chain_strip(row, sink):
+    """_strip_polys as a pairwise chain of _prs_gcd from the lowest degree."""
+    entries = [x for x in row if x]
+    if not entries:
+        return row
+    g = min(entries, key=len)
+    for x in entries:
+        if len(g) == 1:
+            break
+        if x is not g:
+            g = _prs_gcd(g, x)
+    if len(g) > 1:
+        sink.append(g)
+        row = [p_div_exact(x, g) if x else x for x in row]
+    c = gcd(*[c for x in row for c in x])
+    if c > 1:
+        row = [tuple(y // c for y in x) for x in row]
+    return row
+
+
+@st.composite
+def poly_rows(draw):
+    """A row with a planted common factor, zeros, and maybe a repeat.
+
+    The repeat is the same tuple object as an earlier entry, so that a row
+    whose nonzero entries are all one object is drawn too.
+    """
+    q = draw(st.one_of(factors, st.just(P_ONE)))
+    row = [p_mul(q, x) for x in draw(st.lists(wide_polys, min_size=1,
+                                              max_size=6))]
+    if draw(st.booleans()):
+        row.append(row[draw(st.integers(0, len(row) - 1))])
+    return row
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(poly_rows())
+@hypothesis.example([(), (3, -5, -2), ()])
+@hypothesis.example([(3, -5, -2), (3, -5, -2)])
+@hypothesis.example([(2, 4), (5,), (4, 8)])
+def test_strip_polys_matches_pairwise_chain(row):
+    sink, chain_sink, fallback_sink = [], [], []
+    got = _strip_polys(row, sink)
+    assert got == _chain_strip(row, chain_sink)
+    assert got == _without_heuristic(_strip_polys, row, fallback_sink)
+    assert sink == chain_sink == fallback_sink
+    if len({id(x) for x in row if x}) > 1:
+        assert all(g[-1] > 0 for g in sink)
 
 
 def _old_strip(row, sink):

@@ -42,6 +42,11 @@ def test_hash_consistency(F):
     assert hash((k + 1) / (k + 1)) == hash(F.one)
     d = {k + 1: "x"}
     assert d[(k * k - 1) / (k - 1)] == "x"
+    # a constant hashes as the Fraction it equals
+    for c in (Fraction(1, 2), Fraction(-7, 3), Fraction(4), Fraction(0)):
+        assert F.lift(c) == c and hash(F.lift(c)) == hash(c)
+        assert len({F.lift(c), c}) == 1
+    assert hash((2 * k + 2) / (4 * k + 4)) == hash(Fraction(1, 2))
 
 
 def test_evaluate_and_denominator_roots(F):
@@ -93,6 +98,13 @@ def test_parse_round_trip(F):
     assert QQ.parse(str(Fraction(-7, 3))) == Fraction(-7, 3)
 
 
+@pytest.mark.parametrize("text", ["k^", "k^k", "(k+1", "k)", "k+", "2x",
+                                  ""])
+def test_parse_rejects_malformed_text(F, text):
+    with pytest.raises(ValueError):
+        F.parse(text)
+
+
 def test_as_fraction_on_both_fields(F):
     assert F.as_fraction(F.lift(Fraction(5, 2))) == Fraction(5, 2)
     assert F.as_fraction(F.gen) is None
@@ -102,3 +114,11 @@ def test_as_fraction_on_both_fields(F):
 def test_division_by_zero(F):
     with pytest.raises(ZeroDivisionError):
         F.one / F.zero
+
+
+def test_division_by_a_rational_function(F):
+    assert 2 / F.gen == Fraction(2) / F.gen == F.parse("2/k")
+    assert Fraction(1, 3) / (F.gen + 1) == F.parse("1/(3*k+3)")
+    for other in (1.5, "a", None):
+        with pytest.raises(TypeError):
+            other / F.gen

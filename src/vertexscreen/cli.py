@@ -62,6 +62,18 @@ def _context_from_args(args):
                             *level_field(args.level))
 
 
+def _count(low):
+    """argparse type of a count flag: an int that is at least low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be an integer >= %d, not %d" % (low, value))
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def _json_arg(flag, text, kind):
     try:
         value = json.loads(text)
@@ -192,7 +204,7 @@ def make_parser():
         p.add_argument("--f-support", help='JSON list of positive roots')
         p.add_argument("--level", default="symbolic",
                        help='"symbolic" or a rational p/q')
-        p.add_argument("--max-weight", type=int, default=8,
+        p.add_argument("--max-weight", type=_count(0), default=8,
                        help="doubled conformal weight bound")
         p.add_argument("--seed", type=int, default=20240)
         p.add_argument("--out", help="write the JSON report to this path")
@@ -213,8 +225,8 @@ def make_parser():
     p_verify.add_argument("suite", choices=("wick", "brst", "wbn", "fs",
                                             "wakimoto", "miura"))
     common(p_verify)
-    p_verify.add_argument("--n", type=int, default=3)
-    p_verify.add_argument("--trials", type=int, default=25)
+    p_verify.add_argument("--n", type=_count(1), default=3)
+    p_verify.add_argument("--trials", type=_count(1), default=25)
     p_verify.set_defaults(func=cmd_verify)
 
     return ap

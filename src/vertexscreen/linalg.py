@@ -1,19 +1,34 @@
 """Exact linear algebra over Q or Q(x).
 
-row_reduce is the one elimination loop; ranks, nullspaces, decompositions
-over a fixed family and span tests are all read off its output.  Each
-field supplies the elimination step: strip_row scales a row to a
-canonical form without denominators, eliminate clears one entry against
-a pivot row and strips the result, and quo divides two entries of
-reduced rows back into the field.  Elimination is fraction-free over
-both fields: rows are coprime Python ints over Q and integer polynomials
-with no common factor over Q(k), and a step is the combination
-(p/g)*row - (v/g)*pivot_row with g = gcd(p, v), taken over the nonzero
-columns of the pivot row.  Where Bareiss (1968) bounds entry growth by
-exact division by the previous pivot, each row here is divided by its own
-gcd instead.  Only the outputs are divided back into Fractions or
-rational functions.
+row_reduce is the one exact elimination loop; ranks, decompositions over
+a fixed family and span tests are all read off its output, and so are
+nullspaces over Q(x).  Each field supplies the elimination step:
+strip_row scales a row to a canonical form without denominators,
+eliminate clears one entry against a pivot row and strips the result,
+and quo divides two entries of reduced rows back into the field.
+Elimination is fraction-free over both fields: rows are coprime Python
+ints over Q and integer polynomials with no common factor over Q(k), and
+a step is the combination (p/g)*row - (v/g)*pivot_row with g = gcd(p, v),
+taken over the nonzero columns of the pivot row.  Where Bareiss (1968)
+bounds entry growth by exact division by the previous pivot, each row
+here is divided by its own gcd instead.  Only the outputs are divided
+back into Fractions or rational functions.
+
+Over Q, nullspace first takes a modular path: one sparse forward
+elimination modulo the prime P = 2^61 - 1, back substitution, rational
+reconstruction of every entry (von zur Gathen & Gerhard, Modern Computer
+Algebra, section 5.10) and an exact check of every basis vector against
+every row in ints.  The check is the certificate that the answer is the
+one row_reduce gives (see nullspace); when reconstruction or the check
+fails, nullspace falls back to row_reduce.
 """
+
+from fractions import Fraction
+from math import isqrt, lcm
+
+# the Mersenne prime 2^61 - 1 and the reconstruction bound sqrt(P/2)
+P = (1 << 61) - 1
+_BOUND = isqrt(P // 2)
 
 
 def row_reduce(rows, ncols, field, pivot_sink=None):
@@ -64,9 +79,27 @@ def nullspace(rows, ncols, field, pivot_sink=None):
 
     Basis vectors are normalized to have 1 in their free coordinate and
     appear in increasing free-column order, so the output is deterministic.
+
+    pivot_sink is passed to row_reduce.  Over Q the modular path of
+    _modular_nullspace comes first and leaves pivot_sink empty when it
+    certifies its answer, which Rationals.denominators ignores anyway.
+    Its answer is the one row_reduce gives, entry for entry:
+
+    - The rank of M mod P is at most its rank over Q.  The checked vectors
+      lie in the kernel over Q and are independent, and there are
+      ncols - rank mod P of them, so they span it and the ranks agree.
+    - The vector of a free column fc is supported on fc and on pivot
+      columns below fc, so its exact check shows that column fc is in
+      the span of the columns before it: fc is free over Q as well.
+    - The free columns are then the same, and the basis is the unique
+      basis of the kernel over Q that is the identity on them.
     """
     if ncols == 0:
         return []
+    if field.int_row is not None:
+        basis = _modular_nullspace(rows, ncols, field)
+        if basis is not None:
+            return basis
     if not rows:
         rows = [[field.zero] * ncols]
     reduced, pivots = row_reduce(rows, ncols, field, pivot_sink=pivot_sink)
@@ -82,6 +115,102 @@ def nullspace(rows, ncols, field, pivot_sink=None):
                 v[pc] = -field.quo(r[fc], r[pc])
         basis.append(v)
     return basis
+
+
+def _modular_nullspace(rows, ncols, field):
+    """nullspace over Q by elimination mod P, or None when uncertified."""
+    # the rows in ints, column by column for the check and as sparse rows
+    # mod P for the elimination
+    columns = [[] for _ in range(ncols)]
+    sparse = []
+    for i, row in enumerate(rows):
+        den, ints = field.int_row(row)
+        if den % P == 0:
+            return None
+        r = {}
+        for j, x in enumerate(ints):
+            if x:
+                columns[j].append((i, x))
+                x %= P
+                if x:
+                    r[j] = x
+        if r:
+            sparse.append(r)
+    # forward elimination, columns in order; a pivot row is kept as the
+    # items right of its pivot, which is scaled to 1
+    pivots = []
+    tails = []
+    for col in range(ncols):
+        for i, r in enumerate(sparse):
+            if col in r:
+                break
+        else:
+            continue
+        prow = sparse.pop(i)
+        inv = pow(prow.pop(col), -1, P)
+        tail = [(j, y * inv % P) for j, y in prow.items()]
+        for r in sparse:
+            v = r.pop(col, 0)
+            if v:
+                for j, y in tail:
+                    x = (r.get(j, 0) - v * y) % P
+                    if x:
+                        r[j] = x
+                    else:
+                        del r[j]
+        pivots.append(col)
+        tails.append(tail)
+    # back substitution: solution[pc] gives x_pc over the free columns
+    pivot_set = set(pivots)
+    solution = {}
+    for pc, tail in zip(reversed(pivots), reversed(tails)):
+        acc = {}
+        for j, y in tail:
+            if j in pivot_set:
+                for fc, c in solution[j].items():
+                    acc[fc] = acc.get(fc, 0) - y * c
+            else:
+                acc[j] = acc.get(j, 0) - y
+        solution[pc] = {fc: a % P for fc, a in acc.items() if a % P}
+    free = [c for c in range(ncols) if c not in pivot_set]
+    vecs = {fc: {fc: field.one} for fc in free}
+    known = {}
+    for pc, xs in solution.items():
+        for fc, a in xs.items():
+            q = known.get(a)
+            if q is None:
+                q = known[a] = _reconstruct(a)
+                if q is None:
+                    return None
+            vecs[fc][pc] = q
+    # the exact check, column by column of M
+    basis = []
+    for fc in free:
+        vec = vecs[fc]
+        den = lcm(*[q.denominator for q in vec.values()])
+        acc = [0] * len(rows)
+        for j, q in vec.items():
+            w = q.numerator * (den // q.denominator)
+            for i, x in columns[j]:
+                acc[i] += x * w
+        if any(acc):
+            return None
+        v = [field.zero] * ncols
+        for j, q in vec.items():
+            v[j] = q
+        basis.append(v)
+    return basis
+
+
+def _reconstruct(a):
+    """The Fraction n/d = a mod P with |n|, d <= sqrt(P/2), or None."""
+    r0, r1, t0, t1 = P, a, 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > _BOUND:
+        return None
+    return Fraction(r1, t1)
 
 
 def decompose(family, targets, field):

@@ -564,6 +564,9 @@ class RationalFunctionField:
         self.gen = RationalFunction(self, (0, 1), P_ONE, _canonical=True)
 
     name = property(lambda self: "Q(%s)" % self.symbol)
+    # rows of rational functions have no integer form: linalg.nullspace
+    # takes no modular path over Q(k)
+    int_row = None
 
     def lift(self, fr):
         if type(fr) is int:
@@ -613,12 +616,13 @@ class RationalFunctionField:
         coprime to v/g.
         """
         p, v = prow[col], row[col]
-        g = p_gcd(p, v) if len(p) > 1 and len(v) > 1 else P_ONE
+        # a constant on either side leaves no polynomial gcd to divide out
+        if len(p) > 1 and len(v) > 1:
+            p, v = _gcd_cofactors([p, v])[1]
         c = gcd(p_content(p), p_content(v))
         if c > 1:
-            g = p_scale(g, c)
-        if g != P_ONE:
-            p, v = p_div_exact(p, g), p_div_exact(v, g)
+            p = tuple(x // c for x in p)
+            v = tuple(x // c for x in v)
         out = list(row) if p == P_ONE else [p_mul(p, x) for x in row]
         for j, y in enumerate(prow):
             if y:
@@ -671,14 +675,22 @@ class Rationals:
     def as_fraction(self, x):
         return Fraction(x)
 
+    def int_row(self, row):
+        """(den, row * den) with den the lcm of the denominators of row.
+
+        Entries may be ints or Fractions; the scaled row is a list of ints.
+        This is the hook of linalg.nullspace's modular path.
+        """
+        den = lcm(*[x.denominator for x in row])
+        return den, [x.numerator * (den // x.denominator) for x in row]
+
     def strip_row(self, row, factor_sink=None):
         """Scale a row by a positive rational to coprime ints.
 
         Entries may be ints or Fractions; a zero row comes back as int
         zeros.
         """
-        den = lcm(*[x.denominator for x in row])
-        row = [x.numerator * (den // x.denominator) for x in row]
+        row = self.int_row(row)[1]
         g = gcd(*row)
         return [x // g for x in row] if g > 1 else row
 

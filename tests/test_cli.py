@@ -152,6 +152,26 @@ def test_bad_input_exit_code(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "wbn", "--n", "-1"], "--n"),
+    (["verify", "wbn", "--n", "0"], "--n"),
+    (["verify", "wick", "--trials", "-1"], "--trials"),
+    (["verify", "wick", "--trials", "0"], "--trials"),
+    (["kernel", "--preset", "sl2-regular", "--max-weight", "-1"],
+     "--max-weight"),
+    (["verify", "brst", "--max-weight", "-3"], "--max-weight"),
+])
+def test_bad_count_is_usage_error(argv, flag, capsys):
+    """A count below its least value names the flag and exits 2, instead
+    of a vacuous pass or an internal error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: must be an integer >= " % flag in err
+    assert "internal" not in err
+
+
 def test_out_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(["info", "--preset", "sl2-regular", "--max-weight",

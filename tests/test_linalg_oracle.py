@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from vertexscreen.linalg import decompose, matrix_rank, nullspace
+from vertexscreen import linalg
+from vertexscreen.linalg import P, decompose, matrix_rank, nullspace
+from vertexscreen.presets import preset_context
 from vertexscreen.scalars import QQ, RationalFunctionField
+from vertexscreen.screening import (exponential_screenings,
+                                    generic_screenings, kernel_basis)
 
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
@@ -107,3 +111,115 @@ def test_decompose_matches_sympy(problem, mix):
             assert coords is not None
             assert ref * _matrix([[c] for c in coords], 1, dom) == col
     assert got[-1] == [field.lift(c) for c in mix[:ncols]]
+
+
+# sparse ints up to 10**6 or Fractions with small denominators: kernels
+# within the reconstruction bound and, on denser draws, beyond it
+Q_ENTRIES = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 30)))
+SPARSE_Q = st.tuples(st.integers(0, 2), Q_ENTRIES) \
+    .map(lambda t: Fraction(t[1]) if t[0] == 0 else Fraction(0))
+
+
+def _sympy_nullspace(rows, ncols):
+    """sympy's nullspace basis as lists of Fractions."""
+    ref = sympy.Matrix(len(rows), ncols,
+                       [sympy.Rational(x.numerator, x.denominator)
+                        for row in rows for x in row])
+    return [[Fraction(int(x.p), int(x.q)) for x in v]
+            for v in ref.nullspace()]
+
+
+def _fallback_nullspace(rows, ncols):
+    """nullspace over Q with the modular path forced to fail."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_modular_nullspace", lambda *args: None)
+        return nullspace(rows, ncols, QQ)
+
+
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(st.integers(1, 8).flatmap(lambda ncols: st.tuples(
+    st.just(ncols),
+    st.lists(st.lists(SPARSE_Q, min_size=ncols, max_size=ncols),
+             min_size=1, max_size=8))))
+def test_certified_nullspace_matches_fallback_and_sympy(problem):
+    ncols, rows = problem
+    expected = _fallback_nullspace(rows, ncols)
+    assert expected == _sympy_nullspace(rows, ncols)
+    certified = linalg._modular_nullspace(rows, ncols, QQ)
+    if certified is not None:
+        assert certified == expected
+        assert all(type(x) is Fraction for v in certified for x in v)
+    assert nullspace(rows, ncols, QQ) == expected
+
+
+def _counting(monkeypatch):
+    """Wrap the modular path; the list records whether each call
+    certified its answer."""
+    outcomes = []
+    modular = linalg._modular_nullspace
+
+    def wrapper(*args):
+        out = modular(*args)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(linalg, "_modular_nullspace", wrapper)
+    return outcomes
+
+
+@pytest.mark.parametrize("rows, ncols, certified", [
+    # the pivot sets differ mod P: column 0 vanishes there
+    ([[P, 1]], 2, False),
+    # an entry divisible by P is lost mod P and breaks the check ...
+    ([[1, 1, P]], 3, False),
+    # ... or is dropped without harm (it is no pivot mod P)
+    ([[P, 1, 1], [1, 0, 0]], 3, True),
+    # a kernel entry above the reconstruction bound
+    ([[2**40 + 7, 3]], 2, False),
+    # a denominator divisible by P, also where the check would pass
+    ([[Fraction(1, P), 1]], 2, False),
+    ([[Fraction(1, P), Fraction(1, P)]], 2, False),
+    # zero rows and an empty row list: every column is free
+    ([[0, 0, 0]], 3, True),
+    ([[0, 0], [0, 0]], 2, True),
+    ([], 3, True),
+])
+def test_certified_nullspace_adversarial(rows, ncols, certified,
+                                         monkeypatch):
+    rows = [[Fraction(x) for x in row] for row in rows]
+    outcomes = _counting(monkeypatch)
+    got = nullspace(rows, ncols, QQ)
+    assert outcomes == [certified]
+    assert got == _sympy_nullspace(rows, ncols)
+    assert all(type(x) is Fraction for v in got for x in v)
+
+
+def test_nullspace_without_columns(monkeypatch):
+    outcomes = _counting(monkeypatch)
+    assert nullspace([], 0, QQ) == []
+    assert nullspace([[], []], 0, QQ) == []
+    assert outcomes == []
+
+
+@pytest.mark.parametrize("preset, kind, max_w2", [
+    ("osp1_4-regular", exponential_screenings, 8),
+    ("sl4-subregular", generic_screenings, 6),
+])
+def test_specialized_kernels_certify_without_fallback(preset, kind, max_w2,
+                                                      monkeypatch):
+    """At k = 7/2 the modular path certifies every kernel over Q, and the
+    forced fallback gives the same bases."""
+    ctx = preset_context(preset, Fraction(7, 2))
+    ops = kind(ctx)
+    with monkeypatch.context() as mp:
+        outcomes = _counting(mp)
+        certified = [kernel_basis(ctx, ops, w2).basis_fields
+                     for w2 in range(max_w2 + 1)]
+    assert outcomes and all(outcomes)
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_modular_nullspace", lambda *args: None)
+        fallback = [kernel_basis(ctx, ops, w2).basis_fields
+                    for w2 in range(max_w2 + 1)]
+    assert certified == fallback

@@ -92,10 +92,10 @@ def _emit(doc, args):
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
-        if args.format == "json" or not args.out:
-            print(text)
-        elif args.format == "table":
+        if args.format == "table":
             _print_table(doc)
+        else:
+            print(text)
     except OSError as exc:
         raise InputError(exc) from exc
 
@@ -173,6 +173,12 @@ def cmd_kernel(args):
 
 
 def cmd_verify(args):
+    # every suite builds its own algebra from --preset or --n
+    for flag in ("datum", "labels", "f_support"):
+        if getattr(args, flag) is not None:
+            raise InputError("--%s is not read by verify; its suites take "
+                             "--preset or --n"
+                             % flag.replace("_", "-"))
     rng = random.Random(args.seed)
     runner = {
         "wick": verify_mod.verify_wick,

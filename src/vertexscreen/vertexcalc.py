@@ -289,6 +289,7 @@ class Module:
         self._translate_memo = {}
         self._word_memo = {}
         self._ladder_memo = {}
+        self._creation_memo = {}
 
     # -- highest vectors -----------------------------------------------------
 
@@ -528,6 +529,9 @@ class Module:
             A_b = -(1/b) sum_{j=1..b} mu_(j) A_{b-j},
             C_a = (1/a) sum_{j=1..a} mu_(-j) C_{a-j},
         and the coefficient is sum_b C_{J-p+b} S_mu A_b on the monomial.
+        C_a is linear and does not see where a monomial came from, so each
+        C_a m is stored per shifted monomial m (_creation_ladder) and shared
+        by every b, every J and every monomial whose A_b reaches m.
         """
         field = self.field
         p_int = self._mom_pairing_int(mom, tag)
@@ -535,13 +539,12 @@ class Module:
         out = {}
         for b, st in enumerate(ladder):
             top = J - p_int + b
-            if top < 0 or not st:
+            if top < 0:
                 continue
-            # shift operator: retag the highest vector
-            up = [{(w, new_tag): c for (w, t), c in st.items()}]
-            for a in range(1, top + 1):
-                up.append(self._exp_step(mom, up, -1, Fraction(1, a)))
-            state_acc(out, up[top], field.one, field)
+            # S_mu retags the highest vector before C(z) acts
+            for (w, t), c in st.items():
+                up = self._creation_ladder(mom, w, new_tag, top)
+                state_acc(out, up[top], c, field)
         return {k: v for k, v in out.items() if v}
 
     def _annihilation_ladder(self, mom, w0, tag):
@@ -560,6 +563,18 @@ class Module:
             ladder.append(self._exp_step(mom, ladder, 1, Fraction(-1, b)))
         out = self._ladder_memo[key] = (tuple(ladder), new_tag)
         return out
+
+    def _creation_ladder(self, mom, word, tag, top):
+        """C_0 m .. C_top m (at least) on the monomial m = (word, tag),
+        stored per (mom, word, tag); entries are appended on demand, never
+        changed, and only read by callers."""
+        key = (mom, word, tag)
+        ladder = self._creation_memo.get(key)
+        if ladder is None:
+            ladder = self._creation_memo[key] = [{(word, tag): self.field.one}]
+        for a in range(len(ladder), top + 1):
+            ladder.append(self._exp_step(mom, ladder, -1, Fraction(1, a)))
+        return ladder
 
     def _exp_step(self, mom, ladder, sign, scale):
         """scale * sum_{j=1..n} mu_(sign*j) ladder[n-j], n = len(ladder)."""

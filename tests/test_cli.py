@@ -190,6 +190,34 @@ def test_table_format(tmp_path, capsys):
     assert "h_dual" in out and "{" not in out.splitlines()[0]
 
 
+def test_table_format_without_out(capsys):
+    """--format table prints the table with or without --out; the default
+    JSON output is what --format json prints."""
+    argv = ["info", "--preset", "sl2-regular", "--max-weight", "4"]
+    code, table = run_cli(argv + ["--format", "table"], capsys)
+    assert code == 0
+    assert "h_dual" in table and "{" not in table.splitlines()[0]
+    code, default = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(default)
+    assert run_cli(argv + ["--format", "json"], capsys) == (0, default)
+
+
+@pytest.mark.parametrize("suite", ["brst", "miura"])
+@pytest.mark.parametrize("flag, value", [
+    ("--datum", "/nonexistent.json"),
+    ("--labels", '{"a1": 2}'),
+    ("--f-support", '["a1"]'),
+])
+def test_verify_rejects_unread_flags(suite, flag, value, capsys):
+    """No verify suite reads a datum, so the datum flags are usage errors
+    instead of running the default preset."""
+    assert main(["verify", suite, "--max-weight", "2", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: %s" % flag in err and "internal" not in err
+
+
 def test_bad_level_text_is_usage_error(capsys):
     assert main(["kernel", "--preset", "sl2-regular", "--level", "abc"]) == 2
     assert main(["verify", "brst", "--level", "1/0"]) == 2

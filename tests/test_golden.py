@@ -19,7 +19,10 @@ both generic screening constructions on whole graded pieces.
 ``kernel-sl4-subregular-symbolic-6.json``, the generic screenings of
 sl4-subregular (both classes of degree one, chi(e_a) S^a_1) over Q(k),
 holds what ``kernel`` wrote before each S^a_n on a current monomial was
-stored and its translations summed by Horner's rule.  The
+stored and its translations summed by Horner's rule.
+``kernel-osp1_6-regular-7_2-8.json``, the three exponential screenings of
+WB_3 = W(osp(1|6)) at k = 7/2, holds what ``kernel`` wrote before the
+e^{int mu} creation ladder was stored per monomial.  The
 engine promises identical output for a fixed configuration, so a change
 that moves any byte of a basis, a dimension, a cohomology count, a
 projection scalar or a reported denominator fails here.  Regenerate a
@@ -41,6 +44,7 @@ CASES = [
     ("osp1_4-regular", "7/2", 10),
     ("sl3-regular", "7/2", 8),
     ("sl4-subregular", "symbolic", 6),
+    ("osp1_6-regular", "7/2", 8),
 ]
 VERIFY_CASES = [
     ("brst", "sl3-subregular", "symbolic", 8),

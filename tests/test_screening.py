@@ -393,24 +393,32 @@ def test_s_alpha_horner_matches_powers(preset, level):
 def _memo_snapshot(ctx):
     return ({key: dict(val) for key, val in ctx._s_alpha_memo.items()},
             {key: ([dict(st) for st in ladder], tag) for key, (ladder, tag)
-             in ctx.module._ladder_memo.items()})
+             in ctx.module._ladder_memo.items()},
+            {key: [dict(st) for st in ladder] for key, ladder
+             in ctx.module._creation_memo.items()})
 
 
 @pytest.mark.parametrize("preset, screenings, max_w2, filled", [
     ("sl4-subregular", generic_screenings, 6, 0),
     ("osp1_4-regular", exponential_screenings, 8, 1)])
 def test_screening_memos_left_intact(preset, screenings, max_w2, filled):
-    """The S^a_n memo and the e^{int mu} annihilation-ladder memo are only
-    read: a second kernel_basis run, with its re-application check, finds
-    every stored entry as the first run left it and gives equal reports."""
+    """The S^a_n memo and the e^{int mu} annihilation- and creation-ladder
+    memos are only read: a second kernel_basis run, with its re-application
+    check, finds every stored entry as the first run left it (a creation
+    ladder may only have grown at its end) and gives equal reports."""
     ctx = preset_context(preset, level=Fraction(7, 2))
     ops = screenings(ctx)
     first = [kernel_basis(ctx, ops, w2).to_json() for w2 in range(max_w2 + 1)]
     snaps = _memo_snapshot(ctx)
     assert snaps[filled]
+    # e^{int mu} stores both ladders or neither
+    assert bool(snaps[2]) == bool(snaps[1])
     second = [kernel_basis(ctx, ops, w2).to_json()
               for w2 in range(max_w2 + 1)]
     assert second == first
-    for memo, snap in zip(_memo_snapshot(ctx), snaps):
+    s_alpha, ladders, creation = _memo_snapshot(ctx)
+    for memo, snap in ((s_alpha, snaps[0]), (ladders, snaps[1])):
         for key, val in snap.items():
             assert memo[key] == val, key
+    for key, val in snaps[2].items():
+        assert creation[key][:len(val)] == val, key

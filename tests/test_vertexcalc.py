@@ -12,7 +12,7 @@ from vertexscreen.vertexcalc import (GenSystem, GradingMismatch,
                                      bracket, derive, field_state,
                                      graded_basis, mode_apply, normal_order,
                                      normal_order_list, state_field,
-                                     sugawara_field)
+                                     state_acc, sugawara_field)
 from vertexscreen.walgebras import WBnModel
 from vertexscreen.verify import (check_commutator, check_jacobi, check_skew,
                                  check_wick, random_homogeneous_field)
@@ -423,6 +423,96 @@ def test_exp_recurrence_matches_partitions_wb3():
     # (mu_1|nu) = 1 and (mu_i|nu) = 0 otherwise
     starts = [(z, z, z), (F.one / s, z, z)]
     _check_exp_against_partitions(model.module, momenta, starts)
+
+
+def _exp_coeff_per_b(mod, mom, J, w0, tag):
+    """[z^J] e^{int mu}(z) on one monomial with the creation ladder
+    C_1..C_top rebuilt on S_mu A_b for every b, as exp_coeff_mono did
+    before it stored C_a m per monomial."""
+    field = mod.field
+    p_int = mod._mom_pairing_int(mom, tag)
+    ladder, new_tag = mod._annihilation_ladder(mom, w0, tag)
+    out = {}
+    for b, st in enumerate(ladder):
+        top = J - p_int + b
+        if top < 0 or not st:
+            continue
+        up = [{(w, new_tag): c for (w, t), c in st.items()}]
+        for a in range(1, top + 1):
+            up.append(mod._exp_step(mom, up, -1, Fraction(1, a)))
+        state_acc(out, up[top], field.one, field)
+    return {k: v for k, v in out.items() if v}
+
+
+def _check_shared_creation_ladder(mod, momenta, fermion_op, monkeypatch,
+                                  max_w2=8):
+    """exp_coeff_mono equals the per-b rebuild on every vacuum-module
+    monomial to doubled depth max_w2 (where screenings act), for every J
+    that the exp-fermion recursion, fermion_op = (fermion, mu), reaches on
+    those monomials.  J runs once ascending on an empty creation memo, so
+    stored ladders are extended at more than one J, and once descending on
+    an emptied memo, so the first J builds every ladder and the later ones
+    only read."""
+    monos = [key for w2 in range(max_w2 + 1) for key in graded_basis(mod, w2)]
+    reached = set()
+    exp_coeff_mono = mod.exp_coeff_mono
+
+    def recording(mom, J, w0, tag):
+        reached.add(J)
+        return exp_coeff_mono(mom, J, w0, tag)
+
+    fermion, mu_f = fermion_op
+    with monkeypatch.context() as mp:
+        mp.setattr(mod, "exp_coeff_mono", recording)
+        for (w, tag) in monos:
+            mod.word_coeff_mono(((fermion, 0),), mu_f, -1, w, tag)
+    assert len(reached) > 1
+    want = {(mu, J, w, tag): _exp_coeff_per_b(mod, mu, J, w, tag)
+            for mu in momenta for J in reached for (w, tag) in monos}
+    assert any(want.values())
+    creation_steps = [0]
+    exp_step = mod._exp_step
+
+    def counting(mom, ladder, sign, scale):
+        creation_steps[0] += sign < 0
+        return exp_step(mom, ladder, sign, scale)
+
+    monkeypatch.setattr(mod, "_exp_step", counting)
+    for order in (sorted(reached), sorted(reached, reverse=True)):
+        mod._creation_memo.clear()
+        built_at = []
+        for J in order:
+            before = creation_steps[0]
+            for mu in momenta:
+                for (w, tag) in monos:
+                    got = mod.exp_coeff_mono(mu, J, w, tag)
+                    assert got == want[(mu, J, w, tag)], (mu, J, w, tag)
+            if creation_steps[0] > before:
+                built_at.append(J)
+        if order[0] < order[-1]:
+            assert len(built_at) > 1
+        else:
+            assert built_at == [order[0]]
+
+
+@pytest.mark.parametrize("level", [Fraction(7, 2), "symbolic"])
+def test_shared_creation_ladder_matches_per_b_osp1_4(level, monkeypatch):
+    ctx = preset_context("osp1_4-regular", level)
+    ops = exponential_screenings(ctx)
+    momenta = [op.momentum for op in ops]
+    (fop,) = [(op.fermion, op.momentum) for op in ops
+              if op.kind == "exp-fermion"]
+    _check_shared_creation_ladder(ctx.module, momenta, fop, monkeypatch)
+
+
+def test_shared_creation_ladder_matches_per_b_wb3(monkeypatch):
+    model = WBnModel(3, gamma_mode="split")
+    F = model.field
+    s = F.gen
+    z = F.zero
+    momenta = [(s, -s, z), (z, s, -s), (z, z, s)]
+    _check_shared_creation_ladder(model.module, momenta,
+                                  (model.psi, momenta[2]), monkeypatch)
 
 
 def test_tags_are_interned(heis_fermion):

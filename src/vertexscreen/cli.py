@@ -101,13 +101,17 @@ def _emit(doc, args):
 
 
 def _print_table(doc):
+    # dicts by sorted key and lists by index; an empty one prints its key
     def walk(prefix, node):
-        if isinstance(node, dict):
-            for key in sorted(node):
-                walk("%s.%s" % (prefix, key) if prefix else str(key),
-                     node[key])
-        else:
+        if not isinstance(node, (dict, list)):
             print("%-40s %s" % (prefix, node))
+            return
+        if not node:
+            print(prefix)
+        keys = sorted(node) if hasattr(node, "keys") else range(len(node))
+        for key in keys:
+            walk("%s.%s" % (prefix, key) if prefix else str(key),
+                 node[key])
 
     walk("", doc)
 

@@ -5,7 +5,8 @@ a fixed family and span tests are all read off its output, and so are
 nullspaces over Q(x).  Each field supplies the elimination step:
 strip_row scales a row to a canonical form without denominators,
 eliminate clears one entry against a pivot row and strips the result,
-and quo divides two entries of reduced rows back into the field.
+quo divides two entries of reduced rows back into the field, and dot
+multiplies a stripped row, as (column, entry) pairs, into a stripped one.
 Elimination is fraction-free over both fields: rows are coprime Python
 ints over Q and integer polynomials with no common factor over Q(k), and
 a step is the combination (p/g)*row - (v/g)*pivot_row with g = gcd(p, v),
@@ -20,7 +21,8 @@ reconstruction of every entry (von zur Gathen & Gerhard, Modern Computer
 Algebra, section 5.10) and an exact check of every basis vector against
 every row in ints.  The check is the certificate that the answer is the
 one row_reduce gives (see nullspace); when reconstruction or the check
-fails, nullspace falls back to row_reduce.
+fails, nullspace falls back to row_reduce, whose nullspaces over either
+field are checked exactly as well, fraction-free (see nullspace).
 """
 
 from fractions import Fraction
@@ -31,17 +33,19 @@ P = (1 << 61) - 1
 _BOUND = isqrt(P // 2)
 
 
-def row_reduce(rows, ncols, field, pivot_sink=None):
+def row_reduce(rows, ncols, field, pivot_sink=None, stripped=None):
     """Return (echelon_rows, pivot_cols); the input rows are not modified.
 
     pivot_sink, when given, receives every pivot value used and every
     stripped common row factor, as entries of stripped rows: divisions by
     pivots happen during elimination and back substitution, so their
     vanishing loci belong to the "denominators crossed" by the
-    computation.
+    computation.  stripped, when given, receives the stripped input rows.
     """
     eliminate = field.eliminate
     rows = [field.strip_row(list(r), pivot_sink) for r in rows]
+    if stripped is not None:
+        stripped.extend(rows)
     pivots = []
     rank = 0
     for col in range(ncols):
@@ -93,6 +97,11 @@ def nullspace(rows, ncols, field, pivot_sink=None):
       the span of the columns before it: fc is free over Q as well.
     - The free columns are then the same, and the basis is the unique
       basis of the kernel over Q that is the identity on them.
+
+    On the row_reduce path field.dot checks each vector, stripped, against
+    each row as row_reduce stripped it.  Stripping scales by a nonzero
+    element of the field, so the sums, of ints or integer polynomials, all
+    vanish exactly when M v = 0; AssertionError is raised where one does not.
     """
     if ncols == 0:
         return []
@@ -100,9 +109,9 @@ def nullspace(rows, ncols, field, pivot_sink=None):
         basis = _modular_nullspace(rows, ncols, field)
         if basis is not None:
             return basis
-    if not rows:
-        rows = [[field.zero] * ncols]
-    reduced, pivots = row_reduce(rows, ncols, field, pivot_sink=pivot_sink)
+    stripped = []
+    reduced, pivots = row_reduce(rows, ncols, field, pivot_sink=pivot_sink,
+                                 stripped=stripped)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -114,6 +123,10 @@ def nullspace(rows, ncols, field, pivot_sink=None):
             if r[fc]:
                 v[pc] = -field.quo(r[fc], r[pc])
         basis.append(v)
+    sparse = [[(j, x) for j, x in enumerate(r) if x] for r in stripped]
+    vecs = [field.strip_row(v) for v in basis]
+    if any(field.dot(r, u) for u in vecs for r in sparse):
+        raise AssertionError("a nullspace vector fails the exact check")
     return basis
 
 

@@ -632,6 +632,14 @@ class RationalFunctionField:
     def quo(self, a, b):
         return RationalFunction(self, a, b)
 
+    def dot(self, pairs, vec):
+        """sum(x * vec[j]) over the (j, x) pairs; stripped entries."""
+        acc = P_ZERO
+        for j, x in pairs:
+            if vec[j]:
+                acc = p_add(acc, p_mul(x, vec[j]))
+        return acc
+
     def denominators(self, values):
         """(labels, roots) of the denominators of values.
 
@@ -716,6 +724,9 @@ class Rationals:
 
     def quo(self, a, b):
         return Fraction(a, b)
+
+    def dot(self, pairs, vec):
+        return sum(x * vec[j] for j, x in pairs)
 
     def denominators(self, values):
         return set(), set()

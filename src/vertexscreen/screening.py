@@ -18,8 +18,8 @@ Screening charges come in two constructions:
 A charge is the z^{-1} Fourier coefficient, with a neutral fermion factor
 inserted for the classes of degree one half.  Kernels are computed per
 conformal weight (doubled integers; highest vectors sit at depth 0) by
-exact elimination, and every kernel vector is re-checked by applying the
-screenings again.
+exact elimination of the screening images, and linalg.nullspace checks
+every kernel vector exactly against those images before it returns.
 """
 
 from fractions import Fraction
@@ -423,17 +423,8 @@ def kernel_basis(ctx, screenings, weight2, expected=None):
             rows.append([img.get(key, field.zero) for img in images])
     pivots = []
     kernel = nullspace(rows, ncols, field, pivot_sink=pivots)
-    basis_fields = []
-    for vec in kernel:
-        st = {}
-        for c, (w, t) in zip(vec, basis):
-            if c:
-                st[(w, t)] = c
-        for op in screenings:
-            if op.apply(st):
-                raise AssertionError(
-                    "kernel vector fails re-application of %s" % op.label)
-        basis_fields.append(state_field(st, ctx.system))
+    basis_fields = [state_field({key: c for c, key in zip(vec, basis) if c},
+                                ctx.system) for vec in kernel]
     # divisions by pivots happen during back substitution; the levels
     # where a pivot or a stripped row factor vanishes count as
     # denominators crossed.  Both are entries of stripped rows, so they

@@ -190,6 +190,41 @@ def test_table_format(tmp_path, capsys):
     assert "h_dual" in out and "{" not in out.splitlines()[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--preset", "sl2-regular", "--max-weight", "4"],
+    ["info", "--preset", "osp1_4-regular", "--max-weight", "6"]])
+def test_table_format_walks_lists(argv, capsys):
+    """--format table walks lists by index as it walks dicts by key: no
+    printed value is a list or a dict, and every leaf of the JSON report
+    is printed under its path."""
+    code, default = run_cli(argv, capsys)
+    code_table, table = run_cli(argv + ["--format", "table"], capsys)
+    assert code == code_table == 0
+    rows = {}
+    for line in table.splitlines():
+        key, _, value = line.partition(" ")
+        rows[key] = value.strip()
+        assert not rows[key].startswith(("[", "{")), line
+
+    def leaves(prefix, node):
+        if isinstance(node, dict):
+            node = {str(k): v for k, v in node.items()}
+        elif isinstance(node, list):
+            node = {str(i): v for i, v in enumerate(node)}
+        else:
+            yield prefix, node
+            return
+        if not node:
+            yield prefix, ""
+        for key, value in node.items():
+            yield from leaves(prefix + "." + key if prefix else key, value)
+
+    want = {key: str(value) for key, value in leaves("", json.loads(default))}
+    assert rows == want
+    if argv[0] == "kernel":
+        assert rows["reports.4.kernel_dim"] == "1"
+
+
 def test_table_format_without_out(capsys):
     """--format table prints the table with or without --out; the default
     JSON output is what --format json prints."""

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
+import pytest
+
+from vertexscreen import cli, linalg, screening
 from vertexscreen.linalg import decompose, matrix_rank, nullspace, solve_in_span
-from vertexscreen.scalars import QQ, RationalFunction, RationalFunctionField
+from vertexscreen.scalars import (QQ, RationalFunction, RationalFunctionField,
+                                  Rationals)
 
 
 def test_rank_and_nullspace_rationals():
@@ -178,3 +182,58 @@ def test_polynomial_path_over_qk_returns_rational_functions():
     sol = solve_in_span(vecs, dict(zip("abcd", targets[0])), F)
     assert sol == got[0]
     assert all(type(x) is RationalFunction for x in sol)
+
+
+
+def _corrupt_back_substitution(monkeypatch, field_cls):
+    """Inside linalg.nullspace the first field.quo returns its quotient plus
+    one, so one back-substituted entry is wrong.  Over Q the modular path
+    is made to fail first, so that row_reduce answers."""
+    state = {"inside": False, "corrupted": False}
+    quo, inner = field_cls.quo, linalg.nullspace
+
+    def corrupted(self, a, b):
+        q = quo(self, a, b)
+        if state["inside"] and not state["corrupted"]:
+            state["corrupted"] = True
+            return q + self.one
+        return q
+
+    def tracked(*args, **kwargs):
+        state["inside"] = True
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            state["inside"] = False
+
+    monkeypatch.setattr(field_cls, "quo", corrupted)
+    monkeypatch.setattr(linalg, "nullspace", tracked)
+    monkeypatch.setattr(screening, "nullspace", tracked)
+    monkeypatch.setattr(linalg, "_modular_nullspace", lambda *args: None)
+    return state
+
+
+@pytest.mark.parametrize("field", [RationalFunctionField("k"), QQ],
+                         ids=["Q(k)", "Q"])
+def test_nullspace_check_rejects_a_wrong_entry(field, monkeypatch):
+    """The exact check of the row_reduce path catches one wrong entry."""
+    x = field.gen if field is not QQ else Fraction(7, 2)
+    rows = [[field.one, 2 * x, 3 * field.one],
+            [field.zero, x - 1, x * x + 1]]
+    assert len(nullspace(rows, 3, field)) == 1
+    state = _corrupt_back_substitution(monkeypatch, type(field))
+    with pytest.raises(AssertionError):
+        linalg.nullspace(rows, 3, field)
+    assert state["corrupted"]
+
+
+@pytest.mark.parametrize("level", ["symbolic", "7/2"])
+def test_failed_check_is_an_internal_error(level, monkeypatch, capsys):
+    """The CLI reports a kernel vector that fails the check with exit 3."""
+    _corrupt_back_substitution(
+        monkeypatch, RationalFunctionField if level == "symbolic"
+        else Rationals)
+    code = cli.main(["kernel", "--preset", "sl2-regular", "--max-weight",
+                     "4", "--level", level])
+    assert code == 3
+    assert "internal error: AssertionError" in capsys.readouterr().err

@@ -9,7 +9,8 @@ from vertexscreen.screening import (NonCartanZeroPart, expected_character,
                                     exponential_screenings,
                                     generic_screenings, kernel_basis)
 from vertexscreen.vertexcalc import (CriticalLevel, _fact, apply_field_coeff,
-                                     graded_basis, state_acc, state_field)
+                                     field_state, graded_basis, state_acc,
+                                     state_field)
 
 
 def test_s_series_on_vacuum():
@@ -390,6 +391,36 @@ def test_s_alpha_horner_matches_powers(preset, level):
     assert nonzero
 
 
+def _assert_annihilated(ops, reports):
+    """Every screening sends every kernel vector of the reports to zero."""
+    for rep in reports:
+        for f in rep.basis_fields:
+            st = field_state(f)
+            for op in ops:
+                assert op.apply(st) == {}, (rep.weight2, op.label)
+
+
+@pytest.mark.parametrize("preset, screenings, level, max_w2", [
+    ("osp1_4-regular", exponential_screenings, "symbolic", 8),
+    ("osp1_4-regular", exponential_screenings, Fraction(7, 2), 10),
+    ("sl4-subregular", generic_screenings, "symbolic", 6),
+    ("sl3-subregular", generic_screenings, "symbolic", 6),
+    ("sl3-subregular-cartan", generic_screenings, "symbolic", 6)])
+def test_kernel_vectors_annihilated_by_screenings(preset, screenings, level,
+                                                  max_w2):
+    """Re-applying the screenings to the kernel vectors gives zero: an
+    oracle for the exact check inside linalg.nullspace, through the
+    screening action itself rather than the matrix of images.  The cases
+    cover the exp and exp-fermion charges over Q(k) and Q, generic-one
+    (sl4-subregular, sl3-subregular) and generic-half
+    (sl3-subregular-cartan)."""
+    ctx = preset_context(preset, level=level)
+    ops = screenings(ctx)
+    reports = [kernel_basis(ctx, ops, w2) for w2 in range(max_w2 + 1)]
+    assert any(len(f.terms) > 1 for rep in reports for f in rep.basis_fields)
+    _assert_annihilated(ops, reports)
+
+
 def _memo_snapshot(ctx):
     return ({key: dict(val) for key, val in ctx._s_alpha_memo.items()},
             {key: ([dict(st) for st in ladder], tag) for key, (ladder, tag)
@@ -403,16 +434,19 @@ def _memo_snapshot(ctx):
     ("osp1_4-regular", exponential_screenings, 8, 1)])
 def test_screening_memos_left_intact(preset, screenings, max_w2, filled):
     """The S^a_n memo and the e^{int mu} annihilation- and creation-ladder
-    memos are only read: a second kernel_basis run, with its re-application
-    check, finds every stored entry as the first run left it (a creation
-    ladder may only have grown at its end) and gives equal reports."""
+    memos are only read: re-applying the screenings to the first run's
+    kernel vectors, multi-term states, and a second kernel_basis run find
+    every stored entry as the first run left it (a creation ladder may
+    only have grown at its end), and the second run gives equal reports."""
     ctx = preset_context(preset, level=Fraction(7, 2))
     ops = screenings(ctx)
-    first = [kernel_basis(ctx, ops, w2).to_json() for w2 in range(max_w2 + 1)]
+    reports = [kernel_basis(ctx, ops, w2) for w2 in range(max_w2 + 1)]
+    first = [rep.to_json() for rep in reports]
     snaps = _memo_snapshot(ctx)
     assert snaps[filled]
     # e^{int mu} stores both ladders or neither
     assert bool(snaps[2]) == bool(snaps[1])
+    _assert_annihilated(ops, reports)
     second = [kernel_basis(ctx, ops, w2).to_json()
               for w2 in range(max_w2 + 1)]
     assert second == first

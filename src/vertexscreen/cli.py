@@ -177,12 +177,6 @@ def cmd_kernel(args):
 
 
 def cmd_verify(args):
-    # every suite builds its own algebra from --preset or --n
-    for flag in ("datum", "labels", "f_support"):
-        if getattr(args, flag) is not None:
-            raise InputError("--%s is not read by verify; its suites take "
-                             "--preset or --n"
-                             % flag.replace("_", "-"))
     rng = random.Random(args.seed)
     runner = {
         "wick": verify_mod.verify_wick,
@@ -206,39 +200,34 @@ def make_parser():
                     "(weights are doubled integers)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--preset", choices=preset_names())
-        p.add_argument("--datum", help="JSON algebra description file")
-        p.add_argument("--labels",
-                       help='JSON grading labels, e.g. {"a1": 0, "a2": 2}')
-        p.add_argument("--f-support", help='JSON list of positive roots')
-        p.add_argument("--level", default="symbolic",
-                       help='"symbolic" or a rational p/q')
-        p.add_argument("--max-weight", type=_count(0), default=8,
-                       help="doubled conformal weight bound")
-        p.add_argument("--seed", type=int, default=20240)
-        p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument("--format", choices=("json", "table"), default="json")
-
     p_info = sub.add_parser("info", help="algebra and grading report")
-    common(p_info)
     p_info.set_defaults(func=cmd_info)
-
     p_kernel = sub.add_parser("kernel", help="screening kernels per weight")
-    common(p_kernel)
     p_kernel.add_argument("--screenings",
                           choices=("auto", "exponential", "generic"),
                           default="auto")
     p_kernel.set_defaults(func=cmd_kernel)
-
+    # every suite builds its own algebra from --preset or --n
     p_verify = sub.add_parser("verify", help="run a named check suite")
     p_verify.add_argument("suite", choices=("wick", "brst", "wbn", "fs",
                                             "wakimoto", "miura"))
-    common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=20240)
     p_verify.add_argument("--n", type=_count(1), default=3)
     p_verify.add_argument("--trials", type=_count(1), default=25)
     p_verify.set_defaults(func=cmd_verify)
-
+    for p in (p_info, p_kernel, p_verify):
+        p.add_argument("--preset", choices=preset_names())
+        p.add_argument("--level", default="symbolic",
+                       help='"symbolic" or a rational p/q')
+        p.add_argument("--max-weight", type=_count(0), default=8,
+                       help="doubled conformal weight bound")
+        p.add_argument("--out", help="write the JSON report to this path")
+        p.add_argument("--format", choices=("json", "table"), default="json")
+    for p in (p_info, p_kernel):
+        p.add_argument("--datum", help="JSON algebra description file")
+        p.add_argument("--labels",
+                       help='JSON grading labels, e.g. {"a1": 0, "a2": 2}')
+        p.add_argument("--f-support", help='JSON list of positive roots')
     return ap
 
 

@@ -257,33 +257,13 @@ def decompose(family, targets, field):
 def solve_in_span(vectors, target, field):
     """Coefficients c with sum(c_i * vectors_i) == target, or None.
 
-    Vectors and target are dicts key->coeff.
+    Vectors and target are dicts key->coeff, laid out on their sorted keys
+    for decompose; None also when the vectors are linearly dependent.
     """
-    keys = set(target)
-    for v in vectors:
-        keys.update(v)
-    keys = sorted(keys)
     if not vectors:
         return [] if not target else None
-    # unknowns: coefficients c_i; equations indexed by keys
-    rows = []
-    rhs = []
-    for key in keys:
-        rows.append([v.get(key, field.zero) for v in vectors])
-        rhs.append(target.get(key, field.zero))
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = row_reduce(aug, len(vectors) + 1, field)
-    n = len(vectors)
-    if n in pivots:
-        return None  # inconsistent
-    sol = [field.zero] * n
-    for r, pc in zip(reduced, pivots):
-        sol[pc] = field.quo(r[n], r[pc])
-    # verify (cheap insurance against rank edge cases)
-    for key in keys:
-        acc = field.zero
-        for c, v in zip(sol, vectors):
-            acc = acc + c * v.get(key, field.zero)
-        if acc != target.get(key, field.zero):
-            return None
-    return sol
+    keys = sorted(set(target).union(*vectors))
+    zero = field.zero
+    coords = decompose([[v.get(key, zero) for key in keys] for v in vectors],
+                       [[target.get(key, zero) for key in keys]], field)
+    return coords and coords[0]

@@ -575,17 +575,6 @@ class RationalFunctionField:
         num, den = p_from_fraction(Fraction(fr))
         return RationalFunction(self, num, den, _canonical=True)
 
-    def parse(self, text):
-        """Parse "p(x)/q(x)" with integer or rational coefficients."""
-        text = text.strip()
-        if "/" in text and text.count("/") == 1 and "(" not in text:
-            a, b = text.split("/")
-            try:
-                return self.lift(Fraction(int(a), int(b)))
-            except ValueError:
-                pass
-        return _parse_rational_expr(self, text)
-
     def as_fraction(self, x):
         """x as a Fraction if it is constant, else None."""
         return x.as_fraction()
@@ -677,9 +666,6 @@ class Rationals:
     def lift(self, fr):
         return Fraction(fr)
 
-    def parse(self, text):
-        return Fraction(text)
-
     def as_fraction(self, x):
         return Fraction(x)
 
@@ -739,94 +725,3 @@ class Rationals:
 
 
 QQ = Rationals()
-
-
-def _parse_rational_expr(field, text):
-    """Tiny recursive-descent parser for +,-,*,/,^,(), ints and the symbol."""
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif text[i:].startswith(field.symbol):
-            tokens.append(("sym", None))
-            i += len(field.symbol)
-        elif ch in "+-*/^()":
-            tokens.append((ch, None))
-            i += 1
-        else:
-            raise ValueError("bad character %r in %r" % (ch, text))
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]][0] if pos[0] < len(tokens) else None
-
-    def take():
-        t = tokens[pos[0]]
-        pos[0] += 1
-        return t
-
-    def atom():
-        t = peek()
-        if t == "int":
-            return field.lift(take()[1])
-        if t == "sym":
-            take()
-            return field.gen
-        if t == "(":
-            take()
-            v = expr()
-            if peek() != ")":
-                raise ValueError("unbalanced parentheses in %r" % text)
-            take()
-            return v
-        if t == "-":
-            take()
-            return -atom()
-        raise ValueError("cannot parse %r" % text)
-
-    def power():
-        v = atom()
-        while peek() == "^":
-            take()
-            if peek() != "int":
-                raise ValueError("exponent must be an integer in %r" % text)
-            out = field.one
-            for _ in range(take()[1]):
-                out = out * v
-            v = out
-        return v
-
-    def term():
-        v = power()
-        while peek() in ("*", "/"):
-            op = take()[0]
-            w = power()
-            v = v * w if op == "*" else v / w
-        return v
-
-    def expr():
-        t = peek()
-        if t == "-":
-            take()
-            v = -term()
-        else:
-            v = term()
-        while peek() in ("+", "-"):
-            op = take()[0]
-            w = term()
-            v = v + w if op == "+" else v - w
-        return v
-
-    out = expr()
-    if pos[0] != len(tokens):
-        raise ValueError("trailing junk in %r" % text)
-    return out
-

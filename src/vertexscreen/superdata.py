@@ -262,6 +262,41 @@ def _root_name(simple_coords, letter):
     return s[1:] if s.startswith("+") else s
 
 
+def _complete_roots(rank, roots, letter):
+    """Fill in each root's negative, simple coordinates and name.
+
+    Returns (simple root positions, position of theta).  The simple roots
+    are the indecomposable positive roots in list order, and theta is the
+    first even positive root of greatest height.
+    """
+    by_coords = {}
+    for p, r in enumerate(roots):
+        if r.coords in by_coords:
+            raise DatumError("duplicate root")
+        by_coords[r.coords] = p
+    for r in roots:
+        r.neg_pos = by_coords.get(tuple(-c for c in r.coords))
+        if r.neg_pos is None:
+            raise DatumError("root system is not symmetric")
+    positive = [p for p, r in enumerate(roots) if r.positive]
+    even = [p for p in positive if roots[p].parity == 0]
+    if not even:
+        raise DatumError("no even positive root")
+    pos_coords = {roots[p].coords for p in positive}
+    simple = [p for p in positive if not any(
+        tuple(x - y for x, y in zip(roots[p].coords, b)) in pos_coords
+        for b in pos_coords if b != roots[p].coords)]
+    if len(simple) != rank:
+        raise DatumError("rank does not match the number of simple roots")
+    for r, sc in zip(roots, _coordinates([roots[p].coords for p in simple],
+                                         [r.coords for r in roots])):
+        if any(x.denominator != 1 for x in sc):
+            raise DatumError("root outside the root lattice")
+        r.simple_coords = tuple(int(x) for x in sc)
+        r.name = _root_name(r.simple_coords, letter)
+    return simple, max(even, key=lambda p: sum(roots[p].simple_coords))
+
+
 def _datum_from_matrices(rank, cartan_mats, root_entries, space_parity,
                          letter, label):
     """root_entries: list of (matrix, parity, positive_flag)."""
@@ -289,36 +324,7 @@ def _datum_from_matrices(rank, cartan_mats, root_entries, space_parity,
             coords.append(c)
         roots.append(Root(coords, par, pos))
 
-    # negatives
-    by_coords = {}
-    for p, r in enumerate(roots):
-        by_coords[r.coords] = p
-    for p, r in enumerate(roots):
-        r.neg_pos = by_coords[tuple(-c for c in r.coords)]
-
-    # simple roots: indecomposable positive roots, in builder order
-    pos_positions = [p for p, r in enumerate(roots) if r.positive]
-    pos_coords = {roots[p].coords for p in pos_positions}
-    simple_positions = []
-    for p in pos_positions:
-        a = roots[p].coords
-        decomposable = any(
-            tuple(x - y for x, y in zip(a, b)) in pos_coords
-            for b in pos_coords if b != a
-            and tuple(x - y for x, y in zip(a, b)) != tuple([0] * rank))
-        if not decomposable:
-            simple_positions.append(p)
-    if len(simple_positions) != rank:
-        raise DatumError("wrong number of simple roots")
-
-    # simple coordinates by solving over the simple-root coordinate vectors
-    for r, sc in zip(roots, _coordinates(
-            [roots[p].coords for p in simple_positions],
-            [r.coords for r in roots])):
-        if any(x.denominator != 1 for x in sc):
-            raise DatumError("root not an integer combination of simple roots")
-        r.simple_coords = tuple(int(x) for x in sc)
-        r.name = _root_name(r.simple_coords, letter)
+    simple_positions, theta_pos = _complete_roots(rank, roots, letter)
 
     # structure constants over the indexed basis
     basis_mats = cartan_mats + [m for m, _, _ in root_entries]
@@ -341,17 +347,8 @@ def _datum_from_matrices(rank, cartan_mats, root_entries, space_parity,
 
     raw = [[strace(mat_mul(basis_mats[i], basis_mats[j])) for j in range(n)]
            for i in range(n)]
-    # highest even root: unique even positive root of maximal height
-    best, best_h = None, None
-    for p in pos_positions:
-        if roots[p].parity == 0:
-            h = sum(roots[p].simple_coords)
-            if best_h is None or h > best_h:
-                best, best_h = p, h
-            elif h == best_h:
-                raise DatumError("highest even root is not unique")
     datum = SuperRootDatum(rank, roots, parity, sc_table, raw,
-                           simple_positions, best, label)
+                           simple_positions, theta_pos, label)
     norm = datum.theta_norm()
     if norm == 0:
         raise DatumError("theta has zero norm")
@@ -478,7 +475,6 @@ class GoodGrading:
                     % root.name)
         self.f_indices = [d.neg_index(d.root_index(p)) for p in self.f_support]
         self._check_good()
-        self.x_coords = self._solve_x()
 
     def slice_indices(self, j2):
         return [b for b in range(self.datum.nbasis) if self.deg2[b] == j2]
@@ -506,13 +502,6 @@ class GoodGrading:
             if j2 <= 1 and rank != len(dst):
                 raise NotGoodGrading(
                     "ad f not surjective onto degree %s" % _half(j2 - 2))
-
-    def _solve_x(self):
-        d = self.datum
-        rows = [d.roots[p].coords for p in d.simple]
-        rhs = [Fraction(self.labels2[p], 2) for p in d.simple]
-        # want x with alpha_i(x) = rhs_i, i.e. sum_l x_l alpha_i(e_l) = rhs_i
-        return _coordinates(list(zip(*rows)), [rhs])[0]
 
     # -- derived sets --------------------------------------------------------
 
@@ -565,6 +554,8 @@ def good_grading(datum, labels, f_support):
 
     def position(key):
         if isinstance(key, int):
+            if not 0 <= key < len(datum.roots):
+                raise DatumError("root position %d out of range" % key)
             return key
         if key not in name_to_pos:
             raise DatumError("unknown root name %r" % (key,))
@@ -773,42 +764,9 @@ def datum_from_json(doc):
             ZeroDivisionError) as exc:
         raise DatumError("malformed datum: %s: %s"
                          % (type(exc).__name__, exc)) from None
-    by_coords = {}
-    for p, r in enumerate(roots):
-        if r.coords in by_coords:
-            raise DatumError("duplicate root")
-        by_coords[r.coords] = p
-    for r in roots:
-        neg = tuple(-c for c in r.coords)
-        if neg not in by_coords:
-            raise DatumError("root system is not symmetric")
-        r.neg_pos = by_coords[neg]
+    simple, theta_pos = _complete_roots(rank, roots, "s")
     parity = [0] * rank + [r.parity for r in roots]
-
-    pos_positions = [p for p, r in enumerate(roots) if r.positive]
-    pos_coords = {roots[p].coords for p in pos_positions}
-    simple = []
-    for p in pos_positions:
-        a = roots[p].coords
-        dec = any(tuple(x - y for x, y in zip(a, b)) in pos_coords
-                  for b in pos_coords if b != a)
-        if not dec:
-            simple.append(p)
-    if len(simple) != rank:
-        raise DatumError("rank does not match the number of simple roots")
-    for r, scarr in zip(roots, _coordinates(
-            [roots[p].coords for p in simple], [r.coords for r in roots])):
-        if any(x.denominator != 1 for x in scarr):
-            raise DatumError("root outside the root lattice")
-        r.simple_coords = tuple(int(x) for x in scarr)
-        r.name = _root_name(r.simple_coords, "s")
-    best, best_h = None, None
-    for p in pos_positions:
-        if roots[p].parity == 0:
-            h = sum(roots[p].simple_coords)
-            if best_h is None or h > best_h:
-                best, best_h = p, h
-    datum = SuperRootDatum(rank, roots, parity, sc, form, simple, best,
+    datum = SuperRootDatum(rank, roots, parity, sc, form, simple, theta_pos,
                            doc.get("label", "loaded"))
     datum.check_invariants()
     return datum

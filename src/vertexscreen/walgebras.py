@@ -239,15 +239,13 @@ class BRSTComplex:
                 mat[pos[mono]][jcol] = c
         return mat, src, dst
 
-    def cohomology_dims(self, weight2_max, charge_max=None):
+    def cohomology_dims(self, weight2_max):
         """{(weight2, charge): dim H} for all charges at each weight."""
         field = self.field
         out = {}
         for w2 in range(0, weight2_max + 1):
             charges = sorted({self.module.word_charge(w)
                               for (w, t) in graded_basis(self.module, w2)})
-            if charge_max is not None:
-                charges = [c for c in charges if c <= charge_max]
             ranks = {}
             dims = {}
             for c in charges:

@@ -88,7 +88,7 @@ def test_criterion_3_wbn_suite():
         acc = acc * (g.field.one - g.field.lift(2 * n * (2 * n - 1)) * g * g)
         doc = verify_wbn(argparse.Namespace(n=n), random.Random(SEED))
         ok = ok and doc["status"] == "pass" and \
-            g.field.parse(doc["top_coefficient"]) == acc
+            doc["top_coefficient"] == str(acc)
     m1 = build_wbn(1)
     ok = ok and 1 not in m1.brackets
     g2 = m1.gamma * m1.gamma

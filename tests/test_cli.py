@@ -1,18 +1,16 @@
 import json
-from fractions import Fraction
 
 import pytest
 
 from vertexscreen.cli import main, make_parser
 from vertexscreen.errors import InputError
 from vertexscreen.presets import preset_context
-from vertexscreen.scalars import RationalFunctionField
 from vertexscreen.screening import DegenerateForm, NonCartanZeroPart
-from vertexscreen.serialize import field_from_json, field_to_json
+from vertexscreen.serialize import field_to_json
 from vertexscreen.superdata import (DatumError, DegreeMismatch, NotGoodGrading,
                                     build_sl, datum_to_json)
-from vertexscreen.vertexcalc import (CriticalLevel, GradingMismatch, derive,
-                                     normal_order)
+from vertexscreen.vertexcalc import (CriticalLevel, GradingMismatch,
+                                     _term_sort_key, derive, normal_order)
 
 
 def run_cli(args, capsys):
@@ -21,20 +19,45 @@ def run_cli(args, capsys):
     return code, out
 
 
+def _sympy_value(text):
+    """A written Q(k) value read by sympy, apart from the program."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.sympify(text.replace("^", "**"))
+
+
+def _sympy_of(x):
+    """num/den of a RationalFunction, built in sympy from its coefficients."""
+    sympy = pytest.importorskip("sympy")
+    k = sympy.Symbol("k")
+    return sympy.Poly(list(reversed(x.num)), k).as_expr() \
+        / sympy.Poly(list(reversed(x.den)), k).as_expr()
+
+
 def test_serialize_round_trip():
+    """Every coefficient and momentum factor field_to_json writes, read
+    back by sympy, equals num/den of the value it was written from, and
+    the words are written by generator name in term order."""
     ctx = preset_context("osp1_2-regular")
     sys_ = ctx.system
     J = sys_.gen_field(0)
     P = sys_.gen_field(ctx.fermion_of_root[ctx.base.pi_half[0]])
     fe = normal_order(J, derive(P)).scale(sys_.field.gen /
                                           (sys_.field.gen + 2))
-    doc = field_to_json(fe)
-    assert field_from_json(sys_, doc) == fe
-    # momentum factors survive the trip
     mu = tuple(-sys_.field.one / (sys_.field.gen + 2)
                for _ in ctx.system.currents)
     E = sys_.exp_field(mu)
-    assert field_from_json(sys_, field_to_json(E)) == E
+    for expr in (fe, E):
+        doc = field_to_json(expr)
+        assert len(doc) == len(expr.terms)
+        for term, ((word, mom), c) in zip(doc, sorted(
+                expr.terms.items(), key=lambda kv: _term_sort_key(kv[0]))):
+            assert term["word"] == [[sys_.gens[g].name, d] for g, d in word]
+            assert _sympy_value(term["coeff"]) - _sympy_of(c) == 0
+            written = term.get("momentum")
+            assert (written is None) == (mom is None)
+            for text, x in zip(written or (), mom or ()):
+                assert _sympy_value(text) - _sympy_of(x) == 0
+    assert any("momentum" in term for term in field_to_json(E))
 
 
 def test_info_preset(capsys):
@@ -117,11 +140,13 @@ def test_verify_miura_honours_level(preset, max_w2, capsys):
                             capsys)
         assert code == 0
         docs[level] = json.loads(out)["scalars_vs_kernel_basis"]
-    F = RationalFunctionField("k")
+    sympy = pytest.importorskip("sympy")
     sym, spec = docs["symbolic"], docs["7/2"]
     assert spec and sorted(spec) == sorted(sym)
     for w2, text in spec.items():
-        assert Fraction(text) == F.parse(sym[w2]).evaluate(Fraction(7, 2))
+        at = _sympy_value(sym[w2]).subs(sympy.Symbol("k"),
+                                        sympy.Rational(7, 2))
+        assert sympy.Rational(text) == at
 
 
 def test_verify_deterministic_output(capsys):
@@ -245,12 +270,16 @@ def test_table_format_without_out(capsys):
     ("--f-support", '["a1"]'),
 ])
 def test_verify_rejects_unread_flags(suite, flag, value, capsys):
-    """No verify suite reads a datum, so the datum flags are usage errors
-    instead of running the default preset."""
-    assert main(["verify", suite, "--max-weight", "2", flag, value]) == 2
+    """No verify suite reads a datum, so verify takes no datum flags:
+    argparse rejects them as usage errors instead of running the default
+    preset."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--max-weight", "2", flag, value])
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "error: %s" % flag in err and "internal" not in err
+    assert "unrecognized arguments: %s" % flag in err
+    assert "internal" not in err
 
 
 def test_bad_level_text_is_usage_error(capsys):
@@ -354,3 +383,43 @@ def test_io_and_json_errors_keep_their_messages(tmp_path, capsys):
     for exc in (DatumError, NotGoodGrading, DegreeMismatch, CriticalLevel,
                 DegenerateForm, NonCartanZeroPart):
         assert issubclass(exc, InputError)
+
+
+@pytest.mark.parametrize("command", ["info", "kernel"])
+def test_seed_is_a_verify_flag(command, capsys):
+    """Only the randomized verify suites read --seed."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--preset", "sl2-regular", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"rank": 1,
+     "roots": [{"coords": ["1"], "parity": 1},
+               {"coords": ["-1"], "parity": 1}],
+     "structure_constants": [],
+     "form": [["0"] * 3 for _ in range(3)]},
+    {"rank": 0, "roots": [], "structure_constants": [], "form": []},
+])
+def test_datum_without_even_root_is_usage_error(doc, tmp_path, capsys):
+    """A datum whose roots are all odd, or that has none, has no theta to
+    normalize the form against: an input error, not an internal one."""
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    assert main(["kernel", "--datum", str(path),
+                 "--labels", '{"s1": 1}']) == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: no even positive root"
+
+
+@pytest.mark.parametrize("position", [99, 2, -1])
+def test_f_support_position_out_of_range(position, tmp_path, capsys):
+    """An f-support position names one of the datum's roots; any other int
+    is an input error, never an index into the root list."""
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(datum_to_json(build_sl(2))))
+    assert main(["kernel", "--datum", str(path), "--labels", '{"s1": 2}',
+                 "--f-support", "[%d]" % position, "--max-weight", "2"]) == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: root position %d out of range" % position

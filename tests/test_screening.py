@@ -307,16 +307,21 @@ KERNEL_DENOMINATORS = {
 
 @pytest.mark.parametrize("preset, kind", sorted(KERNEL_DENOMINATORS))
 def test_kernel_denominator_labels_and_roots(preset, kind):
-    """Roots reported are exactly the zeros of the linear labels."""
+    """Roots reported are exactly the zeros of the linear labels, read by
+    sympy."""
+    sympy = pytest.importorskip("sympy")
+    k = sympy.Symbol("k")
     ctx = preset_context(preset)
     ops = exponential_screenings(ctx) if kind == "exponential" \
         else generic_screenings(ctx)
     for w2, expected in enumerate(KERNEL_DENOMINATORS[(preset, kind)]):
         rep = kernel_basis(ctx, ops, w2)
         assert sorted(rep.denominators) == expected
-        polys = [ctx.field.parse(label).num for label in rep.denominators]
+        polys = [sympy.Poly(sympy.sympify(label.replace("^", "**")), k)
+                 for label in rep.denominators]
         assert rep.denominator_roots == {
-            Fraction(-a[0], a[1]) for a in polys if len(a) == 2}
+            Fraction(int(-b), int(a))
+            for a, b in (p.all_coeffs() for p in polys if p.degree() == 1)}
 
 
 @pytest.mark.parametrize("preset, kind, max_w2", [

@@ -9,7 +9,7 @@ words, so canonical forms are automatic.
 import random
 from fractions import Fraction
 
-from vertexscreen import (GenSystem, RationalFunctionField, bracket, comb,
+from vertexscreen import (Module, RationalFunctionField, bracket, comb,
                           derive, graded_basis, normal_order, sugawara_field)
 from vertexscreen.verify import (check_jacobi, check_skew, check_wick,
                                  random_homogeneous_field)
@@ -17,14 +17,14 @@ from vertexscreen.verify import (check_jacobi, check_skew, check_wick,
 F = RationalFunctionField("k")
 k = F.gen
 
-sys = GenSystem(F, "demo")
+# the generator system is also its one module of PBW states
+sys = Module(F)
 J = sys.add_gen("J", parity=0, weight2=2, current=True)
 Psi = sys.add_gen("Psi", parity=1, weight2=1)
 level = (k + 2) * 2
 sys.set_pairing([[level]])
 sys.set_bracket(J, J, {1: comb(const=level)})        # [J_l J] = 2(k+2) l
 sys.set_bracket(Psi, Psi, {0: comb(const=F.one)})    # [Psi_l Psi] = 1
-mod = sys.module()
 
 Jf, Pf = sys.gen_field("J"), sys.gen_field("Psi")
 print("derivative is a derivation of the normal product:")
@@ -45,13 +45,13 @@ print("  [L_l L] n=3:", br[3], " (= c/2 with c = 1)")
 print("axioms on seeded random composite fields of weight <= 3:")
 rng = random.Random(1)
 for trial in range(5):
-    a = random_homogeneous_field(mod, rng, 1 + rng.randrange(6))
-    b = random_homogeneous_field(mod, rng, 1 + rng.randrange(6))
-    c = random_homogeneous_field(mod, rng, 1 + rng.randrange(6))
+    a = random_homogeneous_field(sys, rng, 1 + rng.randrange(6))
+    b = random_homogeneous_field(sys, rng, 1 + rng.randrange(6))
+    c = random_homogeneous_field(sys, rng, 1 + rng.randrange(6))
     assert check_skew(a, b)
     assert check_jacobi(a, b, c)
     assert check_wick(a, b, c)
 print("  skew-symmetry, Jacobi, and the Wick expansion hold exactly")
 
 print("graded PBW bases (doubled weights):",
-      [len(graded_basis(mod, w2)) for w2 in range(7)])
+      [len(graded_basis(sys, w2)) for w2 in range(7)])

@@ -15,8 +15,8 @@ from vertexscreen import (RationalFunctionField, build_complex, build_preset,
 from vertexscreen.linalg import solve_in_span
 
 F = RationalFunctionField("k")
-datum, grading, base, lf, ch = build_preset("sl2-regular")
-brst = build_complex(datum, grading, lf, ch, F, F.gen)
+grading = build_preset("sl2-regular")
+brst = build_complex(grading, F, F.gen)
 
 print("generators of the reduced complex:")
 for g in brst.system.gens:
@@ -28,12 +28,12 @@ for gidx, img in brst.d0_image.items():
     print("  d0 %-8s = %s" % (brst.system.gens[gidx].name, img))
 
 for w2 in range(0, 9):
-    for key in graded_basis(brst.module, w2):
+    for key in graded_basis(brst.system, w2):
         assert not brst.d0_state(brst.d0_state({key: F.one}))
 print("d0 squares to zero on every monomial up to weight 4")
 
 dims = brst.cohomology_dims(8)
-char = expected_character(datum, grading, 8)
+char = expected_character(grading.datum, grading, 8)
 print("H^0 dims :", [dims.get((w2, 0), 0) for w2 in range(9)])
 print("character:", [char[w2] for w2 in range(9)])
 print("H^n for n != 0 all vanish:",

@@ -24,7 +24,7 @@ for n in (2, 3):
 print()
 print("== the substitution from the sl_3 subregular degree-zero currents ==")
 ctx = preset_context("sl3-subregular")
-wm = WakimotoMap(3, ctx.datum, ctx.grading, ctx.levelform)
+wm = WakimotoMap(3, ctx.grading)
 for b in wm.g0:
     print("  J[%s] -> %s" % (ctx.datum.basis_name(b), wm.image_of_basis[b]))
 checked, fails = wm.verify_brackets()

@@ -6,9 +6,8 @@ from .scalars import QQ, RationalFunction, RationalFunctionField
 from .superdata import (SuperRootDatum, GoodGrading, RestrictedBase,
                         LevelForm, ChiFunctional, DatumError, NotGoodGrading,
                         DegreeMismatch, build_sl, build_osp, good_grading,
-                        restricted_base, tau_form, chi, load_datum,
-                        datum_from_json, datum_to_json)
-from .vertexcalc import (FieldExpr, GenSystem, Module, comb,
+                        load_datum, datum_from_json, datum_to_json)
+from .vertexcalc import (FieldExpr, Module, comb,
                          apply_field_coeff, bracket, derive, field_state,
                          graded_basis, mode_apply, normal_order,
                          normal_order_list, state_field, sugawara_field,

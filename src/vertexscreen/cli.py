@@ -25,8 +25,7 @@ from .errors import InputError
 from .presets import build_preset, level_field, preset_context, preset_names
 from .screening import (ScreeningContext, exponential_screenings,
                         generic_screenings, expected_character, kernel_basis)
-from .superdata import (chi, good_grading, load_datum, restricted_base,
-                        tau_form)
+from .superdata import good_grading, load_datum
 from . import verify as verify_mod
 
 
@@ -56,9 +55,7 @@ def _context_from_args(args):
     if not all(type(x) in (int, str) for x in support):
         raise InputError("--f-support entries must be root names or "
                          "positions")
-    grading = good_grading(datum, labels, support)
-    return ScreeningContext(datum, grading, restricted_base(grading),
-                            tau_form(datum, grading), chi(datum, grading),
+    return ScreeningContext(good_grading(datum, labels, support),
                             *level_field(args.level))
 
 
@@ -117,12 +114,9 @@ def _print_table(doc):
 
 
 def cmd_info(args):
-    if args.preset:
-        datum, grading, base, lf, ch = build_preset(args.preset)
-    else:
-        ctx = _context_from_args(args)
-        datum, grading, base, lf = ctx.datum, ctx.grading, ctx.base, \
-            ctx.levelform
+    grading = build_preset(args.preset) if args.preset \
+        else _context_from_args(args).grading
+    datum = grading.datum
     maxw2 = args.max_weight
     char = expected_character(datum, grading, maxw2)
     cgens = grading.centralizer_generators()
@@ -135,10 +129,10 @@ def cmd_info(args):
         "grading_labels2": {datum.roots[p].name: grading.labels2[p]
                             for p in datum.simple},
         "f_support": [datum.roots[p].name for p in grading.f_support],
-        "h_dual": str(lf.h_dual),
+        "h_dual": str(grading.levelform.h_dual),
         "g0_dim": len(grading.g0_indices()),
         "g0_is_cartan": grading.g0_is_cartan(),
-        "restricted_base": base.describe(),
+        "restricted_base": grading.base.describe(),
         "generator_weights2": sorted(2 - j2 for _, j2, _ in cgens),
         "generator_parities": [p for _, _, p in
                                sorted(cgens, key=lambda t: (2 - t[1], t[2]))],

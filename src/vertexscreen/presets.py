@@ -9,8 +9,7 @@ from fractions import Fraction
 
 from .scalars import QQ, RationalFunctionField
 from .screening import ScreeningContext
-from .superdata import (build_osp, build_sl, chi, good_grading,
-                        restricted_base, tau_form)
+from .superdata import build_osp, build_sl, good_grading
 
 PRESETS = {
     # regular nilpotents: g_0 is the Cartan subalgebra
@@ -35,18 +34,15 @@ def preset_names():
 
 
 def build_preset(name):
-    """(datum, grading, base, levelform, chi) for a preset name."""
+    """The good grading of a preset name; it carries its datum, restricted
+    base, tau_k and chi."""
     try:
         kind, n, labels, support = PRESETS[name]
     except KeyError:
         raise KeyError("unknown preset %r (known: %s)"
                        % (name, ", ".join(preset_names())))
     datum = build_sl(n) if kind == "sl" else build_osp(n)
-    grading = good_grading(datum, labels, support)
-    base = restricted_base(grading)
-    levelform = tau_form(datum, grading)
-    chifun = chi(datum, grading)
-    return datum, grading, base, levelform, chifun
+    return good_grading(datum, labels, support)
 
 
 def level_field(level):
@@ -60,6 +56,4 @@ def level_field(level):
 
 def preset_context(name, level="symbolic"):
     """A ScreeningContext at symbolic level k or a rational specialization."""
-    datum, grading, base, levelform, chifun = build_preset(name)
-    return ScreeningContext(datum, grading, base, levelform, chifun,
-                            *level_field(level))
+    return ScreeningContext(build_preset(name), *level_field(level))

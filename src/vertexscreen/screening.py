@@ -30,7 +30,7 @@ from .linalg import decompose, nullspace
 from .scalars import QQ
 from .superdata import DatumError
 from .vertexcalc import (
-    CriticalLevel, GenSystem, GradingMismatch, comb, apply_field_coeff,
+    CriticalLevel, GradingMismatch, Module, comb, apply_field_coeff,
     graded_basis, state_acc, state_field, sugawara_field, _fact,
 )
 
@@ -43,8 +43,7 @@ class DegenerateForm(InputError, ZeroDivisionError):
     pass
 
 
-def set_free_field_tables(sys, datum, levelform, chifun, level, currents,
-                          fermions):
+def set_free_field_tables(sys, grading, level, currents, fermions):
     """Pairing and brackets of the currents and neutral fermions of sys.
 
     currents maps the basis indices of a bracket-closed span of g (g_0 for
@@ -55,6 +54,7 @@ def set_free_field_tables(sys, datum, levelform, chifun, level, currents,
     [Phi_a_lambda Phi_b] = chi([e_a, e_b]).
     """
     field = sys.field
+    datum, levelform = grading.datum, grading.levelform
     span = list(currents)
     gram = [[levelform.tau_scalar(field, level, b, b2) for b2 in span]
             for b in span]
@@ -77,7 +77,7 @@ def set_free_field_tables(sys, datum, levelform, chifun, level, currents,
     half = sorted(fermions)
     for i, b in enumerate(half):
         for b2 in half[i:]:
-            val = chifun.of_comb(datum.bracket(b, b2))
+            val = grading.chi.of_comb(datum.bracket(b, b2))
             if val:
                 sys.set_bracket(fermions[b], fermions[b2],
                                 {0: comb(const=field.lift(val))})
@@ -86,21 +86,18 @@ def set_free_field_tables(sys, datum, levelform, chifun, level, currents,
 class ScreeningContext:
     """Everything needed to realize screenings over a chosen level.
 
-    level: the element of field playing the role of k (the field generator
-    for symbolic computations, a Fraction for specializations); see
+    The grading carries the restricted base, tau_k and chi.  level: the
+    element of field playing the role of k (the field generator for
+    symbolic computations, a Fraction for specializations); see
     presets.level_field.
     """
 
-    def __init__(self, datum, grading, base, levelform, chifun, field, level):
-        self.datum = datum
+    def __init__(self, grading, field, level):
+        self.datum = grading.datum
         self.grading = grading
-        self.base = base
-        self.levelform = levelform
-        self.chi = chifun
         self.field = field
         self.level = level
-        self.h_dual = levelform.h_dual
-        shifted = self.level + field.lift(self.h_dual)
+        shifted = level + field.lift(grading.levelform.h_dual)
         if not shifted:
             raise CriticalLevel("level k = -h_dual is excluded")
         self.kappa_shift = shifted
@@ -113,8 +110,7 @@ class ScreeningContext:
 
     def _build_system(self):
         d, g = self.datum, self.grading
-        sysname = "%s ambient" % d.label
-        sys = GenSystem(self.field, sysname)
+        sys = self.system = Module(self.field)
         self.g0 = g.g0_indices()
         self.current_of_basis = {}
         for b in self.g0:
@@ -127,10 +123,8 @@ class ScreeningContext:
             idx = sys.add_gen("Phi[%s]" % d.basis_name(b),
                               parity=d.parity[b], weight2=1)
             self.fermion_of_root[b] = idx
-        set_free_field_tables(sys, d, self.levelform, self.chi, self.level,
-                              self.current_of_basis, self.fermion_of_root)
-        self.system = sys
-        self.module = sys.module()
+        set_free_field_tables(sys, g, self.level, self.current_of_basis,
+                              self.fermion_of_root)
 
     def _register_class_modules(self):
         """Highest vectors x_a of the induced modules, one per class member."""
@@ -138,7 +132,7 @@ class ScreeningContext:
         field = self.field
         sys = self.system
         self.xtag_of_root = {}
-        for cls in self.base.classes:
+        for cls in g.base.classes:
             for bidx in cls:
                 apos = bidx - d.rank
                 key = ("scr", apos)
@@ -153,15 +147,14 @@ class ScreeningContext:
                     if table:
                         zero_modes[self.current_of_basis[b]] = table
                 parity = (d.parity[bidx] + 1) % 2
-                tag = self.module.register_hv(key, parity=parity,
-                                              zero_modes=zero_modes)
+                tag = sys.register_hv(key, parity=parity,
+                                      zero_modes=zero_modes)
                 self.xtag_of_root[bidx] = tag
         # translation on x_a needs the registered tags, fill in second pass
-        for cls in self.base.classes:
+        for cls in g.base.classes:
             for bidx in cls:
                 tag = self.xtag_of_root[bidx]
-                self.module.hvs[tag].translate_state = \
-                    self._translate_x(bidx, cls)
+                sys.hvs[tag].translate_state = self._translate_x(bidx, cls)
 
     def _translate_x(self, bidx, cls):
         d = self.datum
@@ -237,13 +230,13 @@ class ScreeningContext:
             return out
         field = self.field
         a_field = state_field({(word, tag): field.one}, self.system)
-        p_word = self.module.word_parity(word)
+        p_word = self.system.word_parity(word)
         sigma = (-1) ** (self.datum.parity[bidx] * p_word + p_word)
         xstate = {((), self.xtag_of_root[bidx]): field.one}
         out = {}
-        for m in range(self.module.word_depth2(word) // 2 - n, -1, -1):
+        for m in range(self.system.word_depth2(word) // 2 - n, -1, -1):
             if out:
-                out = self.module.translate(out)
+                out = self.system.translate(out)
             part = apply_field_coeff(a_field, -m - n, xstate)
             c = Fraction((-1) ** ((m + n) % 2) * sigma, _fact(m))
             state_acc(out, part, field.lift(c), field)
@@ -294,14 +287,14 @@ class ScreeningOp:
     def apply(self, state):
         ctx = self.ctx
         field = ctx.field
-        mod = ctx.module
+        mod = ctx.system
         if self.kind in ("exp", "exp-fermion"):
             word = ((self.fermion, 0),) if self.kind == "exp-fermion" else ()
             return mod.word_coeff_state(word, self.momentum, -1, state)
         out = {}
         if self.kind == "generic-one":
             for bidx in self.class_roots:
-                cval = ctx.chi.of_index(bidx)
+                cval = ctx.grading.chi.of_index(bidx)
                 if cval:
                     part = ctx.s_alpha_apply(bidx, 1, state)
                     state_acc(out, part, field.lift(cval), field)
@@ -332,7 +325,7 @@ def generic_screenings(ctx):
     """One screening charge per equivalence class of the restricted base."""
     d = ctx.datum
     ops = []
-    for cls in ctx.base.classes:
+    for cls in ctx.grading.base.classes:
         deg2 = ctx.grading.deg2[cls[0]]
         names = "+".join(d.basis_name(b) for b in cls)
         if deg2 == 2:
@@ -359,7 +352,7 @@ def exponential_screenings(ctx):
     if not ctx.grading.g0_is_cartan():
         raise NonCartanZeroPart("exponential screenings need g_0 = h")
     ops = []
-    for bidx in ctx.base.pi_half:
+    for bidx in ctx.grading.base.pi_half:
         root = d.root_at(bidx)
         t_coords = d.pairing_to_cartan(root.coords)
         mu = tuple(-field.lift(c) / ctx.kappa_shift for c in t_coords)
@@ -370,7 +363,7 @@ def exponential_screenings(ctx):
                                    class_roots=[bidx], momentum=mu,
                                    fermion=ctx.fermion_of_root[bidx]))
         else:
-            if ctx.chi.of_index(bidx):
+            if ctx.grading.chi.of_index(bidx):
                 ops.append(ScreeningOp(ctx, "exp",
                                        "Q[%s]" % d.basis_name(bidx),
                                        class_roots=[bidx], momentum=mu))
@@ -407,8 +400,7 @@ class KernelReport:
 def kernel_basis(ctx, screenings, weight2, expected=None):
     """Exact intersection of screening kernels at one doubled weight."""
     field = ctx.field
-    mod = ctx.module
-    basis = graded_basis(mod, weight2)
+    basis = graded_basis(ctx.system, weight2)
     ncols = len(basis)
     rows = []
     for op in screenings:

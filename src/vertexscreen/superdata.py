@@ -443,16 +443,27 @@ def build_osp(n):
 
 
 class GoodGrading:
-    """A half-integer grading of the datum, good for the nilpotent f."""
+    """A half-integer grading of the datum, good for the nilpotent f.
+
+    Once validated it carries what the grading derives: the restricted
+    base (base), the shifted form tau_k (levelform) and chi.
+    """
 
     def __init__(self, datum, labels2, f_support):
         self.datum = datum
         self.labels2 = dict(labels2)   # simple-root position -> doubled label
         self.f_support = list(f_support)  # positions of positive roots
         self._validate()
+        self.base = RestrictedBase(self)
+        self.levelform = LevelForm(self)
+        self.chi = ChiFunctional(self)
 
     def _validate(self):
         d = self.datum
+        for p in self.labels2:
+            if p not in d.simple:
+                raise NotGoodGrading("label on %s, which is not a simple root"
+                                     % d.roots[p].name)
         for p in d.simple:
             if p not in self.labels2:
                 raise NotGoodGrading("missing label for simple root %s"
@@ -584,32 +595,18 @@ class RestrictedBase:
                       for c in coords)
             if not dec:
                 self.pi_half.append(b)
-        pi0 = {p for p in d.simple if grading.labels2[p] == 0}
         self.split = {1: [b for b in self.pi_half if grading.deg2[b] == 1],
                       2: [b for b in self.pi_half if grading.deg2[b] == 2]}
         if set(self.split[1]) | set(self.split[2]) != set(self.pi_half):
             raise NotGoodGrading("restricted base member of degree > 1")
-        # classes: alpha ~ beta iff alpha - beta lies in the degree-0 root lattice
-        pi0_positions = sorted(pi0)
-        classes = []
+        # classes: alpha ~ beta iff alpha - beta lies in the degree-0 root
+        # lattice, i.e. they agree at every simple root of nonzero label
+        classes = {}
         for b in self.pi_half:
-            placed = False
-            for cls in classes:
-                a0 = d.root_at(cls[0]).simple_coords
-                a1 = d.root_at(b).simple_coords
-                diff = [x - y for x, y in zip(a1, a0)]
-                ok = True
-                for idx, spos in enumerate(d.simple):
-                    if diff[idx] != 0 and spos not in pi0:
-                        ok = False
-                        break
-                if ok:
-                    cls.append(b)
-                    placed = True
-                    break
-            if not placed:
-                classes.append([b])
-        self.classes = classes
+            key = tuple(c for c, p in zip(d.root_at(b).simple_coords, d.simple)
+                        if grading.labels2[p])
+            classes.setdefault(key, []).append(b)
+        self.classes = list(classes.values())
 
     def class_of(self, index):
         for cls in self.classes:
@@ -628,10 +625,6 @@ class RestrictedBase:
         }
 
 
-def restricted_base(grading):
-    return RestrictedBase(grading)
-
-
 # ---------------------------------------------------------------------------
 # level-dependent form, chi
 
@@ -642,8 +635,8 @@ class LevelForm:
     Entries are stored as (constant, k-coefficient) Fraction pairs.
     """
 
-    def __init__(self, datum, grading):
-        self.datum = datum
+    def __init__(self, grading):
+        datum = self.datum = grading.datum
         self.grading = grading
         self.killing_g = datum.killing_matrix()
         self.h_dual = datum.dual_coxeter()
@@ -671,15 +664,11 @@ class LevelForm:
         return field.lift(const) + level * field.lift(lin)
 
 
-def tau_form(datum, grading):
-    return LevelForm(datum, grading)
-
-
 class ChiFunctional:
     """chi(u) = (f|u); supported on degree -1."""
 
-    def __init__(self, datum, grading):
-        self.datum = datum
+    def __init__(self, grading):
+        datum = self.datum = grading.datum
         self.grading = grading
         self.values = []
         for b in range(datum.nbasis):
@@ -695,10 +684,6 @@ class ChiFunctional:
 
     def of_comb(self, comb):
         return sum(c * self.values[b] for b, c in comb.items())
-
-
-def chi(datum, grading):
-    return ChiFunctional(datum, grading)
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +745,8 @@ def datum_from_json(doc):
         form = [[Fraction(x) for x in row] for row in doc["form"]]
         if len(form) != nbasis or any(len(row) != nbasis for row in form):
             raise DatumError("form must be %d x %d" % (nbasis, nbasis))
+    except DatumError:
+        raise
     except (AttributeError, KeyError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         raise DatumError("malformed datum: %s: %s"

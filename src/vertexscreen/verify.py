@@ -25,7 +25,6 @@ from .walgebras import (WakimotoMap, build_complex, build_w2n, build_wbn,
 
 def random_homogeneous_field(module, rng, weight2):
     """A random parity-homogeneous field of the given doubled weight."""
-    sys = module.system
     cands = graded_basis(module, weight2)
     if not cands:
         return None
@@ -34,8 +33,8 @@ def random_homogeneous_field(module, rng, weight2):
     nterms = min(len(cands), 1 + rng.randrange(2))
     st = {}
     for key in rng.sample(cands, nterms):
-        st[key] = sys.field.lift(rng.randint(1, 3) * rng.choice((1, -1)))
-    return state_field(st, sys)
+        st[key] = module.field.lift(rng.randint(1, 3) * rng.choice((1, -1)))
+    return state_field(st, module)
 
 
 def _sample_triple(module, rng, wmax2):
@@ -176,7 +175,7 @@ def verify_wick(args, rng):
     per_preset = {}
     for preset in WICK_PRESETS:
         ctx = preset_context(preset)
-        module = ctx.module
+        module = ctx.system
         count = 0
         for t in range(trials):
             triple = _sample_triple(module, rng, wmax2)
@@ -210,19 +209,19 @@ def verify_wick(args, rng):
 def verify_brst(args, rng):
     preset = args.preset or "sl2-regular"
     maxw2 = min(args.max_weight, 8)
-    datum, grading, base, lf, ch = build_preset(preset)
+    grading = build_preset(preset)
     field, level = level_field(args.level)
-    brst = build_complex(datum, grading, lf, ch, field, level)
+    brst = build_complex(grading, field, level)
     witness = []
     # d0 squares to zero on every monomial
     for w2 in range(0, maxw2 + 1):
-        for key in graded_basis(brst.module, w2):
+        for key in graded_basis(brst.system, w2):
             dd = brst.d0_state(brst.d0_state({key: field.one}))
             if dd:
                 witness.append({"check": "d0^2", "weight2": w2})
                 break
     dims = brst.cohomology_dims(maxw2)
-    char = expected_character(datum, grading, maxw2)
+    char = expected_character(grading.datum, grading, maxw2)
     h0 = [dims.get((w2, 0), 0) for w2 in range(0, maxw2 + 1)]
     expect = [char[w2] for w2 in range(0, maxw2 + 1)]
     nonzero = {str(kk): v for kk, v in dims.items() if kk[1] != 0 and v != 0}
@@ -285,8 +284,7 @@ def verify_fs_suite(args, rng):
 def verify_wakimoto(args, rng):
     n = max(args.n, 3)
     preset = "sl%d-subregular" % n
-    datum, grading, base, lf, ch = build_preset(preset)
-    wm = WakimotoMap(n, datum, grading, lf)
+    wm = WakimotoMap(n, build_preset(preset))
     checked, fails = wm.verify_brackets()
     return {
         "status": "pass" if not fails else "fail",
@@ -301,8 +299,7 @@ def verify_miura(args, rng):
     maxw2 = min(args.max_weight, 8)
     ctx = preset_context(preset, args.level)
     field = ctx.field
-    brst = build_complex(ctx.datum, ctx.grading, ctx.levelform, ctx.chi,
-                         field, ctx.level)
+    brst = build_complex(ctx.grading, field, ctx.level)
     ops = exponential_screenings(ctx)
     char = expected_character(ctx.datum, ctx.grading, maxw2)
     witness = []

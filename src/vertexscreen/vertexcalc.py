@@ -21,8 +21,8 @@ part) or a finite zero-mode action table (induced modules); lattice
 exponential operators act through their explicit mode series.  All states
 are graded by depth above the highest vector, a doubled integer.
 
-A field carries its generator system, and each system has one module
-(GenSystem.module), so the derived operations (field_state, bracket,
+A field carries its generator system, which is also the one module over
+it (Module), so the derived operations (field_state, bracket,
 normal_order, derive, apply_field_coeff, ...) take fields and states
 only.  States are dicts {(word, tag): coeff}; state_acc, which adds
 coeff * part into a state in place, is the one way to add them.
@@ -97,7 +97,7 @@ def comb(const=None, terms=()):
 
 class HvTag(tuple):
     """A highest-vector tag, ("m", coords) or ("x", key), as handed out by
-    GenSystem: one object per distinct tag, so it hashes and compares by
+    Module: one object per distinct tag, so it hashes and compares by
     identity.  Indexing and str are those of the plain tuple."""
 
     __slots__ = ()
@@ -106,20 +106,36 @@ class HvTag(tuple):
     __ne__ = object.__ne__
 
 
-class GenSystem:
-    """Finite generator family with an exact lambda-bracket table."""
+class Module:
+    """A finite generator family with an exact lambda-bracket table, and the
+    straightening engine shared by all modules over it.
 
-    def __init__(self, field, label=""):
+    Highest vectors are keyed by tags: ("m", coords) for Fock-type vectors
+    over the current span (the vacuum is momentum zero) and ("x", key) for
+    registered induced-module vectors with a finite zero-mode table.  Tags
+    are interned (vacuum_tag, momentum_tag, induced_tag): each distinct tag
+    is one HvTag object, hashed and compared by identity, so a state key
+    (word, tag) hashes without touching the coordinates.  A tag built any
+    other way matches nothing.
+    """
+
+    def __init__(self, field):
         self.field = field
-        self.label = label
         self.gens = []
         self.by_name = {}
         self.brackets = {}
         self.currents = []
         self.current_pos = {}
         self.pairing = None
-        self._module = None
         self._tags = {}
+        self.hvs = {}
+        self._mode_memo = {}
+        self._translate_memo = {}
+        self._word_memo = {}
+        self._ladder_memo = {}
+        self._creation_memo = {}
+
+    # -- generators and brackets ----------------------------------------------
 
     def add_gen(self, name, parity, weight2, charge=0, current=False):
         g = Gen(len(self.gens), name, parity, weight2, charge, current)
@@ -175,14 +191,6 @@ class GenSystem:
                 out[m] = lc
         return out
 
-    def bracket_entry(self, i, j):
-        return self.brackets.get((i, j), {})
-
-    def module(self):
-        if self._module is None:
-            self._module = Module(self)
-        return self._module
-
     def _tag(self, kind, payload):
         key = (kind, payload)
         tag = self._tags.get(key)
@@ -227,70 +235,6 @@ class GenSystem:
         tag = self.momentum_tag(coords)
         return FieldExpr(self, {((), tag[1]): self.field.one})
 
-
-def _fact(n):
-    out = 1
-    for t in range(2, n + 1):
-        out *= t
-    return out
-
-
-def _comb_zero(lc):
-    const, terms = lc
-    return not const and not any(c for (_, _, c) in terms)
-
-
-def _entries_equal(a, b, field):
-    keys = set(a) | set(b)
-    for n in keys:
-        ca, ta = a.get(n, (None, ()))
-        cb, tb = b.get(n, (None, ()))
-        ca = field.zero if ca is None else ca
-        cb = field.zero if cb is None else cb
-        if ca != cb:
-            return False
-        da = {(g, d): c for (g, d, c) in ta}
-        db = {(g, d): c for (g, d, c) in tb}
-        for key in set(da) | set(db):
-            if da.get(key, field.zero) != db.get(key, field.zero):
-                return False
-    return True
-
-
-class HighestVector:
-    __slots__ = ("tag", "parity", "momentum", "zero_modes", "translate_state")
-
-    def __init__(self, tag, parity=0, momentum=None, zero_modes=None,
-                 translate_state=None):
-        self.tag = tag
-        self.parity = parity
-        self.momentum = momentum          # coords over currents, or None
-        self.zero_modes = zero_modes or {}  # gidx -> {tag2: coeff}
-        self.translate_state = translate_state or {}
-
-
-class Module:
-    """All modules over one generator system share the straightening engine.
-
-    Highest vectors are keyed by tags: ("m", coords) for Fock-type vectors
-    over the current span (the vacuum is momentum zero) and ("x", key) for
-    registered induced-module vectors with a finite zero-mode table.  Tags
-    are interned by the generator system (vacuum_tag, momentum_tag,
-    induced_tag): each distinct tag is one HvTag object, hashed and
-    compared by identity, so a state key (word, tag) hashes without
-    touching the coordinates.  A tag built any other way matches nothing.
-    """
-
-    def __init__(self, system):
-        self.system = system
-        self.field = system.field
-        self.hvs = {}
-        self._mode_memo = {}
-        self._translate_memo = {}
-        self._word_memo = {}
-        self._ladder_memo = {}
-        self._creation_memo = {}
-
     # -- highest vectors -----------------------------------------------------
 
     def hv(self, tag):
@@ -299,11 +243,10 @@ class Module:
             if tag[0] != "m":
                 raise UndefinedAction("unregistered highest vector %r" % (tag,))
             coords = tag[1]
-            sys = self.system
             zero = {}
-            for g in sys.currents:
+            for g in self.currents:
                 val = self.field.zero
-                row = sys.pairing[sys.current_pos[g]] if sys.pairing else None
+                row = self.pairing[self.current_pos[g]] if self.pairing else None
                 if row is not None:
                     for j, c in enumerate(coords):
                         if c:
@@ -313,7 +256,7 @@ class Module:
             translate = {}
             for j, c in enumerate(coords):
                 if c:
-                    g = sys.currents[j]
+                    g = self.currents[j]
                     word = ((g, -1),)
                     translate[(word, tag)] = c
             h = HighestVector(tag, parity=0, momentum=coords,
@@ -322,27 +265,27 @@ class Module:
         return h
 
     def register_hv(self, key, parity=0, zero_modes=None, translate_state=None):
-        tag = self.system.induced_tag(key)
+        tag = self.induced_tag(key)
         self.hvs[tag] = HighestVector(tag, parity=parity,
                                       zero_modes=zero_modes,
                                       translate_state=translate_state)
         return tag
 
     def vacuum_state(self):
-        tag = self.system.vacuum_tag()
+        tag = self.vacuum_tag()
         self.hv(tag)
         return {((), tag): self.field.one}
 
     # -- gradings -------------------------------------------------------------
 
     def word_depth2(self, word):
-        return sum(self.system.gens[g].weight2 - 2 * m - 2 for (g, m) in word)
+        return sum(self.gens[g].weight2 - 2 * m - 2 for (g, m) in word)
 
     def word_parity(self, word):
-        return sum(self.system.gens[g].parity for (g, m) in word) % 2
+        return sum(self.gens[g].parity for (g, m) in word) % 2
 
     def word_charge(self, word):
-        return sum(self.system.gens[g].charge for (g, m) in word)
+        return sum(self.gens[g].charge for (g, m) in word)
 
     def mono_parity(self, word, tag):
         return (self.word_parity(word) + self.hv(tag).parity) % 2
@@ -358,7 +301,7 @@ class Module:
         if out is not None:
             return out
         field = self.field
-        gens = self.system.gens
+        gens = self.gens
         if not word:
             if m >= 1:
                 out = {}
@@ -380,7 +323,7 @@ class Module:
                 # g_m g_m = [g_m, g_m] / 2, which vanishes only when
                 # g_(j) g = 0 for every j (free fermions)
                 scale = Fraction(1, 2) if repeat else 1
-                entry = self.system.bracket_entry(g, g1)
+                entry = self.brackets.get((g, g1), {})
                 for j, lc in entry.items():
                     bj = _binom(m, j) * scale
                     if bj:
@@ -467,7 +410,7 @@ class Module:
         if hv.momentum is None:
             raise GradingMismatch(
                 "lattice exponential applied to a non-Fock highest vector")
-        val = self.system.pair_momenta(mom, hv.momentum)
+        val = self.pair_momenta(mom, hv.momentum)
         fr = self.field.as_fraction(val)
         if fr is None or fr.denominator != 1:
             raise GradingMismatch(
@@ -489,7 +432,7 @@ class Module:
         else:
             g, d = word[0]
             rest = word[1:]
-            gens = self.system.gens
+            gens = self.gens
             p_a = gens[g].parity
             p_rest = sum(gens[g2].parity for (g2, _) in rest) % 2
             D2 = self.word_depth2(w0)
@@ -556,7 +499,7 @@ class Module:
             return out
         hv = self.hv(tag)
         new_coords = tuple(a + b for a, b in zip(hv.momentum, mom))
-        new_tag = self.system.momentum_tag(new_coords)
+        new_tag = self.momentum_tag(new_coords)
         self.hv(new_tag)
         ladder = [{(w0, tag): self.field.one}]
         for b in range(1, self.word_depth2(w0) // 2 + 1):
@@ -579,7 +522,7 @@ class Module:
     def _exp_step(self, mom, ladder, sign, scale):
         """scale * sum_{j=1..n} mu_(sign*j) ladder[n-j], n = len(ladder)."""
         field = self.field
-        currents = self.system.currents
+        currents = self.currents
         scale = field.lift(scale)
         parts = [(currents[i], c * scale) for i, c in enumerate(mom)
                  if c]
@@ -598,6 +541,47 @@ class Module:
         for (w, t), c in state.items():
             state_acc(acc, self.word_coeff_mono(word, mom, J, w, t), c, field)
         return {k: v for k, v in acc.items() if v}
+
+
+def _fact(n):
+    out = 1
+    for t in range(2, n + 1):
+        out *= t
+    return out
+
+
+def _comb_zero(lc):
+    const, terms = lc
+    return not const and not any(c for (_, _, c) in terms)
+
+
+def _entries_equal(a, b, field):
+    keys = set(a) | set(b)
+    for n in keys:
+        ca, ta = a.get(n, (None, ()))
+        cb, tb = b.get(n, (None, ()))
+        ca = field.zero if ca is None else ca
+        cb = field.zero if cb is None else cb
+        if ca != cb:
+            return False
+        da = {(g, d): c for (g, d, c) in ta}
+        db = {(g, d): c for (g, d, c) in tb}
+        for key in set(da) | set(db):
+            if da.get(key, field.zero) != db.get(key, field.zero):
+                return False
+    return True
+
+
+class HighestVector:
+    __slots__ = ("tag", "parity", "momentum", "zero_modes", "translate_state")
+
+    def __init__(self, tag, parity=0, momentum=None, zero_modes=None,
+                 translate_state=None):
+        self.tag = tag
+        self.parity = parity
+        self.momentum = momentum          # coords over currents, or None
+        self.zero_modes = zero_modes or {}  # gidx -> {tag2: coeff}
+        self.translate_state = translate_state or {}
 
 
 def state_acc(acc, part, coeff, field):
@@ -725,12 +709,12 @@ def _term_sort_key(key):
 
 def field_state(fe):
     """The state A_(-1)...|0> (or |mu> for a momentum factor) of a field."""
-    sys = fe.system
-    module = sys.module()
-    field = sys.field
+    module = fe.system
+    field = module.field
     out = {}
     for (word, mom), c in fe.terms.items():
-        tag = sys.momentum_tag(mom) if mom is not None else sys.vacuum_tag()
+        tag = module.momentum_tag(mom) if mom is not None \
+            else module.vacuum_tag()
         module.hv(tag)
         st = {((), tag): c}
         for (g, d) in reversed(word):
@@ -771,7 +755,7 @@ def state_field(state, system):
 
 def apply_field_coeff(fe, J, state):
     """[z^J] (F(z) state) for a field expression F."""
-    module = fe.system.module()
+    module = fe.system
     field = module.field
     acc = {}
     for (word, mom), c in fe.terms.items():
@@ -808,14 +792,14 @@ def bracket(a, b):
     carry the 1/n! normalization implicitly (entry n is a_(n) b)."""
     if a.system is not b.system:
         raise UnknownGenerator("bracket of fields over different systems")
-    module = a.system.module()
+    module = a.system
     bstate = field_state(b)
     if not bstate:
         return {}
     depth_b = module.state_depth2(bstate)
     out = {}
     for (word, mom), c in a.terms.items():
-        w2a = sum(a.system.gens[g].weight2 + 2 * d for (g, d) in word)
+        w2a = sum(module.gens[g].weight2 + 2 * d for (g, d) in word)
         # a_(n) b vanishes once the target depth would go negative; the
         # momentum pairing shifts the cutoff for lattice factors
         nmax = (depth_b + w2a) // 2 - _mom_bound(mom, bstate, module)
@@ -849,7 +833,7 @@ def normal_order_list(factors):
 
 
 def derive(a):
-    return state_field(a.system.module().translate(field_state(a)), a.system)
+    return state_field(a.system.translate(field_state(a)), a.system)
 
 
 def derive_n(a, n):
@@ -883,7 +867,7 @@ def graded_basis(module, weight2, charge=None):
     Returns a list of (word, vacuum tag) pairs in lexicographic order of
     the words; odd generators never repeat a mode.
     """
-    gens = module.system.gens
+    gens = module.gens
 
     def per_gen(gidx, budget2):
         """All sorted letter tuples for one generator, with their depth."""
@@ -918,7 +902,7 @@ def graded_basis(module, weight2, charge=None):
             del acc[len(acc) - len(letters):]
 
     build(0, weight2, [])
-    tag = module.system.vacuum_tag()
+    tag = module.vacuum_tag()
     return [(w, tag) for w in sorted(out_words)
             if charge is None or module.word_charge(w) == charge]
 

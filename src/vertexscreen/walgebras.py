@@ -16,7 +16,7 @@ from .linalg import matrix_rank, nullspace
 from .scalars import QQ, RationalFunctionField
 from .screening import set_free_field_tables
 from .vertexcalc import (
-    FieldExpr, GenSystem, comb, apply_field_coeff, bracket, derive,
+    FieldExpr, Module, comb, apply_field_coeff, bracket, derive,
     field_state, graded_basis, normal_order, state_acc,
 )
 
@@ -42,11 +42,9 @@ class BRSTComplex:
     assumed.
     """
 
-    def __init__(self, datum, grading, levelform, chifun, field, level):
-        self.datum = datum
+    def __init__(self, grading, field, level):
+        self.datum = grading.datum
         self.grading = grading
-        self.levelform = levelform
-        self.chi = chifun
         self.field = field
         self.level = level
         self._build()
@@ -54,7 +52,7 @@ class BRSTComplex:
     def _build(self):
         d, g = self.datum, self.grading
         field = self.field
-        sys = GenSystem(field, "%s brst" % d.label)
+        sys = self.system = Module(field)
         self.gle0 = g.gle0_indices()
         self.restricted_pos = g.restricted_positive_indices()
         self.half = g.delta_half_indices()
@@ -72,8 +70,7 @@ class BRSTComplex:
         for b in self.half:
             self.neutral[b] = sys.add_gen("Phi[%s]" % d.basis_name(b),
                                           parity=d.parity[b], weight2=1)
-        set_free_field_tables(sys, d, self.levelform, self.chi, self.level,
-                              self.jgen, self.neutral)
+        set_free_field_tables(sys, g, self.level, self.jgen, self.neutral)
         # charged fermions against currents:
         # [phi^a_lambda J^u] = sum_b c^a_{u,b} phi^b
         for b in self.restricted_pos:
@@ -86,8 +83,6 @@ class BRSTComplex:
                 if terms:
                     sys.set_bracket(self.phigen[b], self.jgen[u],
                                     {0: comb(terms=sorted(terms))})
-        self.system = sys
-        self.module = sys.module()
         self._build_differential()
         self._d0_memo = {}
 
@@ -158,7 +153,7 @@ class BRSTComplex:
                             field.lift(sgn * c)
             # chi component: sum chi([u, e_b]) ph^b
             for b2 in self.restricted_pos:
-                val = self.chi.of_comb(d.bracket(u, b2))
+                val = self.grading.chi.of_comb(d.bracket(u, b2))
                 if val:
                     key = (((self.phigen[b2], 0),), None)
                     terms[key] = terms.get(key, field.zero) + field.lift(val)
@@ -183,7 +178,7 @@ class BRSTComplex:
         for b in self.half:
             terms = {}
             for b2 in self.half:
-                val = self.chi.of_comb(d.bracket(b2, b))
+                val = self.grading.chi.of_comb(d.bracket(b2, b))
                 if val and b2 in self.phigen:
                     key = (((self.phigen[b2], 0),), None)
                     terms[key] = terms.get(key, field.zero) + field.lift(val)
@@ -209,7 +204,7 @@ class BRSTComplex:
             inner = self.d0_mono(rest, tag)
             if inner:
                 sign = -field.one if self.system.gens[g].parity else field.one
-                part = self.module.gen_mode_state(g, m, inner)
+                part = self.system.gen_mode_state(g, m, inner)
                 state_acc(out, part, sign, field)
                 out = {k: v for k, v in out.items() if v}
         self._d0_memo[key] = out
@@ -224,7 +219,7 @@ class BRSTComplex:
     # -- graded pieces and cohomology ---------------------------------------------
 
     def basis(self, weight2, charge):
-        return graded_basis(self.module, weight2, charge=charge)
+        return graded_basis(self.system, weight2, charge=charge)
 
     def d0_matrix(self, weight2, charge):
         """Rows indexed by the target basis, columns by the source basis."""
@@ -244,8 +239,8 @@ class BRSTComplex:
         field = self.field
         out = {}
         for w2 in range(0, weight2_max + 1):
-            charges = sorted({self.module.word_charge(w)
-                              for (w, t) in graded_basis(self.module, w2)})
+            charges = sorted({self.system.word_charge(w)
+                              for (w, t) in graded_basis(self.system, w2)})
             ranks = {}
             dims = {}
             for c in charges:
@@ -268,8 +263,8 @@ class BRSTComplex:
         return out
 
 
-def build_complex(datum, grading, levelform, chifun, field, level):
-    return BRSTComplex(datum, grading, levelform, chifun, field, level)
+def build_complex(grading, field, level):
+    return BRSTComplex(grading, field, level)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +329,7 @@ class WBnModel:
             gamma = Fraction(gamma_mode)
         self.field = field
         self.gamma = gamma
-        self.gamma_mode = gamma_mode
-        sys = GenSystem(field, "wb%d" % n)
+        sys = self.system = Module(field)
         self.bgen = [sys.add_gen("b%d" % (i + 1), parity=0, weight2=2,
                                  current=True) for i in range(n)]
         self.psi = sys.add_gen("Psi", parity=1, weight2=1)
@@ -345,8 +339,6 @@ class WBnModel:
         for i in range(n):
             sys.set_bracket(self.bgen[i], self.bgen[i], {1: comb(const=field.one)})
         sys.set_bracket(self.psi, self.psi, {0: comb(const=field.one)})
-        self.system = sys
-        self.module = sys.module()
         self.G = self._build_g()
         self.gamma_consts = self._gamma_consts()
         self.brackets = bracket(self.G, self.G)
@@ -439,7 +431,7 @@ def verify_wbn_screening(n):
     model = WBnModel(n, gamma_mode="split")
     field = model.field
     s = field.gen
-    mod = model.module
+    mod = model.system
     gstate = field_state(model.G)
     failures = []
     for i in range(1, n + 1):
@@ -468,15 +460,13 @@ class W2nModel:
     Gram matrix, the lattice algebra V_xi, the generators E = e^{xi} and
     F = :P e^{-xi}:, and the exponential screenings A_i, Q."""
 
-    def __init__(self, n, field=None):
+    def __init__(self, n):
         if n < 2:
             raise ValueError("needs n >= 2")
         self.n = n
-        field = field or RationalFunctionField("k")
-        self.field = field
-        k = field.gen
-        self.k = k
-        sys = GenSystem(field, "w2_%d lattice" % n)
+        field = self.field = RationalFunctionField("k")
+        k = self.k = field.gen
+        sys = self.system = Module(field)
         self.agen = [sys.add_gen("a%d" % (n - 1 - i), parity=0, weight2=2,
                                  current=True) for i in range(n - 1)]
         self.agen.reverse()  # agen[i-1] is a_i
@@ -507,8 +497,6 @@ class W2nModel:
                     val = gram[pos(g)][pos(g2)]
                     if val:
                         sys.set_bracket(g, g2, {1: comb(const=val)})
-        self.system = sys
-        self.module = sys.module()
         self.gram = gram
         self.E = self.exp_field({self.xig: field.one})
         self.p_words = self._build_p_words()
@@ -591,11 +579,11 @@ class W2nModel:
         return out
 
     def apply_screening(self, mu, state):
-        return self.module.word_coeff_state((), mu, -1, state)
+        return self.system.word_coeff_state((), mu, -1, state)
 
 
-def build_w2n(n, field=None):
-    return W2nModel(n, field)
+def build_w2n(n):
+    return W2nModel(n)
 
 
 def verify_fs(model):
@@ -616,16 +604,15 @@ class WakimotoMap:
     subregular reduction of sl_n into the lattice model, with exact
     verification of all current brackets."""
 
-    def __init__(self, n, datum, grading, levelform):
+    def __init__(self, n, grading):
         if n < 3:
             raise ValueError("needs n >= 3 (nonabelian degree-zero part)")
         self.n = n
         self.model = W2nModel(n)
         field = self.model.field
         self.field = field
-        self.datum = datum
+        self.datum = grading.datum
         self.grading = grading
-        self.levelform = levelform
         k = field.gen
         m = self.model
         sys = m.system
@@ -673,7 +660,7 @@ class WakimotoMap:
 
     def verify_brackets(self):
         """[pi(u) lambda pi(v)] == pi([u,v]) + tau(u|v) lambda, all pairs."""
-        d = self.datum
+        d, lf = self.datum, self.grading.levelform
         field = self.field
         failures = []
         checked = 0
@@ -681,7 +668,7 @@ class WakimotoMap:
             for v in self.g0:
                 got = bracket(self.image_of_basis[u], self.image_of_basis[v])
                 want0 = self.image_of_comb(d.bracket(u, v))
-                tau = self.levelform.tau_scalar(field, field.gen, u, v)
+                tau = lf.tau_scalar(field, field.gen, u, v)
                 zero = FieldExpr(self.model.system, {})
                 ok = got.get(0, zero) == want0
                 want1 = FieldExpr(self.model.system,

@@ -40,7 +40,7 @@ def test_serialize_round_trip():
     ctx = preset_context("osp1_2-regular")
     sys_ = ctx.system
     J = sys_.gen_field(0)
-    P = sys_.gen_field(ctx.fermion_of_root[ctx.base.pi_half[0]])
+    P = sys_.gen_field(ctx.fermion_of_root[ctx.grading.base.pi_half[0]])
     fe = normal_order(J, derive(P)).scale(sys_.field.gen /
                                           (sys_.field.gen + 2))
     mu = tuple(-sys_.field.one / (sys_.field.gen + 2)
@@ -423,3 +423,40 @@ def test_f_support_position_out_of_range(position, tmp_path, capsys):
                  "--f-support", "[%d]" % position, "--max-weight", "2"]) == 2
     assert capsys.readouterr().err.strip() == \
         "error: root position %d out of range" % position
+
+
+def test_label_on_non_simple_root_is_usage_error(tmp_path, capsys):
+    """Grading labels sit on simple roots only; a label on any other root
+    is an input error, not a value silently dropped."""
+    path = tmp_path / "sl3.json"
+    path.write_text(json.dumps(datum_to_json(build_sl(3))))
+    assert main(["info", "--datum", str(path),
+                 "--labels", '{"s1": 2, "s2": 2, "s1+s2": 0}',
+                 "--f-support", '["s1", "s2"]']) == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: label on s1+s2, which is not a simple root"
+
+
+def _sl2_doc(**changes):
+    doc = datum_to_json(build_sl(2))
+    doc["roots"][0] = dict(doc["roots"][0], **changes.pop("root", {}))
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_sl2_doc(root={"coords": ["2", "0"]}),
+     "a root has 2 coordinates, not rank 1"),
+    (_sl2_doc(root={"parity": 2}), "root parity must be 0 or 1"),
+    (_sl2_doc(structure_constants=[[0, 1, 99, "2"]]),
+     "structure constant index out of range"),
+])
+def test_datum_errors_print_their_own_message(doc, message, tmp_path,
+                                              capsys):
+    """The loader's own checks print their message once, without the
+    "malformed datum" wrapping of stdlib errors."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["kernel", "--datum", str(path),
+                 "--labels", '{"s1": 2}', "--max-weight", "2"]) == 2
+    assert capsys.readouterr().err.strip() == "error: " + message

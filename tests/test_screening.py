@@ -17,8 +17,8 @@ def test_s_series_on_vacuum():
     """S^a_0 |0> = x_a and S^a_n |0> = 0 for n >= 1."""
     for preset in ("sl2-regular", "sl3-subregular", "osp1_2-regular"):
         ctx = preset_context(preset)
-        vac = ctx.module.vacuum_state()
-        for bidx in ctx.base.pi_half:
+        vac = ctx.system.vacuum_state()
+        for bidx in ctx.grading.base.pi_half:
             xtag = ctx.xtag_of_root[bidx]
             assert ctx.s_alpha_apply(bidx, 0, vac) == \
                 {((), xtag): ctx.field.one}
@@ -33,9 +33,9 @@ def test_s_series_current_commutator():
         ctx = preset_context(preset)
         d = ctx.datum
         field = ctx.field
-        mod = ctx.module
-        for bidx in ctx.base.pi_half:
-            cls = ctx.base.class_of(bidx)
+        mod = ctx.system
+        for bidx in ctx.grading.base.pi_half:
+            cls = ctx.grading.base.class_of(bidx)
             for trial in range(6):
                 w2 = rng.randrange(0, 5)
                 keys = [key for key in graded_basis(mod, w2)
@@ -67,9 +67,9 @@ def test_s_series_derivative_relation():
         ctx = preset_context(preset)
         d = ctx.datum
         field = ctx.field
-        mod = ctx.module
-        for bidx in ctx.base.pi_half:
-            cls = ctx.base.class_of(bidx)
+        mod = ctx.system
+        for bidx in ctx.grading.base.pi_half:
+            cls = ctx.grading.base.class_of(bidx)
             neg = d.neg_index(bidx)
             pref = -(field.one / ctx.kappa_shift) * \
                 field.lift(Fraction(1) / d.form_entry(bidx, neg))
@@ -111,10 +111,10 @@ def test_generic_matches_exponential_modes():
     exponential of momentum -t_a/(k+h), mode by mode, weights <= 3."""
     for preset in ("sl2-regular", "osp1_2-regular"):
         ctx = preset_context(preset)
-        mod = ctx.module
+        mod = ctx.system
         eops = exponential_screenings(ctx)
         mom = {op.class_roots[0]: op.momentum for op in eops}
-        for bidx in ctx.base.pi_half:
+        for bidx in ctx.grading.base.pi_half:
             mu = mom[bidx]
             for w2 in range(0, 7):
                 for key in graded_basis(mod, w2):
@@ -135,7 +135,7 @@ def test_neutral_fermion_pairing():
     ctx = preset_context("osp1_2-regular")
     b = ctx.grading.delta_half_indices()[0]
     phi = ctx.system.gen_field(ctx.fermion_of_root[b])
-    val = ctx.chi.of_comb(ctx.datum.bracket(b, b))
+    val = ctx.grading.chi.of_comb(ctx.datum.bracket(b, b))
     assert val != 0
     br = bracket(phi, phi)
     assert br == {0: ctx.system.one_field().scale(ctx.field.lift(val))}
@@ -146,8 +146,8 @@ def test_induced_module_zero_modes():
     is the e_a-coefficient of [e_b, u]."""
     ctx = preset_context("sl3-subregular")
     d = ctx.datum
-    mod = ctx.module
-    cls = ctx.base.classes[0]
+    mod = ctx.system
+    cls = ctx.grading.base.classes[0]
     for bidx in cls:
         xst = {((), ctx.xtag_of_root[bidx]): ctx.field.one}
         for u in ctx.g0:
@@ -198,7 +198,7 @@ def test_q_kills_vacuum():
     for preset in ("sl2-regular", "osp1_2-regular", "sl3-subregular",
                    "sl3-subregular-cartan"):
         ctx = preset_context(preset)
-        vac = ctx.module.vacuum_state()
+        vac = ctx.system.vacuum_state()
         ops = generic_screenings(ctx)
         if ctx.grading.g0_is_cartan():
             ops = ops + exponential_screenings(ctx)
@@ -242,17 +242,17 @@ def test_critical_level_rejected():
 
 
 def test_expected_character_examples():
-    datum, grading, base, lf, ch = build_preset("sl2-regular")
-    char = expected_character(datum, grading, 12)
+    grading = build_preset("sl2-regular")
+    char = expected_character(grading.datum, grading, 12)
     assert [char[w2] for w2 in range(0, 13, 2)] == [1, 0, 1, 1, 2, 2, 4]
     # matches the free algebra on one even weight-2 generator
     assert char == character_of_generators([(4, 0)], 12)
-    datum, grading, base, lf, ch = build_preset("osp1_2-regular")
-    char = expected_character(datum, grading, 7)
+    grading = build_preset("osp1_2-regular")
+    char = expected_character(grading.datum, grading, 7)
     assert [char[w2] for w2 in range(0, 8)] == [1, 0, 0, 1, 1, 1, 1, 2]
     assert char == character_of_generators([(3, 1), (4, 0)], 7)
-    datum, grading, base, lf, ch = build_preset("sl3-subregular-cartan")
-    char = expected_character(datum, grading, 6)
+    grading = build_preset("sl3-subregular-cartan")
+    char = expected_character(grading.datum, grading, 6)
     assert char == character_of_generators([(2, 0), (3, 0), (3, 0), (4, 0)],
                                            6)
 
@@ -355,7 +355,7 @@ def _s_alpha_by_powers(ctx, bidx, n, word, tag):
     P_m = A_(-m-n) x_a, translating each P_m m times: the reference for
     the Horner sum of ScreeningContext.s_alpha_mono."""
     field = ctx.field
-    mod = ctx.module
+    mod = ctx.system
     a_field = state_field({(word, tag): field.one}, ctx.system)
     p_word = mod.word_parity(word)
     sigma = (-1) ** (ctx.datum.parity[bidx] * p_word + p_word)
@@ -382,12 +382,12 @@ def test_s_alpha_horner_matches_powers(preset, level):
     are empty; lower n cost minutes over Q(k) and add no new case."""
     ctx = preset_context(preset, level=level)
     words = [(w, t) for w2 in range(7) for (w, t) in
-             graded_basis(ctx.module, w2)
+             graded_basis(ctx.system, w2)
              if all(g < ctx.n_j_gens for g, _ in w)]
     nonzero = 0
     for bidx in sorted(ctx.xtag_of_root):
         for w, t in words:
-            top = ctx.module.word_depth2(w) // 2
+            top = ctx.system.word_depth2(w) // 2
             for n in range(-1, top + 2):
                 want = _s_alpha_by_powers(ctx, bidx, n, w, t)
                 assert ctx.s_alpha_mono(bidx, n, w, t) == want, (bidx, n, w)
@@ -429,9 +429,9 @@ def test_kernel_vectors_annihilated_by_screenings(preset, screenings, level,
 def _memo_snapshot(ctx):
     return ({key: dict(val) for key, val in ctx._s_alpha_memo.items()},
             {key: ([dict(st) for st in ladder], tag) for key, (ladder, tag)
-             in ctx.module._ladder_memo.items()},
+             in ctx.system._ladder_memo.items()},
             {key: [dict(st) for st in ladder] for key, ladder
-             in ctx.module._creation_memo.items()})
+             in ctx.system._creation_memo.items()})
 
 
 @pytest.mark.parametrize("preset, screenings, max_w2, filled", [

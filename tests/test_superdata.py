@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from vertexscreen.superdata import (DatumError, DegreeMismatch,
-                                    NotGoodGrading, build_osp, build_sl,
-                                    chi, datum_from_json, datum_to_json,
-                                    good_grading, restricted_base, tau_form)
+                                    NotGoodGrading, RestrictedBase, build_osp,
+                                    build_sl, datum_from_json, datum_to_json,
+                                    good_grading)
 
 
 def test_build_sl2_structure_constants():
@@ -69,7 +69,7 @@ def test_good_grading_rejects_bad_rank_condition():
 def test_sl3_subregular_base_and_classes():
     d = build_sl(3)
     g = good_grading(d, {"a1": 0, "a2": 2}, ["a2"])
-    rb = restricted_base(g)
+    rb = g.base
     desc = rb.describe()
     assert set(desc["pi_half"]) == {"a2", "a1+a2"}
     assert desc["classes"] == [["a2", "a1+a2"]]
@@ -82,7 +82,7 @@ def test_sl3_subregular_base_and_classes():
 def test_sl4_subregular_classes():
     d = build_sl(4)
     g = good_grading(d, {"a1": 0, "a2": 2, "a3": 2}, ["a2", "a3"])
-    rb = restricted_base(g)
+    rb = g.base
     classes = {tuple(sorted(c)) for c in rb.describe()["classes"]}
     assert classes == {("a1+a2", "a2"), ("a3",)}
 
@@ -90,7 +90,7 @@ def test_sl4_subregular_classes():
 def test_cartan_case_classes_singletons():
     d = build_sl(2)
     g = good_grading(d, {"a1": 2}, ["a1"])
-    rb = restricted_base(g)
+    rb = g.base
     assert rb.describe()["classes"] == [["a1"]]
     assert g.g0_is_cartan()
 
@@ -98,7 +98,7 @@ def test_cartan_case_classes_singletons():
 def test_osp_regular_pi_split():
     d = build_osp(2)
     g = good_grading(d, {"b1": 2, "b2": 1}, ["b1", "2b2"])
-    rb = restricted_base(g)
+    rb = g.base
     desc = rb.describe()
     assert desc["degree_half"] == ["b2"]
     assert desc["degree_one"] == ["b1"]
@@ -108,8 +108,8 @@ def test_osp_regular_pi_split():
 def test_restricted_base_order_independent():
     d = build_sl(3)
     g = good_grading(d, {"a1": 0, "a2": 2}, ["a2"])
-    a = restricted_base(g)
-    b = restricted_base(g)
+    a = g.base
+    b = RestrictedBase(g)
     assert a.describe() == b.describe()  # idempotent and deterministic
     assert set(a.pi_half) == set(b.pi_half)
 
@@ -146,8 +146,8 @@ def test_restricted_base_survives_root_permutation():
     labels2 = {by_coords2[coords_of["a1"]]: 0, by_coords2[coords_of["a2"]]: 2}
     g1 = good_grading(d, {"a1": 0, "a2": 2}, ["a2"])
     g2 = good_grading(d2, labels2, [by_coords2[coords_of["a2"]]])
-    b1 = restricted_base(g1)
-    b2 = restricted_base(g2)
+    b1 = g1.base
+    b2 = g2.base
 
     def coord_classes(d_, rb):
         return {frozenset(d_.root_at(b).coords for b in cls)
@@ -161,7 +161,7 @@ def test_restricted_base_survives_root_permutation():
 def test_tau_form_cartan_case():
     d = build_sl(2)
     g = good_grading(d, {"a1": 2}, ["a1"])
-    lf = tau_form(d, g)
+    lf = g.levelform
     # tau(h|h) = (k + 2)(h|h): constant part 2 h_dual (h|h)/2 = 4
     assert lf.tau_pair(0, 0) == (Fraction(4), Fraction(2))
     assert lf.h_dual == 2
@@ -170,7 +170,7 @@ def test_tau_form_cartan_case():
 def test_tau_form_sl3_subregular_internal_level():
     d = build_sl(3)
     g = good_grading(d, {"a1": 0, "a2": 2}, ["a2"])
-    lf = tau_form(d, g)
+    lf = g.levelform
     ia1 = next(d.root_index(p) for p, r in enumerate(d.roots)
                if r.name == "a1")
     const, lin = lf.tau_pair(ia1, d.neg_index(ia1))
@@ -181,14 +181,14 @@ def test_tau_form_sl3_subregular_internal_level():
 def test_chi_values():
     d = build_sl(2)
     g = good_grading(d, {"a1": 2}, ["a1"])
-    c = chi(d, g)
+    c = g.chi
     ia = next(d.root_index(p) for p, r in enumerate(d.roots)
               if r.name == "a1")
     assert c.of_index(ia) == 1
     assert c.of_index(0) == 0  # Cartan
     o = build_osp(1)
     go = good_grading(o, {"b1": 1}, ["2b1"])
-    co = chi(o, go)
+    co = go.chi
     ib = next(o.root_index(p) for p, r in enumerate(o.roots)
               if r.name == "b1")
     # chi([e_b, e_b]) is nonzero for the odd short root

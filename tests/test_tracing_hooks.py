@@ -4,7 +4,7 @@ perfbench/tracing.py wraps vertexscreen functions, methods and memo tables
 by name.  Deleting one of them (a denominator view, solve_in_span, a memo
 attribute) would break only ``perfbench/run.py --trace 1``, so this test
 installs the tracer on a fresh import in a subprocess, runs one small
-kernel under it and reads the round's metrics.
+kernel and one small BRST suite under it and reads the round's metrics.
 """
 
 import json
@@ -15,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
-import functools, json, sys
+import argparse, functools, json, random, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import tracing
 import vertexscreen as vs
@@ -27,8 +27,13 @@ ops = vs.exponential_screenings(ctx)
 char = vs.expected_character(ctx.datum, ctx.grading, 4)
 rep = tracer.run_op(0, functools.partial(vs.kernel_basis, ctx, ops, 4,
                                          expected=char[4]))
+args = argparse.Namespace(preset="sl2-regular", max_weight=4,
+                          level="symbolic")
+brst = tracer.run_op(1, functools.partial(vs.verify.verify_brst, args,
+                                          random.Random(0)))
 metrics = tracer.round_metrics(1.0, 1.0)
-print(json.dumps({"kernel_dim": rep.kernel_dim, "metrics": metrics,
+print(json.dumps({"kernel_dim": rep.kernel_dim, "brst": brst["status"],
+                  "metrics": metrics,
                   "units": sorted(tracing.metric_units())}))
 """
 
@@ -45,3 +50,7 @@ def test_tracer_installs_and_measures_a_kernel():
     assert metrics["screening.kernel_basis.calls"] == 1
     assert metrics["screening.kernel_dim.total"] == doc["kernel_dim"] == 1
     assert metrics["vertexcalc.word_memo.entries"] > 0
+    assert doc["brst"] == "pass"
+    assert metrics["walgebras.cohomology_dims.calls"] == 1
+    assert metrics["vertexcalc.mode_memo.entries"] > 0
+    assert metrics["walgebras.d0_memo.entries"] > 0

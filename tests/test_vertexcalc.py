@@ -7,7 +7,7 @@ import pytest
 from vertexscreen.presets import preset_context
 from vertexscreen.scalars import QQ, RationalFunctionField
 from vertexscreen.screening import exponential_screenings
-from vertexscreen.vertexcalc import (GenSystem, GradingMismatch,
+from vertexscreen.vertexcalc import (GradingMismatch, Module,
                                      NonVacuumModule, comb, apply_field_coeff,
                                      bracket, derive, field_state,
                                      graded_basis, mode_apply, normal_order,
@@ -23,7 +23,7 @@ def heis_fermion():
     """One boson J with [J_l J] = 2(k+2) l, one odd fermion Psi."""
     F = RationalFunctionField("k")
     k = F.gen
-    sys = GenSystem(F, "hf")
+    sys = Module(F)
     j = sys.add_gen("J", parity=0, weight2=2, current=True)
     psi = sys.add_gen("Psi", parity=1, weight2=1)
     lev = (k + 2) * 2
@@ -86,7 +86,7 @@ def test_translation_mode_identity(heis_fermion):
     """(dA)_(n) = -n A_(n-1) on random states."""
     sys = heis_fermion
     rng = random.Random(5)
-    mod = sys.module()
+    mod = sys
     for w2 in (2, 3, 4):
         A = random_homogeneous_field(mod, rng, w2)
         dA = derive(A)
@@ -102,7 +102,7 @@ def test_translation_mode_identity(heis_fermion):
 
 def test_vacuum_annihilation(heis_fermion):
     sys = heis_fermion
-    mod = sys.module()
+    mod = sys
     vac = mod.vacuum_state()
     J = sys.gen_field("J")
     for n2 in (0, 2, 4):
@@ -113,7 +113,7 @@ def test_vacuum_annihilation(heis_fermion):
 
 def test_graded_basis_counts(heis_fermion):
     sys = heis_fermion
-    mod = sys.module()
+    mod = sys
     # weight 0: the vacuum only
     assert len(graded_basis(mod, 0)) == 1
     # one boson alone at weight 2: J_(-2), J_(-1)^2 (fermion adds more)
@@ -124,10 +124,10 @@ def test_graded_basis_counts(heis_fermion):
 
 def test_graded_basis_odd_multiplicity():
     F = QQ
-    sys = GenSystem(F, "psi-only")
+    sys = Module(F)
     psi = sys.add_gen("Psi", parity=1, weight2=1)
     sys.set_bracket(psi, psi, {0: comb(const=F.one)})
-    mod = sys.module()
+    mod = sys
     # doubled weight 3 = conformal weight 3/2: only Psi_(-2)|0>
     basis = graded_basis(mod, 3)
     assert basis == [(((0, -2),), sys.vacuum_tag())]
@@ -137,7 +137,7 @@ def test_graded_basis_odd_multiplicity():
 
 def test_state_field_round_trip(heis_fermion):
     sys = heis_fermion
-    mod = sys.module()
+    mod = sys
     for w2 in range(0, 7):
         for key in graded_basis(mod, w2):
             st = {key: sys.field.one}
@@ -146,7 +146,7 @@ def test_state_field_round_trip(heis_fermion):
 
 def test_state_field_rejects_induced_modules(heis_fermion):
     sys = heis_fermion
-    mod = sys.module()
+    mod = sys
     tag = mod.register_hv("x", parity=0)
     with pytest.raises(NonVacuumModule):
         state_field({((), tag): sys.field.one}, sys)
@@ -155,7 +155,7 @@ def test_state_field_rejects_induced_modules(heis_fermion):
 def test_exp_vertex_basics(heis_fermion):
     sys = heis_fermion
     F = sys.field
-    mod = sys.module()
+    mod = sys
     mu = (F.one / (F.gen + 2),)
     E = sys.exp_field(mu)
     assert E.parity() == 0
@@ -164,7 +164,7 @@ def test_exp_vertex_basics(heis_fermion):
     assert img == {((), sys.momentum_tag(mu)): F.one}
     # [e^{mu} e^{mu'}] = 0 when the pairing of the momenta vanishes: use
     # a second system with an isotropic direction
-    sys2 = GenSystem(F, "xi")
+    sys2 = Module(F)
     xi = sys2.add_gen("xi", parity=0, weight2=2, current=True)
     sys2.set_pairing([[F.zero]])
     E1 = sys2.exp_field((F.one,))
@@ -224,7 +224,7 @@ def test_sugawara_virasoro(heis_fermion):
 def test_bracket_lambda_degree_bound(heis_fermion):
     sys = heis_fermion
     rng = random.Random(11)
-    mod = sys.module()
+    mod = sys
     for _ in range(10):
         a = random_homogeneous_field(mod, rng, 1 + rng.randrange(4))
         b = random_homogeneous_field(mod, rng, 1 + rng.randrange(4))
@@ -237,7 +237,7 @@ def test_bracket_lambda_degree_bound(heis_fermion):
 
 def test_axioms_on_seeded_samples(heis_fermion):
     sys = heis_fermion
-    mod = sys.module()
+    mod = sys
     rng = random.Random(77)
     for _ in range(10):
         a = random_homogeneous_field(mod, rng, 1 + rng.randrange(4))
@@ -259,7 +259,7 @@ def test_lattice_affine_sl2_realization():
     skew-symmetry, Jacobi and the Wick expansion exact even though the
     momentum pairing is negative."""
     F = QQ
-    sysA = GenSystem(F, "a1-lattice")
+    sysA = Module(F)
     j = sysA.add_gen("J", parity=0, weight2=2, current=True)
     sysA.set_pairing([[F.lift(2)]])
     sysA.set_bracket(j, j, {1: comb(const=F.lift(2))})
@@ -287,7 +287,7 @@ def test_momentum_needs_current_span(heis_fermion):
 
 def test_mode_apply_physical_indexing(heis_fermion):
     sys = heis_fermion
-    mod = sys.module()
+    mod = sys
     P = sys.gen_field("Psi")
     vac = mod.vacuum_state()
     # Psi_{-3/2}|0> = Psi_(-2)|0>: doubled physical index -3
@@ -320,7 +320,7 @@ def _mom_mode(mod, mom, n, state):
     acc = {}
     for j, c in enumerate(mom):
         if c:
-            part = mod.gen_mode_state(mod.system.currents[j], n, state)
+            part = mod.gen_mode_state(mod.currents[j], n, state)
             for key, v in part.items():
                 cur = acc.get(key)
                 acc[key] = v * c if cur is None else cur + v * c
@@ -329,7 +329,7 @@ def _mom_mode(mod, mom, n, state):
 
 def _pairing(mod, mom, tag):
     """(mu|momentum of tag), which is an integer in every case here."""
-    return int(str(mod.system.pair_momenta(mom, mod.hv(tag).momentum)))
+    return int(str(mod.pair_momenta(mom, mod.hv(tag).momentum)))
 
 
 def _exp_coeff_by_partitions(mod, mom, J, w0, tag):
@@ -338,7 +338,7 @@ def _exp_coeff_by_partitions(mod, mom, J, w0, tag):
     exp(-sum_j mu_(j) z^(-j)/j) is sum over partitions of b of
     prod_n (-mu_(n)/n)^m_n / m_n!, and likewise for the creation part."""
     field = mod.field
-    sys = mod.system
+    sys = mod
     hv = mod.hv(tag)
     p_int = _pairing(mod, mom, tag)
     new_tag = sys.momentum_tag(tuple(a + b for a, b in zip(hv.momentum, mom)))
@@ -375,7 +375,7 @@ def _check_exp_against_partitions(mod, momenta, starts, max_w2=8):
     J = p - w2 // 2 on (p the momentum pairing) and lands at doubled depth
     w2 + 2 (J - p); J runs from one below that range to the last J that
     lands within max_w2."""
-    sys = mod.system
+    sys = mod
     field = mod.field
     checked = 0
     for mu in momenta:
@@ -400,7 +400,7 @@ def test_exp_recurrence_matches_partitions_heisenberg(heis_fermion):
     mu = (F.one / (F.gen + 2),)
     # (mu|nu) = 2 nu: starting momenta with pairing 0, 1 and -2
     starts = [(F.zero,), (F.lift(Fraction(1, 2)),), (-F.one,)]
-    _check_exp_against_partitions(sys.module(), [mu], starts)
+    _check_exp_against_partitions(sys, [mu], starts)
 
 
 @pytest.mark.parametrize("level", [Fraction(7, 2), "symbolic"])
@@ -411,7 +411,7 @@ def test_exp_recurrence_matches_partitions_osp1_4(level):
     # 2 (k + h_dual) mu pairs integrally with both screening momenta
     starts = [ctx.system.vacuum_tag()[1]]
     starts += [tuple(2 * ctx.kappa_shift * x for x in mu) for mu in momenta]
-    _check_exp_against_partitions(ctx.module, momenta, starts)
+    _check_exp_against_partitions(ctx.system, momenta, starts)
 
 
 def test_exp_recurrence_matches_partitions_wb3():
@@ -422,7 +422,7 @@ def test_exp_recurrence_matches_partitions_wb3():
     momenta = [(s, -s, z), (z, s, -s), (z, z, s)]
     # (mu_1|nu) = 1 and (mu_i|nu) = 0 otherwise
     starts = [(z, z, z), (F.one / s, z, z)]
-    _check_exp_against_partitions(model.module, momenta, starts)
+    _check_exp_against_partitions(model.system, momenta, starts)
 
 
 def _exp_coeff_per_b(mod, mom, J, w0, tag):
@@ -502,7 +502,7 @@ def test_shared_creation_ladder_matches_per_b_osp1_4(level, monkeypatch):
     momenta = [op.momentum for op in ops]
     (fop,) = [(op.fermion, op.momentum) for op in ops
               if op.kind == "exp-fermion"]
-    _check_shared_creation_ladder(ctx.module, momenta, fop, monkeypatch)
+    _check_shared_creation_ladder(ctx.system, momenta, fop, monkeypatch)
 
 
 def test_shared_creation_ladder_matches_per_b_wb3(monkeypatch):
@@ -511,7 +511,7 @@ def test_shared_creation_ladder_matches_per_b_wb3(monkeypatch):
     s = F.gen
     z = F.zero
     momenta = [(s, -s, z), (z, s, -s), (z, z, s)]
-    _check_shared_creation_ladder(model.module, momenta,
+    _check_shared_creation_ladder(model.system, momenta,
                                   (model.psi, momenta[2]), monkeypatch)
 
 
@@ -529,12 +529,12 @@ def test_tags_are_interned(heis_fermion):
     assert (tag[0], tag[1]) == ("m", (mu0,))
     assert str(tag) == str(("m", (mu0,)))
     assert str(sys.vacuum_tag()) == str(("m", (F.zero,)))
-    xtag = sys.module().register_hv(("y", 1))
+    xtag = sys.register_hv(("y", 1))
     assert xtag is sys.induced_tag(("y", 1))
     assert str(xtag) == str(("x", ("y", 1)))
     # a tag equals only itself: the equal-looking vacuum of another system
     # is a different tag
-    other = GenSystem(F, "other")
+    other = Module(F)
     other.add_gen("J", parity=0, weight2=2, current=True)
     assert str(other.vacuum_tag()) == str(sys.vacuum_tag())
     assert other.vacuum_tag() != sys.vacuum_tag()
@@ -544,7 +544,7 @@ def test_tags_are_interned(heis_fermion):
 def test_screening_zero_modes_use_registered_tags():
     ctx = preset_context("sl3-subregular", "symbolic")
     sys = ctx.system
-    hvs = ctx.module.hvs
+    hvs = ctx.system.hvs
     xtags = set(ctx.xtag_of_root.values())
     assert xtags
     seen = 0

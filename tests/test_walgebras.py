@@ -20,9 +20,9 @@ F = RationalFunctionField("k")
 
 
 def make_brst(preset):
-    datum, grading, base, lf, ch = build_preset(preset)
-    return build_complex(datum, grading, lf, ch, F, F.gen), \
-        (datum, grading, base, lf, ch)
+    grading = build_preset(preset)
+    return build_complex(grading, F, F.gen), \
+        (grading.datum, grading, grading.base, grading.levelform, grading.chi)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ def test_brst_d0_squares_to_zero():
                           ("osp1_4-regular", 8), ("sl3-subregular", 4)):
         brst, _ = make_brst(preset)
         for w2 in range(0, w2max + 1):
-            for key in graded_basis(brst.module, w2):
+            for key in graded_basis(brst.system, w2):
                 dd = brst.d0_state(brst.d0_state({key: F.one}))
                 assert not dd, (preset, w2, key)
 
@@ -113,7 +113,7 @@ def test_brst_mode_commutators(preset, w2max):
     fields += [img for _, img in sorted(brst.d0_image.items())
                if not img.is_zero()]
     cases = [({key: F.one}, m, n) for w2 in range(w2max + 1)
-             for key in graded_basis(brst.module, w2)
+             for key in graded_basis(brst.system, w2)
              for m in (-1, 0) for n in (-1, 0)]
     for a in fields:
         for b in fields:
@@ -128,17 +128,17 @@ def test_state_sums_leave_memo_entries_intact():
     entry as it was."""
     brst, _ = make_brst("sl3-subregular")
     brst.cohomology_dims(6)
-    memos = (brst.module._mode_memo, brst._d0_memo)
+    memos = (brst.system._mode_memo, brst._d0_memo)
     snaps = [{key: dict(val) for key, val in memo.items()} for memo in memos]
     assert all(snaps)
     for w2 in range(0, 7):
-        keys = graded_basis(brst.module, w2)
+        keys = graded_basis(brst.system, w2)
         brst.d0_state({key: F.lift(i + 1) for i, key in enumerate(keys)})
         for key in keys:
             brst.d0_state({key: F.one})
     sys_ = brst.system
     fields = [sys_.gen_field(g) for g in range(len(sys_.gens))]
-    cases = [({key: F.one}, m, n) for key in graded_basis(brst.module, 2)
+    cases = [({key: F.one}, m, n) for key in graded_basis(brst.system, 2)
              for m in (-1, 0) for n in (-1, 0)]
     for a in fields:
         for b in fields:
@@ -151,7 +151,7 @@ def test_state_sums_leave_memo_entries_intact():
 def test_brst_d0_grading():
     """d_(0) raises charge by one and preserves the conformal weight."""
     brst, _ = make_brst("osp1_2-regular")
-    mod = brst.module
+    mod = brst.system
     for w2 in range(0, 6):
         for key in graded_basis(mod, w2):
             img = brst.d0_state({key: F.one})
@@ -222,10 +222,10 @@ def test_sugawara_virasoro_sl3_subregular():
 def test_miura_vacuum_and_leading_terms():
     brst, (datum, grading, base, lf, ch) = make_brst("sl2-regular")
     ctx = preset_context("sl2-regular")
-    vac = brst.module.vacuum_state()
-    assert miura_project(brst, vac, ctx) == ctx.module.vacuum_state()
+    vac = brst.system.vacuum_state()
+    assert miura_project(brst, vac, ctx) == ctx.system.vacuum_state()
     with pytest.raises(NonZeroCharge):
-        key = graded_basis(brst.module, 2, charge=1)[0]
+        key = graded_basis(brst.system, 2, charge=1)[0]
         miura_project(brst, {key: F.one}, ctx)
 
 
@@ -313,7 +313,7 @@ def test_wbn_kernel_dims_match_regular_reduction():
         assert fails == []
         field = model.field
         s = field.gen
-        mod = model.module
+        mod = model.system
         char = character_of_generators(gens, 6)
         momenta = []
         for i in range(1, n + 1):
@@ -379,7 +379,7 @@ def test_w2n_f_printed_form_n2():
 
 def test_wakimoto_brackets_and_images():
     ctx = preset_context("sl3-subregular")
-    wm = WakimotoMap(3, ctx.datum, ctx.grading, ctx.levelform)
+    wm = WakimotoMap(3, ctx.grading)
     checked, fails = wm.verify_brackets()
     assert checked == 16
     assert fails == []
@@ -395,7 +395,7 @@ def test_wakimoto_brackets_and_images():
 
 def test_wakimoto_h_i_to_a_i_for_higher_rank():
     ctx = preset_context("sl4-subregular")
-    wm = WakimotoMap(4, ctx.datum, ctx.grading, ctx.levelform)
+    wm = WakimotoMap(4, ctx.grading)
     names = {ctx.datum.basis_name(b): b for b in wm.g0}
     m = wm.model
     assert wm.image_of_basis[names["h3"]] == m.system.gen_field(m.agen[2])
@@ -410,7 +410,7 @@ def test_wakimoto_transports_f_field():
     """The substitution is multiplicative: the composite field F on the
     current side maps onto the lattice-side F."""
     ctx = preset_context("sl3-subregular")
-    wm = WakimotoMap(3, ctx.datum, ctx.grading, ctx.levelform)
+    wm = WakimotoMap(3, ctx.grading)
     m = wm.model
     k = m.field.gen
     n = 3
@@ -429,14 +429,14 @@ def test_wakimoto_kernel_transport():
     """Ker of the class screening transports onto Ker of the matching
     lattice exponential, and lands inside all three lattice kernels."""
     ctx = preset_context("sl3-subregular")
-    wm = WakimotoMap(3, ctx.datum, ctx.grading, ctx.levelform)
+    wm = WakimotoMap(3, ctx.grading)
     m = wm.model
     field = m.field
     ops = generic_screenings(ctx)
     char = expected_character(ctx.datum, ctx.grading, 4)
     momenta = m.screening_momenta()
     for w2 in (0, 2, 4):
-        basis = graded_basis(ctx.module, w2)
+        basis = graded_basis(ctx.system, w2)
         rep = kernel_basis(ctx, ops, w2, expected=char[w2])
         imgs = [_transport(ctx, wm, {key: field.one}) for key in basis]
         a2_imgs = [m.apply_screening(momenta[1], st) for st in imgs]

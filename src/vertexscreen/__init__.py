@@ -18,8 +18,9 @@ from .screening import (ScreeningContext, ScreeningOp, KernelReport,
                         exponential_screenings, generic_screenings,
                         expected_character, character_of_generators,
                         kernel_basis)
-from .walgebras import (BRSTComplex, WBnModel, W2nModel, WakimotoMap,
-                        TopCoefficientMismatch, NonZeroCharge,
+from .walgebras import (BRSTComplex, WBnFields, WBnModel, W2nModel,
+                        WakimotoMap, TopCoefficientMismatch, NonZeroCharge,
+                        ModelTooSmall,
                         build_complex, build_wbn, build_w2n,
                         miura_project, verify_fs, verify_wbn_screening)
 from .presets import PRESETS, build_preset, preset_context, preset_names

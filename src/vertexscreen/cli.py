@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InputError
-from .presets import build_preset, level_field, preset_context, preset_names
+from .presets import build_preset, level_field, preset_names
 from .screening import (ScreeningContext, exponential_screenings,
                         generic_screenings, expected_character, kernel_basis)
 from .superdata import good_grading, load_datum
@@ -39,9 +39,9 @@ def _parse_level(text):
                          "not %r" % text) from None
 
 
-def _context_from_args(args):
+def _grading_from_args(args):
     if args.preset:
-        return preset_context(args.preset, args.level)
+        return build_preset(args.preset)
     if not args.datum:
         raise InputError("one of --preset or --datum is required")
     datum = load_datum(args.datum)
@@ -55,8 +55,7 @@ def _context_from_args(args):
     if not all(type(x) in (int, str) for x in support):
         raise InputError("--f-support entries must be root names or "
                          "positions")
-    return ScreeningContext(good_grading(datum, labels, support),
-                            *level_field(args.level))
+    return good_grading(datum, labels, support)
 
 
 def _count(low):
@@ -114,8 +113,7 @@ def _print_table(doc):
 
 
 def cmd_info(args):
-    grading = build_preset(args.preset) if args.preset \
-        else _context_from_args(args).grading
+    grading = _grading_from_args(args)
     datum = grading.datum
     maxw2 = args.max_weight
     char = expected_character(datum, grading, maxw2)
@@ -144,7 +142,7 @@ def cmd_info(args):
 
 
 def cmd_kernel(args):
-    ctx = _context_from_args(args)
+    ctx = ScreeningContext(_grading_from_args(args), *level_field(args.level))
     kind = args.screenings
     if kind == "auto":
         kind = "exponential" if ctx.grading.g0_is_cartan() else "generic"

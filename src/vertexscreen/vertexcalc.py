@@ -860,51 +860,32 @@ def lambda_shift_skew(lp, pa, pb, system):
     return out
 
 
-def graded_basis(module, weight2, charge=None):
+def graded_basis(module, weight2):
     """Deterministic PBW basis of the vacuum module at one doubled weight
-    (depth), optionally of one charge.
+    (depth).
 
     Returns a list of (word, vacuum tag) pairs in lexicographic order of
-    the words; odd generators never repeat a mode.
+    the words.  A word is a non-decreasing run of letters (g, m), m <= -1,
+    each of depth weight2_g - 2m - 2; odd generators never repeat a mode.
     """
-    gens = module.gens
+    letters = [((g, m), gen.weight2 - 2 * m - 2, gen.parity)
+               for g, gen in enumerate(module.gens)
+               for m in range(-weight2 - 1, 0)
+               if gen.weight2 - 2 * m - 2 <= weight2]
+    words = []
 
-    def per_gen(gidx, budget2):
-        """All sorted letter tuples for one generator, with their depth."""
-        g = gens[gidx]
-        results = []
-
-        def rec(start_mode, rem, acc):
-            results.append((tuple(sorted(acc)), budget2 - rem))
-            m = start_mode
-            while True:
-                cost = g.weight2 - 2 * m - 2
-                if cost > rem:
-                    break
-                acc.append((gidx, m))
-                rec(m - 1 if g.parity else m, rem - cost, acc)
-                acc.pop()
-                m -= 1
-
-        rec(-1, budget2, [])
-        return results
-
-    out_words = []
-
-    def build(gidx, rem2, acc):
-        if gidx == len(gens):
-            if rem2 == 0:
-                out_words.append(tuple(acc))
+    def rec(start, rem, word):
+        if rem == 0:
+            words.append(word)
             return
-        for letters, used in per_gen(gidx, rem2):
-            acc.extend(letters)
-            build(gidx + 1, rem2 - used, acc)
-            del acc[len(acc) - len(letters):]
+        for i in range(start, len(letters)):
+            letter, cost, odd = letters[i]
+            if cost <= rem:
+                rec(i + odd, rem - cost, word + (letter,))
 
-    build(0, weight2, [])
+    rec(0, weight2, ())
     tag = module.vacuum_tag()
-    return [(w, tag) for w in sorted(out_words)
-            if charge is None or module.word_charge(w) == charge]
+    return [(w, tag) for w in sorted(words)]
 
 
 def sugawara_field(system, dual_pairs, denom):

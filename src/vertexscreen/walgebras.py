@@ -12,6 +12,7 @@ degree-zero currents of the subregular reduction.
 
 from fractions import Fraction
 
+from .errors import InputError
 from .linalg import matrix_rank, nullspace
 from .scalars import QQ, RationalFunctionField
 from .screening import set_free_field_tables
@@ -26,6 +27,10 @@ class TopCoefficientMismatch(AssertionError):
 
 
 class NonZeroCharge(ValueError):
+    pass
+
+
+class ModelTooSmall(InputError, ValueError):
     pass
 
 
@@ -218,13 +223,16 @@ class BRSTComplex:
 
     # -- graded pieces and cohomology ---------------------------------------------
 
-    def basis(self, weight2, charge):
-        return graded_basis(self.system, weight2, charge=charge)
+    def pieces(self, weight2):
+        """{charge: monomials} of the complex at one doubled weight."""
+        out = {}
+        for key in graded_basis(self.system, weight2):
+            out.setdefault(self.system.word_charge(key[0]), []).append(key)
+        return out
 
-    def d0_matrix(self, weight2, charge):
-        """Rows indexed by the target basis, columns by the source basis."""
-        src = self.basis(weight2, charge)
-        dst = self.basis(weight2, charge + 1)
+    def d0_matrix(self, src, dst):
+        """d_(0) from the monomials src to dst: rows indexed by dst,
+        columns by src."""
         pos = {key: i for i, key in enumerate(dst)}
         field = self.field
         mat = [[field.zero] * len(src) for _ in dst]
@@ -232,35 +240,27 @@ class BRSTComplex:
             img = self.d0_state({key: field.one})
             for mono, c in img.items():
                 mat[pos[mono]][jcol] = c
-        return mat, src, dst
+        return mat
 
     def cohomology_dims(self, weight2_max):
         """{(weight2, charge): dim H} for all charges at each weight."""
-        field = self.field
         out = {}
         for w2 in range(0, weight2_max + 1):
-            charges = sorted({self.system.word_charge(w)
-                              for (w, t) in graded_basis(self.system, w2)})
+            pieces = self.pieces(w2)
             ranks = {}
-            dims = {}
-            for c in charges:
-                mat, src, dst = self.d0_matrix(w2, c)
-                dims[c] = len(src)
-                ranks[c] = matrix_rank(mat, len(src), field) if src else 0
-            for c in charges:
-                out[(w2, c)] = dims[c] - ranks.get(c, 0) - ranks.get(c - 1, 0)
+            for c, src in sorted(pieces.items()):
+                mat = self.d0_matrix(src, pieces.get(c + 1, []))
+                ranks[c] = matrix_rank(mat, len(src), self.field)
+                out[(w2, c)] = len(src) - ranks[c] - ranks.get(c - 1, 0)
         return out
 
     def h0_basis(self, weight2):
         """Kernel of d_(0) on the charge-zero piece (no incoming arrows)."""
-        field = self.field
-        mat, src, dst = self.d0_matrix(weight2, 0)
-        vecs = nullspace(mat, len(src), field)
-        out = []
-        for v in vecs:
-            st = {key: c for key, c in zip(src, v) if c}
-            out.append(st)
-        return out
+        pieces = self.pieces(weight2)
+        src = pieces.get(0, [])
+        mat = self.d0_matrix(src, pieces.get(1, []))
+        return [{key: c for key, c in zip(src, v) if c}
+                for v in nullspace(mat, len(src), self.field)]
 
 
 def build_complex(grading, field, level):
@@ -310,23 +310,14 @@ def miura_project(brst, state, ctx):
 # the odd-field model on n bosons and a fermion
 
 
-class WBnModel:
+class WBnFields:
     """Currents b_1..b_n with [b_i lambda b_j] = delta_ij lambda, an odd
     fermion with [Psi lambda Psi] = 1, and the odd generating field
-    G = :(c d + b_1) ... (c d + b_n) Psi: for a coupling constant c."""
+    G = :(c d + b_1) ... (c d + b_n) Psi: for the coupling c = gamma, an
+    element of field."""
 
-    def __init__(self, n, gamma_mode="symbolic"):
+    def __init__(self, n, field, gamma):
         self.n = n
-        if gamma_mode == "symbolic":
-            field = RationalFunctionField("g")
-            gamma = field.gen
-        elif gamma_mode == "split":
-            # gamma expressed through s = gamma_+ with gamma_+ gamma_- = -1
-            field = RationalFunctionField("s")
-            gamma = field.gen - field.one / field.gen
-        else:
-            field = QQ
-            gamma = Fraction(gamma_mode)
         self.field = field
         self.gamma = gamma
         sys = self.system = Module(field)
@@ -339,17 +330,27 @@ class WBnModel:
         for i in range(n):
             sys.set_bracket(self.bgen[i], self.bgen[i], {1: comb(const=field.one)})
         sys.set_bracket(self.psi, self.psi, {0: comb(const=field.one)})
-        self.G = self._build_g()
+        out = sys.gen_field(self.psi)
+        for i in range(n - 1, -1, -1):
+            b = sys.gen_field(self.bgen[i])
+            out = derive(out).scale(gamma) + normal_order(b, out)
+        self.G = out
+
+
+class WBnModel(WBnFields):
+    """The fields of WBnFields with [G lambda G] and the W_i it expands into,
+    at the coupling gamma_mode: "symbolic" (the generator of Q(g)) or a
+    rational."""
+
+    def __init__(self, n, gamma_mode="symbolic"):
+        if gamma_mode == "symbolic":
+            field = RationalFunctionField("g")
+            super().__init__(n, field, field.gen)
+        else:
+            super().__init__(n, QQ, Fraction(gamma_mode))
         self.gamma_consts = self._gamma_consts()
         self.brackets = bracket(self.G, self.G)
         self.W = self._solve_w()
-
-    def _build_g(self):
-        out = self.system.gen_field(self.psi)
-        for i in range(self.n - 1, -1, -1):
-            b = self.system.gen_field(self.bgen[i])
-            out = derive(out).scale(self.gamma) + normal_order(b, out)
-        return out
 
     def _gamma_consts(self):
         # gamma_i = prod_{j<=i} (1 - 2j(2j-1) gamma^2)
@@ -426,26 +427,22 @@ def verify_wbn_screening(n):
     """Q_i G = 0 for the n screening charges, over Q(s) with s = gamma_+.
 
     Q_i = Res e^{int s a_i} for i < n and Res :e^{int s a_n} Psi: for the
-    short root; a_i = b_i - b_{i+1}, a_n = b_n.  Returns failing witnesses.
+    short root; a_i = b_i - b_{i+1}, a_n = b_n.  Returns the WBnFields and
+    the failing witnesses.
     """
-    model = WBnModel(n, gamma_mode="split")
-    field = model.field
+    # gamma through s = gamma_+ with gamma_+ gamma_- = -1
+    field = RationalFunctionField("s")
     s = field.gen
-    mod = model.system
+    model = WBnFields(n, field, s - field.one / s)
     gstate = field_state(model.G)
     failures = []
     for i in range(1, n + 1):
         coords = [field.zero] * n
+        coords[i - 1] = s
         if i < n:
-            coords[i - 1] = s
             coords[i] = -s
-        else:
-            coords[n - 1] = s
-        mu = tuple(coords)
-        if i < n:
-            img = mod.word_coeff_state((), mu, -1, gstate)
-        else:
-            img = mod.word_coeff_state(((model.psi, 0),), mu, -1, gstate)
+        word = () if i < n else ((model.psi, 0),)
+        img = model.system.word_coeff_state(word, tuple(coords), -1, gstate)
         if img:
             failures.append((i, img))
     return model, failures
@@ -462,7 +459,7 @@ class W2nModel:
 
     def __init__(self, n):
         if n < 2:
-            raise ValueError("needs n >= 2")
+            raise ModelTooSmall("needs n >= 2")
         self.n = n
         field = self.field = RationalFunctionField("k")
         k = self.k = field.gen
@@ -484,9 +481,8 @@ class W2nModel:
         for i in range(1, n - 1):
             p1, p2 = pos(self.agen[i - 1]), pos(self.agen[i])
             gram[p1][p2] = gram[p2][p1] = -kn
-        if n >= 2:
-            p1, p2 = pos(self.agen[0]), pos(self.psig)
-            gram[p1][p2] = gram[p2][p1] = -kn
+        p1, p2 = pos(self.agen[0]), pos(self.psig)
+        gram[p1][p2] = gram[p2][p1] = -kn
         gram[pos(self.psig)][pos(self.psig)] = field.one
         gram[pos(self.psig)][pos(self.xig)] = field.one
         gram[pos(self.xig)][pos(self.psig)] = field.one
@@ -606,7 +602,7 @@ class WakimotoMap:
 
     def __init__(self, n, grading):
         if n < 3:
-            raise ValueError("needs n >= 3 (nonabelian degree-zero part)")
+            raise ModelTooSmall("needs n >= 3 (nonabelian degree-zero part)")
         self.n = n
         self.model = W2nModel(n)
         field = self.model.field

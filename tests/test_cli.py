@@ -4,13 +4,14 @@ import pytest
 
 from vertexscreen.cli import main, make_parser
 from vertexscreen.errors import InputError
-from vertexscreen.presets import preset_context
+from vertexscreen.presets import build_preset, preset_context
 from vertexscreen.screening import DegenerateForm, NonCartanZeroPart
 from vertexscreen.serialize import field_to_json
 from vertexscreen.superdata import (DatumError, DegreeMismatch, NotGoodGrading,
                                     build_sl, datum_to_json)
 from vertexscreen.vertexcalc import (CriticalLevel, GradingMismatch,
                                      _term_sort_key, derive, normal_order)
+from vertexscreen.walgebras import WakimotoMap
 
 
 def run_cli(args, capsys):
@@ -435,6 +436,33 @@ def test_label_on_non_simple_root_is_usage_error(tmp_path, capsys):
                  "--f-support", '["s1", "s2"]']) == 2
     assert capsys.readouterr().err.strip() == \
         "error: label on s1+s2, which is not a simple root"
+
+
+def test_info_on_a_datum_reads_no_level(tmp_path, capsys):
+    """info reports the grading alone, so a level that kernel rejects
+    (the critical k = -h_dual) passes on a datum file as on a preset."""
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(datum_to_json(build_sl(2))))
+    datum_args = ["--datum", str(path), "--labels", '{"s1": 2}',
+                  "--f-support", '["s1"]', "--level", "-2"]
+    code, out = run_cli(["info"] + datum_args, capsys)
+    assert code == 0
+    code, want = run_cli(["info", "--preset", "sl2-regular",
+                          "--level", "-2"], capsys)
+    assert code == 0
+    doc, want = json.loads(out), json.loads(want)
+    for key in ("h_dual", "generator_weights2", "expected_character"):
+        assert doc[key] == want[key], key
+    assert main(["kernel"] + datum_args) == 2
+
+
+def test_model_too_small_is_usage_error(capsys):
+    """The lattice model needs n >= 2 and the current substitution n >= 3;
+    a smaller n is bad input (exit 2), not an internal error."""
+    assert main(["verify", "fs", "--n", "1"]) == 2
+    assert capsys.readouterr().err.strip() == "error: needs n >= 2"
+    with pytest.raises(InputError):
+        WakimotoMap(2, build_preset("sl3-subregular"))
 
 
 def _sl2_doc(**changes):

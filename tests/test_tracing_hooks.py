@@ -52,5 +52,8 @@ def test_tracer_installs_and_measures_a_kernel():
     assert metrics["vertexcalc.word_memo.entries"] > 0
     assert doc["brst"] == "pass"
     assert metrics["walgebras.cohomology_dims.calls"] == 1
+    # one enumeration for the kernel, then per weight 0..4 one for the
+    # d0^2 pass and one that cohomology_dims splits by charge
+    assert metrics["vertexcalc.graded_basis.calls"] == 11
     assert metrics["vertexcalc.mode_memo.entries"] > 0
     assert metrics["walgebras.d0_memo.entries"] > 0

@@ -4,16 +4,17 @@ from math import factorial
 
 import pytest
 
-from vertexscreen.presets import preset_context
+from vertexscreen.presets import preset_context, preset_names
 from vertexscreen.scalars import QQ, RationalFunctionField
-from vertexscreen.screening import exponential_screenings
+from vertexscreen.screening import (character_of_generators,
+                                    exponential_screenings)
 from vertexscreen.vertexcalc import (GradingMismatch, Module,
                                      NonVacuumModule, comb, apply_field_coeff,
                                      bracket, derive, field_state,
                                      graded_basis, mode_apply, normal_order,
                                      normal_order_list, state_field,
                                      state_acc, sugawara_field)
-from vertexscreen.walgebras import WBnModel
+from vertexscreen.walgebras import WBnFields, build_complex
 from vertexscreen.verify import (check_commutator, check_jacobi, check_skew,
                                  check_wick, random_homogeneous_field)
 
@@ -133,6 +134,27 @@ def test_graded_basis_odd_multiplicity():
     assert basis == [(((0, -2),), sys.vacuum_tag())]
     # no repeated odd modes: weight 1 twice is forbidden
     assert all(len(set(w)) == len(w) for (w, t) in graded_basis(mod, 6))
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_graded_basis_matches_character(preset):
+    """On the BRST complex and the screening ambient of every preset, the
+    PBW basis has the free character of its generators, comes out sorted,
+    and spells each word as a non-decreasing run of letters with no odd
+    letter repeated."""
+    ctx = preset_context(preset, Fraction(7, 2))
+    brst = build_complex(ctx.grading, ctx.field, ctx.level)
+    for mod in (brst.system, ctx.system):
+        char = character_of_generators(
+            [(g.weight2, g.parity) for g in mod.gens], 8)
+        for w2 in range(0, 9):
+            words = [w for (w, _) in graded_basis(mod, w2)]
+            assert len(words) == char[w2], (preset, w2)
+            assert words == sorted(words)
+            for w in words:
+                assert list(w) == sorted(w), w
+                odd = [l for l in w if mod.gens[l[0]].parity]
+                assert len(set(odd)) == len(odd), w
 
 
 def test_state_field_round_trip(heis_fermion):
@@ -415,9 +437,9 @@ def test_exp_recurrence_matches_partitions_osp1_4(level):
 
 
 def test_exp_recurrence_matches_partitions_wb3():
-    model = WBnModel(3, gamma_mode="split")
-    F = model.field
+    F = RationalFunctionField("s")
     s = F.gen
+    model = WBnFields(3, F, s - F.one / s)
     z = F.zero
     momenta = [(s, -s, z), (z, s, -s), (z, z, s)]
     # (mu_1|nu) = 1 and (mu_i|nu) = 0 otherwise
@@ -506,9 +528,9 @@ def test_shared_creation_ladder_matches_per_b_osp1_4(level, monkeypatch):
 
 
 def test_shared_creation_ladder_matches_per_b_wb3(monkeypatch):
-    model = WBnModel(3, gamma_mode="split")
-    F = model.field
+    F = RationalFunctionField("s")
     s = F.gen
+    model = WBnFields(3, F, s - F.one / s)
     z = F.zero
     momenta = [(s, -s, z), (z, s, -s), (z, z, s)]
     _check_shared_creation_ladder(model.system, momenta,

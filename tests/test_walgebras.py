@@ -225,7 +225,7 @@ def test_miura_vacuum_and_leading_terms():
     vac = brst.system.vacuum_state()
     assert miura_project(brst, vac, ctx) == ctx.system.vacuum_state()
     with pytest.raises(NonZeroCharge):
-        key = graded_basis(brst.system, 2, charge=1)[0]
+        key = brst.pieces(2)[1][0]
         miura_project(brst, {key: F.one}, ctx)
 
 

@@ -15,22 +15,24 @@ bounds entry growth by exact division by the previous pivot, each row
 here is divided by its own gcd instead.  Only the outputs are divided
 back into Fractions or rational functions.
 
-Over Q, nullspace first takes a modular path: one sparse forward
-elimination modulo the prime P = 2^61 - 1, back substitution, rational
-reconstruction of every entry (von zur Gathen & Gerhard, Modern Computer
-Algebra, section 5.10) and an exact check of every basis vector against
-every row in ints.  The check is the certificate that the answer is the
-one row_reduce gives (see nullspace); when reconstruction or the check
-fails, nullspace falls back to row_reduce, whose nullspaces over either
-field are checked exactly as well, fraction-free (see nullspace).
+One sparse forward elimination modulo the prime P = 2^61 - 1,
+_echelon_mod_p, has two callers.  rank_mod_p ranks rows over either field
+at a level k0 through the hook field.mod_row, at most the exact rank (von
+zur Gathen & Gerhard, Modern Computer Algebra, 5.4-5.5), and
+BRSTComplex.cohomology_dims certifies its dimensions with it.  Over Q,
+nullspace first takes the echelon, back substitution, rational
+reconstruction of every entry (5.10) and an exact check of every basis
+vector against every row in ints, which certifies the answer row_reduce
+gives; when that fails it falls back to row_reduce, whose nullspaces over
+either field are checked exactly as well, fraction-free (see nullspace).
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
 
-# the Mersenne prime 2^61 - 1 and the reconstruction bound sqrt(P/2)
-P = (1 << 61) - 1
-_BOUND = isqrt(P // 2)
+from .scalars import P
+
+_BOUND = isqrt(P // 2)  # the reconstruction bound sqrt(P/2)
 
 
 def row_reduce(rows, ncols, field, pivot_sink=None, stripped=None):
@@ -72,10 +74,7 @@ def row_reduce(rows, ncols, field, pivot_sink=None, stripped=None):
 
 
 def matrix_rank(rows, ncols, field):
-    if not rows:
-        return 0
-    reduced, pivots = row_reduce(rows, ncols, field)
-    return len(pivots)
+    return len(row_reduce(rows, ncols, field)[1])
 
 
 def nullspace(rows, ncols, field, pivot_sink=None):
@@ -149,30 +148,7 @@ def _modular_nullspace(rows, ncols, field):
                     r[j] = x
         if r:
             sparse.append(r)
-    # forward elimination, columns in order; a pivot row is kept as the
-    # items right of its pivot, which is scaled to 1
-    pivots = []
-    tails = []
-    for col in range(ncols):
-        for i, r in enumerate(sparse):
-            if col in r:
-                break
-        else:
-            continue
-        prow = sparse.pop(i)
-        inv = pow(prow.pop(col), -1, P)
-        tail = [(j, y * inv % P) for j, y in prow.items()]
-        for r in sparse:
-            v = r.pop(col, 0)
-            if v:
-                for j, y in tail:
-                    x = (r.get(j, 0) - v * y) % P
-                    if x:
-                        r[j] = x
-                    else:
-                        del r[j]
-        pivots.append(col)
-        tails.append(tail)
+    pivots, tails = _echelon_mod_p(sparse, ncols)
     # back substitution: solution[pc] gives x_pc over the free columns
     pivot_set = set(pivots)
     solution = {}
@@ -213,6 +189,45 @@ def _modular_nullspace(rows, ncols, field):
             v[j] = q
         basis.append(v)
     return basis
+
+
+def _echelon_mod_p(sparse, ncols):
+    """Forward elimination of sparse rows {column: nonzero int mod P},
+    columns in order, using the rows up.  Returns the pivot columns and
+    each pivot row as the items right of its pivot, scaled to 1."""
+    pivots, tails = [], []
+    for col in range(ncols):
+        for i, r in enumerate(sparse):
+            if col in r:
+                break
+        else:
+            continue
+        prow = sparse.pop(i)
+        inv = pow(prow.pop(col), -1, P)
+        tail = [(j, y * inv % P) for j, y in prow.items()]
+        for r in sparse:
+            v = r.pop(col, 0)
+            if v:
+                for j, y in tail:
+                    x = (r.get(j, 0) - v * y) % P
+                    if x:
+                        r[j] = x
+                    else:
+                        del r[j]
+        pivots.append(col)
+        tails.append(tail)
+    return pivots, tails
+
+
+def rank_mod_p(rows, ncols, field, k0):
+    """Rank mod P of sparse rows {column: entry} at the level k0, through
+    field.mod_row, or None where that is undefined.  It is at most the
+    rank over the field: a nonzero minor mod P lifts to a nonzero minor."""
+    images = [field.mod_row(list(row.values()), k0) for row in rows]
+    if None in images:
+        return None
+    return len(_echelon_mod_p([{j: x for j, x in zip(row, xs) if x}
+                               for row, xs in zip(rows, images)], ncols)[0])
 
 
 def _reconstruct(a):

@@ -7,6 +7,7 @@ positive roots a, with f = sum of e_{-a}).
 
 from fractions import Fraction
 
+from .errors import InputError
 from .scalars import QQ, RationalFunctionField
 from .screening import ScreeningContext
 from .superdata import build_osp, build_sl, good_grading
@@ -39,8 +40,8 @@ def build_preset(name):
     try:
         kind, n, labels, support = PRESETS[name]
     except KeyError:
-        raise KeyError("unknown preset %r (known: %s)"
-                       % (name, ", ".join(preset_names())))
+        raise InputError("unknown preset %r (known: %s)"
+                         % (name, ", ".join(preset_names()))) from None
     datum = build_sl(n) if kind == "sl" else build_osp(n)
     return good_grading(datum, labels, support)
 

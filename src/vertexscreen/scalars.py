@@ -42,6 +42,7 @@ def _trim(c):
 
 P_ZERO = ()
 P_ONE = (1,)
+P = (1 << 61) - 1  # the Mersenne prime of the hooks int_row and mod_row
 
 
 def p_add(a, b):
@@ -103,6 +104,10 @@ def p_eval(a, x):
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def p_eval_mod(a, x):
+    return sum(c * pow(x, i, P) for i, c in enumerate(a)) % P
 
 
 def p_shift_mul_x(a, e):
@@ -618,6 +623,15 @@ class RationalFunctionField:
                 out[j] = p_sub(out[j], p_mul(v, y))
         return _strip_polys(out, factor_sink)
 
+    def mod_row(self, row, k0):
+        """row at k = k0 mod P, a ring map where defined; None when a
+        denominator vanishes there.  The hook of linalg.rank_mod_p."""
+        dens = [p_eval_mod(x.den, k0) for x in row]
+        if not all(dens):
+            return None
+        return [p_eval_mod(x.num, k0) * pow(d, -1, P) % P
+                for x, d in zip(row, dens)]
+
     def quo(self, a, b):
         return RationalFunction(self, a, b)
 
@@ -677,6 +691,11 @@ class Rationals:
         """
         den = lcm(*[x.denominator for x in row])
         return den, [x.numerator * (den // x.denominator) for x in row]
+
+    def mod_row(self, row, k0):
+        """int_row mod P at any level k0, or None when P divides its den."""
+        den, ints = self.int_row(row)
+        return [x % P for x in ints] if den % P else None
 
     def strip_row(self, row, factor_sink=None):
         """Scale a row by a positive rational to coprime ints.

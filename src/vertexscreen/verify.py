@@ -282,7 +282,7 @@ def verify_fs_suite(args, rng):
 
 
 def verify_wakimoto(args, rng):
-    n = max(args.n, 3)
+    n = args.n
     preset = "sl%d-subregular" % n
     wm = WakimotoMap(n, build_preset(preset))
     checked, fails = wm.verify_brackets()

@@ -3,7 +3,7 @@
 Contains the reduced BRST complex (currents J^u for u of non-positive
 degree, charged fermions phi^a for positive restricted roots, neutral
 fermions Phi_a), its differential as a super-derivation determined by the
-generator tables, graded cohomology by exact rank computation, the Miura
+generator tables, graded cohomology from certified ranks mod P, the Miura
 projection, and the two families of distinguished models: the odd-field
 W-superalgebra built from n bosons and a free fermion, and the lattice
 realization on V_xi together with the Wakimoto-style homomorphism from the
@@ -13,7 +13,7 @@ degree-zero currents of the subregular reduction.
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import matrix_rank, nullspace
+from .linalg import matrix_rank, nullspace, rank_mod_p
 from .scalars import QQ, RationalFunctionField
 from .screening import set_free_field_tables
 from .vertexcalc import (
@@ -36,6 +36,8 @@ class ModelTooSmall(InputError, ValueError):
 
 # ---------------------------------------------------------------------------
 # the reduced BRST complex
+
+_K0 = (1234567, 7654321)  # the levels of cohomology_dims' ranks mod P
 
 
 class BRSTComplex:
@@ -230,29 +232,52 @@ class BRSTComplex:
             out.setdefault(self.system.word_charge(key[0]), []).append(key)
         return out
 
+    def _d0_columns(self, src, dst):
+        """d_(0) on each monomial of src, as {position in dst: coefficient}."""
+        pos = {key: i for i, key in enumerate(dst)}
+        return [{pos[m]: c for m, c in self.d0_mono(*key).items()}
+                for key in src]
+
     def d0_matrix(self, src, dst):
         """d_(0) from the monomials src to dst: rows indexed by dst,
         columns by src."""
-        pos = {key: i for i, key in enumerate(dst)}
-        field = self.field
-        mat = [[field.zero] * len(src) for _ in dst]
-        for jcol, key in enumerate(src):
-            img = self.d0_state({key: field.one})
-            for mono, c in img.items():
-                mat[pos[mono]][jcol] = c
-        return mat
+        cols, zero = self._d0_columns(src, dst), self.field.zero
+        return [[col.get(i, zero) for col in cols] for i in range(len(dst))]
 
     def cohomology_dims(self, weight2_max):
-        """{(weight2, charge): dim H} for all charges at each weight."""
+        """{(weight2, charge): dim H} for all charges at each weight.
+
+        Each weight is ranked mod P at a level k0 of _K0 first.  Where
+        mod_row is defined a rank mod P is at most the exact one, so
+        H^c(k0, P) >= H^c >= 0 for every charge c (d_(0)^2 = 0), and both
+        alternating sums are the Euler characteristic sum((-1)^c dim C^c).
+        So if H^c(k0, P) = 0 for all c != 0, H^c = 0 and H^0 = H^0(k0, P).
+        A weight that no k0 certifies is ranked exactly, by matrix_rank.
+        """
         out = {}
         for w2 in range(0, weight2_max + 1):
             pieces = self.pieces(w2)
-            ranks = {}
-            for c, src in sorted(pieces.items()):
-                mat = self.d0_matrix(src, pieces.get(c + 1, []))
-                ranks[c] = matrix_rank(mat, len(src), self.field)
-                out[(w2, c)] = len(src) - ranks[c] - ranks.get(c - 1, 0)
+            for k0 in _K0 + (None,):
+                dims = self._dims(pieces, k0)
+                if dims is not None and not any(dims[c] for c in dims if c):
+                    break
+            out.update(((w2, c), h) for c, h in dims.items())
         return out
+
+    def _dims(self, pieces, k0):
+        """{charge: dim H} at one weight from the ranks of d_(0) mod P at
+        k0, or exact ones when k0 is None; None where mod_row is undefined."""
+        ranks, dims, field = {}, {}, self.field
+        for c, src in sorted(pieces.items()):
+            dst = pieces.get(c + 1, [])
+            r = (rank_mod_p(self._d0_columns(src, dst), len(dst), field, k0)
+                 if k0 is not None else
+                 matrix_rank(self.d0_matrix(src, dst), len(src), field))
+            if r is None:
+                return None
+            ranks[c] = r
+            dims[c] = len(src) - r - ranks.get(c - 1, 0)
+        return dims
 
     def h0_basis(self, weight2):
         """Kernel of d_(0) on the charge-zero piece (no incoming arrows)."""

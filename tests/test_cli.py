@@ -465,6 +465,17 @@ def test_model_too_small_is_usage_error(capsys):
         WakimotoMap(2, build_preset("sl3-subregular"))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_verify_wakimoto_rejects_n_without_a_preset(n, capsys):
+    """verify wakimoto checks sl_n-subregular for the --n it is given, so an
+    n with no such preset is an input error, not sl_3 or a KeyError."""
+    assert main(["verify", "wakimoto", "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: unknown preset 'sl%d-subregular' (known: " % n)
+
+
 def _sl2_doc(**changes):
     doc = datum_to_json(build_sl(2))
     doc["roots"][0] = dict(doc["roots"][0], **changes.pop("root", {}))

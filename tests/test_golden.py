@@ -22,7 +22,11 @@ holds what ``kernel`` wrote before each S^a_n on a current monomial was
 stored and its translations summed by Horner's rule.
 ``kernel-osp1_6-regular-7_2-8.json``, the three exponential screenings of
 WB_3 = W(osp(1|6)) at k = 7/2, holds what ``kernel`` wrote before the
-e^{int mu} creation ladder was stored per monomial.  The
+e^{int mu} creation ladder was stored per monomial.
+``verify-brst-sl3-subregular-cartan-symbolic-8.json`` and
+``verify-brst-osp1_6-regular-symbolic-8.json`` hold what ``verify brst``
+wrote while every BRST rank was still taken over Q(k), before
+cohomology_dims certified its dimensions from ranks mod 2^61 - 1.  The
 engine promises identical output for a fixed configuration, so a change
 that moves any byte of a basis, a dimension, a cohomology count, a
 projection scalar or a reported denominator fails here.  Regenerate a
@@ -52,6 +56,8 @@ VERIFY_CASES = [
     ("brst", "sl2-regular", "7/2", 8),
     ("miura", "osp1_4-regular", "symbolic", 6),
     ("miura", "sl3-subregular-cartan", "symbolic", 6),
+    ("brst", "sl3-subregular-cartan", "symbolic", 8),
+    ("brst", "osp1_6-regular", "symbolic", 8),
 ]
 GENERIC_CASES = [
     ("osp1_2-regular", "symbolic", 6),

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from vertexscreen import linalg
-from vertexscreen.linalg import P, decompose, matrix_rank, nullspace
+from vertexscreen.linalg import (P, decompose, matrix_rank, nullspace,
+                                 rank_mod_p)
 from vertexscreen.presets import preset_context
 from vertexscreen.scalars import QQ, RationalFunctionField
 from vertexscreen.screening import (exponential_screenings,
@@ -68,6 +69,11 @@ def test_rank_and_nullspace_match_sympy(problem):
     field, dom, _ = FIELDS[name]
     ref = _matrix(rows, ncols, dom)
     assert matrix_rank(rows, ncols, field) == ref.rank()
+    # the shared modular echelon at one level; it can fall short of the
+    # rank only when P divides a nonzero minor (or, over Q(k), the minor's
+    # value at k0), which no drawn entries come near
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert rank_mod_p(sparse, ncols, field, 1234567) == ref.rank()
     # the basis normalized on the free coordinates is unique: read it off
     # sympy's reduced row echelon form
     rref, pivots = ref.rref()

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from vertexscreen.scalars import (QQ, RationalFunction, RationalFunctionField,
-                                  p_gcd, p_linear_factors, p_mul,
-                                  p_rational_roots)
+from vertexscreen.scalars import (P, QQ, RationalFunction,
+                                  RationalFunctionField, p_gcd,
+                                  p_linear_factors, p_mul, p_rational_roots)
 
 
 @pytest.fixture
@@ -107,3 +107,29 @@ def test_division_by_a_rational_function(F):
     for other in (1.5, "a", None):
         with pytest.raises(TypeError):
             other / F.gen
+
+
+def _mod_p(q):
+    return q.numerator * pow(q.denominator, -1, P) % P
+
+
+def test_mod_row_is_evaluation_mod_p(F):
+    k, k0 = F.gen, 1234567
+    row = [F.zero, F.one, k, F.lift(Fraction(-7, 3)),
+           (k * k - 3) / (2 * k + 5),
+           (10 ** 30 * k + 1) / ((k - 2) * (k - 2) * (k - 2) * 11)]
+    assert F.mod_row(row, k0) == [_mod_p(x.evaluate(k0)) for x in row]
+    # a denominator that vanishes at k0, over the integers or only mod P
+    for den in (k - k0, k - (k0 + P), 3 * k - 3 * k0 + 5 * P):
+        assert F.mod_row([k, 1 / den], k0) is None
+    assert F.mod_row([k - k0], k0) == [0]
+
+
+def test_rationals_mod_row_is_int_row_mod_p():
+    row = [Fraction(1, 3), Fraction(-5, 6), 0, Fraction(10 ** 30, 7)]
+    den, ints = QQ.int_row(row)
+    got = QQ.mod_row(row, 1234567)
+    assert got == [x % P for x in ints]
+    # the row itself mod P, up to the row scale den
+    assert got == [_mod_p(Fraction(x)) * den % P for x in row]
+    assert QQ.mod_row([Fraction(1, 2 * P), Fraction(1)], 0) is None

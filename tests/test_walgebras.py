@@ -3,9 +3,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from vertexscreen.linalg import nullspace, solve_in_span
+from vertexscreen import walgebras
+from vertexscreen.linalg import matrix_rank, nullspace, solve_in_span
 from vertexscreen.presets import build_preset, preset_context, preset_names
-from vertexscreen.scalars import RationalFunctionField
+from vertexscreen.scalars import QQ, RationalFunctionField
 from vertexscreen.screening import (expected_character, generic_screenings,
                                     exponential_screenings, kernel_basis)
 from vertexscreen.vertexcalc import (bracket, derive, field_state,
@@ -192,6 +193,77 @@ def test_brst_cohomology_osp():
     assert [dims.get((w2, 0), 0) for w2 in range(7)] == \
         [char[w2] for w2 in range(7)]
     assert all(v == 0 for (w2, c), v in dims.items() if c != 0)
+
+
+def _exact_dims(brst, max_w2):
+    """{(weight2, charge): dim H} from linalg.matrix_rank over the field on
+    every d0_matrix, with no rank mod P."""
+    out = {}
+    for w2 in range(max_w2 + 1):
+        pieces = brst.pieces(w2)
+        ranks = {}
+        for c, src in sorted(pieces.items()):
+            mat = brst.d0_matrix(src, pieces.get(c + 1, []))
+            ranks[c] = matrix_rank(mat, len(src), brst.field)
+            out[(w2, c)] = len(src) - ranks[c] - ranks.get(c - 1, 0)
+    return out
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_certified_cohomology_matches_exact_ranks(preset):
+    brst, _ = make_brst(preset)
+    assert brst.cohomology_dims(6) == _exact_dims(brst, 6)
+
+
+@pytest.mark.parametrize("preset", ["sl3-subregular-cartan", "osp1_4-regular"])
+def test_certified_cohomology_matches_exact_ranks_over_q(preset):
+    brst = build_complex(build_preset(preset), QQ, Fraction(7, 2))
+    assert brst.cohomology_dims(6) == _exact_dims(brst, 6)
+
+
+def _count_exact_ranks(monkeypatch):
+    calls = []
+
+    def counted(rows, ncols, field):
+        calls.append(ncols)
+        return matrix_rank(rows, ncols, field)
+
+    monkeypatch.setattr(walgebras, "matrix_rank", counted)
+    return calls
+
+
+def test_uncertified_weights_fall_back_to_exact_ranks(monkeypatch):
+    """A mod_row undefined at every k0, or one that drops every rank to 0,
+    leaves weights the certificate cannot vouch for; those reach
+    matrix_rank, one call per charge, and the dims are the exact ones."""
+    brst, _ = make_brst("sl3-subregular-cartan")
+    want = _exact_dims(brst, 6)
+    charges = {w2: sorted(brst.pieces(w2)) for w2 in range(7)}
+    calls = _count_exact_ranks(monkeypatch)
+    monkeypatch.setattr(RationalFunctionField, "mod_row",
+                        lambda self, row, k0: None)
+    assert brst.cohomology_dims(6) == want
+    assert len(calls) == sum(map(len, charges.values()))
+    # rank 0 mod P everywhere: H^c(k0, P) = dim C^c, so only a weight with
+    # no charge but 0 certifies
+    calls.clear()
+    monkeypatch.setattr(RationalFunctionField, "mod_row",
+                        lambda self, row, k0: [0] * len(row))
+    assert brst.cohomology_dims(6) == want
+    fell_back = [w2 for w2, cs in charges.items() if cs != [0]]
+    assert 0 < len(fell_back) < 7
+    assert len(calls) == sum(len(charges[w2]) for w2 in fell_back)
+
+
+def test_an_unlucky_k0_is_retried_before_exact_ranks(monkeypatch):
+    brst, _ = make_brst("sl3-subregular-cartan")
+    calls = _count_exact_ranks(monkeypatch)
+    first, real = walgebras._K0[0], RationalFunctionField.mod_row
+    monkeypatch.setattr(RationalFunctionField, "mod_row",
+                        lambda self, row, k0: [0] * len(row)
+                        if k0 == first else real(self, row, k0))
+    assert brst.cohomology_dims(6) == _exact_dims(brst, 6)
+    assert calls == []
 
 
 def test_sugawara_virasoro_sl3_subregular():

@@ -31,7 +31,8 @@ from .scalars import QQ
 from .superdata import DatumError
 from .vertexcalc import (
     CriticalLevel, GradingMismatch, Module, comb, apply_field_coeff,
-    graded_basis, state_acc, state_field, sugawara_field, _fact,
+    graded_basis, state_acc, state_field, state_sum, sugawara_field, trimmed,
+    _fact,
 )
 
 
@@ -167,15 +168,12 @@ class ScreeningContext:
         state = {}
         for b2 in cls:
             for gam, c in d.bracket(b2, neg).items():
-                if gam not in self.current_of_basis:
-                    continue
-                sgn = (-1) ** (d.parity[b2] * d.parity[gam])
-                coeff = pref * field.lift(sgn * c)
-                word = ((self.current_of_basis[gam], -1),)
-                key = (word, self.xtag_of_root[b2])
-                cur = state.get(key)
-                state[key] = coeff if cur is None else cur + coeff
-        return {k: v for k, v in state.items() if v}
+                if gam in self.current_of_basis:
+                    sgn = (-1) ** (d.parity[b2] * d.parity[gam])
+                    word = ((self.current_of_basis[gam], -1),)
+                    state_acc(state, {(word, self.xtag_of_root[b2]):
+                                      field.lift(sgn * c)}, pref, field)
+        return trimmed(state)
 
     # -- Sugawara ---------------------------------------------------------------
 
@@ -195,13 +193,10 @@ class ScreeningContext:
                 raise DegenerateForm("invariant form degenerates on g_0")
             pairs = []
             for b, coeffs in zip(self.g0, duals):
-                dual = None
-                for b2, c in zip(self.g0, coeffs):
-                    if c == 0:
-                        continue
-                    t = self.system.gen_field(self.current_of_basis[b2]) \
-                        .scale_fraction(c)
-                    dual = t if dual is None else dual + t
+                dual = sum((self.system.gen_field(self.current_of_basis[b2])
+                            .scale_fraction(c)
+                            for b2, c in zip(self.g0, coeffs) if c != 0),
+                           self.system.zero_field())
                 pairs.append((dual, self.system.gen_field(
                     self.current_of_basis[b])))
             denom = self.kappa_shift * field.lift(2)
@@ -240,7 +235,7 @@ class ScreeningContext:
             part = apply_field_coeff(a_field, -m - n, xstate)
             c = Fraction((-1) ** ((m + n) % 2) * sigma, _fact(m))
             state_acc(out, part, field.lift(c), field)
-        out = {k: v for k, v in out.items() if v}
+        out = trimmed(out)
         self._s_alpha_memo[key] = out
         return out
 
@@ -255,7 +250,7 @@ class ScreeningContext:
                 cur = out.get(key)
                 val = c * c2
                 out[key] = val if cur is None else cur + val
-        return {k: v for k, v in out.items() if v}
+        return trimmed(out)
 
 
 # ---------------------------------------------------------------------------
@@ -291,34 +286,33 @@ class ScreeningOp:
         if self.kind in ("exp", "exp-fermion"):
             word = ((self.fermion, 0),) if self.kind == "exp-fermion" else ()
             return mod.word_coeff_state(word, self.momentum, -1, state)
-        out = {}
         if self.kind == "generic-one":
-            for bidx in self.class_roots:
-                cval = ctx.grading.chi.of_index(bidx)
-                if cval:
-                    part = ctx.s_alpha_apply(bidx, 1, state)
-                    state_acc(out, part, field.lift(cval), field)
-        elif self.kind == "generic-half":
-            depth2 = mod.state_depth2(state) if state else 0
-            for bidx in self.class_roots:
-                phi = ctx.fermion_of_root[bidx]
-                p_s = (ctx.datum.parity[bidx] + 1) % 2
-                p_phi = ctx.datum.parity[bidx]
-                # Res :S(z)Phi(z): = sum_{n<=0} S_n Phi_(-n) + sgn sum_{n>=1} Phi_(-n) S_n
-                for n in range(0, -(depth2 // 2) - 2, -1):
-                    lowered = mod.gen_mode_state(phi, -n, state)
-                    if lowered:
-                        state_acc(out, ctx.s_alpha_apply(bidx, n, lowered),
-                                  field.one, field)
-                sgn = -field.one if p_s * p_phi else field.one
-                for n in range(1, depth2 // 2 + 2):
-                    part = ctx.s_alpha_apply(bidx, n, state)
-                    if part:
-                        part = mod.gen_mode_state(phi, -n, part)
-                        state_acc(out, part, sgn, field)
-        else:
+            # S^a_1 is never computed for a root with chi(e_a) = 0
+            weights = [(b, ctx.grading.chi.of_index(b))
+                       for b in self.class_roots]
+            return state_sum(((ctx.s_alpha_apply(b, 1, state), field.lift(c))
+                              for b, c in weights if c), field)
+        if self.kind != "generic-half":
             raise ValueError("unknown screening kind %r" % self.kind)
-        return {k: v for k, v in out.items() if v}
+        out = {}
+        depth2 = mod.state_depth2(state) if state else 0
+        for bidx in self.class_roots:
+            phi = ctx.fermion_of_root[bidx]
+            p_s = (ctx.datum.parity[bidx] + 1) % 2
+            p_phi = ctx.datum.parity[bidx]
+            # Res :S(z)Phi(z): = sum_{n<=0} S_n Phi_(-n) + sgn sum_{n>=1} Phi_(-n) S_n
+            for n in range(0, -(depth2 // 2) - 2, -1):
+                lowered = mod.gen_mode_state(phi, -n, state)
+                if lowered:
+                    state_acc(out, ctx.s_alpha_apply(bidx, n, lowered),
+                              field.one, field)
+            sgn = -field.one if p_s * p_phi else field.one
+            for n in range(1, depth2 // 2 + 2):
+                part = ctx.s_alpha_apply(bidx, n, state)
+                if part:
+                    part = mod.gen_mode_state(phi, -n, part)
+                    state_acc(out, part, sgn, field)
+        return trimmed(out)
 
 
 def generic_screenings(ctx):
@@ -454,23 +448,15 @@ def character_of_generators(gens, max_weight2):
     series = {0: 1}
     for (w2, par) in gens:
         factor = {0: 1}
-        if par == 0:
-            # even generator: arbitrary multiplicities of modes w2, w2+2, ...
-            for mode in range(w2, max_weight2 + 1, 2):
-                new = dict(factor)
-                for start, c in factor.items():
-                    total = start + mode
-                    while total <= max_weight2:
-                        new[total] = new.get(total, 0) + c
-                        total += mode
-                factor = new
-        else:
-            for mode in range(w2, max_weight2 + 1, 2):
-                new = dict(factor)
-                for start, c in factor.items():
-                    if start + mode <= max_weight2:
-                        new[start + mode] = new.get(start + mode, 0) + c
-                factor = new
+        # modes w2, w2+2, ...: an even one repeats freely, an odd one once
+        for mode in range(w2, max_weight2 + 1, 2):
+            cap = max_weight2 if par == 0 else mode
+            new = dict(factor)
+            for start, c in factor.items():
+                for total in range(start + mode,
+                                   min(start + cap, max_weight2) + 1, mode):
+                    new[total] = new.get(total, 0) + c
+            factor = new
         merged = {}
         for a, ca in series.items():
             for b, cb in factor.items():

@@ -49,6 +49,10 @@ def mat_mul(a, b):
     return out
 
 
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -361,28 +365,25 @@ def _flatten(m):
     return [x for row in m for x in row]
 
 
+def _unit(dim, i, j):
+    """The dim x dim elementary matrix E_ij."""
+    m = [[Fraction(0)] * dim for _ in range(dim)]
+    m[i][j] = Fraction(1)
+    return m
+
+
 def build_sl(n):
     """sl_n from elementary matrices; trace form, all parities even."""
     if n < 2:
         raise DatumError("sl_n needs n >= 2")
     rank = n - 1
-
-    def unit(i, j):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i][j] = Fraction(1)
-        return m
-
-    cartan = []
-    for i in range(rank):
-        h = [[Fraction(0)] * n for _ in range(n)]
-        h[i][i] = Fraction(1)
-        h[i + 1][i + 1] = Fraction(-1)
-        cartan.append(h)
+    cartan = [mat_sub(_unit(n, i, i), _unit(n, i + 1, i + 1))
+              for i in range(rank)]
     root_entries = []
     for i in range(n):
         for j in range(n):
             if i != j:
-                root_entries.append((unit(i, j), 0, i < j))
+                root_entries.append((_unit(n, i, j), 0, i < j))
     return _datum_from_matrices(rank, cartan, root_entries, [0] * n, "a",
                                 "sl%d" % n)
 
@@ -394,46 +395,35 @@ def build_osp(n):
     dim = 1 + 2 * n
     parity_space = [0] + [1] * (2 * n)
 
-    def unit(i, j):
-        m = [[Fraction(0)] * dim for _ in range(dim)]
-        m[i][j] = Fraction(1)
-        return m
-
-    def add(a, b):
-        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-    # symplectic block indices: rows/cols 1..n and n+1..2n
-    def r(i):
-        return i  # 1-based "upper" index
-
+    # symplectic block indices: rows/cols i = 1..n and s(i) = n + i
     def s(i):
-        return n + i  # 1-based "lower" index
+        return n + i
 
-    cartan = [mat_sub(unit(r(i), r(i)), unit(s(i), s(i)))
+    cartan = [mat_sub(_unit(dim, i, i), _unit(dim, s(i), s(i)))
               for i in range(1, n + 1)]
     root_entries = []
     # even roots of sp(2n)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:  # eps_i - eps_j
-                m = mat_sub(unit(r(i), r(j)), unit(s(j), s(i)))
+                m = mat_sub(_unit(dim, i, j), _unit(dim, s(j), s(i)))
                 root_entries.append((m, 0, i < j))
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             if i == j:
-                root_entries.append((unit(r(i), s(i)), 0, True))    # 2 eps_i
-                root_entries.append((unit(s(i), r(i)), 0, False))   # -2 eps_i
+                root_entries.append((_unit(dim, i, s(i)), 0, True))   # 2 eps_i
+                root_entries.append((_unit(dim, s(i), i), 0, False))  # -2 eps_i
             else:
-                m = add(unit(r(i), s(j)), unit(r(j), s(i)))
-                root_entries.append((m, 0, True))                   # eps_i+eps_j
-                m = add(unit(s(j), r(i)), unit(s(i), r(j)))
+                m = mat_add(_unit(dim, i, s(j)), _unit(dim, j, s(i)))
+                root_entries.append((m, 0, True))  # eps_i+eps_j
+                m = mat_add(_unit(dim, s(j), i), _unit(dim, s(i), j))
                 root_entries.append((m, 0, False))
     # odd roots +-eps_i:  X_v with v = e_i resp. e_{n+i}
     for i in range(1, n + 1):
-        m = mat_sub(unit(r(i), 0), unit(0, s(i)))
-        root_entries.append((m, 1, True))                           # eps_i
-        m = add(unit(s(i), 0), unit(0, r(i)))
-        root_entries.append((m, 1, False))                          # -eps_i
+        m = mat_sub(_unit(dim, i, 0), _unit(dim, 0, s(i)))
+        root_entries.append((m, 1, True))   # eps_i
+        m = mat_add(_unit(dim, s(i), 0), _unit(dim, 0, i))
+        root_entries.append((m, 1, False))  # -eps_i
     return _datum_from_matrices(n, cartan, root_entries, parity_space, "b",
                                 "osp(1|%d)" % (2 * n))
 

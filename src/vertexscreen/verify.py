@@ -12,8 +12,9 @@ from .presets import build_preset, level_field, preset_context
 from .screening import exponential_screenings, expected_character, kernel_basis
 from .serialize import field_to_json
 from .vertexcalc import (
-    FieldExpr, apply_field_coeff, bracket, derive, field_state, graded_basis,
-    lambda_shift_skew, normal_order, state_acc, state_field, _binom, _fact,
+    apply_field_coeff, bracket, derive, field_state, flat_table, graded_basis,
+    lambda_shift_skew, normal_order, state_acc, state_field, trimmed, _binom,
+    _fact,
 )
 from .walgebras import (WakimotoMap, build_complex, build_w2n, build_wbn,
                         miura_project, verify_fs, verify_wbn_screening)
@@ -55,89 +56,66 @@ def _sample_triple(module, rng, wmax2):
 # the four bracket axioms
 
 
+def _table_acc(table, key, f, coeff):
+    """Add coeff * f into the flat table, under the index tuple key."""
+    state_acc(table, {key + wm: c for wm, c in f.terms.items()}, coeff,
+              f.system.field)
+
+
 def check_skew(a, b):
     lp = bracket(a, b)
     direct = bracket(b, a)
     want = lambda_shift_skew(lp, a.parity(), b.parity(), a.system)
-    keys = set(direct) | set(want)
-    zero = FieldExpr(a.system, {})
-    for n in keys:
-        if direct.get(n, zero) != want.get(n, zero):
-            return False
-    return True
+    return flat_table(direct) == flat_table(want)
 
 
-def _double_left(a, b, c):
-    """{(i, j): field} with   [a_l [b_m c]] = sum F_ij l^i m^j."""
-    inner = bracket(b, c)
-    out = {}
-    for j, cj in inner.items():
-        outer = bracket(a, cj)
-        for i, f in outer.items():
-            coeff = Fraction(1, _fact(i) * _fact(j))
-            key = (i, j)
-            term = f.scale(a.system.field.lift(coeff))
-            out[key] = out[key] + term if key in out else term
-    return out
-
-
-def _jacobi_rhs(a, b, c):
-    """{(i, j): field} for [[a_l b]_{l+m} c]."""
-    first = bracket(a, b)
-    out = {}
+def _double_left(table, a, b, c, sign, swap):
+    """Add sign * [a_l [b_m c]] = sign * sum F_ij l^i m^j into table, under
+    (i, j), or (j, i) when swap."""
     field = a.system.field
-    for n, fn in first.items():
-        second = bracket(fn, c)
-        for j, f in second.items():
+    for j, cj in bracket(b, c).items():
+        for i, f in bracket(a, cj).items():
+            coeff = field.lift(Fraction(sign, _fact(i) * _fact(j)))
+            _table_acc(table, (j, i) if swap else (i, j), f, coeff)
+
+
+def _jacobi_rhs(table, a, b, c):
+    """Add [[a_l b]_{l+m} c] = sum G_ij l^i m^j into table, under (i, j)."""
+    field = a.system.field
+    for n, fn in bracket(a, b).items():
+        for j, f in bracket(fn, c).items():
             for t in range(j + 1):
                 coeff = Fraction(_binom(j, t), _fact(n) * _fact(j))
-                key = (n + t, j - t)
-                term = f.scale(field.lift(coeff))
-                out[key] = out[key] + term if key in out else term
-    return out
+                _table_acc(table, (n + t, j - t), f, field.lift(coeff))
 
 
 def check_jacobi(a, b, c):
-    field = a.system.field
-    lhs = _double_left(a, b, c)
-    swapped = _double_left(b, a, c)
-    sign = (-1) ** (a.parity() * b.parity())
-    for (i, j), f in swapped.items():
-        term = f.scale(field.lift(-sign))
-        key = (j, i)
-        lhs[key] = lhs[key] + term if key in lhs else term
-    rhs = _jacobi_rhs(a, b, c)
-    zero = FieldExpr(a.system, {})
-    keys = set(lhs) | set(rhs)
-    return all(lhs.get(k, zero) == rhs.get(k, zero) for k in keys)
+    lhs, rhs = {}, {}
+    _double_left(lhs, a, b, c, 1, False)
+    _double_left(lhs, b, a, c, -(-1) ** (a.parity() * b.parity()), True)
+    _jacobi_rhs(rhs, a, b, c)
+    return trimmed(lhs) == trimmed(rhs)
 
 
 def check_wick(a, b, c):
     """[a_l :bc:] = :[a_l b]c: + (-1)^{p(a)p(b)} :b [a_l c]: + integral term."""
     field = a.system.field
-    zero = FieldExpr(a.system, {})
     lhs = bracket(a, normal_order(b, c))
     ab = bracket(a, b)
     ac = bracket(a, c)
-    sign = (-1) ** (a.parity() * b.parity())
+    sign = field.lift((-1) ** (a.parity() * b.parity()))
     rhs = {}
     for n, f in ab.items():
-        rhs[n] = normal_order(f, c)
+        _table_acc(rhs, (n,), normal_order(f, c), field.one)
     for n, f in ac.items():
-        term = normal_order(b, f).scale(field.lift(sign))
-        rhs[n] = rhs[n] + term if n in rhs else term
+        _table_acc(rhs, (n,), normal_order(b, f), sign)
     # integral_0^l [[a_l b]_m c] dm  =  sum_{n,j} X_nj l^{n+j+1} / (n! j! (j+1))
     for n, fn in ab.items():
-        second = bracket(fn, c)
-        for j, f in second.items():
+        for j, f in bracket(fn, c).items():
             m = n + j + 1
             coeff = Fraction(_fact(m), _fact(n) * _fact(j) * (j + 1))
-            term = f.scale(field.lift(coeff))
-            rhs[m] = rhs[m] + term if m in rhs else term
-    keys = set(lhs) | set(rhs)
-    return all(lhs.get(k, zero) == rhs.get(k, zero)
-               for k in keys if not (k in rhs and rhs[k].is_zero()
-                                     and k not in lhs))
+            _table_acc(rhs, (m,), f, field.lift(coeff))
+    return flat_table(lhs) == trimmed(rhs)
 
 
 def check_commutator(a, b, cases):

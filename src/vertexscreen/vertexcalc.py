@@ -24,8 +24,11 @@ are graded by depth above the highest vector, a doubled integer.
 A field carries its generator system, which is also the one module over
 it (Module), so the derived operations (field_state, bracket,
 normal_order, derive, apply_field_coeff, ...) take fields and states
-only.  States are dicts {(word, tag): coeff}; state_acc, which adds
-coeff * part into a state in place, is the one way to add them.
+only.  States are dicts {(word, tag): coeff}, and sums are made one way:
+state_acc adds coeff * part into a state in place, trimmed drops the zero
+coefficients once at the end, and state_sum does both over (part, coeff)
+pairs.  Fields add through state_acc, and lambda-tables {n: field} are
+compared flat, as one {(n, word, mom): coeff} (flat_table).
 """
 
 from fractions import Fraction
@@ -156,12 +159,12 @@ class Module:
         self.brackets[(i, j)] = entries
         mirror = self._skew_entries(i, j, entries)
         if i == j:
-            if not _entries_equal(entries, mirror, self.field):
+            if not _entries_equal(entries, mirror):
                 raise ValueError("bracket of %s with itself is not skew-consistent"
                                  % self.gens[i].name)
         else:
             if (j, i) in self.brackets and not _entries_equal(
-                    self.brackets[(j, i)], mirror, self.field):
+                    self.brackets[(j, i)], mirror):
                 raise ValueError("bracket table for (%s,%s) inconsistent with skew"
                                  % (self.gens[j].name, self.gens[i].name))
             self.brackets[(j, i)] = mirror
@@ -182,10 +185,9 @@ class Module:
                 if const is not None and e == 0:
                     const_acc = const_acc + cf * const
                 for (g2, d, coeff) in terms:
-                    key = (g2, d + e)
-                    term_acc[key] = term_acc.get(key, field.zero) + cf * coeff
-            terms = tuple((g2, d, c) for (g2, d), c in sorted(term_acc.items())
-                          if c)
+                    state_acc(term_acc, {(g2, d + e): coeff}, cf, field)
+            terms = tuple((g2, d, c)
+                          for (g2, d), c in sorted(trimmed(term_acc).items()))
             lc = (const_acc or None, terms)
             if not _comb_zero(lc):
                 out[m] = lc
@@ -226,6 +228,9 @@ class Module:
         g = name_or_index if isinstance(name_or_index, int) \
             else self.by_name[name_or_index]
         return FieldExpr(self, {(((g, d),), None): self.field.one})
+
+    def zero_field(self):
+        return FieldExpr(self)
 
     def one_field(self):
         return FieldExpr(self, {((), None): self.field.one})
@@ -336,7 +341,7 @@ class Module:
                         part = self.gen_mode(g1, m1, w2, t2)
                         cc = c if sign > 0 else -c
                         state_acc(acc, part, cc, field)
-                out = {k: v for k, v in acc.items() if v}
+                out = trimmed(acc)
         self._mode_memo[key] = out
         return out
 
@@ -353,14 +358,11 @@ class Module:
             c = coeff * field.lift((-1) ** d * ff)
             part = self.gen_mode(g2, s - d, word, tag)
             state_acc(acc, part, c, field)
-        return {k: v for k, v in acc.items() if v}
+        return trimmed(acc)
 
     def gen_mode_state(self, g, m, state):
-        field = self.field
-        acc = {}
-        for (w, t), c in state.items():
-            state_acc(acc, self.gen_mode(g, m, w, t), c, field)
-        return {k: v for k, v in acc.items() if v}
+        return state_sum(((self.gen_mode(g, m, w, t), c)
+                          for (w, t), c in state.items()), self.field)
 
     # -- translation -------------------------------------------------------------
 
@@ -381,16 +383,13 @@ class Module:
             inner = self.translate_mono(rest, tag)
             for (w2, t2), c in inner.items():
                 state_acc(acc, self.gen_mode(g1, m1, w2, t2), c, field)
-            out = {k: v for k, v in acc.items() if v}
+            out = trimmed(acc)
         self._translate_memo[key] = out
         return out
 
     def translate(self, state):
-        field = self.field
-        acc = {}
-        for (w, t), c in state.items():
-            state_acc(acc, self.translate_mono(w, t), c, field)
-        return {k: v for k, v in acc.items() if v}
+        return state_sum(((self.translate_mono(w, t), c)
+                          for (w, t), c in state.items()), self.field)
 
     # -- coefficient extraction for normally ordered word fields ----------------
 
@@ -456,7 +455,7 @@ class Module:
                     part = self.word_coeff_mono(rest, mom, J + i + 1, w2, t2)
                     cc = c if sign > 0 else -c
                     state_acc(acc, part, cc, field)
-            out = {k: v for k, v in acc.items() if v}
+            out = trimmed(acc)
         self._word_memo[key] = out
         return out
 
@@ -488,7 +487,7 @@ class Module:
             for (w, t), c in st.items():
                 up = self._creation_ladder(mom, w, new_tag, top)
                 state_acc(out, up[top], c, field)
-        return {k: v for k, v in out.items() if v}
+        return trimmed(out)
 
     def _annihilation_ladder(self, mom, w0, tag):
         """A_0..A_{D/2} on the monomial and the shifted tag, stored per
@@ -533,14 +532,11 @@ class Module:
                 for g, cg in parts:
                     state_acc(acc, self.gen_mode(g, sign * j, w, t), c * cg,
                               field)
-        return {k: v for k, v in acc.items() if v}
+        return trimmed(acc)
 
     def word_coeff_state(self, word, mom, J, state):
-        field = self.field
-        acc = {}
-        for (w, t), c in state.items():
-            state_acc(acc, self.word_coeff_mono(word, mom, J, w, t), c, field)
-        return {k: v for k, v in acc.items() if v}
+        return state_sum(((self.word_coeff_mono(word, mom, J, w, t), c)
+                          for (w, t), c in state.items()), self.field)
 
 
 def _fact(n):
@@ -555,21 +551,14 @@ def _comb_zero(lc):
     return not const and not any(c for (_, _, c) in terms)
 
 
-def _entries_equal(a, b, field):
-    keys = set(a) | set(b)
-    for n in keys:
-        ca, ta = a.get(n, (None, ()))
-        cb, tb = b.get(n, (None, ()))
-        ca = field.zero if ca is None else ca
-        cb = field.zero if cb is None else cb
-        if ca != cb:
-            return False
-        da = {(g, d): c for (g, d, c) in ta}
-        db = {(g, d): c for (g, d, c) in tb}
-        for key in set(da) | set(db):
-            if da.get(key, field.zero) != db.get(key, field.zero):
-                return False
-    return True
+def _entries_equal(a, b):
+    """Equality of two bracket tables {n: comb}, compared flat."""
+    def flat(entries):
+        out = {(n,): const for n, (const, _) in entries.items()}
+        out.update(((n, g, d), c) for n, (_, terms) in entries.items()
+                   for (g, d, c) in terms)
+        return trimmed(out)
+    return flat(a) == flat(b)
 
 
 class HighestVector:
@@ -602,6 +591,26 @@ def state_acc(acc, part, coeff, field):
         acc[key] = c * coeff if cur is None else cur + c * coeff
 
 
+def trimmed(acc):
+    """acc without its zero coefficients: how every sum is finished."""
+    return {k: v for k, v in acc.items() if v}
+
+
+def state_sum(pairs, field):
+    """sum coeff * part over the (part, coeff) pairs, trimmed."""
+    acc = {}
+    for part, coeff in pairs:
+        state_acc(acc, part, coeff, field)
+    return trimmed(acc)
+
+
+def flat_table(table):
+    """The lambda-table {n: field} as one dict {(n, word, mom): coeff}; two
+    tables are equal exactly when their flat forms are."""
+    return {(n,) + wm: c
+            for n, f in table.items() for wm, c in f.terms.items()}
+
+
 # ---------------------------------------------------------------------------
 # state <-> field
 
@@ -614,11 +623,7 @@ class FieldExpr:
 
     def __init__(self, system, terms=None):
         self.system = system
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[k] = c
+        self.terms = trimmed(terms) if terms else {}
 
     # -- ring-ish operations ---------------------------------------------------
 
@@ -627,9 +632,8 @@ class FieldExpr:
             if other.system is not self.system:
                 raise UnknownGenerator("mixing fields from different systems")
             out = dict(self.terms)
-            for k, c in other.terms.items():
-                cur = out.get(k)
-                out[k] = c if cur is None else cur + c
+            field = self.system.field
+            state_acc(out, other.terms, field.one, field)
             return FieldExpr(self.system, out)
         return NotImplemented
 
@@ -652,10 +656,8 @@ class FieldExpr:
     def __eq__(self, other):
         if not isinstance(other, FieldExpr) or other.system is not self.system:
             return NotImplemented
-        f = self.system.field
-        keys = set(self.terms) | set(other.terms)
-        return all(self.terms.get(k, f.zero) == other.terms.get(k, f.zero)
-                   for k in keys)
+        # terms never holds a zero coefficient
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -725,7 +727,7 @@ def field_state(fe):
                           field)
             st = nxt
         state_acc(out, st, field.one, field)
-    return {k: v for k, v in out.items() if v}
+    return trimmed(out)
 
 
 def state_field(state, system):
@@ -742,10 +744,8 @@ def state_field(state, system):
         scale = Fraction(1)
         for (g, m) in word:
             scale /= _fact(-m - 1)
-        key = (fword, mom)
-        val = c * field.lift(scale)
-        cur = terms.get(key)
-        terms[key] = val if cur is None else cur + val
+        # distinct monomials give distinct (word, mom) keys: nothing to sum
+        terms[(fword, mom)] = c * field.lift(scale)
     return FieldExpr(system, terms)
 
 
@@ -756,12 +756,8 @@ def state_field(state, system):
 def apply_field_coeff(fe, J, state):
     """[z^J] (F(z) state) for a field expression F."""
     module = fe.system
-    field = module.field
-    acc = {}
-    for (word, mom), c in fe.terms.items():
-        part = module.word_coeff_state(word, mom, J, state)
-        state_acc(acc, part, c, field)
-    return {k: v for k, v in acc.items() if v}
+    return state_sum(((module.word_coeff_state(word, mom, J, state), c)
+                      for (word, mom), c in fe.terms.items()), module.field)
 
 
 def mode_apply(fe, n2, state):
@@ -844,18 +840,13 @@ def derive_n(a, n):
 
 def lambda_shift_skew(lp, pa, pb, system):
     """Apply skew-symmetry: from [a_lambda b] compute [b_lambda a]."""
-    field = system.field
+    sign = -(-1) ** (pa * pb)
     out = {}
-    nmax = max(lp) if lp else -1
-    for m in range(0, nmax + 1):
-        acc = None
-        for n in range(m, nmax + 1):
-            if n not in lp:
-                continue
-            c = Fraction((-1) ** n, _fact(n - m)) * (-(-1) ** (pa * pb))
-            term = derive_n(lp[n], n - m).scale(field.lift(c))
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
+    for m in range(0, max(lp, default=-1) + 1):
+        acc = sum((derive_n(lp[n], n - m).scale_fraction(
+            Fraction((-1) ** n * sign, _fact(n - m)))
+            for n in sorted(lp) if n >= m), system.zero_field())
+        if not acc.is_zero():
             out[m] = acc
     return out
 
@@ -890,10 +881,7 @@ def graded_basis(module, weight2):
 
 def sugawara_field(system, dual_pairs, denom):
     """(1/denom) * sum_i :J^{u^i} J^{u_i}: for given dual pairs of fields."""
-    acc = None
-    for a, b in dual_pairs:
-        term = normal_order(a, b)
-        acc = term if acc is None else acc + term
-    if acc is None:
+    if not dual_pairs:
         raise ValueError("empty Sugawara sum")
+    acc = sum((normal_order(a, b) for a, b in dual_pairs), system.zero_field())
     return acc.scale(system.field.one / denom)

@@ -18,7 +18,8 @@ from .scalars import QQ, RationalFunctionField
 from .screening import set_free_field_tables
 from .vertexcalc import (
     FieldExpr, Module, comb, apply_field_coeff, bracket, derive,
-    field_state, graded_basis, normal_order, state_acc,
+    field_state, flat_table, graded_basis, normal_order, state_acc, state_sum,
+    trimmed,
 )
 
 
@@ -108,23 +109,16 @@ class BRSTComplex:
             acc = -acc
         return field.lift(acc) + self.level * field.lift(d.form_entry(v, w))
 
-    def _phi_word(self, b1, b2):
-        """Canonical field for :ph^{b1} ph^{b2}: (zero mutual bracket)."""
-        g1, g2 = self.phigen[b1], self.phigen[b2]
-        sign = 1
-        if g1 > g2:
-            p1 = self.system.gens[g1].parity
-            p2 = self.system.gens[g2].parity
-            sign = (-1) ** (p1 * p2)
-            g1, g2 = g2, g1
-        if g1 == g2 and self.system.gens[g1].parity:
-            return None, 0
-        return (((g1, 0), (g2, 0)),), sign
-
     def _build_differential(self):
-        d = self.datum
-        field = self.field
-        sys = self.system
+        d, field, chi = self.datum, self.field, self.grading.chi
+        gens, ph = self.system.gens, self.phigen
+
+        def add(terms, c, *letters):
+            """terms += c * the word of letters (g, m), Koszul-sorted."""
+            word, sign = koszul_sorted(letters, gens)
+            state_acc(terms, {(word, None): c if sign > 0 else -c},
+                      field.one, field)
+
         self.d0_image = {}
         for u in self.gle0:
             terms = {}
@@ -132,39 +126,23 @@ class BRSTComplex:
             for b2 in self.restricted_pos:
                 for l, c in d.bracket(u, b2).items():
                     if l in self.jgen:
-                        sgn = (-1) ** d.parity[l]
-                        word = ((self.jgen[l], 0), (self.phigen[b2], 0))
-                        key = (word, None)
-                        add = field.lift(-sgn * c)
-                        terms[key] = terms.get(key, field.zero) + add
+                        add(terms, field.lift(-(-1) ** d.parity[l] * c),
+                            (self.jgen[l], 0), (ph[b2], 0))
                 akv = self.a_k(u, b2)
                 if akv:
-                    key = (((self.phigen[b2], 1),), None)
-                    terms[key] = terms.get(key, field.zero) + akv
+                    add(terms, akv, (ph[b2], 1))
             # neutral component: sum c^a_{u,b} :Phi_a ph^b:
             for b2 in self.restricted_pos:
                 for l, c in d.bracket(u, b2).items():
                     if l in self.neutral:
-                        gph = self.phigen[b2]
-                        gph_p = self.system.gens[gph].parity
-                        gn = self.neutral[l]
-                        gn_p = self.system.gens[gn].parity
-                        if gph < gn:
-                            word = ((gph, 0), (gn, 0))
-                            sgn = (-1) ** (gph_p * gn_p)
-                        else:
-                            word = ((gn, 0), (gph, 0))
-                            sgn = 1
-                        key = (word, None)
-                        terms[key] = terms.get(key, field.zero) + \
-                            field.lift(sgn * c)
+                        add(terms, field.lift(c), (self.neutral[l], 0),
+                            (ph[b2], 0))
             # chi component: sum chi([u, e_b]) ph^b
             for b2 in self.restricted_pos:
-                val = self.grading.chi.of_comb(d.bracket(u, b2))
+                val = chi.of_comb(d.bracket(u, b2))
                 if val:
-                    key = (((self.phigen[b2], 0),), None)
-                    terms[key] = terms.get(key, field.zero) + field.lift(val)
-            self.d0_image[self.jgen[u]] = FieldExpr(sys, terms)
+                    add(terms, field.lift(val), (ph[b2], 0))
+            self.d0_image[self.jgen[u]] = FieldExpr(self.system, terms)
 
         for b in self.restricted_pos:
             terms = {}
@@ -172,24 +150,18 @@ class BRSTComplex:
                 for b3 in self.restricted_pos:
                     c = d.bracket(b2, b3).get(b)
                     if c:
-                        word, sgn = self._phi_word(b2, b3)
-                        if word is None:
-                            continue
-                        key = (word[0], None)
-                        val = Fraction(-1, 2) * \
-                            (-1) ** (d.parity[b] * d.parity[b2]) * sgn * c
-                        terms[key] = terms.get(key, field.zero) + \
-                            field.lift(val)
-            self.d0_image[self.phigen[b]] = FieldExpr(sys, terms)
+                        sgn = (-1) ** (d.parity[b] * d.parity[b2])
+                        add(terms, field.lift(Fraction(-sgn * c, 2)),
+                            (ph[b2], 0), (ph[b3], 0))
+            self.d0_image[ph[b]] = FieldExpr(self.system, terms)
 
         for b in self.half:
             terms = {}
             for b2 in self.half:
-                val = self.grading.chi.of_comb(d.bracket(b2, b))
-                if val and b2 in self.phigen:
-                    key = (((self.phigen[b2], 0),), None)
-                    terms[key] = terms.get(key, field.zero) + field.lift(val)
-            self.d0_image[self.neutral[b]] = FieldExpr(sys, terms)
+                val = chi.of_comb(d.bracket(b2, b))
+                if val and b2 in ph:
+                    add(terms, field.lift(val), (ph[b2], 0))
+            self.d0_image[self.neutral[b]] = FieldExpr(self.system, terms)
 
     # -- d_(0) as an odd derivation on states ------------------------------------
 
@@ -213,15 +185,13 @@ class BRSTComplex:
                 sign = -field.one if self.system.gens[g].parity else field.one
                 part = self.system.gen_mode_state(g, m, inner)
                 state_acc(out, part, sign, field)
-                out = {k: v for k, v in out.items() if v}
+                out = trimmed(out)
         self._d0_memo[key] = out
         return out
 
     def d0_state(self, state):
-        out = {}
-        for (w, t), c in state.items():
-            state_acc(out, self.d0_mono(w, t), c, self.field)
-        return {k: v for k, v in out.items() if v}
+        return state_sum(((self.d0_mono(w, t), c)
+                          for (w, t), c in state.items()), self.field)
 
     # -- graded pieces and cohomology ---------------------------------------------
 
@@ -326,9 +296,9 @@ def miura_project(brst, state, ctx):
             continue
         new_word, sign = koszul_sorted(
             [(rename[g], m) for (g, m) in word], ctx.system.gens)
-        key = (new_word, ctx.system.vacuum_tag())
-        out[key] = out.get(key, field.zero) + (c if sign > 0 else -c)
-    return {k: v for k, v in out.items() if v}
+        state_acc(out, {(new_word, ctx.system.vacuum_tag()):
+                        c if sign > 0 else -c}, field.one, field)
+    return trimmed(out)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +362,7 @@ class WBnModel(WBnFields):
         [G_l G] = W_0 + sum_i gamma_i (W_{2i-1} l^{2i-1}/(2i-1)! + W_{2i} l^{2i}/(2i)!)
                  + gamma_n l^{2n}/(2n)!."""
         field = self.field
-        zero = FieldExpr(self.system, {})
+        zero = self.system.zero_field()
         top = self.brackets.get(2 * self.n, zero)
         expected_top = FieldExpr(self.system, {((), None): self.gamma_consts[self.n]})
         if top != expected_top:
@@ -431,7 +401,7 @@ class WBnModel(WBnFields):
     def check_c2_congruences(self):
         """The quotient form of the expansion; returns a list of failures."""
         bad = []
-        zero = FieldExpr(self.system, {})
+        zero = self.system.zero_field()
         for i in range(0, self.n):
             got = self.c2_reduce(self.W[2 * i] if i else self.W[0])
             want = self.expected_w2i_c2(i)
@@ -548,7 +518,7 @@ class W2nModel:
             nxt = {}
 
             def add(word, c):
-                nxt[word] = nxt.get(word, field.zero) + c
+                state_acc(nxt, {word: c}, field.one, field)
 
             for word, c in words:
                 # (k+n-1) d acts by Leibniz on the whole word
@@ -558,21 +528,21 @@ class W2nModel:
                 add(((self.psig, 0),) + word, c)
                 for i in range(1, j + 1):
                     add(((self.agen[i - 1], 0),) + word, c)
-            words = [(w, c) for w, c in nxt.items() if c]
+            words = list(trimmed(nxt).items())
         return [(w, -c) for (w, c) in words]
 
     def _assemble(self, words, tail_field):
         """Right-nested normal ordering of formal words, optionally into a
         lattice exponential seed."""
-        acc = None
-        for word, c in words:
+        def nested(word):
             cur = tail_field
             for (g, dd) in reversed(word):
                 letter = self.system.gen_field(g, dd)
                 cur = letter if cur is None else normal_order(letter, cur)
-            term = cur.scale(c)
-            acc = term if acc is None else acc + term
-        return acc
+            return cur
+
+        return sum((nested(word).scale(c) for word, c in words),
+                   self.system.zero_field())
 
     def rewritten_f(self, steps=None):
         """The pulled-inside form with (d + xi(z)) factors acting on :psi e^{-xi}:.
@@ -673,11 +643,9 @@ class WakimotoMap:
                     raise ValueError("unexpected degree-zero root %s" % root.name)
 
     def image_of_comb(self, comb_dict):
-        out = None
-        for b, c in comb_dict.items():
-            term = self.image_of_basis[b].scale(self.field.lift(c))
-            out = term if out is None else out + term
-        return out if out is not None else FieldExpr(self.model.system, {})
+        return sum((self.image_of_basis[b].scale(self.field.lift(c))
+                    for b, c in comb_dict.items()),
+                   self.model.system.zero_field())
 
     def verify_brackets(self):
         """[pi(u) lambda pi(v)] == pi([u,v]) + tau(u|v) lambda, all pairs."""
@@ -688,17 +656,11 @@ class WakimotoMap:
         for u in self.g0:
             for v in self.g0:
                 got = bracket(self.image_of_basis[u], self.image_of_basis[v])
-                want0 = self.image_of_comb(d.bracket(u, v))
                 tau = lf.tau_scalar(field, field.gen, u, v)
-                zero = FieldExpr(self.model.system, {})
-                ok = got.get(0, zero) == want0
-                want1 = FieldExpr(self.model.system,
-                                  {((), None): tau} if tau
-                                  else {})
-                ok = ok and got.get(1, zero) == want1
-                ok = ok and all(got[nn].is_zero() for nn in got if nn >= 2)
+                want = {0: self.image_of_comb(d.bracket(u, v)),
+                        1: self.model.system.one_field().scale(tau)}
                 checked += 1
-                if not ok:
+                if flat_table(got) != flat_table(want):
                     failures.append(((d.basis_name(u), d.basis_name(v)), got))
         return checked, failures
 
@@ -709,14 +671,16 @@ class WakimotoMap:
         (for a screening ambient: {gen: b for b, gen in
         ctx.current_of_basis.items()}).
         """
-        out = {}
         target_vac = self.model.system.vacuum_tag()
-        for (word, tag), c in state.items():
+
+        def transport(word, tag, c):
             if tag[0] != "m":
                 raise NonZeroCharge("transport is defined on vacuum states")
             img = {((), target_vac): c}
             for (g, m) in reversed(word):
                 fe = self.image_of_basis[basis_of_gen[g]]
                 img = apply_field_coeff(fe, -m - 1, img)
-            state_acc(out, img, self.field.one, self.field)
-        return {k: v for k, v in out.items() if v}
+            return img
+
+        return state_sum(((transport(word, tag, c), self.field.one)
+                          for (word, tag), c in state.items()), self.field)

@@ -275,6 +275,26 @@ def test_axioms_on_seeded_samples(heis_fermion):
         assert check_commutator(a, b, [case]) is None, case
 
 
+@pytest.mark.parametrize("hh, invariant", [(2, True), (4, False)])
+def test_bracket_axiom_checks_can_fail(hh, invariant):
+    """Affine sl_2 currents with (e|f) = k, [h_l e] = 2e, [h_l f] = -2f and
+    [e_l f] = h + k l: Jacobi and Wick hold for the invariant form
+    (h|h) = 2k, and both checks fail for (h|h) = 4k."""
+    F = RationalFunctionField("k")
+    k = F.gen
+    sys = Module(F)
+    e, h, f = (sys.add_gen(name, parity=0, weight2=2) for name in "ehf")
+    sys.set_bracket(h, e, {0: comb(terms=[(e, 0, F.lift(2))])})
+    sys.set_bracket(h, f, {0: comb(terms=[(f, 0, F.lift(-2))])})
+    sys.set_bracket(e, f, {0: comb(terms=[(h, 0, F.one)]),
+                           1: comb(const=k)})
+    sys.set_bracket(h, h, {1: comb(const=k * hh)})
+    E, H, Fm = (sys.gen_field(g) for g in (e, h, f))
+    assert check_jacobi(E, Fm, H) is invariant
+    assert check_jacobi(H, E, Fm) is invariant
+    assert check_wick(E, Fm, H) is invariant
+
+
 def test_lattice_affine_sl2_realization():
     """On the even rank-one lattice with (mu|mu) = 2 the exponentials
     realize the level-one affine sl_2: [e^mu_l e^-mu] = J + l, with

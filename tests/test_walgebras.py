@@ -10,7 +10,7 @@ from vertexscreen.scalars import QQ, RationalFunctionField
 from vertexscreen.screening import (expected_character, generic_screenings,
                                     exponential_screenings, kernel_basis)
 from vertexscreen.vertexcalc import (bracket, derive, field_state,
-                                     graded_basis, normal_order)
+                                     graded_basis, normal_order, state_field)
 from vertexscreen.verify import check_commutator, verify_brst, verify_miura
 from vertexscreen.walgebras import (NonZeroCharge, WakimotoMap,
                                     build_complex, build_w2n, build_wbn,
@@ -95,6 +95,16 @@ def test_brst_d0_squares_to_zero():
             for key in graded_basis(brst.system, w2):
                 dd = brst.d0_state(brst.d0_state({key: F.one}))
                 assert not dd, (preset, w2, key)
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_brst_differential_images_are_canonical(preset):
+    """Every word of every d_(0) image is sorted: the image survives the
+    round trip through its state unchanged."""
+    brst, _ = make_brst(preset)
+    assert set(brst.d0_image) == set(range(len(brst.system.gens)))
+    for img in brst.d0_image.values():
+        assert state_field(field_state(img), brst.system) == img
 
 
 # osp1_6-regular is left out: its 53 fields take about 8 s on the vacuum

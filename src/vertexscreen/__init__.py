@@ -15,7 +15,8 @@ from .vertexcalc import (FieldExpr, Module, comb,
                          NonVacuumModule, UndefinedAction, UnknownGenerator)
 from .screening import (ScreeningContext, ScreeningOp, KernelReport,
                         NonCartanZeroPart, DegenerateForm,
-                        exponential_screenings, generic_screenings,
+                        choose_screenings, exponential_screenings,
+                        generic_screenings,
                         expected_character, character_of_generators,
                         kernel_basis)
 from .walgebras import (BRSTComplex, WBnFields, WBnModel, W2nModel,

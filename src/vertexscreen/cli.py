@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from .errors import InputError
 from .presets import build_preset, level_field, preset_names
-from .screening import (ScreeningContext, exponential_screenings,
-                        generic_screenings, expected_character, kernel_basis)
+from .screening import (ScreeningContext, choose_screenings,
+                        expected_character, kernel_basis)
 from .superdata import good_grading, load_datum
 from . import verify as verify_mod
 
@@ -143,11 +143,7 @@ def cmd_info(args):
 
 def cmd_kernel(args):
     ctx = ScreeningContext(_grading_from_args(args), *level_field(args.level))
-    kind = args.screenings
-    if kind == "auto":
-        kind = "exponential" if ctx.grading.g0_is_cartan() else "generic"
-    ops = exponential_screenings(ctx) if kind == "exponential" \
-        else generic_screenings(ctx)
+    kind, ops = choose_screenings(ctx, args.screenings)
     char = expected_character(ctx.datum, ctx.grading, args.max_weight)
     reports = []
     status = 0
@@ -212,7 +208,9 @@ def make_parser():
         p.add_argument("--level", default="symbolic",
                        help='"symbolic" or a rational p/q')
         p.add_argument("--max-weight", type=_count(0), default=8,
-                       help="doubled conformal weight bound")
+                       help="doubled conformal weight bound"
+                       + ("; verify wick caps it at 6" if p is p_verify
+                          else ""))
         p.add_argument("--out", help="write the JSON report to this path")
         p.add_argument("--format", choices=("json", "table"), default="json")
     for p in (p_info, p_kernel):

@@ -364,6 +364,15 @@ def exponential_screenings(ctx):
     return ops
 
 
+def choose_screenings(ctx, kind="auto"):
+    """(kind, screenings) of a construction; "auto" takes exponential
+    screenings when g_0 = h and generic ones otherwise."""
+    if kind == "auto":
+        kind = "exponential" if ctx.grading.g0_is_cartan() else "generic"
+    return kind, (exponential_screenings(ctx) if kind == "exponential"
+                  else generic_screenings(ctx))
+
+
 # ---------------------------------------------------------------------------
 # kernels and characters
 

@@ -1,12 +1,15 @@
 """Simple Lie superalgebras presented by root data.
 
-A datum is built from an explicit matrix realization (elementary matrices
-for sl_n, supermatrices for osp(1|2n), or a structure-constant table read
-from a JSON file).  It consists of an indexed basis (Cartan elements first,
-then one root vector per root), exact structure constants, parities and an
-invariant bilinear form normalized so the highest even root theta has
-squared length 2.  Half-integer gradings are stored as doubled integers
-throughout; no floating point is used anywhere.
+A datum consists of an indexed basis (Cartan elements first, then one root
+vector per root), exact structure constants, parities and an invariant
+bilinear form normalized so the highest even root theta has squared length
+2.  It is read from a structure-constant table in a JSON file or built
+from a matrix realization: elementary matrices for sl_n, supermatrices for
+osp(1|2n), each a sparse {(row, col): Fraction}.  The structure constants
+come first: every super bracket of the basis matrices is decomposed once
+over the basis, each root's coordinates are read off [h_i, e_a], and the
+form is the supertrace of the products.  Half-integer gradings are stored
+as doubled integers throughout; no floating point is used anywhere.
 """
 
 import json
@@ -27,42 +30,6 @@ class NotGoodGrading(InputError, ValueError):
 
 class DegreeMismatch(NotGoodGrading):
     pass
-
-
-# ---------------------------------------------------------------------------
-# small exact-matrix helpers (lists of Fraction lists)
-
-
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(m):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(p):
-                    if bk[j]:
-                        oi[j] += x * bk[j]
-    return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s):
-    return [[x * s for x in row] for row in a]
-
-
-def mat_zero_p(a):
-    return all(all(x == 0 for x in row) for row in a)
 
 
 def _coordinates(family, targets):
@@ -94,15 +61,15 @@ class Root:
 class SuperRootDatum:
     """Indexed basis 0..rank-1 = Cartan, rank+i = i-th root vector."""
 
-    def __init__(self, rank, roots, parity, sc, form, simple_positions,
-                 theta_pos, label):
+    def __init__(self, rank, roots, sc, form, letter, label):
+        """Completes the roots (negatives, simple coordinates, names with
+        the given letter) and finds the simple roots and theta."""
         self.rank = rank
         self.roots = roots
-        self.parity = parity          # per basis index
+        self.parity = [0] * rank + [r.parity for r in roots]
         self.sc = sc                  # (i, j) -> {l: Fraction}
         self.form = form              # matrix over the basis
-        self.simple = simple_positions
-        self.theta_pos = theta_pos
+        self.simple, self.theta_pos = _complete_roots(rank, roots, letter)
         self.label = label
         self.nbasis = rank + len(roots)
         self._killing = None
@@ -301,131 +268,99 @@ def _complete_roots(rank, roots, letter):
     return simple, max(even, key=lambda p: sum(roots[p].simple_coords))
 
 
-def _datum_from_matrices(rank, cartan_mats, root_entries, space_parity,
-                         letter, label):
-    """root_entries: list of (matrix, parity, positive_flag)."""
-    dim_amb = len(cartan_mats[0])
+def _super_bracket(x, y, sign):
+    """x y - sign * y x of sparse matrices {(row, col): Fraction}."""
+    out = {}
+    for (a, b), u in x.items():
+        for (c, d), v in y.items():
+            if b == c:
+                out[a, d] = out.get((a, d), 0) + u * v
+            if d == a:
+                out[c, b] = out.get((c, b), 0) - sign * v * u
+    return {key: v for key, v in out.items() if v}
 
-    def super_bracket(x, y, px, py):
-        m = mat_sub(mat_mul(x, y), mat_scale(mat_mul(y, x), (-1) ** (px * py)))
-        return m
 
-    roots = []
-    for m, par, pos in root_entries:
-        coords = []
-        for h in cartan_mats:
-            br = super_bracket(h, m, 0, par)
-            c = None
-            for a in range(dim_amb):
-                for b in range(dim_amb):
-                    if m[a][b]:
-                        c = br[a][b] / m[a][b]
-                        break
-                if c is not None:
-                    break
-            if not mat_zero_p(mat_sub(br, mat_scale(m, c))):
-                raise DatumError("root vector is not an ad-eigenvector")
-            coords.append(c)
-        roots.append(Root(coords, par, pos))
+def _datum_from_matrices(rank, cartan, root_entries, space_parity, letter,
+                         label):
+    """The datum of a sparse matrix model.
 
-    simple_positions, theta_pos = _complete_roots(rank, roots, letter)
-
-    # structure constants over the indexed basis
-    basis_mats = cartan_mats + [m for m, _, _ in root_entries]
-    parity = [0] * rank + [r.parity for r in roots]
-    n = rank + len(roots)
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    brackets = [super_bracket(basis_mats[i], basis_mats[j],
-                              parity[i], parity[j]) for i, j in pairs]
-    sc_table = {}
+    root_entries: list of (matrix, parity, positive_flag).  Every super
+    bracket of the basis is decomposed once into the structure constants;
+    each root is then read off [h_i, e_a] = alpha(h_i) e_a.
+    """
+    basis = cartan + [m for m, _, _ in root_entries]
+    parity = [0] * rank + [par for _, par, _ in root_entries]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
+    brackets = [_super_bracket(basis[i], basis[j],
+                               (-1) ** (parity[i] * parity[j]))
+                for i, j in pairs]
+    keys = sorted(set().union(*basis, *brackets))
+    sc = {}
     for ij, coords in zip(pairs, _coordinates(
-            [_flatten(m) for m in basis_mats],
-            [_flatten(m) for m in brackets])):
+            [[m.get(key, Fraction(0)) for key in keys] for m in basis],
+            [[m.get(key, Fraction(0)) for key in keys] for m in brackets])):
         comb = {l: c for l, c in enumerate(coords) if c}
         if comb:
-            sc_table[ij] = comb
+            sc[ij] = comb
+    roots = []
+    for b, (_, par, positive) in enumerate(root_entries, rank):
+        weights = [sc.get((i, b), {}) for i in range(rank)]
+        if any(set(w) - {b} for w in weights):
+            raise DatumError("root vector is not an ad-eigenvector")
+        roots.append(Root([w.get(b, Fraction(0)) for w in weights], par,
+                          positive))
 
-    # supertrace form, rescaled so (theta|theta) = 2
-    def strace(m):
-        return sum((-1) ** space_parity[a] * m[a][a] for a in range(dim_amb))
-
-    raw = [[strace(mat_mul(basis_mats[i], basis_mats[j])) for j in range(n)]
-           for i in range(n)]
-    datum = SuperRootDatum(rank, roots, parity, sc_table, raw,
-                           simple_positions, theta_pos, label)
+    # supertrace form str(x y), rescaled so (theta|theta) = 2
+    form = [[sum((u * y.get((b, a), 0) * (-1) ** space_parity[a]
+                  for (a, b), u in x.items()), Fraction(0))
+             for y in basis] for x in basis]
+    datum = SuperRootDatum(rank, roots, sc, form, letter, label)
     norm = datum.theta_norm()
     if norm == 0:
         raise DatumError("theta has zero norm")
     if norm != 2:
-        datum.form = mat_scale(raw, Fraction(2) / norm)
+        datum.form = [[x * 2 / norm for x in row] for row in form]
     return datum
-
-
-def _flatten(m):
-    return [x for row in m for x in row]
-
-
-def _unit(dim, i, j):
-    """The dim x dim elementary matrix E_ij."""
-    m = [[Fraction(0)] * dim for _ in range(dim)]
-    m[i][j] = Fraction(1)
-    return m
 
 
 def build_sl(n):
     """sl_n from elementary matrices; trace form, all parities even."""
     if n < 2:
         raise DatumError("sl_n needs n >= 2")
-    rank = n - 1
-    cartan = [mat_sub(_unit(n, i, i), _unit(n, i + 1, i + 1))
-              for i in range(rank)]
-    root_entries = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                root_entries.append((_unit(n, i, j), 0, i < j))
-    return _datum_from_matrices(rank, cartan, root_entries, [0] * n, "a",
+    one = Fraction(1)
+    cartan = [{(i, i): one, (i + 1, i + 1): -one} for i in range(n - 1)]
+    root_entries = [({(i, j): one}, 0, i < j)
+                    for i in range(n) for j in range(n) if i != j]
+    return _datum_from_matrices(n - 1, cartan, root_entries, [0] * n, "a",
                                 "sl%d" % n)
 
 
 def build_osp(n):
-    """osp(1|2n) in the (1|2n) supermatrix model, beta_n odd and short."""
+    """osp(1|2n) in the (1|2n) supermatrix model, beta_n odd and short.
+
+    Rows and columns are 0 (even), then i and n + i for i = 1..n, the
+    paired symplectic indices.
+    """
     if n < 1:
         raise DatumError("osp(1|2n) needs n >= 1")
-    dim = 1 + 2 * n
-    parity_space = [0] + [1] * (2 * n)
-
-    # symplectic block indices: rows/cols i = 1..n and s(i) = n + i
-    def s(i):
-        return n + i
-
-    cartan = [mat_sub(_unit(dim, i, i), _unit(dim, s(i), s(i)))
-              for i in range(1, n + 1)]
-    root_entries = []
-    # even roots of sp(2n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:  # eps_i - eps_j
-                m = mat_sub(_unit(dim, i, j), _unit(dim, s(j), s(i)))
-                root_entries.append((m, 0, i < j))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if i == j:
-                root_entries.append((_unit(dim, i, s(i)), 0, True))   # 2 eps_i
-                root_entries.append((_unit(dim, s(i), i), 0, False))  # -2 eps_i
-            else:
-                m = mat_add(_unit(dim, i, s(j)), _unit(dim, j, s(i)))
-                root_entries.append((m, 0, True))  # eps_i+eps_j
-                m = mat_add(_unit(dim, s(j), i), _unit(dim, s(i), j))
-                root_entries.append((m, 0, False))
-    # odd roots +-eps_i:  X_v with v = e_i resp. e_{n+i}
-    for i in range(1, n + 1):
-        m = mat_sub(_unit(dim, i, 0), _unit(dim, 0, s(i)))
-        root_entries.append((m, 1, True))   # eps_i
-        m = mat_add(_unit(dim, s(i), 0), _unit(dim, 0, i))
-        root_entries.append((m, 1, False))  # -eps_i
-    return _datum_from_matrices(n, cartan, root_entries, parity_space, "b",
-                                "osp(1|%d)" % (2 * n))
+    one = Fraction(1)
+    span = range(1, n + 1)
+    cartan = [{(i, i): one, (n + i, n + i): -one} for i in span]
+    # even roots of sp(2n): eps_i - eps_j, then +-2 eps_i and +-(eps_i+eps_j)
+    root_entries = [({(i, j): one, (n + j, n + i): -one}, 0, i < j)
+                    for i in span for j in span if i != j]
+    for i in span:
+        root_entries += [({(i, n + i): one}, 0, True),
+                         ({(n + i, i): one}, 0, False)]
+        for j in range(i + 1, n + 1):
+            root_entries += [({(i, n + j): one, (j, n + i): one}, 0, True),
+                             ({(n + j, i): one, (n + i, j): one}, 0, False)]
+    # odd roots +-eps_i
+    for i in span:
+        root_entries += [({(i, 0): one, (0, n + i): -one}, 1, True),
+                         ({(n + i, 0): one, (0, i): one}, 1, False)]
+    return _datum_from_matrices(n, cartan, root_entries, [0] + [1] * (2 * n),
+                                "b", "osp(1|%d)" % (2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -741,9 +676,7 @@ def datum_from_json(doc):
             ZeroDivisionError) as exc:
         raise DatumError("malformed datum: %s: %s"
                          % (type(exc).__name__, exc)) from None
-    simple, theta_pos = _complete_roots(rank, roots, "s")
-    parity = [0] * rank + [r.parity for r in roots]
-    datum = SuperRootDatum(rank, roots, parity, sc, form, simple, theta_pos,
+    datum = SuperRootDatum(rank, roots, sc, form, "s",
                            doc.get("label", "loaded"))
     datum.check_invariants()
     return datum

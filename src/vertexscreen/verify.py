@@ -7,9 +7,10 @@ with "status": "pass"/"fail" and a first-failure witness when applicable.
 
 from fractions import Fraction
 
+from .errors import InputError
 from .linalg import solve_in_span
 from .presets import build_preset, level_field, preset_context
-from .screening import exponential_screenings, expected_character, kernel_basis
+from .screening import choose_screenings, expected_character, kernel_basis
 from .serialize import field_to_json
 from .vertexcalc import (
     apply_field_coeff, bracket, derive, field_state, flat_table, graded_basis,
@@ -145,9 +146,13 @@ WICK_PRESETS = ("sl2-regular", "osp1_2-regular", "osp1_4-regular",
 
 
 def verify_wick(args, rng):
-    """Bracket-axiom suite on seeded random composite fields."""
+    """Bracket-axiom suite on seeded random composite fields, of doubled
+    weight at most --max-weight, capped at 6."""
     trials = getattr(args, "trials", 25)
     wmax2 = min(getattr(args, "max_weight", 6), 6)
+    if wmax2 < 1:
+        raise InputError("verify wick: argument --max-weight: must be an "
+                         "integer >= 1, not %d" % wmax2)
     total = 0
     failures = []
     per_preset = {}
@@ -186,7 +191,7 @@ def verify_wick(args, rng):
 
 def verify_brst(args, rng):
     preset = args.preset or "sl2-regular"
-    maxw2 = min(args.max_weight, 8)
+    maxw2 = args.max_weight
     grading = build_preset(preset)
     field, level = level_field(args.level)
     brst = build_complex(grading, field, level)
@@ -274,11 +279,11 @@ def verify_wakimoto(args, rng):
 
 def verify_miura(args, rng):
     preset = args.preset or "sl2-regular"
-    maxw2 = min(args.max_weight, 8)
+    maxw2 = args.max_weight
     ctx = preset_context(preset, args.level)
     field = ctx.field
     brst = build_complex(ctx.grading, field, ctx.level)
-    ops = exponential_screenings(ctx)
+    _, ops = choose_screenings(ctx)
     char = expected_character(ctx.datum, ctx.grading, maxw2)
     witness = []
     scalars = {}

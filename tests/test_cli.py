@@ -150,6 +150,28 @@ def test_verify_miura_honours_level(preset, max_w2, capsys):
         assert sympy.Rational(text) == at
 
 
+def test_verify_miura_on_a_non_cartan_grading(capsys):
+    """With g_0 = gl_2 (sl3-subregular, the W^(2)_3 algebra) the
+    projection is checked against the generic screenings, the ones
+    ``kernel --screenings auto`` picks."""
+    code, out = run_cli(["verify", "miura", "--preset", "sl3-subregular",
+                         "--max-weight", "8"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "pass"
+    assert doc["weights_tested"] == list(range(9))
+
+
+def test_verify_brst_honours_max_weight(capsys):
+    """verify brst tests every weight up to --max-weight, past 8 too."""
+    code, out = run_cli(["verify", "brst", "--preset", "sl2-regular",
+                         "--max-weight", "10"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "pass"
+    assert doc["weights_tested"] == list(range(11))
+    assert doc["h0_dims"] == doc["character"]
+    assert len(doc["character"]) == 11
+
+
 def test_verify_deterministic_output(capsys):
     code, a = run_cli(["verify", "wick", "--trials", "2", "--seed", "7"],
                       capsys)
@@ -186,13 +208,18 @@ def test_bad_input_exit_code(tmp_path):
     (["kernel", "--preset", "sl2-regular", "--max-weight", "-1"],
      "--max-weight"),
     (["verify", "brst", "--max-weight", "-3"], "--max-weight"),
+    (["verify", "wick", "--max-weight", "0"], "--max-weight"),
 ])
 def test_bad_count_is_usage_error(argv, flag, capsys):
     """A count below its least value names the flag and exits 2, instead
-    of a vacuous pass or an internal error."""
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    of a vacuous pass or an internal error.  argparse rejects a count
+    below the flag's bound; a suite rejects one below its own (verify
+    wick samples weights from 1 up) with an InputError."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
     assert "argument %s: must be an integer >= " % flag in err
     assert "internal" not in err

@@ -26,18 +26,25 @@ e^{int mu} creation ladder was stored per monomial.
 ``verify-brst-sl3-subregular-cartan-symbolic-8.json`` and
 ``verify-brst-osp1_6-regular-symbolic-8.json`` hold what ``verify brst``
 wrote while every BRST rank was still taken over Q(k), before
-cohomology_dims certified its dimensions from ranks mod 2^61 - 1.  The
+cohomology_dims certified its dimensions from ranks mod 2^61 - 1.
+``datum-sl4.json`` and ``datum-osp1_6.json`` hold ``datum_to_json`` of
+``build_sl(4)`` and ``build_osp(3)``, dumped as the CLI dumps JSON
+(indent 2, sorted keys, a final newline), while the matrix models were
+still dense and each root was read off its matrix entries, before the
+structure constants came first.  The
 engine promises identical output for a fixed configuration, so a change
 that moves any byte of a basis, a dimension, a cohomology count, a
 projection scalar or a reported denominator fails here.  Regenerate a
 file only for an intended change of output, and say why in the commit.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from vertexscreen.cli import main
+from vertexscreen.superdata import build_osp, build_sl, datum_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = [
@@ -63,6 +70,8 @@ GENERIC_CASES = [
     ("osp1_2-regular", "symbolic", 6),
     ("sl3-subregular-cartan", "symbolic", 6),
 ]
+DATUM_CASES = [("datum-sl4.json", build_sl, 4),
+               ("datum-osp1_6.json", build_osp, 3)]
 INFO_CASES = [("osp1_6-regular", 8), ("sl4-subregular", 8)]
 SUITE_CASES = [
     ("verify-wbn-n3.json", ["verify", "wbn", "--n", "3"]),
@@ -113,3 +122,9 @@ def test_info_report_matches_golden(preset, max_w2, tmp_path, capsys):
 @pytest.mark.parametrize("name, argv", SUITE_CASES)
 def test_suite_report_matches_golden(name, argv, tmp_path, capsys):
     _run_to_file(argv, name, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name, build, n", DATUM_CASES)
+def test_datum_table_matches_golden(name, build, n):
+    text = json.dumps(datum_to_json(build(n)), indent=2, sort_keys=True)
+    assert (text + "\n").encode() == (GOLDEN / name).read_bytes()

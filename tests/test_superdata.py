@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from vertexscreen.superdata import (DatumError, DegreeMismatch,
-                                    NotGoodGrading, RestrictedBase, build_osp,
+                                    NotGoodGrading, RestrictedBase,
+                                    _datum_from_matrices, build_osp,
                                     build_sl, datum_from_json, datum_to_json,
                                     good_grading)
 
@@ -43,6 +44,22 @@ def test_osp1_parities():
     assert by_name["2b1"].parity == 0
     # even part is sl_2: three even basis elements
     assert sum(1 for p in d.parity if p == 0) == 3
+
+
+def test_root_matrix_must_be_an_ad_eigenvector():
+    """sl_2 with E12 + E21 in place of E12: the basis is independent and
+    closed under the bracket, but [h, E12 + E21] = 2 E12 - 2 E21 is no
+    multiple of E12 + E21."""
+    one = Fraction(1)
+    cartan = [{(0, 0): one, (1, 1): -one}]
+    roots = [({(0, 1): one, (1, 0): one}, 0, True),
+             ({(1, 0): one}, 0, False)]
+    with pytest.raises(DatumError, match="not an ad-eigenvector"):
+        _datum_from_matrices(1, cartan, roots, [0, 0], "a", "sl2")
+    roots[0] = ({(0, 1): one}, 0, True)
+    assert datum_to_json(_datum_from_matrices(1, cartan, roots, [0, 0], "a",
+                                              "sl2")) == \
+        datum_to_json(build_sl(2))
 
 
 def test_rejects_small_rank():

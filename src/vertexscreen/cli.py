@@ -164,16 +164,29 @@ def cmd_kernel(args):
     return status
 
 
+class _Given(argparse.Action):
+    """Store a flag's value and record that the flag was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (self.dest,)
+
+
 def cmd_verify(args):
-    rng = random.Random(args.seed)
-    runner = {
-        "wick": verify_mod.verify_wick,
-        "brst": verify_mod.verify_brst,
-        "wbn": verify_mod.verify_wbn,
-        "fs": verify_mod.verify_fs_suite,
-        "wakimoto": verify_mod.verify_wakimoto,
-        "miura": verify_mod.verify_miura,
+    # the flags each suite reads, of those that _Given records
+    runner, reads = {
+        "wick": (verify_mod.verify_wick, "seed trials max_weight"),
+        "brst": (verify_mod.verify_brst, "preset level max_weight"),
+        "wbn": (verify_mod.verify_wbn, "n"),
+        "fs": (verify_mod.verify_fs_suite, "n"),
+        "wakimoto": (verify_mod.verify_wakimoto, "n"),
+        "miura": (verify_mod.verify_miura, "preset level max_weight"),
     }[args.suite]
+    for dest in getattr(args, "given", ()):
+        if dest not in reads.split():
+            raise InputError("verify %s does not read --%s"
+                             % (args.suite, dest.replace("_", "-")))
+    rng = random.Random(args.seed)
     doc = runner(args, rng)
     doc["seed"] = args.seed
     doc["suite"] = args.suite
@@ -199,15 +212,17 @@ def make_parser():
     p_verify = sub.add_parser("verify", help="run a named check suite")
     p_verify.add_argument("suite", choices=("wick", "brst", "wbn", "fs",
                                             "wakimoto", "miura"))
-    p_verify.add_argument("--seed", type=int, default=20240)
-    p_verify.add_argument("--n", type=_count(1), default=3)
-    p_verify.add_argument("--trials", type=_count(1), default=25)
+    p_verify.add_argument("--seed", type=int, default=20240, action=_Given)
+    p_verify.add_argument("--n", type=_count(1), default=3, action=_Given)
+    p_verify.add_argument("--trials", type=_count(1), default=25,
+                          action=_Given)
     p_verify.set_defaults(func=cmd_verify)
     for p in (p_info, p_kernel, p_verify):
-        p.add_argument("--preset", choices=preset_names())
-        p.add_argument("--level", default="symbolic",
+        p.add_argument("--preset", choices=preset_names(), action=_Given)
+        p.add_argument("--level", default="symbolic", action=_Given,
                        help='"symbolic" or a rational p/q')
         p.add_argument("--max-weight", type=_count(0), default=8,
+                       action=_Given,
                        help="doubled conformal weight bound"
                        + ("; verify wick caps it at 6" if p is p_verify
                           else ""))

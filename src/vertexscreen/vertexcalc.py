@@ -28,10 +28,14 @@ only.  States are dicts {(word, tag): coeff}, and sums are made one way:
 state_acc adds coeff * part into a state in place, trimmed drops the zero
 coefficients once at the end, and state_sum does both over (part, coeff)
 pairs.  Fields add through state_acc, and lambda-tables {n: field} are
-compared flat, as one {(n, word, mom): coeff} (flat_table).
+compared flat, as one {(n, word, mom): coeff} (flat_table).  A unit factor
+costs no multiply: state_acc takes coeff itself for an entry that is
+field.one, and word_coeff_mono folds a derivative letter's mode factor
+into the coefficient once per mode.
 """
 
 from fractions import Fraction
+from math import factorial as _fact, prod
 
 from .errors import InputError
 
@@ -61,21 +65,13 @@ class CriticalLevel(InputError, ZeroDivisionError):
 
 
 def _binom(m, j):
-    # generalized binomial C(m, j) for integer m (possibly negative), j >= 0
-    num = 1
-    for t in range(j):
-        num *= (m - t)
-    den = 1
-    for t in range(2, j + 1):
-        den *= t
-    return Fraction(num, den)
+    # generalized binomial C(m, j) for integer m (possibly negative), j >= 0:
+    # an integer, since j! divides any j consecutive integers
+    return _ffact(m, j) // _fact(j)
 
 
 def _ffact(s, d):
-    out = 1
-    for t in range(d):
-        out *= (s - t)
-    return out
+    return prod(range(s - d + 1, s + 1))
 
 
 class Gen:
@@ -352,10 +348,10 @@ class Module:
         if const is not None and s == -1:
             acc[(word, tag)] = const
         for (g2, d, coeff) in terms:
-            ff = _ffact(s, d)
-            if ff == 0:
+            f = (-1) ** d * _ffact(s, d)
+            if f == 0:
                 continue
-            c = coeff * field.lift((-1) ** d * ff)
+            c = coeff if f == 1 else coeff * field.lift(f)
             part = self.gen_mode(g2, s - d, word, tag)
             state_acc(acc, part, c, field)
         return trimmed(acc)
@@ -393,17 +389,6 @@ class Module:
 
     # -- coefficient extraction for normally ordered word fields ----------------
 
-    def letter_mode(self, g, d, n, word, tag):
-        ff = _ffact(n, d)
-        if ff == 0:
-            return {}
-        sgn = (-1) ** d * ff
-        part = self.gen_mode(g, n - d, word, tag)
-        if sgn == 1:
-            return part
-        c = self.field.lift(sgn)
-        return {k: v * c for k, v in part.items()}
-
     def _mom_pairing_int(self, mom, tag):
         hv = self.hv(tag)
         if hv.momentum is None:
@@ -439,21 +424,27 @@ class Module:
             P2 = 0
             if mom is not None:
                 P2 = 2 * self._mom_pairing_int(mom, tag)
+            # (d^d g)_(n) = (-1)^d ff(n, d) g_(n-d), folded in once per n
             acc = {}
             imax = (D2 + 2 * J + W2rest - P2) // 2
             for i in range(0, imax + 1):
                 inner = self.word_coeff_mono(rest, mom, J - i, w0, tag)
+                # n = -i - 1 < 0: the factor is (i+1)...(i+d), 1 for d = 0
+                lf = field.lift(_ffact(i + d, d)) if d and inner else None
                 for (w2, t2), c in inner.items():
-                    part = self.letter_mode(g, d, -i - 1, w2, t2)
-                    state_acc(acc, part, c, field)
+                    part = self.gen_mode(g, -i - 1 - d, w2, t2)
+                    state_acc(acc, part, c if lf is None else c * lf, field)
             w2a = gens[g].weight2 + 2 * d
             imax2 = (D2 + w2a) // 2 - 1
             sign = (-1) ** (p_a * p_rest)
-            for i in range(0, imax2 + 1):
-                lower = self.letter_mode(g, d, i, w0, tag)
+            # n = i >= 0: the factor vanishes for i < d
+            for i in range(d, imax2 + 1):
+                lower = self.gen_mode(g, i - d, w0, tag)
+                f = sign * (-1) ** d * _ffact(i, d)
+                lf = field.lift(f) if lower and f * f != 1 else None
                 for (w2, t2), c in lower.items():
                     part = self.word_coeff_mono(rest, mom, J + i + 1, w2, t2)
-                    cc = c if sign > 0 else -c
+                    cc = c * lf if lf is not None else c if f == 1 else -c
                     state_acc(acc, part, cc, field)
             out = trimmed(acc)
         self._word_memo[key] = out
@@ -539,13 +530,6 @@ class Module:
                           for (w, t), c in state.items()), self.field)
 
 
-def _fact(n):
-    out = 1
-    for t in range(2, n + 1):
-        out *= t
-    return out
-
-
 def _comb_zero(lc):
     const, terms = lc
     return not const and not any(c for (_, _, c) in terms)
@@ -581,14 +565,17 @@ def state_acc(acc, part, coeff, field):
     and trims zero coefficients once at the end."""
     if not coeff:
         return
-    if coeff is field.one:
+    one = field.one
+    if coeff is one:
         for key, c in part.items():
             cur = acc.get(key)
             acc[key] = c if cur is None else cur + c
         return
     for key, c in part.items():
+        # field values are immutable, so the sum may share coeff itself
+        cc = coeff if c is one else c * coeff
         cur = acc.get(key)
-        acc[key] = c * coeff if cur is None else cur + c * coeff
+        acc[key] = cc if cur is None else cur + cc
 
 
 def trimmed(acc):
@@ -741,11 +728,9 @@ def state_field(state, system):
                 "state over %r has no field counterpart" % (tag,))
         mom = None if tag[1] == zero_coords else tag[1]
         fword = tuple((g, -m - 1) for (g, m) in word)
-        scale = Fraction(1)
-        for (g, m) in word:
-            scale /= _fact(-m - 1)
+        den = prod(_fact(-m - 1) for (_, m) in word)
         # distinct monomials give distinct (word, mom) keys: nothing to sum
-        terms[(fword, mom)] = c * field.lift(scale)
+        terms[(fword, mom)] = c if den == 1 else c / field.lift(den)
     return FieldExpr(system, terms)
 
 

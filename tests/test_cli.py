@@ -310,6 +310,30 @@ def test_verify_rejects_unread_flags(suite, flag, value, capsys):
     assert "internal" not in err
 
 
+@pytest.mark.parametrize("suite, flag, value", [
+    ("wick", "--level", "7/2"),
+    ("wick", "--level", "symbolic"),
+    ("wick", "--preset", "sl2-regular"),
+    ("wick", "--n", "3"),
+    ("wbn", "--level", "7/2"),
+    ("wbn", "--max-weight", "4"),
+    ("fs", "--max-weight", "4"),
+    ("wakimoto", "--preset", "sl3-subregular"),
+    ("brst", "--trials", "3"),
+    ("brst", "--seed", "7"),
+    ("miura", "--n", "4"),
+])
+def test_verify_rejects_flags_its_suite_does_not_read(suite, flag, value,
+                                                      capsys):
+    """A flag the chosen suite does not read exits 2 with one error line
+    naming the suite and the flag, also when it is given its default
+    value, instead of running with the flag ignored."""
+    assert main(["verify", suite, flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: verify %s does not read %s\n" % (suite, flag)
+
+
 def test_bad_level_text_is_usage_error(capsys):
     assert main(["kernel", "--preset", "sl2-regular", "--level", "abc"]) == 2
     assert main(["verify", "brst", "--level", "1/0"]) == 2

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -8,12 +8,12 @@ from vertexscreen.presets import preset_context, preset_names
 from vertexscreen.scalars import QQ, RationalFunctionField
 from vertexscreen.screening import (character_of_generators,
                                     exponential_screenings)
-from vertexscreen.vertexcalc import (GradingMismatch, Module,
+from vertexscreen.vertexcalc import (FieldExpr, GradingMismatch, Module,
                                      NonVacuumModule, comb, apply_field_coeff,
-                                     bracket, derive, field_state,
+                                     bracket, derive, derive_n, field_state,
                                      graded_basis, mode_apply, normal_order,
                                      normal_order_list, state_field,
-                                     state_acc, sugawara_field)
+                                     state_acc, sugawara_field, trimmed)
 from vertexscreen.walgebras import WBnFields, build_complex
 from vertexscreen.verify import (check_commutator, check_jacobi, check_skew,
                                  check_wick, random_homogeneous_field)
@@ -598,3 +598,119 @@ def test_screening_zero_modes_use_registered_tags():
                 assert t2 in xtags and hvs[t2].tag is t2
                 seen += 1
     assert seen
+
+
+@pytest.mark.parametrize("level", ["symbolic", Fraction(7, 2)])
+@pytest.mark.parametrize("preset", ["sl3-subregular", "osp1_4-regular"])
+def test_derivative_letter_modes(preset, level):
+    """(d^d g)_(n) = (-1)^d n(n-1)...(n-d+1) g_(n-d), the factor the word
+    coefficients fold in once per mode: checked against the generator's
+    own modes for n of both signs, which run the creation (n < 0) and the
+    annihilation (n >= 0) loop of Module.word_coeff_mono."""
+    module = preset_context(preset, level).system
+    field = module.field
+    states = [{key: field.one} for w2 in range(0, 5)
+              for key in graded_basis(module, w2)]
+    for g in range(len(module.gens)):
+        for d in (1, 2, 3):
+            letter = module.gen_field(g, d)
+            for n in range(-4, 5):
+                f = field.lift((-1) ** d * prod(range(n - d + 1, n + 1)))
+                for v in states:
+                    want = trimmed({key: c * f for key, c in
+                                    module.gen_mode_state(g, n - d, v).items()})
+                    assert apply_field_coeff(letter, -n - 1, v) == want
+
+
+@pytest.mark.parametrize("level", ["symbolic", Fraction(7, 2)])
+@pytest.mark.parametrize("preset", ["sl3-subregular", "osp1_4-regular"])
+def test_composite_derivative_word(preset, level):
+    """The word :(d^d g) h: read directly, with its derivative letter,
+    equals the normally ordered product of derive_n(g, d) and h taken by
+    its mode definition,
+        [z^J] :a b: v = sum_{n<0} a_(n) b_(m) v
+                        + (-1)^{p_a p_b} sum_{n>=0} b_(m) a_(n) v,
+    m = -J - n - 2, and the canonical field normal_order builds."""
+    module = preset_context(preset, level).system
+    field = module.field
+    # one state per doubled weight: its basis with coefficients 1, 2, ...
+    states = [{key: field.lift(i + 1)
+               for i, key in enumerate(graded_basis(module, w2))}
+              for w2 in range(0, 4)]
+    states = [v for v in states if v]
+    gens = range(len(module.gens))
+    for g in gens:
+        for h in gens:
+            sign = field.lift((-1) ** (module.gens[g].parity
+                                       * module.gens[h].parity))
+            b = module.gen_field(h)
+            for d in (1, 2):
+                a = derive_n(module.gen_field(g), d)
+                word = FieldExpr(module, {(((g, d), (h, 0)), None): field.one})
+                canonical = normal_order(a, b)
+                for J in range(-2, 2):
+                    for v in states:
+                        want = {}
+                        for n in range(-7, 6):
+                            m = -J - n - 2
+                            if n < 0:
+                                state_acc(want, apply_field_coeff(
+                                    a, -n - 1, apply_field_coeff(b, -m - 1, v)),
+                                    field.one, field)
+                            else:
+                                state_acc(want, apply_field_coeff(
+                                    b, -m - 1, apply_field_coeff(a, -n - 1, v)),
+                                    sign, field)
+                        want = trimmed(want)
+                        assert apply_field_coeff(word, J, v) == want
+                        assert apply_field_coeff(canonical, J, v) == want
+
+
+@pytest.mark.parametrize("field", [QQ, RationalFunctionField("k")])
+def test_state_acc_unit_entries_match_naive_sum(field):
+    """state_acc stores coeff itself for an entry that is field.one; the
+    sum must equal the plain one, for entries that are that object, entries
+    equal to 1 that are other objects, and coeff 0, field.one or another
+    value."""
+    one = field.one
+    other_one = field.lift(Fraction(3, 3))
+    assert other_one == one and other_one is not one
+    x = field.lift(Fraction(-2, 5)) if field is QQ else field.gen / 3
+    part = {"a": one, "b": other_one, "c": x, "d": one}
+    for coeff in (field.zero, one, field.lift(Fraction(7, 4)), x + 1):
+        for start in ({}, {"a": x, "c": -x, "e": one}):
+            acc = dict(start)
+            state_acc(acc, part, coeff, field)
+            want = dict(start)
+            for key, c in part.items():
+                if coeff:
+                    want[key] = want.get(key, field.zero) + c * coeff
+            assert acc == want
+            assert part == {"a": one, "b": other_one, "c": x, "d": one}
+
+
+def test_bracket_memos_left_intact():
+    """The word-coefficient, translation and mode memos are only read by
+    their callers, and a sum may hold a caller's coefficient object itself:
+    after a Wick/Jacobi run and a derivative have filled the three memos,
+    further brackets, normal orders and derivatives leave every stored
+    entry as it was."""
+    module = preset_context("osp1_4-regular").system
+    rng = random.Random(5)
+    fields = [random_homogeneous_field(module, rng, w2)
+              for w2 in (1, 2, 2, 3, 3, 4)]
+    a, b, c = fields[:3]
+    assert check_skew(a, b) and check_jacobi(a, b, c) and check_wick(a, b, c)
+    derive_n(c, 2)
+    memos = (module._word_memo, module._translate_memo, module._mode_memo)
+    snaps = [{key: dict(val) for key, val in memo.items()} for memo in memos]
+    assert all(snaps)
+    for x in fields:
+        for y in fields:
+            bracket(x, y)
+            normal_order(x, y)
+        derive(x)
+    assert check_skew(fields[3], fields[4])
+    for memo, snap in zip(memos, snaps):
+        for key, val in snap.items():
+            assert memo[key] == val, key

@@ -8,7 +8,7 @@ and charge.  Killing the negative-degree current modes projects each
 degree-zero cohomology class into the screening kernel.
 """
 
-from vertexscreen import (RationalFunctionField, build_complex, build_preset,
+from vertexscreen import (BRSTComplex, RationalFunctionField, build_preset,
                           expected_character, exponential_screenings,
                           field_state, graded_basis, kernel_basis,
                           miura_project, preset_context)
@@ -16,7 +16,7 @@ from vertexscreen.linalg import solve_in_span
 
 F = RationalFunctionField("k")
 grading = build_preset("sl2-regular")
-brst = build_complex(grading, F, F.gen)
+brst = BRSTComplex(grading, F, F.gen)
 
 print("generators of the reduced complex:")
 for g in brst.system.gens:

@@ -8,10 +8,10 @@ screening charges built from e^{int s a_i} with s the splitting of the
 coupling (s - 1/s = c), which keeps every coefficient rational in s.
 """
 
-from vertexscreen import build_wbn, verify_wbn_screening
+from vertexscreen import WBnModel, verify_wbn_screening
 
 for n in (1, 2, 3):
-    model = build_wbn(n)
+    model = WBnModel(n)
     print("== n = %d ==" % n)
     print("  lambda powers of [G_l G]:", sorted(model.brackets))
     print("  top coefficient:", model.gamma_consts[n])
@@ -27,7 +27,7 @@ for n in (1, 2, 3):
 
 print()
 print("W_2i in the quotient are elementary symmetric in the :b_i^2::")
-model = build_wbn(3)
+model = WBnModel(3)
 for i in range(3):
     got = model.c2_reduce(model.W[2 * i] if i else model.W[0])
     print("  W_%d ==" % (2 * i), got)

@@ -8,11 +8,11 @@ current brackets are reproduced exactly over Q(k), which realizes the
 affine sl_2 at level k + n - 2 inside the lattice algebra.
 """
 
-from vertexscreen import (WakimotoMap, bracket, build_w2n,
-                          preset_context, verify_fs)
+from vertexscreen import (W2nModel, WakimotoMap, bracket, preset_context,
+                          verify_fs)
 
 for n in (2, 3):
-    m = build_w2n(n)
+    m = W2nModel(n)
     print("== n = %d ==" % n)
     print("  F =", m.F if n == 2 else "(%d canonical terms)" % len(m.F.terms))
     print("  pulled-inside form equals the definition:",

@@ -9,8 +9,8 @@ from .superdata import (SuperRootDatum, GoodGrading, RestrictedBase,
                         load_datum, datum_from_json, datum_to_json)
 from .vertexcalc import (FieldExpr, Module, comb,
                          apply_field_coeff, bracket, derive, field_state,
-                         graded_basis, mode_apply, normal_order,
-                         normal_order_list, state_field, sugawara_field,
+                         graded_basis, normal_order, state_field,
+                         sugawara_field,
                          CriticalLevel, GradingMismatch, NonAbelianMomentum,
                          NonVacuumModule, UndefinedAction, UnknownGenerator)
 from .screening import (ScreeningContext, ScreeningOp, KernelReport,
@@ -22,7 +22,7 @@ from .screening import (ScreeningContext, ScreeningOp, KernelReport,
 from .walgebras import (BRSTComplex, WBnFields, WBnModel, W2nModel,
                         WakimotoMap, TopCoefficientMismatch, NonZeroCharge,
                         ModelTooSmall,
-                        build_complex, build_wbn, build_w2n,
+                        build_complex,
                         miura_project, verify_fs, verify_wbn_screening)
 from .presets import PRESETS, build_preset, preset_context, preset_names
 

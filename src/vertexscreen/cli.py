@@ -113,6 +113,8 @@ def _print_table(doc):
 
 
 def cmd_info(args):
+    if "level" in getattr(args, "given", ()):
+        raise InputError("info does not read --level")
     grading = _grading_from_args(args)
     datum = grading.datum
     maxw2 = args.max_weight

@@ -16,10 +16,11 @@ Screening charges come in two constructions:
     all coefficients stay in Q(k).
 
 A charge is the z^{-1} Fourier coefficient, with a neutral fermion factor
-inserted for the classes of degree one half.  Kernels are computed per
-conformal weight (doubled integers; highest vectors sit at depth 0) by
-exact elimination of the screening images, and linalg.nullspace checks
-every kernel vector exactly against those images before it returns.
+inserted for the classes of degree one half (an "exp" charge carries it
+as its word, () otherwise).  Kernels are computed per conformal weight
+(doubled integers; highest vectors sit at depth 0) by exact elimination
+of the screening images, and linalg.nullspace checks every kernel vector
+exactly against those images before it returns.
 """
 
 from fractions import Fraction
@@ -245,11 +246,8 @@ class ScreeningContext:
         for (word, tag), c in state.items():
             wj, wf = self.split_word(word)
             part = self.s_alpha_mono(bidx, n, wj, tag)
-            for (wm, t2), c2 in part.items():
-                key = (wm + wf, t2)
-                cur = out.get(key)
-                val = c * c2
-                out[key] = val if cur is None else cur + val
+            state_acc(out, {(wm + wf, t2): c2 for (wm, t2), c2 in part.items()},
+                      c, self.field)
         return trimmed(out)
 
 
@@ -263,18 +261,18 @@ class ScreeningOp:
     kinds:
       "generic-one":   sum over the class of chi(e_a) * S^a_1
       "generic-half":  sum over the class of Res :S^a(z) Phi_a(z):
-      "exp":           Res e^{int mu}(z)
-      "exp-fermion":   Res :e^{int mu}(z) Phi_a(z):
+      "exp":           Res :word e^{int mu}(z):, the word () or, dressed
+                       with its neutral fermion, ((Phi_a, 0),)
     """
 
     def __init__(self, ctx, kind, label, class_roots=None, momentum=None,
-                 fermion=None):
+                 word=()):
         self.ctx = ctx
         self.kind = kind
         self.label = label
         self.class_roots = class_roots or []
         self.momentum = momentum
-        self.fermion = fermion
+        self.word = word
 
     def __repr__(self):
         return "ScreeningOp(%s, %s)" % (self.kind, self.label)
@@ -283,17 +281,15 @@ class ScreeningOp:
         ctx = self.ctx
         field = ctx.field
         mod = ctx.system
-        if self.kind in ("exp", "exp-fermion"):
-            word = ((self.fermion, 0),) if self.kind == "exp-fermion" else ()
-            return mod.word_coeff_state(word, self.momentum, -1, state)
+        if self.kind == "exp":
+            return mod.word_coeff_state(self.word, self.momentum, -1, state)
         if self.kind == "generic-one":
             # S^a_1 is never computed for a root with chi(e_a) = 0
             weights = [(b, ctx.grading.chi.of_index(b))
                        for b in self.class_roots]
             return state_sum(((ctx.s_alpha_apply(b, 1, state), field.lift(c))
                               for b, c in weights if c), field)
-        if self.kind != "generic-half":
-            raise ValueError("unknown screening kind %r" % self.kind)
+        # generic-half
         out = {}
         depth2 = mod.state_depth2(state) if state else 0
         for bidx in self.class_roots:
@@ -352,15 +348,13 @@ def exponential_screenings(ctx):
         mu = tuple(-field.lift(c) / ctx.kappa_shift for c in t_coords)
         deg2 = ctx.grading.deg2[bidx]
         if deg2 == 1:
-            ops.append(ScreeningOp(ctx, "exp-fermion",
-                                   "Q[%s]" % d.basis_name(bidx),
-                                   class_roots=[bidx], momentum=mu,
-                                   fermion=ctx.fermion_of_root[bidx]))
+            word = ((ctx.fermion_of_root[bidx], 0),)
+        elif ctx.grading.chi.of_index(bidx):
+            word = ()
         else:
-            if ctx.grading.chi.of_index(bidx):
-                ops.append(ScreeningOp(ctx, "exp",
-                                       "Q[%s]" % d.basis_name(bidx),
-                                       class_roots=[bidx], momentum=mu))
+            continue
+        ops.append(ScreeningOp(ctx, "exp", "Q[%s]" % d.basis_name(bidx),
+                               class_roots=[bidx], momentum=mu, word=word))
     return ops
 
 

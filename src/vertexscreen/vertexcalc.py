@@ -75,15 +75,14 @@ def _ffact(s, d):
 
 
 class Gen:
-    __slots__ = ("index", "name", "parity", "weight2", "charge", "current")
+    __slots__ = ("index", "name", "parity", "weight2", "charge")
 
-    def __init__(self, index, name, parity, weight2, charge, current):
+    def __init__(self, index, name, parity, weight2, charge):
         self.index = index
         self.name = name
         self.parity = parity
         self.weight2 = weight2
         self.charge = charge
-        self.current = current
 
     def __repr__(self):
         return "Gen(%s)" % self.name
@@ -137,7 +136,7 @@ class Module:
     # -- generators and brackets ----------------------------------------------
 
     def add_gen(self, name, parity, weight2, charge=0, current=False):
-        g = Gen(len(self.gens), name, parity, weight2, charge, current)
+        g = Gen(len(self.gens), name, parity, weight2, charge)
         self.gens.append(g)
         self.by_name[name] = g.index
         if current:
@@ -662,13 +661,6 @@ class FieldExpr:
         return max((sum(self.system.gens[g].weight2 + 2 * d for (g, d) in w)
                     for (w, mom) in self.terms), default=0)
 
-    def charge(self):
-        out = {sum(self.system.gens[g].charge for (g, _) in w)
-               for (w, mom) in self.terms}
-        if len(out) > 1:
-            raise ValueError("field expression is not charge homogeneous")
-        return out.pop() if out else 0
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -707,11 +699,11 @@ def field_state(fe):
         module.hv(tag)
         st = {((), tag): c}
         for (g, d) in reversed(word):
-            scale = field.lift(_fact(d))
+            scale = field.lift(_fact(d)) if d >= 2 else None
             nxt = {}
             for (w, t), cc in st.items():
-                state_acc(nxt, module.gen_mode(g, -d - 1, w, t), cc * scale,
-                          field)
+                state_acc(nxt, module.gen_mode(g, -d - 1, w, t),
+                          cc if scale is None else cc * scale, field)
             st = nxt
         state_acc(out, st, field.one, field)
     return trimmed(out)
@@ -743,29 +735,6 @@ def apply_field_coeff(fe, J, state):
     module = fe.system
     return state_sum(((module.word_coeff_state(word, mom, J, state), c)
                       for (word, mom), c in fe.terms.items()), module.field)
-
-
-def mode_apply(fe, n2, state):
-    """Physical mode A_{n} (doubled index n2) applied to a state.
-
-    For a field of doubled weight w2 the physical index m (with
-    A(z) = sum_m A_m z^{-m-w}) relates to the integer mode index by
-    A_m = A_(m + w - 1); n2 + w2 must be even.
-    """
-    weights = {sum(fe.system.gens[g].weight2 + 2 * d for (g, d) in word)
-               for (word, mom) in fe.terms}
-    for (word, mom) in fe.terms:
-        if mom is not None:
-            raise UndefinedAction(
-                "physical mode indexing needs a pure letter weight")
-    if len(weights) > 1:
-        raise GradingMismatch("physical mode of an inhomogeneous field")
-    w2 = weights.pop() if weights else 0
-    if (n2 + w2) % 2:
-        raise GradingMismatch("mode index %s/2 incompatible with weight %s/2"
-                              % (n2, w2))
-    n = (n2 + w2) // 2 - 1
-    return apply_field_coeff(fe, -n - 1, state)
 
 
 def bracket(a, b):
@@ -804,13 +773,6 @@ def _mom_bound(mom, bstate, module):
 def normal_order(a, b):
     """The normally ordered product :ab: in canonical form."""
     return state_field(apply_field_coeff(a, 0, field_state(b)), a.system)
-
-
-def normal_order_list(factors):
-    out = factors[-1]
-    for f in reversed(factors[:-1]):
-        out = normal_order(f, out)
-    return out
 
 
 def derive(a):

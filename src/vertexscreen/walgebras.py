@@ -122,24 +122,22 @@ class BRSTComplex:
         self.d0_image = {}
         for u in self.gle0:
             terms = {}
-            # standard component, lambda^0
+            # one pass over b: the standard (:J^l ph^b: and a_k d ph^b),
+            # neutral (c^a_{u,b} :Phi_a ph^b:) and chi (chi([u, e_b]) ph^b)
+            # components
             for b2 in self.restricted_pos:
-                for l, c in d.bracket(u, b2).items():
+                ub = d.bracket(u, b2)
+                for l, c in ub.items():
                     if l in self.jgen:
                         add(terms, field.lift(-(-1) ** d.parity[l] * c),
                             (self.jgen[l], 0), (ph[b2], 0))
+                    elif l in self.neutral:
+                        add(terms, field.lift(c), (self.neutral[l], 0),
+                            (ph[b2], 0))
                 akv = self.a_k(u, b2)
                 if akv:
                     add(terms, akv, (ph[b2], 1))
-            # neutral component: sum c^a_{u,b} :Phi_a ph^b:
-            for b2 in self.restricted_pos:
-                for l, c in d.bracket(u, b2).items():
-                    if l in self.neutral:
-                        add(terms, field.lift(c), (self.neutral[l], 0),
-                            (ph[b2], 0))
-            # chi component: sum chi([u, e_b]) ph^b
-            for b2 in self.restricted_pos:
-                val = chi.of_comb(d.bracket(u, b2))
+                val = chi.of_comb(ub)
                 if val:
                     add(terms, field.lift(val), (ph[b2], 0))
             self.d0_image[self.jgen[u]] = FieldExpr(self.system, terms)
@@ -414,10 +412,6 @@ class WBnModel(WBnFields):
         return bad
 
 
-def build_wbn(n, gamma_mode="symbolic"):
-    return WBnModel(n, gamma_mode)
-
-
 def verify_wbn_screening(n):
     """Q_i G = 0 for the n screening charges, over Q(s) with s = gamma_+.
 
@@ -450,7 +444,8 @@ def verify_wbn_screening(n):
 class W2nModel:
     """Heisenberg span {a_{n-1},...,a_1, psi, xi} with the level-shifted
     Gram matrix, the lattice algebra V_xi, the generators E = e^{xi} and
-    F = :P e^{-xi}:, and the exponential screenings A_i, Q."""
+    F = :P e^{-xi}:, and the momenta of the screenings e^{int a_i} and
+    e^{int psi}."""
 
     def __init__(self, n):
         if n < 2:
@@ -490,13 +485,8 @@ class W2nModel:
                         sys.set_bracket(g, g2, {1: comb(const=val)})
         self.gram = gram
         self.E = self.exp_field({self.xig: field.one})
-        self.p_words = self._build_p_words()
-        self.P = self._assemble(self.p_words, None)
-        self.F = self._assemble(self.p_words,
+        self.F = self._assemble(self._build_p_words(),
                                 self.exp_field({self.xig: -field.one}))
-        self.A = [self.exp_field({self.agen[i]: field.one})
-                  for i in range(n - 1)]
-        self.Q = self.exp_field({self.psig: field.one})
 
     def exp_field(self, comps):
         return self.system.exp_field(self.coords(comps))
@@ -531,14 +521,12 @@ class W2nModel:
             words = list(trimmed(nxt).items())
         return [(w, -c) for (w, c) in words]
 
-    def _assemble(self, words, tail_field):
-        """Right-nested normal ordering of formal words, optionally into a
-        lattice exponential seed."""
+    def _assemble(self, words, tail):
+        """Right-nested normal ordering of formal words into the field tail."""
         def nested(word):
-            cur = tail_field
+            cur = tail
             for (g, dd) in reversed(word):
-                letter = self.system.gen_field(g, dd)
-                cur = letter if cur is None else normal_order(letter, cur)
+                cur = normal_order(self.system.gen_field(g, dd), cur)
             return cur
 
         return sum((nested(word).scale(c) for word, c in words),
@@ -571,10 +559,6 @@ class W2nModel:
 
     def apply_screening(self, mu, state):
         return self.system.word_coeff_state((), mu, -1, state)
-
-
-def build_w2n(n):
-    return W2nModel(n)
 
 
 def verify_fs(model):

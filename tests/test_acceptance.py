@@ -22,7 +22,7 @@ from vertexscreen.screening import (character_of_generators,
 from vertexscreen.vertexcalc import bracket, derive
 from vertexscreen.verify import (verify_brst, verify_fs_suite, verify_miura,
                                  verify_wakimoto, verify_wbn, verify_wick)
-from vertexscreen.walgebras import build_w2n, build_wbn
+from vertexscreen.walgebras import W2nModel, WBnModel
 
 F = RationalFunctionField("k")
 SEED = 20240
@@ -89,7 +89,7 @@ def test_criterion_3_wbn_suite():
         doc = verify_wbn(argparse.Namespace(n=n), random.Random(SEED))
         ok = ok and doc["status"] == "pass" and \
             doc["top_coefficient"] == str(acc)
-    m1 = build_wbn(1)
+    m1 = WBnModel(1)
     ok = ok and 1 not in m1.brackets
     g2 = m1.gamma * m1.gamma
     ok = ok and m1.brackets[2].terms == {((), None): m1.field.one - 2 * g2}
@@ -108,7 +108,7 @@ def test_criterion_4_w2n_suite():
     t0 = time.time()
     ok = True
     for n in (2, 3):
-        m = build_w2n(n)
+        m = W2nModel(n)
         k = m.k
         kn = k + m.field.lift(n)
         pos = m.system.current_pos

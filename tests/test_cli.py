@@ -334,6 +334,17 @@ def test_verify_rejects_flags_its_suite_does_not_read(suite, flag, value,
     assert err == "error: verify %s does not read %s\n" % (suite, flag)
 
 
+@pytest.mark.parametrize("level", ["7/2", "symbolic"])
+def test_info_rejects_level(level, capsys):
+    """info reads no level: --level exits 2 with one error line, also at
+    its default value, instead of printing the report it prints without
+    the flag."""
+    assert main(["info", "--preset", "sl2-regular", "--level", level]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: info does not read --level\n"
+
+
 def test_bad_level_text_is_usage_error(capsys):
     assert main(["kernel", "--preset", "sl2-regular", "--level", "abc"]) == 2
     assert main(["verify", "brst", "--level", "1/0"]) == 2
@@ -490,21 +501,25 @@ def test_label_on_non_simple_root_is_usage_error(tmp_path, capsys):
 
 
 def test_info_on_a_datum_reads_no_level(tmp_path, capsys):
-    """info reports the grading alone, so a level that kernel rejects
-    (the critical k = -h_dual) passes on a datum file as on a preset."""
+    """info reports the grading alone, on a datum file as on a preset, and
+    never reads a level: the critical k = -h_dual, which kernel rejects,
+    is refused by info as a flag it does not read."""
     path = tmp_path / "sl2.json"
     path.write_text(json.dumps(datum_to_json(build_sl(2))))
     datum_args = ["--datum", str(path), "--labels", '{"s1": 2}',
-                  "--f-support", '["s1"]', "--level", "-2"]
+                  "--f-support", '["s1"]']
     code, out = run_cli(["info"] + datum_args, capsys)
     assert code == 0
-    code, want = run_cli(["info", "--preset", "sl2-regular",
-                          "--level", "-2"], capsys)
+    code, want = run_cli(["info", "--preset", "sl2-regular"], capsys)
     assert code == 0
     doc, want = json.loads(out), json.loads(want)
     for key in ("h_dual", "generator_weights2", "expected_character"):
         assert doc[key] == want[key], key
-    assert main(["kernel"] + datum_args) == 2
+    critical = ["--level", "-2"]
+    assert main(["info"] + datum_args + critical) == 2
+    assert capsys.readouterr().err == "error: info does not read --level\n"
+    assert main(["kernel"] + datum_args + critical) == 2
+    assert "does not read" not in capsys.readouterr().err
 
 
 def test_model_too_small_is_usage_error(capsys):

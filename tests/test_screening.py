@@ -169,7 +169,7 @@ def test_osp1_6_kernel_low_weights():
     odd weight 7/2 (checked through the first odd generator)."""
     ctx = preset_context("osp1_6-regular")
     ops = exponential_screenings(ctx)
-    assert sorted(op.kind for op in ops) == ["exp", "exp", "exp-fermion"]
+    assert sorted(len(op.word) for op in ops) == [0, 0, 1]
     char = expected_character(ctx.datum, ctx.grading, 7)
     assert char == character_of_generators([(4, 0), (7, 1), (8, 0), (12, 0)],
                                            7)
@@ -185,7 +185,7 @@ def test_osp1_4_mixed_screenings_kernel():
     """One pure exponential and one dressed charge act together."""
     ctx = preset_context("osp1_4-regular")
     ops = exponential_screenings(ctx)
-    assert sorted(op.kind for op in ops) == ["exp", "exp-fermion"]
+    assert sorted(len(op.word) for op in ops) == [0, 1]
     char = expected_character(ctx.datum, ctx.grading, 6)
     # generators of the n = 2 model: even weights 2, 4 and an odd 5/2
     assert char == character_of_generators([(4, 0), (5, 1), (8, 0)], 6)
@@ -224,8 +224,8 @@ def test_exponential_screenings_shape_osp():
                       ("osp1_6-regular", 3)):
         ctx = preset_context(preset)
         ops = exponential_screenings(ctx)
-        kinds = sorted(op.kind for op in ops)
-        assert kinds == ["exp"] * (n - 1) + ["exp-fermion"]
+        words = sorted(len(op.word) for op in ops)
+        assert words == [0] * (n - 1) + [1]
 
 
 def test_exponential_screenings_need_cartan():
@@ -416,7 +416,7 @@ def test_kernel_vectors_annihilated_by_screenings(preset, screenings, level,
     """Re-applying the screenings to the kernel vectors gives zero: an
     oracle for the exact check inside linalg.nullspace, through the
     screening action itself rather than the matrix of images.  The cases
-    cover the exp and exp-fermion charges over Q(k) and Q, generic-one
+    cover the pure and fermion-dressed exp charges over Q(k) and Q, generic-one
     (sl4-subregular, sl3-subregular) and generic-half
     (sl3-subregular-cartan)."""
     ctx = preset_context(preset, level=level)

@@ -8,11 +8,10 @@ from vertexscreen.presets import preset_context, preset_names
 from vertexscreen.scalars import QQ, RationalFunctionField
 from vertexscreen.screening import (character_of_generators,
                                     exponential_screenings)
-from vertexscreen.vertexcalc import (FieldExpr, GradingMismatch, Module,
+from vertexscreen.vertexcalc import (FieldExpr, Module,
                                      NonVacuumModule, comb, apply_field_coeff,
                                      bracket, derive, derive_n, field_state,
-                                     graded_basis, mode_apply, normal_order,
-                                     normal_order_list, state_field,
+                                     graded_basis, normal_order, state_field,
                                      state_acc, sugawara_field, trimmed)
 from vertexscreen.walgebras import WBnFields, build_complex
 from vertexscreen.verify import (check_commutator, check_jacobi, check_skew,
@@ -67,15 +66,6 @@ def test_derive_is_a_derivation(heis_fermion):
     assert lhs == rhs
 
 
-def test_normal_order_list_right_nesting(heis_fermion):
-    sys = heis_fermion
-    J = sys.gen_field("J")
-    P = sys.gen_field("Psi")
-    dJ = derive(J)
-    assert normal_order_list([dJ, J, P]) == \
-        normal_order(dJ, normal_order(J, P))
-
-
 def test_odd_square_vanishes(heis_fermion):
     sys = heis_fermion
     P = sys.gen_field("Psi")
@@ -106,10 +96,10 @@ def test_vacuum_annihilation(heis_fermion):
     mod = sys
     vac = mod.vacuum_state()
     J = sys.gen_field("J")
-    for n2 in (0, 2, 4):
-        assert mode_apply(J, n2, vac) == {}
-    # J_{-1}|0> is the generator state
-    assert mode_apply(J, -2, vac) == field_state(J)
+    for n in (0, 1, 2):
+        assert apply_field_coeff(J, -n - 1, vac) == {}
+    # J_(-1)|0> is the generator state
+    assert apply_field_coeff(J, 0, vac) == field_state(J)
 
 
 def test_graded_basis_counts(heis_fermion):
@@ -327,18 +317,6 @@ def test_momentum_needs_current_span(heis_fermion):
         sys.momentum_tag((sys.field.one, sys.field.one))  # only one current
 
 
-def test_mode_apply_physical_indexing(heis_fermion):
-    sys = heis_fermion
-    mod = sys
-    P = sys.gen_field("Psi")
-    vac = mod.vacuum_state()
-    # Psi_{-3/2}|0> = Psi_(-2)|0>: doubled physical index -3
-    st = mode_apply(P, -3, vac)
-    assert st == {(((1, -2),), sys.vacuum_tag()): sys.field.one}
-    with pytest.raises(GradingMismatch):
-        mode_apply(P, -2, vac)  # integer mode of a half-integer weight field
-
-
 def _partition_mults(total):
     """All multiplicity dicts {part: mult} with sum part*mult == total."""
     out = []
@@ -490,7 +468,7 @@ def _check_shared_creation_ladder(mod, momenta, fermion_op, monkeypatch,
                                   max_w2=8):
     """exp_coeff_mono equals the per-b rebuild on every vacuum-module
     monomial to doubled depth max_w2 (where screenings act), for every J
-    that the exp-fermion recursion, fermion_op = (fermion, mu), reaches on
+    that the fermion-dressed recursion, fermion_op = (fermion, mu), reaches on
     those monomials.  J runs once ascending on an empty creation memo, so
     stored ladders are extended at more than one J, and once descending on
     an emptied memo, so the first J builds every ladder and the later ones
@@ -542,8 +520,7 @@ def test_shared_creation_ladder_matches_per_b_osp1_4(level, monkeypatch):
     ctx = preset_context("osp1_4-regular", level)
     ops = exponential_screenings(ctx)
     momenta = [op.momentum for op in ops]
-    (fop,) = [(op.fermion, op.momentum) for op in ops
-              if op.kind == "exp-fermion"]
+    (fop,) = [(op.word[0][0], op.momentum) for op in ops if op.word]
     _check_shared_creation_ladder(ctx.system, momenta, fop, monkeypatch)
 
 

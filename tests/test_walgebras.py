@@ -3,18 +3,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from vertexscreen import walgebras
+from vertexscreen import verify as verify_module, walgebras
 from vertexscreen.linalg import matrix_rank, nullspace, solve_in_span
 from vertexscreen.presets import build_preset, preset_context, preset_names
 from vertexscreen.scalars import QQ, RationalFunctionField
-from vertexscreen.screening import (expected_character, generic_screenings,
+from vertexscreen.screening import (choose_screenings, expected_character,
+                                    generic_screenings,
                                     exponential_screenings, kernel_basis)
 from vertexscreen.vertexcalc import (bracket, derive, field_state,
                                      graded_basis, normal_order, state_field)
 from vertexscreen.verify import check_commutator, verify_brst, verify_miura
-from vertexscreen.walgebras import (NonZeroCharge, WakimotoMap,
-                                    build_complex, build_w2n, build_wbn,
-                                    koszul_sorted, miura_project, verify_fs,
+from vertexscreen.walgebras import (NonZeroCharge, W2nModel, WakimotoMap,
+                                    WBnModel, build_complex, koszul_sorted,
+                                    miura_project, verify_fs,
                                     verify_wbn_screening)
 
 F = RationalFunctionField("k")
@@ -342,12 +343,74 @@ def test_miura_images_in_kernel_sl2():
             assert solve_in_span(kvecs, img, F) is not None, w2
 
 
+def _miura_by_span_solve(preset, level, maxw2, project):
+    """verify_miura's witnesses and scalars recomputed by solving each
+    projected H0 class in the span of the symbolic kernel basis."""
+    ctx = preset_context(preset, level)
+    field = ctx.field
+    brst = build_complex(ctx.grading, field, ctx.level)
+    _, ops = choose_screenings(ctx)
+    char = expected_character(ctx.datum, ctx.grading, maxw2)
+    witness, scalars = [], {}
+    for w2 in range(maxw2 + 1):
+        h0 = brst.h0_basis(w2)
+        rep = kernel_basis(ctx, ops, w2, expected=char[w2])
+        if len(h0) != rep.kernel_dim:
+            witness.append({"check": "dim", "weight2": w2})
+            continue
+        kvecs = [field_state(f) for f in rep.basis_fields]
+        for cls in h0:
+            sol = solve_in_span(kvecs, project(brst, cls, ctx), field)
+            if sol is None:
+                witness.append({"check": "membership", "weight2": w2})
+            elif len(kvecs) == 1:
+                scalars[str(w2)] = str(sol[0])
+    return witness, scalars
+
+
+def _off_kernel_projection(brst, cls, ctx):
+    """The Miura image plus the basis monomial J_(-2)|0> for the first
+    current at doubled weight 4, which no screening kernel contains."""
+    img = miura_project(brst, cls, ctx)
+    if brst.system.state_depth2(cls) == 4:
+        key = (((0, -2),), ctx.system.vacuum_tag())
+        img[key] = img.get(key, ctx.field.zero) + ctx.field.one
+    return {key: c for key, c in img.items() if c}
+
+
+@pytest.mark.parametrize("preset, level, maxw2", [
+    ("sl2-regular", "symbolic", 8),
+    ("osp1_2-regular", "symbolic", 8),
+    ("osp1_4-regular", "symbolic", 8),
+    ("sl3-subregular", "symbolic", 6),
+    ("sl3-subregular-cartan", "symbolic", 6),
+    ("osp1_6-regular", Fraction(7, 2), 6)])
+def test_verify_miura_matches_span_solve(preset, level, maxw2, monkeypatch):
+    """Membership by annihilation and the scalar read off the image's last
+    word give what solve_in_span over the kernel basis gives: the same
+    witnesses and scalars, on the true projection and on one pushed off
+    the kernel at doubled weight 4."""
+    args = SimpleNamespace(preset=preset, level=level, max_weight=maxw2)
+    doc = verify_miura(args, None)
+    assert doc["status"] == "pass", doc["witness"]
+    want = _miura_by_span_solve(preset, level, maxw2, miura_project)
+    assert (doc["witness"], doc["scalars_vs_kernel_basis"]) == want
+    assert doc["scalars_vs_kernel_basis"]
+    monkeypatch.setattr(verify_module, "miura_project",
+                        _off_kernel_projection)
+    doc = verify_miura(args, None)
+    want = _miura_by_span_solve(preset, level, maxw2,
+                                _off_kernel_projection)
+    assert (doc["witness"], doc["scalars_vs_kernel_basis"]) == want
+    assert {"check": "membership", "weight2": 4} in doc["witness"]
+
+
 # ---------------------------------------------------------------------------
 # the odd-field models
 
 
 def test_wbn_closed_form_n1():
-    m = build_wbn(1)
+    m = WBnModel(1)
     sys = m.system
     b = sys.gen_field(m.bgen[0])
     psi = sys.gen_field(m.psi)
@@ -361,7 +424,7 @@ def test_wbn_closed_form_n1():
 
 def test_wbn_top_coefficient_and_c2():
     for n in (1, 2, 3):
-        m = build_wbn(n)  # TopCoefficientMismatch would raise here
+        m = WBnModel(n)  # TopCoefficientMismatch would raise here
         assert m.check_c2_congruences() == []
         # gamma_n as a polynomial identity in the coupling
         acc = m.field.one
@@ -372,7 +435,7 @@ def test_wbn_top_coefficient_and_c2():
 
 
 def test_wbn_specialized_gamma():
-    m = build_wbn(2, gamma_mode=Fraction(1, 3))
+    m = WBnModel(2, gamma_mode=Fraction(1, 3))
     assert m.check_c2_congruences() == []
     # (1 - 2/9)(1 - 12/9) = (7/9)(-1/3)
     assert m.gamma_consts[2] == Fraction(-7, 27)
@@ -424,7 +487,7 @@ def test_wbn_kernel_dims_match_regular_reduction():
 
 def test_w2n_gram_matrix():
     for n in (2, 3):
-        m = build_w2n(n)
+        m = W2nModel(n)
         k = m.k
         kn = k + m.field.lift(n)
         pos = m.system.current_pos
@@ -441,14 +504,14 @@ def test_w2n_gram_matrix():
 
 def test_w2n_f_forms_and_screenings():
     for n in (2, 3):
-        m = build_w2n(n)
+        m = W2nModel(n)
         assert m.rewritten_f() == m.F
         assert verify_fs(m) == []
         assert bracket(m.E, m.E) == {}
 
 
 def test_w2n_f_printed_form_n2():
-    m = build_w2n(2)
+    m = W2nModel(2)
     k = m.k
     sys = m.system
     psi = sys.gen_field(m.psig)

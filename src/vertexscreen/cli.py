@@ -174,16 +174,19 @@ class _Given(argparse.Action):
         namespace.given = getattr(namespace, "given", ()) + (self.dest,)
 
 
+# each suite's runner and the flags it reads, of those that _Given records
+_SUITES = {
+    "wick": (verify_mod.verify_wick, "seed trials max_weight"),
+    "brst": (verify_mod.verify_brst, "preset level max_weight"),
+    "wbn": (verify_mod.verify_wbn, "n"),
+    "fs": (verify_mod.verify_fs_suite, "n"),
+    "wakimoto": (verify_mod.verify_wakimoto, "n"),
+    "miura": (verify_mod.verify_miura, "preset level max_weight"),
+}
+
+
 def cmd_verify(args):
-    # the flags each suite reads, of those that _Given records
-    runner, reads = {
-        "wick": (verify_mod.verify_wick, "seed trials max_weight"),
-        "brst": (verify_mod.verify_brst, "preset level max_weight"),
-        "wbn": (verify_mod.verify_wbn, "n"),
-        "fs": (verify_mod.verify_fs_suite, "n"),
-        "wakimoto": (verify_mod.verify_wakimoto, "n"),
-        "miura": (verify_mod.verify_miura, "preset level max_weight"),
-    }[args.suite]
+    runner, reads = _SUITES[args.suite]
     for dest in getattr(args, "given", ()):
         if dest not in reads.split():
             raise InputError("verify %s does not read --%s"
@@ -211,9 +214,15 @@ def make_parser():
                           default="auto")
     p_kernel.set_defaults(func=cmd_kernel)
     # every suite builds its own algebra from --preset or --n
-    p_verify = sub.add_parser("verify", help="run a named check suite")
-    p_verify.add_argument("suite", choices=("wick", "brst", "wbn", "fs",
-                                            "wakimoto", "miura"))
+    p_verify = sub.add_parser(
+        "verify", help="run a named check suite",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="flags each suite reads besides --out and --format; it "
+        "refuses any other:\n"
+        + "\n".join("  %-9s --%s" % (suite, " --".join(reads.split()))
+                    for suite, (_, reads) in _SUITES.items())
+        .replace("_", "-"))
+    p_verify.add_argument("suite", choices=tuple(_SUITES))
     p_verify.add_argument("--seed", type=int, default=20240, action=_Given)
     p_verify.add_argument("--n", type=_count(1), default=3, action=_Given)
     p_verify.add_argument("--trials", type=_count(1), default=25,
@@ -221,8 +230,10 @@ def make_parser():
     p_verify.set_defaults(func=cmd_verify)
     for p in (p_info, p_kernel, p_verify):
         p.add_argument("--preset", choices=preset_names(), action=_Given)
+        # info refuses --level; it is kept only to say so
         p.add_argument("--level", default="symbolic", action=_Given,
-                       help='"symbolic" or a rational p/q')
+                       help=argparse.SUPPRESS if p is p_info
+                       else '"symbolic" or a rational p/q')
         p.add_argument("--max-weight", type=_count(0), default=8,
                        action=_Given,
                        help="doubled conformal weight bound"

@@ -16,11 +16,14 @@ here is divided by its own gcd instead.  Only the outputs are divided
 back into Fractions or rational functions.
 
 One sparse forward elimination modulo the prime P = 2^61 - 1,
-_echelon_mod_p, has two callers.  rank_mod_p ranks rows over either field
-at a level k0 through the hook field.mod_row, at most the exact rank (von
-zur Gathen & Gerhard, Modern Computer Algebra, 5.4-5.5), and
-BRSTComplex.cohomology_dims certifies its dimensions with it.  Over Q,
-nullspace first takes the echelon, back substitution, rational
+_echelon_mod_p, pivots each column on the shortest row that holds it
+(Markowitz's rule, restricted to the column), which keeps fill-in down
+and changes no pivot column.  It has two callers.  rank_mod_p ranks rows
+over either field at a level k0 through the hook field.mod_row, at most
+the exact rank (von zur Gathen & Gerhard, Modern Computer Algebra,
+5.4-5.5), and BRSTComplex.cohomology_dims certifies its dimensions with
+it.  Over Q, nullspace first scales each row to ints over its nonzero
+entries, then takes the echelon, back substitution, rational
 reconstruction of every entry (5.10) and an exact check of every basis
 vector against every row in ints, which certifies the answer row_reduce
 gives; when that fails it falls back to row_reduce, whose nullspaces over
@@ -132,20 +135,20 @@ def nullspace(rows, ncols, field, pivot_sink=None):
 def _modular_nullspace(rows, ncols, field):
     """nullspace over Q by elimination mod P, or None when uncertified."""
     # the rows in ints, column by column for the check and as sparse rows
-    # mod P for the elimination
+    # mod P for the elimination; only the nonzero entries are scaled
     columns = [[] for _ in range(ncols)]
     sparse = []
     for i, row in enumerate(rows):
-        den, ints = field.int_row(row)
+        nonzero = [j for j, x in enumerate(row) if x]
+        den, ints = field.int_row([row[j] for j in nonzero])
         if den % P == 0:
             return None
         r = {}
-        for j, x in enumerate(ints):
+        for j, x in zip(nonzero, ints):
+            columns[j].append((i, x))
+            x %= P
             if x:
-                columns[j].append((i, x))
-                x %= P
-                if x:
-                    r[j] = x
+                r[j] = x
         if r:
             sparse.append(r)
     pivots, tails = _echelon_mod_p(sparse, ncols)
@@ -193,23 +196,50 @@ def _modular_nullspace(rows, ncols, field):
 
 def _echelon_mod_p(sparse, ncols):
     """Forward elimination of sparse rows {column: nonzero int mod P},
-    columns in order, using the rows up.  Returns the pivot columns and
-    each pivot row as the items right of its pivot, scaled to 1."""
+    columns in order.  Returns the pivot columns and each pivot row as the
+    items right of its pivot, scaled to 1; the row dicts are used up.
+
+    holders[j] lists the rows that have held column j: a row is added
+    when an entry fills in there, and a row whose entry cancelled, or
+    that became a pivot, is dropped when column j comes up (lists rather
+    than sets keep the peak memory of the map down).  Each column is
+    pivoted on the shortest row that holds it, the lowest index among
+    equals: Markowitz's rule restricted to the column (Duff, Erisman &
+    Reid, Direct Methods for Sparse Matrices, ch. 7), so a pivot row
+    spreads as few entries as the column allows.  Which row is chosen
+    does not change the pivot columns: column j is a pivot exactly when
+    it is not in the span of the columns before it, whatever rows
+    eliminate it.  So ranks, and the kernel basis that back substitution
+    reads off the tails (the unique one that is the identity on the free
+    columns), do not depend on the rule either.
+    """
+    holders = [[] for _ in range(ncols)]
+    for i, r in enumerate(sparse):
+        for j in r:
+            holders[j].append(i)
     pivots, tails = [], []
     for col in range(ncols):
-        for i, r in enumerate(sparse):
-            if col in r:
-                break
-        else:
+        here = {i for i in holders[col]
+                if sparse[i] is not None and col in sparse[i]}
+        holders[col] = None
+        if not here:
             continue
-        prow = sparse.pop(i)
+        i = min(here, key=lambda i: (len(sparse[i]), i))
+        here.discard(i)
+        prow, sparse[i] = sparse[i], None
         inv = pow(prow.pop(col), -1, P)
         tail = [(j, y * inv % P) for j, y in prow.items()]
-        for r in sparse:
-            v = r.pop(col, 0)
-            if v:
-                for j, y in tail:
-                    x = (r.get(j, 0) - v * y) % P
+        for t in here:
+            r = sparse[t]
+            v = r.pop(col)
+            for j, y in tail:
+                x = r.get(j)
+                if x is None:
+                    # v, y != 0 mod P: a new entry fills in
+                    r[j] = -v * y % P
+                    holders[j].append(t)
+                else:
+                    x = (x - v * y) % P
                     if x:
                         r[j] = x
                     else:

@@ -17,9 +17,10 @@ mode actions on module states:
     back to canonical words.
 
 Highest vectors carry momentum (Fock modules over the abelian current
-part) or a finite zero-mode action table (induced modules); lattice
-exponential operators act through their explicit mode series.  All states
-are graded by depth above the highest vector, a doubled integer.
+part) or a finite zero-mode action table (induced modules); a lattice
+exponential acts through the mode series of its creation half and the
+closed form of its annihilation half.  All states are graded by depth
+above the highest vector, a doubled integer.
 
 A field carries its generator system, which is also the one module over
 it (Module), so the derived operations (field_state, bracket,
@@ -113,7 +114,9 @@ class Module:
     registered induced-module vectors with a finite zero-mode table.  Tags
     are interned (vacuum_tag, momentum_tag, induced_tag): each distinct tag
     is one HvTag object, hashed and compared by identity, so a state key
-    (word, tag) hashes without touching the coordinates.  A tag built any
+    (word, tag) hashes without touching the coordinates.  word_coeff_state
+    interns the momentum of a lattice exponential the same way, once per
+    call, and the memos under it are keyed on that tag.  A tag built any
     other way matches nothing.
     """
 
@@ -130,6 +133,7 @@ class Module:
         self._mode_memo = {}
         self._translate_memo = {}
         self._word_memo = {}
+        self._drop_memo = {}
         self._ladder_memo = {}
         self._creation_memo = {}
 
@@ -389,11 +393,12 @@ class Module:
     # -- coefficient extraction for normally ordered word fields ----------------
 
     def _mom_pairing_int(self, mom, tag):
+        """(mu|momentum of tag) for the interned momentum mu, as an int."""
         hv = self.hv(tag)
         if hv.momentum is None:
             raise GradingMismatch(
                 "lattice exponential applied to a non-Fock highest vector")
-        val = self.pair_momenta(mom, hv.momentum)
+        val = self.pair_momenta(mom[1], hv.momentum)
         fr = self.field.as_fraction(val)
         if fr is None or fr.denominator != 1:
             raise GradingMismatch(
@@ -401,7 +406,9 @@ class Module:
         return int(fr)
 
     def word_coeff_mono(self, word, mom, J, w0, tag):
-        """[z^J] of the word field (with optional momentum factor) on a monomial."""
+        """[z^J] of the word field (with optional momentum factor) on a
+        monomial; mom is None or a tag of momentum_tag, so the memo key
+        hashes no coordinate."""
         key = (word, mom, J, w0, tag)
         out = self._word_memo.get(key)
         if out is not None:
@@ -455,12 +462,11 @@ class Module:
         With p = (mu|momentum of tag) and S_mu the shift of the momentum,
         e^{int mu}(z) = S_mu z^p C(z) A(z), where
             A(z) = exp(-sum_{j>0} mu_(j) z^(-j) / j) = sum_b A_b z^(-b),
-            C(z) = exp(sum_{j>0} mu_(-j) z^j / j) = sum_a C_a z^a.
-        The modes of mu of one sign commute, so differentiating each
-        exponential gives the recurrences
-            A_b = -(1/b) sum_{j=1..b} mu_(j) A_{b-j},
-            C_a = (1/a) sum_{j=1..a} mu_(-j) C_{a-j},
+            C(z) = exp(sum_{j>0} mu_(-j) z^j / j) = sum_a C_a z^a,
         and the coefficient is sum_b C_{J-p+b} S_mu A_b on the monomial.
+        A_b is read off in closed form (_annihilation_ladder).  The modes
+        of mu of one sign commute, so differentiating C(z) gives
+            C_a = (1/a) sum_{j=1..a} mu_(-j) C_{a-j}.
         C_a is linear and does not see where a monomial came from, so each
         C_a m is stored per shifted monomial m (_creation_ladder) and shared
         by every b, every J and every monomial whose A_b reaches m.
@@ -481,19 +487,84 @@ class Module:
 
     def _annihilation_ladder(self, mom, w0, tag):
         """A_0..A_{D/2} on the monomial and the shifted tag, stored per
-        (mom, w0, tag) and only read by callers."""
+        (mom, w0, tag) and only read by callers.
+
+        The modes of mu bracket centrally with the currents and commute
+        with every other letter: [mu_(j), g_(n)] = j (mu|g) delta_{j+n,0}
+        for a current g and 0 otherwise (_drop_factors checks this).  So
+        the exponent X(z) = -sum_{j>0} mu_(j) z^(-j) / j of A(z) has a
+        central commutator [X(z), g_(n)] = -(mu|g) z^n with a current mode
+        g_(n), n < 0, and
+            A(z) g_(n) A(z)^(-1) = exp(ad X(z)) g_(n) = g_(n) - (mu|g) z^n,
+        the series stopping after one commutator.  A(z) fixes the highest
+        vector, since mu_(j) kills it for j > 0, so on a monomial
+            A(z) g1_(n1) ... gr_(nr) |hv>
+              = prod_i (gi_(ni) - (mu|gi) z^ni) |hv>,
+        with (mu|gi) = 0 for a letter that is not a current.  Expanding the
+        product, A_b is the sum over the sets of letters of total mode -b
+        of the word without them times the product of their -(mu|g).  The
+        kept letters stay in order, so each term is again a PBW monomial;
+        sets that keep the same word merge in the sum, which is where
+        repeated letters get their binomial multiplicities.
+        """
         key = (mom, w0, tag)
         out = self._ladder_memo.get(key)
         if out is not None:
             return out
         hv = self.hv(tag)
-        new_coords = tuple(a + b for a, b in zip(hv.momentum, mom))
+        new_coords = tuple(a + b for a, b in zip(hv.momentum, mom[1]))
         new_tag = self.momentum_tag(new_coords)
         self.hv(new_tag)
-        ladder = [{(w0, tag): self.field.one}]
-        for b in range(1, self.word_depth2(w0) // 2 + 1):
-            ladder.append(self._exp_step(mom, ladder, 1, Fraction(-1, b)))
+        drops = self._drop_factors(mom)
+        field = self.field
+        # {(kept word, b): coeff} over the letters read so far
+        terms = {((), 0): field.one}
+        for letter in w0:
+            nxt = {(kept + (letter,), b): c for (kept, b), c in terms.items()}
+            f = drops.get(letter[0])
+            if f is not None:
+                # dropped, the letter adds its mode -m to b
+                state_acc(nxt, {(kept, b - letter[1]): c
+                                for (kept, b), c in terms.items()}, f, field)
+            terms = nxt
+        ladder = [{} for _ in range(self.word_depth2(w0) // 2 + 1)]
+        for (kept, b), c in terms.items():
+            if b < len(ladder):
+                ladder[b][(kept, tag)] = c
         out = self._ladder_memo[key] = (tuple(ladder), new_tag)
+        return out
+
+    def _drop_factors(self, mom):
+        """{g: -(mu|g)} over the currents g with (mu|g) != 0, read off the
+        bracket table once per momentum.  Raises NonAbelianMomentum unless
+        every current in play (mu_i != 0) is even, brackets with each
+        current by a central lambda^1 constant and with no other letter:
+        the conditions of _annihilation_ladder's closed form."""
+        out = self._drop_memo.get(mom)
+        if out is not None:
+            return out
+        field = self.field
+        acc = {}
+        for i, c in enumerate(mom[1]):
+            if not c:
+                continue
+            a = self.currents[i]
+            if self.gens[a].parity:
+                raise NonAbelianMomentum(
+                    "current %s is odd" % self.gens[a].name)
+            for h in range(len(self.gens)):
+                entries = self.brackets.get((a, h))
+                if not entries:
+                    continue
+                const, terms = entries.get(1, (None, ()))
+                if h not in self.current_pos or len(entries) > 1 or \
+                        const is None or terms:
+                    raise NonAbelianMomentum(
+                        "current %s brackets with %s by more than a central "
+                        "lambda constant" % (self.gens[a].name,
+                                             self.gens[h].name))
+                state_acc(acc, {h: const}, c, field)
+        out = self._drop_memo[mom] = {h: -v for h, v in trimmed(acc).items()}
         return out
 
     def _creation_ladder(self, mom, word, tag, top):
@@ -504,27 +575,30 @@ class Module:
         ladder = self._creation_memo.get(key)
         if ladder is None:
             ladder = self._creation_memo[key] = [{(word, tag): self.field.one}]
-        for a in range(len(ladder), top + 1):
-            ladder.append(self._exp_step(mom, ladder, -1, Fraction(1, a)))
+        while len(ladder) <= top:
+            ladder.append(self._exp_step(mom, ladder))
         return ladder
 
-    def _exp_step(self, mom, ladder, sign, scale):
-        """scale * sum_{j=1..n} mu_(sign*j) ladder[n-j], n = len(ladder)."""
+    def _exp_step(self, mom, ladder):
+        """C_n = (1/n) sum_{j=1..n} mu_(-j) C_{n-j}, n = len(ladder)."""
         field = self.field
         currents = self.currents
-        scale = field.lift(scale)
-        parts = [(currents[i], c * scale) for i, c in enumerate(mom)
-                 if c]
         n = len(ladder)
+        scale = field.lift(Fraction(1, n))
+        parts = [(currents[i], c * scale) for i, c in enumerate(mom[1])
+                 if c]
         acc = {}
         for j in range(1, n + 1):
             for (w, t), c in ladder[n - j].items():
                 for g, cg in parts:
-                    state_acc(acc, self.gen_mode(g, sign * j, w, t), c * cg,
-                              field)
+                    state_acc(acc, self.gen_mode(g, -j, w, t), c * cg, field)
         return trimmed(acc)
 
     def word_coeff_state(self, word, mom, J, state):
+        """[z^J] of the word field, times e^{int mu} for mom = mu (a tuple
+        of current coordinates) or no factor for None, on a state."""
+        if mom is not None:
+            mom = self.momentum_tag(mom)
         return state_sum(((self.word_coeff_mono(word, mom, J, w, t), c)
                           for (w, t), c in state.items()), self.field)
 
@@ -764,6 +838,7 @@ def _mom_bound(mom, bstate, module):
     if mom is None:
         return 0
     worst = 0
+    mom = module.momentum_tag(mom)
     for (w, t) in bstate:
         p = module._mom_pairing_int(mom, t)
         worst = min(worst, p)

@@ -345,6 +345,45 @@ def test_info_rejects_level(level, capsys):
     assert err == "error: info does not read --level\n"
 
 
+def _help(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_info_help_does_not_offer_level(capsys):
+    """info --help lists no --level, the flag info refuses; kernel and
+    verify still offer it."""
+    assert "--level" not in _help(["info"], capsys)
+    assert "--preset" in _help(["info"], capsys)
+    for argv in (["kernel"], ["verify", "brst"]):
+        text = _help(argv, capsys)
+        assert "--level LEVEL" in text
+        assert '"symbolic" or a rational p/q' in text
+
+
+def test_verify_help_names_the_flags_each_suite_reads(capsys):
+    """verify --help ends with one line per suite naming the flags it
+    reads, the same table cmd_verify refuses the others by: every flag
+    named is accepted and every other suite flag is refused."""
+    text = _help(["verify", "wick"], capsys)
+    lines = text.split("besides --out and --format; it refuses any other:\n",
+                       1)[1].splitlines()
+    reads = {line.split()[0]: line.split()[1:] for line in lines}
+    assert reads == {"wick": ["--seed", "--trials", "--max-weight"],
+                     "brst": ["--preset", "--level", "--max-weight"],
+                     "wbn": ["--n"], "fs": ["--n"], "wakimoto": ["--n"],
+                     "miura": ["--preset", "--level", "--max-weight"]}
+    values = {"--seed": "20240", "--trials": "25", "--max-weight": "8",
+              "--preset": "sl3-regular", "--level": "symbolic", "--n": "3"}
+    for suite, flags in reads.items():
+        for flag in set(values) - set(flags):
+            assert main(["verify", suite, flag, values[flag]]) == 2
+            assert capsys.readouterr().err == \
+                "error: verify %s does not read %s\n" % (suite, flag)
+
+
 def test_bad_level_text_is_usage_error(capsys):
     assert main(["kernel", "--preset", "sl2-regular", "--level", "abc"]) == 2
     assert main(["verify", "brst", "--level", "1/0"]) == 2

@@ -27,6 +27,11 @@ e^{int mu} creation ladder was stored per monomial.
 ``verify-brst-osp1_6-regular-symbolic-8.json`` hold what ``verify brst``
 wrote while every BRST rank was still taken over Q(k), before
 cohomology_dims certified its dimensions from ranks mod 2^61 - 1.
+``verify-brst-sl3-subregular-cartan-symbolic-10.json`` holds what
+``verify brst`` wrote to doubled weight 10 before the modular echelon
+pivoted each column on its shortest row (the run took 13-18 s then and
+5-7 s after, raw, on a shared 2-vCPU machine); every verify file also
+records that its run tested each weight up to its --max-weight.
 ``datum-sl4.json`` and ``datum-osp1_6.json`` hold ``datum_to_json`` of
 ``build_sl(4)`` and ``build_osp(3)``, dumped as the CLI dumps JSON
 (indent 2, sorted keys, a final newline), while the matrix models were
@@ -65,6 +70,7 @@ VERIFY_CASES = [
     ("miura", "sl3-subregular-cartan", "symbolic", 6),
     ("brst", "sl3-subregular-cartan", "symbolic", 8),
     ("brst", "osp1_6-regular", "symbolic", 8),
+    ("brst", "sl3-subregular-cartan", "symbolic", 10),
 ]
 GENERIC_CASES = [
     ("osp1_2-regular", "symbolic", 6),
@@ -110,6 +116,8 @@ def test_verify_report_matches_golden(suite, preset, level, max_w2,
                                         level.replace("/", "_"), max_w2)
     _run_to_file(["verify", suite, "--preset", preset, "--level", level,
                   "--max-weight", str(max_w2)], name, tmp_path, capsys)
+    doc = json.loads((GOLDEN / name).read_text())
+    assert doc["weights_tested"] == list(range(max_w2 + 1))
 
 
 @pytest.mark.parametrize("preset, max_w2", INFO_CASES)

@@ -160,6 +160,78 @@ def test_certified_nullspace_matches_fallback_and_sympy(problem):
     assert nullspace(rows, ncols, QQ) == expected
 
 
+def _echelon_first_row(sparse, ncols):
+    """_echelon_mod_p with the pivot of each column taken from the first
+    row that holds it, as it was taken before the shortest row."""
+    pivots, tails = [], []
+    for col in range(ncols):
+        for i, r in enumerate(sparse):
+            if col in r:
+                break
+        else:
+            continue
+        prow = sparse.pop(i)
+        inv = pow(prow.pop(col), -1, P)
+        tail = [(j, y * inv % P) for j, y in prow.items()]
+        for r in sparse:
+            v = r.pop(col, 0)
+            if v:
+                for j, y in tail:
+                    x = (r.get(j, 0) - v * y) % P
+                    if x:
+                        r[j] = x
+                    else:
+                        del r[j]
+        pivots.append(col)
+        tails.append(tail)
+    return pivots, tails
+
+
+@st.composite
+def markowitz_problems(draw):
+    """(ncols, rows) whose first row holds every column and some later
+    row holds column 0 and at most one other column: the first row
+    holding column 0 is not the shortest one."""
+    ncols = draw(st.integers(3, 9))
+    nonzero = Q_ENTRIES.map(Fraction).filter(bool)
+    first = draw(st.lists(nonzero, min_size=ncols, max_size=ncols))
+    short = [draw(nonzero)] + [Fraction(0)] * (ncols - 1)
+    other = draw(st.integers(0, ncols - 1))
+    short[other] = draw(nonzero)
+    rest = draw(st.lists(st.lists(SPARSE_Q, min_size=ncols,
+                                  max_size=ncols), max_size=8))
+    at = draw(st.integers(0, len(rest)))
+    return ncols, [first] + rest[:at] + [short] + rest[at:]
+
+
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(markowitz_problems())
+def test_shortest_row_pivots_match_first_row_rule(problem):
+    """Pivoting each column on its shortest row keeps the pivot columns of
+    the first-row rule, so the rank mod P is sympy's rank, and back
+    substitution reads off the same kernel basis; nullspace over Q equals
+    the row_reduce fallback and sympy."""
+    ncols, rows = problem
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    holders = [r for r in sparse if 0 in r]
+    assert min(holders, key=len) is not holders[0]
+    images = [{j: x for j, x in zip(r, QQ.mod_row(list(r.values()), 0))
+               if x} for r in sparse]
+    pivots, _ = linalg._echelon_mod_p([dict(r) for r in images], ncols)
+    assert pivots == _echelon_first_row([dict(r) for r in images], ncols)[0]
+    rank = _matrix(rows, ncols, sympy.QQ).rank()
+    assert len(pivots) == rank
+    assert rank_mod_p(sparse, ncols, QQ, 0) == rank
+    expected = _fallback_nullspace(rows, ncols)
+    assert expected == _sympy_nullspace(rows, ncols)
+    assert nullspace(rows, ncols, QQ) == expected
+    certified = linalg._modular_nullspace(rows, ncols, QQ)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_echelon_mod_p", _echelon_first_row)
+        assert linalg._modular_nullspace(rows, ncols, QQ) == certified
+        assert rank_mod_p(sparse, ncols, QQ, 0) == rank
+
+
 def _counting(monkeypatch):
     """Wrap the modular path; the list records whether each call
     certified its answer."""

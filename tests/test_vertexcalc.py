@@ -459,7 +459,7 @@ def _exp_coeff_per_b(mod, mom, J, w0, tag):
             continue
         up = [{(w, new_tag): c for (w, t), c in st.items()}]
         for a in range(1, top + 1):
-            up.append(mod._exp_step(mom, up, -1, Fraction(1, a)))
+            up.append(mod._exp_step(mom, up))
         state_acc(out, up[top], field.one, field)
     return {k: v for k, v in out.items() if v}
 
@@ -469,7 +469,8 @@ def _check_shared_creation_ladder(mod, momenta, fermion_op, monkeypatch,
     """exp_coeff_mono equals the per-b rebuild on every vacuum-module
     monomial to doubled depth max_w2 (where screenings act), for every J
     that the fermion-dressed recursion, fermion_op = (fermion, mu), reaches on
-    those monomials.  J runs once ascending on an empty creation memo, so
+    those monomials.  The momenta are tags of mod.momentum_tag, as the
+    internals take them.  J runs once ascending on an empty creation memo, so
     stored ladders are extended at more than one J, and once descending on
     an emptied memo, so the first J builds every ladder and the later ones
     only read."""
@@ -493,9 +494,9 @@ def _check_shared_creation_ladder(mod, momenta, fermion_op, monkeypatch,
     creation_steps = [0]
     exp_step = mod._exp_step
 
-    def counting(mom, ladder, sign, scale):
-        creation_steps[0] += sign < 0
-        return exp_step(mom, ladder, sign, scale)
+    def counting(mom, ladder):
+        creation_steps[0] += 1
+        return exp_step(mom, ladder)
 
     monkeypatch.setattr(mod, "_exp_step", counting)
     for order in (sorted(reached), sorted(reached, reverse=True)):
@@ -518,10 +519,12 @@ def _check_shared_creation_ladder(mod, momenta, fermion_op, monkeypatch,
 @pytest.mark.parametrize("level", [Fraction(7, 2), "symbolic"])
 def test_shared_creation_ladder_matches_per_b_osp1_4(level, monkeypatch):
     ctx = preset_context("osp1_4-regular", level)
+    mod = ctx.system
     ops = exponential_screenings(ctx)
-    momenta = [op.momentum for op in ops]
-    (fop,) = [(op.word[0][0], op.momentum) for op in ops if op.word]
-    _check_shared_creation_ladder(ctx.system, momenta, fop, monkeypatch)
+    momenta = [mod.momentum_tag(op.momentum) for op in ops]
+    (fop,) = [(op.word[0][0], mod.momentum_tag(op.momentum)) for op in ops
+              if op.word]
+    _check_shared_creation_ladder(mod, momenta, fop, monkeypatch)
 
 
 def test_shared_creation_ladder_matches_per_b_wb3(monkeypatch):
@@ -529,9 +532,160 @@ def test_shared_creation_ladder_matches_per_b_wb3(monkeypatch):
     s = F.gen
     model = WBnFields(3, F, s - F.one / s)
     z = F.zero
+    mod = model.system
+    momenta = [mod.momentum_tag(mu)
+               for mu in [(s, -s, z), (z, s, -s), (z, z, s)]]
+    _check_shared_creation_ladder(mod, momenta, (model.psi, momenta[2]),
+                                  monkeypatch)
+
+
+def _annihilation_by_straightening(mod, mom, w0, tag):
+    """A_0..A_{D/2} on one monomial by the recurrence
+    A_b = -(1/b) sum_{j=1..b} mu_(j) A_{b-j}, straightening every mu_(j)
+    through gen_mode: how _annihilation_ladder computed them before the
+    closed form."""
+    field = mod.field
+    parts = [(mod.currents[i], c) for i, c in enumerate(mom[1]) if c]
+    ladder = [{(w0, tag): field.one}]
+    for b in range(1, mod.word_depth2(w0) // 2 + 1):
+        scale = field.lift(Fraction(-1, b))
+        acc = {}
+        for j in range(1, b + 1):
+            for (w, t), c in ladder[b - j].items():
+                for g, cg in parts:
+                    state_acc(acc, mod.gen_mode(g, j, w, t), c * cg * scale,
+                              field)
+        ladder.append(trimmed(acc))
+    return ladder
+
+
+def _check_closed_form_annihilation(mod, momenta, starts, max_w2=8):
+    """_annihilation_ladder equals the straightening recurrence on every
+    monomial to doubled depth max_w2 over each starting momentum, and
+    shifts the tag by mu.  Returns the words on which some A_b, b > 0,
+    was nonzero."""
+    reached = set()
+    for mu in momenta:
+        mom = mod.momentum_tag(mu)
+        for start in starts:
+            tag = mod.momentum_tag(start)
+            shifted = mod.momentum_tag(a + b for a, b in zip(start, mu))
+            for w2 in range(max_w2 + 1):
+                for (w, _) in graded_basis(mod, w2):
+                    got, new_tag = mod._annihilation_ladder(mom, w, tag)
+                    want = _annihilation_by_straightening(mod, mom, w, tag)
+                    assert list(got) == want, (mu, start, w)
+                    assert new_tag is shifted
+                    if any(want[1:]):
+                        reached.add(w)
+    return reached
+
+
+def _repeats_a_current(mod, word):
+    return any(a == b and a[0] in mod.current_pos
+               for a, b in zip(word, word[1:]))
+
+
+def _fermion_between_currents(mod, word):
+    kinds = [g in mod.current_pos for g, _ in word]
+    return any(not k and True in kinds[:i] and True in kinds[i + 1:]
+               for i, k in enumerate(kinds))
+
+
+def test_closed_form_annihilation_heisenberg(heis_fermion):
+    sys = heis_fermion
+    F = sys.field
+    mu = (F.one / (F.gen + 2),)
+    starts = [(F.zero,), (F.lift(Fraction(1, 2)),)]
+    reached = _check_closed_form_annihilation(sys, [mu], starts)
+    assert any(_repeats_a_current(sys, w) for w in reached)
+    assert any(w[-1][0] not in sys.current_pos for w in reached)
+
+
+def test_closed_form_annihilation_fermion_between_currents():
+    """Letters sort by generator, so a fermion added between two currents
+    sits between their letters in every PBW word that has all three."""
+    F = RationalFunctionField("k")
+    k = F.gen
+    sys = Module(F)
+    j = sys.add_gen("J", parity=0, weight2=2, current=True)
+    psi = sys.add_gen("Psi", parity=1, weight2=1)
+    kk = sys.add_gen("K", parity=0, weight2=2, current=True)
+    gram = [[k + 2, F.one], [F.one, -F.lift(3)]]
+    sys.set_pairing(gram)
+    sys.set_bracket(j, j, {1: comb(const=gram[0][0])})
+    sys.set_bracket(j, kk, {1: comb(const=gram[0][1])})
+    sys.set_bracket(kk, kk, {1: comb(const=gram[1][1])})
+    sys.set_bracket(psi, psi, {0: comb(const=F.one)})
+    momenta = [(F.one, F.zero), (F.lift(2) / (k + 2), -F.one)]
+    reached = _check_closed_form_annihilation(sys, momenta, [(F.zero,) * 2])
+    assert any(_repeats_a_current(sys, w) for w in reached)
+    assert any(_fermion_between_currents(sys, w) for w in reached)
+
+
+@pytest.mark.parametrize("level", [Fraction(7, 2), "symbolic"])
+def test_closed_form_annihilation_osp1_4(level):
+    ctx = preset_context("osp1_4-regular", level)
+    momenta = [op.momentum for op in exponential_screenings(ctx)]
+    starts = [ctx.system.vacuum_tag()[1]]
+    starts += [tuple(2 * ctx.kappa_shift * x for x in mu) for mu in momenta]
+    reached = _check_closed_form_annihilation(ctx.system, momenta, starts)
+    assert any(_repeats_a_current(ctx.system, w) for w in reached)
+
+
+def test_closed_form_annihilation_wb3():
+    F = RationalFunctionField("s")
+    s = F.gen
+    model = WBnFields(3, F, s - F.one / s)
+    z = F.zero
     momenta = [(s, -s, z), (z, s, -s), (z, z, s)]
-    _check_shared_creation_ladder(model.system, momenta,
-                                  (model.psi, momenta[2]), monkeypatch)
+    starts = [(z, z, z), (F.one / s, z, z)]
+    reached = _check_closed_form_annihilation(model.system, momenta, starts)
+    assert any(_repeats_a_current(model.system, w) for w in reached)
+
+
+def _nonabelian_pair(F):
+    # [E_l F] = H: a current pair whose bracket is not central
+    sys = Module(F)
+    e = sys.add_gen("E", parity=0, weight2=2, current=True)
+    f = sys.add_gen("F", parity=0, weight2=2, current=True)
+    h = sys.add_gen("H", parity=0, weight2=2)
+    sys.set_pairing([[F.zero, F.one], [F.one, F.zero]])
+    sys.set_bracket(e, f, {0: comb(terms=((h, 0, F.one),)),
+                           1: comb(const=F.one)})
+    return sys, (F.one, F.zero), "brackets with F"
+
+
+def _odd_current(F):
+    sys = Module(F)
+    x = sys.add_gen("X", parity=1, weight2=2, current=True)
+    sys.set_pairing([[F.zero]])
+    sys.set_bracket(x, x, {0: comb(const=F.one)})
+    return sys, (F.one,), "odd"
+
+
+def _current_and_other_letter(F):
+    # [J_l Phi] = l: a central bracket, but with a letter outside the
+    # current span
+    sys = Module(F)
+    j = sys.add_gen("J", parity=0, weight2=2, current=True)
+    phi = sys.add_gen("Phi", parity=0, weight2=2)
+    sys.set_pairing([[F.one]])
+    sys.set_bracket(j, j, {1: comb(const=F.one)})
+    sys.set_bracket(j, phi, {1: comb(const=F.one)})
+    return sys, (F.one,), "brackets with Phi"
+
+
+@pytest.mark.parametrize("build", [_nonabelian_pair, _odd_current,
+                                   _current_and_other_letter])
+def test_closed_form_annihilation_guard(build):
+    """Where the currents in play are not a Heisenberg algebra commuting
+    with every other letter, e^{int mu} raises NonAbelianMomentum instead
+    of applying the closed form, on the vacuum as on any state."""
+    from vertexscreen.vertexcalc import NonAbelianMomentum
+    sys, mu, message = build(QQ)
+    with pytest.raises(NonAbelianMomentum, match=message):
+        sys.word_coeff_state((), mu, 0, sys.vacuum_state())
 
 
 def test_tags_are_interned(heis_fermion):

@@ -10,9 +10,11 @@ pair carries no common integer content.  No floating point anywhere.
 A value whose denominator is P_ONE = (1,) is canonical as soon as its
 numerator is trimmed: the content gcd with 1 is 1 and the sign is already
 positive.  Sums, differences and products of two such values are built
-from the numerators alone, without _reduce, and most of the values the
-bracket engine makes are of this kind.  The polynomial helpers return
-trimmed tuples when given trimmed ones.
+from the numerators alone, without _reduce, as one object (_poly_value),
+and most of the values the bracket engine makes are of this kind.  A
+product with a unit factor is the other operand itself, and lift(1) is
+the field's one, so callers that test "is one" see it.  The polynomial
+helpers return trimmed tuples when given trimmed ones.
 
 Polynomial gcds are taken by evaluation (the heuristic gcd of Char,
 Geddes & Gonnet, J. Symbolic Comput. 7, 1989; von zur Gathen & Gerhard,
@@ -46,9 +48,14 @@ P = (1 << 61) - 1  # the Mersenne prime of the hooks int_row and mod_row
 
 
 def p_add(a, b):
-    n = max(len(a), len(b))
-    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                 for i in range(n))
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def p_neg(a):
@@ -69,7 +76,9 @@ def p_mul(a, b):
         s = a[0]
         if not s or not b[-1]:
             return P_ZERO
-        return b if s == 1 else tuple(x * s for x in b)
+        if s == 1:
+            return b
+        return (s * b[0],) if len(b) == 1 else tuple([x * s for x in b])
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -387,12 +396,12 @@ class RationalFunction:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is RationalFunction and \
+            other.field is self.field else self._coerce(other)
         if o is None:
             return NotImplemented
         if self.den == P_ONE and o.den == P_ONE:
-            return RationalFunction(self.field, p_add(self.num, o.num), P_ONE,
-                                    _canonical=True)
+            return _poly_value(self.field, p_add(self.num, o.num))
         num = p_add(p_mul(self.num, o.den), p_mul(o.num, self.den))
         return RationalFunction(self.field, num, p_mul(self.den, o.den))
 
@@ -403,12 +412,12 @@ class RationalFunction:
                                 _canonical=True)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is RationalFunction and \
+            other.field is self.field else self._coerce(other)
         if o is None:
             return NotImplemented
         if self.den == P_ONE and o.den == P_ONE:
-            return RationalFunction(self.field, p_sub(self.num, o.num), P_ONE,
-                                    _canonical=True)
+            return _poly_value(self.field, p_sub(self.num, o.num))
         num = p_sub(p_mul(self.num, o.den), p_mul(o.num, self.den))
         return RationalFunction(self.field, num, p_mul(self.den, o.den))
 
@@ -416,12 +425,17 @@ class RationalFunction:
         return -(self - other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is RationalFunction and \
+            other.field is self.field else self._coerce(other)
         if o is None:
             return NotImplemented
+        # a unit factor hands back the other operand
+        if o.num == P_ONE and o.den == P_ONE:
+            return self
+        if self.num == P_ONE and self.den == P_ONE:
+            return o
         if self.den == P_ONE and o.den == P_ONE:
-            return RationalFunction(self.field, p_mul(self.num, o.num), P_ONE,
-                                    _canonical=True)
+            return _poly_value(self.field, p_mul(self.num, o.num))
         return RationalFunction(self.field, p_mul(self.num, o.num),
                                 p_mul(self.den, o.den))
 
@@ -486,6 +500,13 @@ class RationalFunction:
         return "%s/%s" % (n, d)
 
     __repr__ = __str__
+
+
+def _poly_value(field, num):
+    """The value num / 1 for a trimmed numerator, canonical as it stands."""
+    x = object.__new__(RationalFunction)
+    x.field, x.num, x.den, x._hash = field, num, P_ONE, None
+    return x
 
 
 def _reduce(num, den):
@@ -575,8 +596,9 @@ class RationalFunctionField:
 
     def lift(self, fr):
         if type(fr) is int:
-            return RationalFunction(self, (fr,) if fr else P_ZERO, P_ONE,
-                                    _canonical=True)
+            if fr == 1:
+                return self.one
+            return _poly_value(self, (fr,) if fr else P_ZERO)
         num, den = p_from_fraction(Fraction(fr))
         return RationalFunction(self, num, den, _canonical=True)
 

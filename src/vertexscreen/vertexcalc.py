@@ -32,7 +32,7 @@ pairs.  Fields add through state_acc, and lambda-tables {n: field} are
 compared flat, as one {(n, word, mom): coeff} (flat_table).  A unit factor
 costs no multiply: state_acc takes coeff itself for an entry that is
 field.one, and word_coeff_mono folds a derivative letter's mode factor
-into the coefficient once per mode.
+into the coefficient once per mode; a one-letter word is that one mode.
 """
 
 from fractions import Fraction
@@ -419,6 +419,20 @@ class Module:
                 out = {(w0, tag): field.one} if J == 0 else {}
             else:
                 out = self.exp_coeff_mono(mom, J, w0, tag)
+        elif mom is None and len(word) == 1:
+            # one letter: (d^d g)_(n) = (-1)^d ff(n, d) g_(n-d), n = -J - 1,
+            # which vanishes for 0 <= n < d and past the depth of w0
+            (g, d), = word
+            n = -J - 1
+            f = (-1) ** d * _ffact(n, d)
+            if not f or n >= 0 and 2 * n > self.word_depth2(w0) + \
+                    self.gens[g].weight2 + 2 * d - 2:
+                out = {}
+            else:
+                out = self.gen_mode(g, n - d, w0, tag)
+                if f != 1:
+                    lf = field.lift(f)
+                    out = {k: c * lf for k, c in out.items()}
         else:
             g, d = word[0]
             rest = word[1:]
@@ -813,7 +827,10 @@ def apply_field_coeff(fe, J, state):
 
 def bracket(a, b):
     """[a_lambda b] as {n: field of (a_(n) b)}; lambda-poly coefficients
-    carry the 1/n! normalization implicitly (entry n is a_(n) b)."""
+    carry the 1/n! normalization implicitly (entry n is a_(n) b).  Every
+    generator has weight2 >= 0, so no state has negative depth, and a word
+    term of doubled weight w2a sends b (depth <= depth_b) to depth
+    w2a + depth_b - 2n - 2: a_(n) b = 0 past n = (depth_b + w2a)//2 - 1."""
     if a.system is not b.system:
         raise UnknownGenerator("bracket of fields over different systems")
     module = a.system
@@ -824,9 +841,9 @@ def bracket(a, b):
     out = {}
     for (word, mom), c in a.terms.items():
         w2a = sum(module.gens[g].weight2 + 2 * d for (g, d) in word)
-        # a_(n) b vanishes once the target depth would go negative; the
-        # momentum pairing shifts the cutoff for lattice factors
-        nmax = (depth_b + w2a) // 2 - _mom_bound(mom, bstate, module)
+        # the momentum pairing shifts the cutoff for lattice factors
+        nmax = (depth_b + w2a) // 2 - (
+            1 if mom is None else _mom_bound(mom, bstate, module))
         for n in range(0, nmax + 1):
             part = module.word_coeff_state(word, mom, -n - 1, bstate)
             state_acc(out.setdefault(n, {}), part, c, module.field)
@@ -835,8 +852,6 @@ def bracket(a, b):
 
 
 def _mom_bound(mom, bstate, module):
-    if mom is None:
-        return 0
     worst = 0
     mom = module.momentum_tag(mom)
     for (w, t) in bstate:

@@ -343,3 +343,51 @@ def test_p_mul_by_a_constant_matches_convolution(s, b):
     if b:
         assert p_mul((1,), b) is b
     assert p_mul((1,), (0,)) == p_mul((0,), (1,)) == P_ZERO
+
+
+# one, minus one and other constants, the operands the bracket engine
+# multiplies by most
+constants = st.one_of(
+    st.just(F.one), st.just(F.lift(-1)),
+    st.integers(-9, 9).map(F.lift),
+    st.builds(lambda a, b: F.lift(Fraction(a, b)), st.integers(-9, 9),
+              st.integers(2, 6)))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(constants, operands, st.booleans())
+def test_unit_and_constant_operands_match_general_reduction(c, x, flip):
+    """+, - and * with a unit, -1 or constant operand on either side equal
+    the general reduction; a unit factor hands back the other operand."""
+    a, b = (x, c) if flip else (c, x)
+    cross = _conv(a.num, b.den), _conv(b.num, a.den)
+    den = _conv(a.den, b.den)
+    want = {"+": RationalFunction(F, _sum(*cross), den),
+            "-": RationalFunction(F, _sum(cross[0], p_neg(cross[1])), den),
+            "*": RationalFunction(F, _conv(a.num, b.num), den)}
+    got = {"+": a + b, "-": a - b, "*": a * b}
+    for op, r in got.items():
+        _assert_canonical(r)
+        assert (r.num, r.den) == (want[op].num, want[op].den), op
+    if c == F.one:
+        assert a * b is (a if x == F.one else x)
+
+
+@hypothesis.given(polys, polys)
+def test_p_add_and_p_sub_match_coefficientwise_sums(a, b):
+    assert scalars.p_add(a, b) == _trimmed(_sum(a, b))
+    assert scalars.p_sub(a, b) == _trimmed(_sum(a, p_neg(b)))
+
+
+def test_lift_of_one_is_the_field_one():
+    assert F.lift(1) is F.one
+    assert F.lift(Fraction(1)) == F.one
+
+
+def test_mixed_fields_raise():
+    G = RationalFunctionField("s")
+    for x in (F.one, F.gen, F.gen / (F.gen + 1)):
+        for y in (G.one, G.gen, G.gen / (G.gen + 1)):
+            for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+                with pytest.raises(TypeError):
+                    getattr(x, op)(y)

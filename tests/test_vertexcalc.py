@@ -14,8 +14,9 @@ from vertexscreen.vertexcalc import (FieldExpr, Module,
                                      graded_basis, normal_order, state_field,
                                      state_acc, sugawara_field, trimmed)
 from vertexscreen.walgebras import WBnFields, build_complex
-from vertexscreen.verify import (check_commutator, check_jacobi, check_skew,
-                                 check_wick, random_homogeneous_field)
+from vertexscreen.verify import (WICK_PRESETS, check_commutator, check_jacobi,
+                                 check_skew, check_wick,
+                                 random_homogeneous_field)
 
 
 @pytest.fixture
@@ -243,7 +244,7 @@ def test_bracket_lambda_degree_bound(heis_fermion):
         if a is None or b is None:
             continue
         br = bracket(a, b)
-        bound = (a.letter_weight2() + b.letter_weight2()) // 2
+        bound = (a.letter_weight2() + b.letter_weight2()) // 2 - 1
         assert all(n <= bound for n in br)
 
 
@@ -845,3 +846,77 @@ def test_bracket_memos_left_intact():
     for memo, snap in zip(memos, snaps):
         for key, val in snap.items():
             assert memo[key] == val, key
+
+
+def _one_letter_by_recursion(mod, g, d, J, w0, tag):
+    """[z^J] of d^d g on one monomial by the general first-letter recursion
+    of Module.word_coeff_mono with the empty word as the rest: how a
+    one-letter word was computed before its closed form.  The creation loop
+    runs n = -i - 1 for i <= imax, the annihilation loop n = i for
+    d <= i <= imax2, and the empty word keeps only J - i = 0, resp.
+    J + i + 1 = 0."""
+    field = mod.field
+
+    def empty(J2, w, t):
+        return {(w, t): field.one} if J2 == 0 else {}
+
+    D2 = mod.word_depth2(w0)
+    acc = {}
+    for i in range(0, (D2 + 2 * J) // 2 + 1):
+        lf = field.lift(prod(range(i + 1, i + d + 1)))
+        for (w2, t2), c in empty(J - i, w0, tag).items():
+            state_acc(acc, mod.gen_mode(g, -i - 1 - d, w2, t2), c * lf, field)
+    w2a = mod.gens[g].weight2 + 2 * d
+    for i in range(d, (D2 + w2a) // 2):
+        lf = field.lift((-1) ** d * prod(range(i - d + 1, i + 1)))
+        for (w2, t2), c in mod.gen_mode(g, i - d, w0, tag).items():
+            state_acc(acc, empty(J + i + 1, w2, t2), c * lf, field)
+    return trimmed(acc)
+
+
+@pytest.mark.parametrize("level", ["symbolic", Fraction(7, 2)])
+@pytest.mark.parametrize("preset", ["sl3-subregular", "osp1_4-regular",
+                                    "sl3-subregular-cartan"])
+def test_one_letter_word_matches_recursion(preset, level):
+    """A one-letter word d^d g without momentum is read in closed form,
+    (d^d g)_(n) = (-1)^d ff(n, d) g_(n-d) at n = -J - 1; it must equal the
+    general recursion on every monomial to doubled depth 8, for d = 0, 1, 2
+    and every J from below the lowest nonzero coefficient (the bracket's
+    cutoff) up past the creation modes that normal_order and
+    check_commutator ask for."""
+    mod = preset_context(preset, level).system
+    seen = 0
+    for w2 in range(0, 9):
+        for (w, tag) in graded_basis(mod, w2):
+            for g, gen in enumerate(mod.gens):
+                for d in (0, 1, 2):
+                    for J in range(-(w2 + gen.weight2 + 2 * d) // 2 - 1, 4):
+                        got = mod.word_coeff_mono(((g, d),), None, J, w, tag)
+                        want = _one_letter_by_recursion(mod, g, d, J, w, tag)
+                        assert got == want, (g, d, J, w)
+                        seen += bool(want) and J < 0
+    assert seen
+
+
+@pytest.mark.parametrize("preset", WICK_PRESETS)
+def test_bracket_top_entry_past_cutoff_is_zero(preset):
+    """bracket stops at n = (depth_b + w2a) // 2 - 1 for a term without
+    momentum: the next mode, where it used to stop, sends b below depth
+    zero.  Checked on the generators, their derivatives, their normally
+    ordered pairs and seeded composite fields of each verify-wick
+    module."""
+    module = preset_context(preset).system
+    rng = random.Random(3)
+    gens = [module.gen_field(g) for g in range(len(module.gens))]
+    fields = gens + [derive(x) for x in gens]
+    fields += [normal_order(x, y) for x in gens for y in gens]
+    fields += [f for f in (random_homogeneous_field(module, rng, w2)
+                           for w2 in (2, 3, 4, 5, 6)) if f is not None]
+    for a in fields:
+        for b in fields:
+            bstate = field_state(b)
+            depth_b = module.state_depth2(bstate)
+            for (word, mom) in a.terms:
+                w2a = sum(module.gens[g].weight2 + 2 * d for (g, d) in word)
+                n = (depth_b + w2a) // 2
+                assert not module.word_coeff_state(word, mom, -n - 1, bstate)

@@ -135,12 +135,13 @@ def test_brst_mode_commutators(preset, w2max):
 
 def test_state_sums_leave_memo_entries_intact():
     """States are added in place, so a sum started from a memo entry would
-    corrupt the memo.  After cohomology_dims fills the gen_mode and d0
-    memos, scaled d0 sums and mode commutators must leave every stored
-    entry as it was."""
+    corrupt the memo.  After cohomology_dims fills the gen_mode, word and
+    d0 memos, scaled d0 sums and mode commutators must leave every stored
+    entry as it was; a one-letter word hands out gen_mode's stored dict as
+    its own entry, so both memos hold it."""
     brst, _ = make_brst("sl3-subregular")
     brst.cohomology_dims(6)
-    memos = (brst.system._mode_memo, brst._d0_memo)
+    memos = (brst.system._mode_memo, brst.system._word_memo, brst._d0_memo)
     snaps = [{key: dict(val) for key, val in memo.items()} for memo in memos]
     assert all(snaps)
     for w2 in range(0, 7):

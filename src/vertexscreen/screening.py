@@ -246,8 +246,9 @@ class ScreeningContext:
         for (word, tag), c in state.items():
             wj, wf = self.split_word(word)
             part = self.s_alpha_mono(bidx, n, wj, tag)
-            state_acc(out, {(wm + wf, t2): c2 for (wm, t2), c2 in part.items()},
-                      c, self.field)
+            if wf:
+                part = {(wm + wf, t2): c2 for (wm, t2), c2 in part.items()}
+            state_acc(out, part, c, self.field)
         return trimmed(out)
 
 

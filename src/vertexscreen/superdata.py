@@ -533,12 +533,6 @@ class RestrictedBase:
             classes.setdefault(key, []).append(b)
         self.classes = list(classes.values())
 
-    def class_of(self, index):
-        for cls in self.classes:
-            if index in cls:
-                return cls
-        raise KeyError(index)
-
     def describe(self):
         d = self.grading.datum
         return {

@@ -128,13 +128,12 @@ def check_commutator(a, b, cases):
     ab = bracket(a, b)
     for v, m, n in cases:
         diff = apply_field_coeff(a, -m - 1, apply_field_coeff(b, -n - 1, v))
-        state_acc(diff, apply_field_coeff(
-            b, -n - 1, apply_field_coeff(a, -m - 1, v)), sign, field)
-        for j, f in ab.items():
-            bj = _binom(m, j)
-            if bj:
-                part = apply_field_coeff(f, -(m + n - j) - 1, v)
-                state_acc(diff, part, field.lift(-bj), field)
+        parts = [(b, -n - 1, apply_field_coeff(a, -m - 1, v), sign)]
+        parts += [(f, -(m + n - j) - 1, v, field.lift(-_binom(m, j)))
+                  for j, f in ab.items() if _binom(m, j)]
+        for f, J, state, coeff in parts:
+            for (word, mom), c in f.terms.items():
+                a.system.word_coeff_acc(diff, word, mom, J, state, c * coeff)
         if any(diff.values()):
             return v, m, n
     return None

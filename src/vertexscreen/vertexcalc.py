@@ -26,13 +26,14 @@ A field carries its generator system, which is also the one module over
 it (Module), so the derived operations (field_state, bracket,
 normal_order, derive, apply_field_coeff, ...) take fields and states
 only.  States are dicts {(word, tag): coeff}, and sums are made one way:
-state_acc adds coeff * part into a state in place, trimmed drops the zero
-coefficients once at the end, and state_sum does both over (part, coeff)
-pairs.  Fields add through state_acc, and lambda-tables {n: field} are
-compared flat, as one {(n, word, mom): coeff} (flat_table).  A unit factor
-costs no multiply: state_acc takes coeff itself for an entry that is
-field.one, and word_coeff_mono folds a derivative letter's mode factor
-into the coefficient once per mode; a one-letter word is that one mode.
+state_acc adds coeff * part into a state in place, Module.word_coeff_acc
+adds coeff * [z^J] word(z) state into one, and trimmed drops the zero
+coefficients once at the end, handing back the state itself when none is
+zero.  So every sum is added into and trimmed in a dict its caller owns,
+never in a memo entry.  Fields add through state_acc, and lambda-tables
+are compared flat (flat_table).  A unit factor costs no multiply, and
+word_coeff_mono folds a derivative letter's mode factor into the
+coefficient once per mode; a one-letter word is that one mode.
 """
 
 from fractions import Fraction
@@ -72,7 +73,7 @@ def _binom(m, j):
 
 
 def _ffact(s, d):
-    return prod(range(s - d + 1, s + 1))
+    return prod(range(s - d + 1, s + 1)) if d else 1
 
 
 class Gen:
@@ -114,7 +115,7 @@ class Module:
     registered induced-module vectors with a finite zero-mode table.  Tags
     are interned (vacuum_tag, momentum_tag, induced_tag): each distinct tag
     is one HvTag object, hashed and compared by identity, so a state key
-    (word, tag) hashes without touching the coordinates.  word_coeff_state
+    (word, tag) hashes without touching the coordinates.  word_coeff_acc
     interns the momentum of a lattice exponential the same way, once per
     call, and the memos under it are keyed on that tag.  A tag built any
     other way matches nothing.
@@ -263,15 +264,14 @@ class Module:
                     g = self.currents[j]
                     word = ((g, -1),)
                     translate[(word, tag)] = c
-            h = HighestVector(tag, parity=0, momentum=coords,
+            h = HighestVector(parity=0, momentum=coords,
                               zero_modes=zero, translate_state=translate)
             self.hvs[tag] = h
         return h
 
     def register_hv(self, key, parity=0, zero_modes=None, translate_state=None):
         tag = self.induced_tag(key)
-        self.hvs[tag] = HighestVector(tag, parity=parity,
-                                      zero_modes=zero_modes,
+        self.hvs[tag] = HighestVector(parity=parity, zero_modes=zero_modes,
                                       translate_state=translate_state)
         return tag
 
@@ -608,13 +608,24 @@ class Module:
                     state_acc(acc, self.gen_mode(g, -j, w, t), c * cg, field)
         return trimmed(acc)
 
-    def word_coeff_state(self, word, mom, J, state):
-        """[z^J] of the word field, times e^{int mu} for mom = mu (a tuple
-        of current coordinates) or no factor for None, on a state."""
+    def word_coeff_acc(self, acc, word, mom, J, state, coeff):
+        """Add coeff * [z^J] of the word field, times e^{int mu} for mom = mu
+        (a tuple of current coordinates) or no factor for None, on a state
+        into acc in place.  Memo entries are only read; acc is the caller's."""
         if mom is not None:
             mom = self.momentum_tag(mom)
-        return state_sum(((self.word_coeff_mono(word, mom, J, w, t), c)
-                          for (w, t), c in state.items()), self.field)
+        one = self.field.one
+        for (w, t), c in state.items():
+            part = self.word_coeff_mono(word, mom, J, w, t)
+            if part:
+                state_acc(acc, part, c if coeff is one else
+                          coeff if c is one else c * coeff, self.field)
+
+    def word_coeff_state(self, word, mom, J, state):
+        """word_coeff_acc with coeff 1 into a new state, trimmed."""
+        acc = {}
+        self.word_coeff_acc(acc, word, mom, J, state, self.field.one)
+        return trimmed(acc)
 
 
 def _comb_zero(lc):
@@ -633,11 +644,10 @@ def _entries_equal(a, b):
 
 
 class HighestVector:
-    __slots__ = ("tag", "parity", "momentum", "zero_modes", "translate_state")
+    __slots__ = ("parity", "momentum", "zero_modes", "translate_state")
 
-    def __init__(self, tag, parity=0, momentum=None, zero_modes=None,
+    def __init__(self, parity=0, momentum=None, zero_modes=None,
                  translate_state=None):
-        self.tag = tag
         self.parity = parity
         self.momentum = momentum          # coords over currents, or None
         self.zero_modes = zero_modes or {}  # gidx -> {tag2: coeff}
@@ -645,11 +655,7 @@ class HighestVector:
 
 
 def state_acc(acc, part, coeff, field):
-    """Add coeff * part into the state acc, in place.
-
-    This is the one way states are added: a caller starts acc from {} or
-    from a result it owns (never from a memo entry; part is only read),
-    and trims zero coefficients once at the end."""
+    """Add coeff * part into the state acc, in place; part is only read."""
     if not coeff:
         return
     one = field.one
@@ -666,8 +672,10 @@ def state_acc(acc, part, coeff, field):
 
 
 def trimmed(acc):
-    """acc without its zero coefficients: how every sum is finished."""
-    return {k: v for k, v in acc.items() if v}
+    """acc without its zero coefficients: how every sum is finished.  That
+    is acc itself when no value is zero, else a new dict (acc left as it
+    was), so a caller trims only a dict it owns."""
+    return acc if all(acc.values()) else {k: v for k, v in acc.items() if v}
 
 
 def state_sum(pairs, field):
@@ -745,10 +753,6 @@ class FieldExpr:
             raise ValueError("field expression is not parity homogeneous")
         return pars.pop() if pars else 0
 
-    def letter_weight2(self):
-        return max((sum(self.system.gens[g].weight2 + 2 * d for (g, d) in w)
-                    for (w, mom) in self.terms), default=0)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -820,9 +824,10 @@ def state_field(state, system):
 
 def apply_field_coeff(fe, J, state):
     """[z^J] (F(z) state) for a field expression F."""
-    module = fe.system
-    return state_sum(((module.word_coeff_state(word, mom, J, state), c)
-                      for (word, mom), c in fe.terms.items()), module.field)
+    acc = {}
+    for (word, mom), c in fe.terms.items():
+        fe.system.word_coeff_acc(acc, word, mom, J, state, c)
+    return trimmed(acc)
 
 
 def bracket(a, b):
@@ -845,8 +850,8 @@ def bracket(a, b):
         nmax = (depth_b + w2a) // 2 - (
             1 if mom is None else _mom_bound(mom, bstate, module))
         for n in range(0, nmax + 1):
-            part = module.word_coeff_state(word, mom, -n - 1, bstate)
-            state_acc(out.setdefault(n, {}), part, c, module.field)
+            module.word_coeff_acc(out.setdefault(n, {}), word, mom, -n - 1,
+                                  bstate, c)
     return {n: state_field(st, a.system) for n, st in out.items()
             if any(st.values())}
 

@@ -169,21 +169,21 @@ class BRSTComplex:
         if out is not None:
             return out
         field = self.field
-        if not word:
-            out = {}
-        else:
+        sys_ = self.system
+        out = {}
+        if word:
             (g, m) = word[0]
             rest = word[1:]
-            out = {}
             img = self.d0_image.get(g)
-            if img is not None and img.terms:
-                out = apply_field_coeff(img, -m - 1, {(rest, tag): field.one})
-            inner = self.d0_mono(rest, tag)
-            if inner:
-                sign = -field.one if self.system.gens[g].parity else field.one
-                part = self.system.gen_mode_state(g, m, inner)
-                state_acc(out, part, sign, field)
-                out = trimmed(out)
+            if img is not None:
+                mono = {(rest, tag): field.one}
+                for (w, mom), c in img.terms.items():
+                    sys_.word_coeff_acc(out, w, mom, -m - 1, mono, c)
+            odd = sys_.gens[g].parity
+            for (w, t), c in self.d0_mono(rest, tag).items():
+                state_acc(out, sys_.gen_mode(g, m, w, t), -c if odd else c,
+                          field)
+            out = trimmed(out)
         self._d0_memo[key] = out
         return out
 

@@ -12,7 +12,8 @@ from vertexscreen.vertexcalc import (FieldExpr, Module,
                                      NonVacuumModule, comb, apply_field_coeff,
                                      bracket, derive, derive_n, field_state,
                                      graded_basis, normal_order, state_field,
-                                     state_acc, sugawara_field, trimmed)
+                                     state_acc, state_sum, sugawara_field,
+                                     trimmed)
 from vertexscreen.walgebras import WBnFields, build_complex
 from vertexscreen.verify import (WICK_PRESETS, check_commutator, check_jacobi,
                                  check_skew, check_wick,
@@ -244,7 +245,9 @@ def test_bracket_lambda_degree_bound(heis_fermion):
         if a is None or b is None:
             continue
         br = bracket(a, b)
-        bound = (a.letter_weight2() + b.letter_weight2()) // 2 - 1
+        lw_a, lw_b = (max(sum(sys.gens[g].weight2 + 2 * d for (g, d) in w)
+                          for (w, _) in f.terms) for f in (a, b))
+        bound = (lw_a + lw_b) // 2 - 1
         assert all(n <= bound for n in br)
 
 
@@ -699,6 +702,9 @@ def test_tags_are_interned(heis_fermion):
     k2 = F.gen + 2
     assert sys.momentum_tag([k2 / (k2 * k2)]) is tag
     assert sys.momentum_tag((mu0 - mu0,)) is sys.vacuum_tag()
+    # the highest vector of a momentum is stored under that one tag
+    sys.hv(sys.momentum_tag((F.zero + mu0,)))
+    assert [key for key in sys.hvs if key is tag] == [tag]
     # indexing and str are those of the plain tuple
     assert (tag[0], tag[1]) == ("m", (mu0,))
     assert str(tag) == str(("m", (mu0,)))
@@ -722,12 +728,14 @@ def test_screening_zero_modes_use_registered_tags():
     xtags = set(ctx.xtag_of_root.values())
     assert xtags
     seen = 0
+    # tags hash and compare by identity, so a key found is the tag itself
+    keys = list(hvs)
     for tag in xtags:
-        assert hvs[tag].tag is tag
+        assert any(key is tag for key in keys)
         assert tag is sys.induced_tag(tag[1])
         for table in hvs[tag].zero_modes.values():
             for t2 in table:
-                assert t2 in xtags and hvs[t2].tag is t2
+                assert t2 in xtags and any(key is t2 for key in keys)
                 seen += 1
     assert seen
 
@@ -920,3 +928,112 @@ def test_bracket_top_entry_past_cutoff_is_zero(preset):
                 w2a = sum(module.gens[g].weight2 + 2 * d for (g, d) in word)
                 n = (depth_b + w2a) // 2
                 assert not module.word_coeff_state(word, mom, -n - 1, bstate)
+
+
+def test_trimmed_hands_back_acc_unless_a_value_is_zero():
+    """Without a zero, trimmed is acc itself; with one, a new dict without
+    it, and acc is left as it was."""
+    one, zero = QQ.one, QQ.zero
+    acc = {"a": one, "b": QQ.lift(Fraction(-2, 3))}
+    assert trimmed(acc) is acc
+    assert acc == {"a": one, "b": QQ.lift(Fraction(-2, 3))}
+    empty = {}
+    assert trimmed(empty) is empty
+    acc = {"a": one, "b": zero, "c": -one}
+    out = trimmed(acc)
+    assert out is not acc
+    assert out == {"a": one, "c": -one}
+    assert acc == {"a": one, "b": zero, "c": -one}
+    assert list(out) == ["a", "c"]
+
+
+def _word_coeff_by_state_sum(module, word, mom, J, state):
+    """[z^J] word(z) state as word_coeff_state read before sums were added
+    into the caller's state: one trimmed state_sum over the monomials."""
+    if mom is not None:
+        mom = module.momentum_tag(mom)
+    return state_sum(((module.word_coeff_mono(word, mom, J, w, t), c)
+                      for (w, t), c in state.items()), module.field)
+
+
+@pytest.mark.parametrize("level", ["symbolic", Fraction(7, 2)])
+def test_word_coeff_acc_matches_state_sum(level):
+    """Module.word_coeff_acc adds coeff * [z^J] word(z) state into a
+    nonempty acc, and apply_field_coeff sums its terms the same way; both
+    must equal state_acc of the trimmed state_sum they replace, for coeff
+    one, minus one, another value and zero.  The words are the letters of
+    osp1_4-regular, seeded composite fields and its exponential screenings
+    (a fermion letter times e^{int mu}, and e^{int mu} alone)."""
+    ctx = preset_context("osp1_4-regular", level)
+    module = ctx.system
+    field = module.field
+    rng = random.Random(26)
+    fields = [module.gen_field(g) for g in range(len(module.gens))]
+    fields += [f for f in (random_homogeneous_field(module, rng, w2)
+                           for w2 in (2, 3, 4)) if f is not None]
+    fields += [FieldExpr(module, {(op.word, op.momentum): field.one})
+               for op in exponential_screenings(ctx)]
+    assert any(mom is not None for f in fields for (_, mom) in f.terms)
+    states = [{key: field.lift(rng.randint(1, 3) * rng.choice((1, -1)))
+               for key in graded_basis(module, w2)} for w2 in (0, 2, 3)]
+    start = {key: field.lift(i + 2) for i, key in
+             enumerate(graded_basis(module, 2) + graded_basis(module, 3))}
+    coeffs = (field.one, -field.one, field.lift(Fraction(-3, 7)), field.zero)
+    seen = 0
+    for f in fields:
+        for v in states:
+            for J in range(-3, 1):
+                sums = [(_word_coeff_by_state_sum(module, word, mom, J, v), c)
+                        for (word, mom), c in f.terms.items()]
+                for coeff in coeffs:
+                    for (word, mom), c in f.terms.items():
+                        acc = dict(start)
+                        module.word_coeff_acc(acc, word, mom, J, v, coeff)
+                        want = dict(start)
+                        state_acc(want, _word_coeff_by_state_sum(
+                            module, word, mom, J, v), coeff, field)
+                        assert trimmed(acc) == trimmed(want)
+                    acc = dict(start)
+                    state_acc(acc, apply_field_coeff(f, J, v), coeff, field)
+                    want = dict(start)
+                    state_acc(want, state_sum(sums, field), coeff, field)
+                    assert trimmed(acc) == trimmed(want)
+                    seen += any(part for part, _ in sums) and bool(coeff)
+    assert seen
+
+
+@pytest.mark.parametrize("level", ["symbolic", Fraction(7, 2)])
+def test_word_sums_leave_memo_entries_intact(level):
+    """Word-coefficient sums are added straight into the caller's state,
+    and trimmed hands that state back uncopied, so a sum that started from
+    a memo entry would corrupt the memo.  After a first pass fills the
+    mode, word and translation memos of each verify-wick module, bracket,
+    normal_order, derive and apply_field_coeff on the same and on new
+    seeded fields must leave every stored entry as it was."""
+    rng = random.Random(2026)
+
+    def run(fields):
+        for a in fields:
+            derive(a)
+            for b in fields:
+                bracket(a, b)
+                normal_order(a, b)
+                v = field_state(b)
+                for J in (-2, -1, 0):
+                    apply_field_coeff(a, J, v)
+
+    for preset in WICK_PRESETS:
+        module = preset_context(preset, level).system
+        fields = [f for f in (random_homogeneous_field(
+            module, rng, 1 + rng.randrange(6)) for _ in range(8))
+            if f is not None]
+        run(fields[:4])
+        memos = (module._mode_memo, module._word_memo,
+                 module._translate_memo)
+        snaps = [{key: dict(val) for key, val in memo.items()}
+                 for memo in memos]
+        assert all(snaps)
+        run(fields)
+        for memo, snap in zip(memos, snaps):
+            for key, val in snap.items():
+                assert memo[key] == val, (preset, key)

@@ -163,18 +163,21 @@ def _prs_gcd(a, b):
 def _heu_gcd(polys):
     """(g, [a/g for a in polys]) for nonconstant polys, or None.
 
-    The heuristic gcd of the module docstring.  A constant reading of h
-    makes g = P_ONE with no division; None when six points xi all fail.
+    The heuristic gcd of the module docstring.  A running gcd of the
+    values 0 < h <= xi // 2 reads as a constant, and so does the full gcd,
+    which divides it: then g = P_ONE with no division, and no more values
+    are read.  None when six points xi all fail.
     """
     xi = 2 * min(max(map(abs, a)) for a in polys) + 29
     for _ in range(6):
-        values = []
+        h = 0
         for a in polys:
             acc = 0
             for c in reversed(a):
                 acc = acc * xi + c
-            values.append(acc)
-        h = gcd(*values)
+            h = gcd(h, acc)
+            if 0 < h <= xi // 2:
+                return P_ONE, polys
         g = []
         while h:
             c = h % xi
@@ -182,8 +185,6 @@ def _heu_gcd(polys):
                 c -= xi
             g.append(c)
             h = (h - c) // xi
-        if len(g) == 1:
-            return P_ONE, polys
         # the top digit of h > 0 is positive, and so is g's
         g = p_primitive(tuple(g))
         try:
@@ -563,7 +564,7 @@ def _strip_polys(row, factor_sink=None):
             row = [next(quotients) if x else x for x in row]
     c = gcd(*[c for x in row for c in x])
     if c > 1:
-        row = [tuple(y // c for y in x) for x in row]
+        row = [tuple(y // c for y in x) if x else x for x in row]
     return row
 
 
@@ -625,11 +626,12 @@ class RationalFunctionField:
 
         Both rows are stripped polynomial rows.  The result is the stripped
         form of row - (row[col]/prow[col]) * prow, computed as
-        (p/g)*row - (v/g)*prow with g = gcd(p, v), subtracting only where
-        prow is nonzero.  The factor stripped from it is the one stripped
-        from row - (v/p)*prow once its denominators are cleared: it has no
-        factor in common with p/g, since prow is primitive and p/g is
-        coprime to v/g.
+        (p/g)*row - (v/g)*prow with g = gcd(p, v), scaling only the nonzero
+        entries of row and subtracting only where prow is nonzero; the
+        column col is zero by construction.  The factor stripped from it
+        is the one stripped from row - (v/p)*prow once its denominators are
+        cleared: it has no factor in common with p/g, since prow is
+        primitive and p/g is coprime to v/g.
         """
         p, v = prow[col], row[col]
         # a constant on either side leaves no polynomial gcd to divide out
@@ -639,10 +641,13 @@ class RationalFunctionField:
         if c > 1:
             p = tuple(x // c for x in p)
             v = tuple(x // c for x in v)
-        out = list(row) if p == P_ONE else [p_mul(p, x) for x in row]
+        out = list(row) if p == P_ONE else \
+            [p_mul(p, x) if x else x for x in row]
+        v = p_neg(v)
         for j, y in enumerate(prow):
-            if y:
-                out[j] = p_sub(out[j], p_mul(v, y))
+            if y and j != col:
+                out[j] = p_add(out[j], p_mul(v, y))
+        out[col] = P_ZERO
         return _strip_polys(out, factor_sink)
 
     def mod_row(self, row, k0):

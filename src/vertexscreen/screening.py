@@ -27,13 +27,11 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import InputError
-from .linalg import decompose, nullspace
-from .scalars import QQ
+from .linalg import nullspace
 from .superdata import DatumError
 from .vertexcalc import (
     CriticalLevel, GradingMismatch, Module, comb, apply_field_coeff,
-    graded_basis, state_acc, state_field, state_sum, sugawara_field, trimmed,
-    _fact,
+    graded_basis, state_acc, state_field, state_sum, trimmed, _fact,
 )
 
 
@@ -105,7 +103,6 @@ class ScreeningContext:
         self.kappa_shift = shifted
         self._build_system()
         self._register_class_modules()
-        self._sugawara = None
         self._s_alpha_memo = {}
 
     # -- ambient system -------------------------------------------------------
@@ -175,34 +172,6 @@ class ScreeningContext:
                     state_acc(state, {(word, self.xtag_of_root[b2]):
                                       field.lift(sgn * c)}, pref, field)
         return trimmed(state)
-
-    # -- Sugawara ---------------------------------------------------------------
-
-    def sugawara(self):
-        """The Virasoro field on the g_0 currents, cached."""
-        if self._sugawara is None:
-            d = self.datum
-            field = self.field
-            n = len(self.g0)
-            gram_cols = [[d.form_entry(b, b2) for b in self.g0]
-                         for b2 in self.g0]
-            # column i of the inverse Gram matrix: the dual of e_i
-            units = [[QQ.one if i == j else QQ.zero for j in range(n)]
-                     for i in range(n)]
-            duals = decompose(gram_cols, units, QQ)
-            if duals is None:
-                raise DegenerateForm("invariant form degenerates on g_0")
-            pairs = []
-            for b, coeffs in zip(self.g0, duals):
-                dual = sum((self.system.gen_field(self.current_of_basis[b2])
-                            .scale_fraction(c)
-                            for b2, c in zip(self.g0, coeffs) if c != 0),
-                           self.system.zero_field())
-                pairs.append((dual, self.system.gen_field(
-                    self.current_of_basis[b])))
-            denom = self.kappa_shift * field.lift(2)
-            self._sugawara = sugawara_field(self.system, pairs, denom)
-        return self._sugawara
 
     # -- the generic screening series --------------------------------------------
 

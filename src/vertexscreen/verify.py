@@ -56,53 +56,71 @@ def _sample_triple(module, rng, wmax2):
 # the four bracket axioms
 
 
+class _Brackets:
+    """bracket(a, b) once per pair: the lambda-brackets one verify_wick
+    trial shares among its checks.  Keyed on operand ids; each entry holds
+    its operands, so no id is reused while the table lives."""
+
+    def __init__(self):
+        self._entries = {}
+
+    def __call__(self, a, b):
+        key = (id(a), id(b))
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = (a, b, bracket(a, b))
+        return entry[2]
+
+
 def _table_acc(table, key, f, coeff):
     """Add coeff * f into the flat table, under the index tuple key."""
     state_acc(table, {key + wm: c for wm, c in f.terms.items()}, coeff,
               f.system.field)
 
 
-def check_skew(a, b):
-    lp = bracket(a, b)
-    direct = bracket(b, a)
+def check_skew(a, b, *, brackets=None):
+    br = brackets or bracket
+    lp, direct = br(a, b), br(b, a)
     want = lambda_shift_skew(lp, a.parity(), b.parity(), a.system)
     return flat_table(direct) == flat_table(want)
 
 
-def _double_left(table, a, b, c, sign, swap):
+def _double_left(br, table, a, b, c, sign, swap):
     """Add sign * [a_l [b_m c]] = sign * sum F_ij l^i m^j into table, under
     (i, j), or (j, i) when swap."""
     field = a.system.field
-    for j, cj in bracket(b, c).items():
-        for i, f in bracket(a, cj).items():
+    for j, cj in br(b, c).items():
+        for i, f in br(a, cj).items():
             coeff = field.lift(Fraction(sign, _fact(i) * _fact(j)))
             _table_acc(table, (j, i) if swap else (i, j), f, coeff)
 
 
-def _jacobi_rhs(table, a, b, c):
+def _jacobi_rhs(br, table, a, b, c):
     """Add [[a_l b]_{l+m} c] = sum G_ij l^i m^j into table, under (i, j)."""
     field = a.system.field
-    for n, fn in bracket(a, b).items():
-        for j, f in bracket(fn, c).items():
+    for n, fn in br(a, b).items():
+        for j, f in br(fn, c).items():
             for t in range(j + 1):
                 coeff = Fraction(_binom(j, t), _fact(n) * _fact(j))
                 _table_acc(table, (n + t, j - t), f, field.lift(coeff))
 
 
-def check_jacobi(a, b, c):
+def check_jacobi(a, b, c, *, brackets=None):
+    br = brackets or bracket
     lhs, rhs = {}, {}
-    _double_left(lhs, a, b, c, 1, False)
-    _double_left(lhs, b, a, c, -(-1) ** (a.parity() * b.parity()), True)
-    _jacobi_rhs(rhs, a, b, c)
+    _double_left(br, lhs, a, b, c, 1, False)
+    _double_left(br, lhs, b, a, c, -(-1) ** (a.parity() * b.parity()), True)
+    _jacobi_rhs(br, rhs, a, b, c)
     return trimmed(lhs) == trimmed(rhs)
 
 
-def check_wick(a, b, c):
+def check_wick(a, b, c, *, brackets=None):
     """[a_l :bc:] = :[a_l b]c: + (-1)^{p(a)p(b)} :b [a_l c]: + integral term."""
+    br = brackets or bracket
     field = a.system.field
-    lhs = bracket(a, normal_order(b, c))
-    ab = bracket(a, b)
-    ac = bracket(a, c)
+    lhs = br(a, normal_order(b, c))
+    ab = br(a, b)
+    ac = br(a, c)
     sign = field.lift((-1) ** (a.parity() * b.parity()))
     rhs = {}
     for n, f in ab.items():
@@ -111,21 +129,21 @@ def check_wick(a, b, c):
         _table_acc(rhs, (n,), normal_order(b, f), sign)
     # integral_0^l [[a_l b]_m c] dm  =  sum_{n,j} X_nj l^{n+j+1} / (n! j! (j+1))
     for n, fn in ab.items():
-        for j, f in bracket(fn, c).items():
+        for j, f in br(fn, c).items():
             m = n + j + 1
             coeff = Fraction(_fact(m), _fact(n) * _fact(j) * (j + 1))
             _table_acc(rhs, (m,), f, field.lift(coeff))
     return flat_table(lhs) == trimmed(rhs)
 
 
-def check_commutator(a, b, cases):
+def check_commutator(a, b, cases, *, brackets=None):
     """The first (v, m, n) of cases where [a_(m), b_(n)] v differs from
     sum_j C(m, j) (a_(j) b)_(m+n-j) v, or None when every case holds.
 
     The bracket depends only on the pair, so it is computed once."""
     field = a.system.field
     sign = field.lift(-(-1) ** (a.parity() * b.parity()))
-    ab = bracket(a, b)
+    ab = (brackets or bracket)(a, b)
     for v, m, n in cases:
         diff = apply_field_coeff(a, -m - 1, apply_field_coeff(b, -n - 1, v))
         parts = [(b, -n - 1, apply_field_coeff(a, -m - 1, v), sign)]
@@ -164,13 +182,15 @@ def verify_wick(args, rng):
                 continue
             a, b, c = triple
             count += 3
-            ok = check_skew(a, b) and check_jacobi(a, b, c) and \
-                check_wick(a, b, c)
+            br = _Brackets()
+            ok = check_skew(a, b, brackets=br) and \
+                check_jacobi(a, b, c, brackets=br) and \
+                check_wick(a, b, c, brackets=br)
             if ok:
                 v = {key: ctx.field.one
                      for key in graded_basis(module, rng.randrange(0, 5))}
                 m, n = rng.randint(-2, 2), rng.randint(-2, 2)
-                ok = check_commutator(a, b, [(v, m, n)]) is None
+                ok = check_commutator(a, b, [(v, m, n)], brackets=br) is None
             if not ok:
                 failures.append({"preset": preset, "trial": t,
                                  "a": field_to_json(a), "b": field_to_json(b),

@@ -30,14 +30,17 @@ state_acc adds coeff * part into a state in place, Module.word_coeff_acc
 adds coeff * [z^J] word(z) state into one, and trimmed drops the zero
 coefficients once at the end, handing back the state itself when none is
 zero.  So every sum is added into and trimmed in a dict its caller owns,
-never in a memo entry.  Fields add through state_acc, and lambda-tables
-are compared flat (flat_table).  A unit factor costs no multiply, and
-word_coeff_mono folds a derivative letter's mode factor into the
-coefficient once per mode; a one-letter word is that one mode.
+never in a memo entry, which callers only read; every empty one is the
+read-only EMPTY.  A module keeps each word's parity, weight and depth
+once.  Fields add through state_acc, and lambda-tables are compared flat
+(flat_table).  A unit factor costs no multiply, and word_coeff_mono
+folds a derivative letter's mode factor into the coefficient once per
+mode; a one-letter word is that one mode.
 """
 
 from fractions import Fraction
 from math import factorial as _fact, prod
+from types import MappingProxyType
 
 from .errors import InputError
 
@@ -73,7 +76,11 @@ def _binom(m, j):
 
 
 def _ffact(s, d):
-    return prod(range(s - d + 1, s + 1)) if d else 1
+    return prod(range(s - d + 1, s + 1)) if d > 1 else s if d else 1
+
+
+# the one empty memo entry: read-only, since callers only read memo entries
+EMPTY = MappingProxyType({})
 
 
 class Gen:
@@ -134,6 +141,8 @@ class Module:
         self._mode_memo = {}
         self._translate_memo = {}
         self._word_memo = {}
+        self._fword_info = {}
+        self._depth2 = {}
         self._drop_memo = {}
         self._ladder_memo = {}
         self._creation_memo = {}
@@ -283,7 +292,22 @@ class Module:
     # -- gradings -------------------------------------------------------------
 
     def word_depth2(self, word):
-        return sum(self.gens[g].weight2 - 2 * m - 2 for (g, m) in word)
+        """The doubled depth of a state word, computed once per word."""
+        d2 = self._depth2.get(word)
+        if d2 is None:
+            d2 = self._depth2[word] = sum(
+                self.gens[g].weight2 - 2 * m - 2 for (g, m) in word)
+        return d2
+
+    def field_word_info(self, word):
+        """(parity, doubled weight) of a field word, once per word."""
+        info = self._fword_info.get(word)
+        if info is None:
+            gens = self.gens
+            info = self._fword_info[word] = (
+                sum(gens[g].parity for (g, _) in word) % 2,
+                sum(gens[g].weight2 + 2 * d for (g, d) in word))
+        return info
 
     def word_parity(self, word):
         return sum(self.gens[g].parity for (g, m) in word) % 2
@@ -308,10 +332,10 @@ class Module:
         gens = self.gens
         if not word:
             if m >= 1:
-                out = {}
+                out = EMPTY
             elif m == 0:
-                zm = self.hv(tag).zero_modes.get(g, {})
-                out = {((), t2): c for t2, c in zm.items()}
+                zm = self.hv(tag).zero_modes.get(g, EMPTY)
+                out = {((), t2): c for t2, c in zm.items()} or EMPTY
             else:
                 out = {(((g, m),), tag): field.one}
         else:
@@ -340,7 +364,7 @@ class Module:
                         part = self.gen_mode(g1, m1, w2, t2)
                         cc = c if sign > 0 else -c
                         state_acc(acc, part, cc, field)
-                out = trimmed(acc)
+                out = trimmed(acc) or EMPTY
         self._mode_memo[key] = out
         return out
 
@@ -416,9 +440,9 @@ class Module:
         field = self.field
         if not word:
             if mom is None:
-                out = {(w0, tag): field.one} if J == 0 else {}
+                out = {(w0, tag): field.one} if J == 0 else EMPTY
             else:
-                out = self.exp_coeff_mono(mom, J, w0, tag)
+                out = self.exp_coeff_mono(mom, J, w0, tag) or EMPTY
         elif mom is None and len(word) == 1:
             # one letter: (d^d g)_(n) = (-1)^d ff(n, d) g_(n-d), n = -J - 1,
             # which vanishes for 0 <= n < d and past the depth of w0
@@ -427,23 +451,22 @@ class Module:
             f = (-1) ** d * _ffact(n, d)
             if not f or n >= 0 and 2 * n > self.word_depth2(w0) + \
                     self.gens[g].weight2 + 2 * d - 2:
-                out = {}
+                out = EMPTY
             else:
                 out = self.gen_mode(g, n - d, w0, tag)
-                if f != 1:
+                if f != 1 and out:
                     lf = field.lift(f)
                     out = {k: c * lf for k, c in out.items()}
         else:
             g, d = word[0]
             rest = word[1:]
-            gens = self.gens
-            p_a = gens[g].parity
-            p_rest = sum(gens[g2].parity for (g2, _) in rest) % 2
+            p_a = self.gens[g].parity
+            w2a = self.gens[g].weight2 + 2 * d
+            p_word, W2word = self.field_word_info(word)
+            p_rest = (p_word - p_a) % 2
+            W2rest = W2word - w2a
             D2 = self.word_depth2(w0)
-            W2rest = sum(gens[g2].weight2 + 2 * dd for (g2, dd) in rest)
-            P2 = 0
-            if mom is not None:
-                P2 = 2 * self._mom_pairing_int(mom, tag)
+            P2 = 0 if mom is None else 2 * self._mom_pairing_int(mom, tag)
             # (d^d g)_(n) = (-1)^d ff(n, d) g_(n-d), folded in once per n
             acc = {}
             imax = (D2 + 2 * J + W2rest - P2) // 2
@@ -454,19 +477,20 @@ class Module:
                 for (w2, t2), c in inner.items():
                     part = self.gen_mode(g, -i - 1 - d, w2, t2)
                     state_acc(acc, part, c if lf is None else c * lf, field)
-            w2a = gens[g].weight2 + 2 * d
             imax2 = (D2 + w2a) // 2 - 1
             sign = (-1) ** (p_a * p_rest)
             # n = i >= 0: the factor vanishes for i < d
             for i in range(d, imax2 + 1):
                 lower = self.gen_mode(g, i - d, w0, tag)
+                if not lower:
+                    continue
                 f = sign * (-1) ** d * _ffact(i, d)
-                lf = field.lift(f) if lower and f * f != 1 else None
+                lf = field.lift(f) if f * f != 1 else None
                 for (w2, t2), c in lower.items():
                     part = self.word_coeff_mono(rest, mom, J + i + 1, w2, t2)
                     cc = c * lf if lf is not None else c if f == 1 else -c
                     state_acc(acc, part, cc, field)
-            out = trimmed(acc)
+            out = trimmed(acc) or EMPTY
         self._word_memo[key] = out
         return out
 
@@ -747,7 +771,7 @@ class FieldExpr:
     # -- structure ---------------------------------------------------------------
 
     def parity(self):
-        pars = {sum(self.system.gens[g].parity for (g, _) in word) % 2
+        pars = {self.system.field_word_info(word)[0]
                 for (word, mom) in self.terms}
         if len(pars) > 1:
             raise ValueError("field expression is not parity homogeneous")
@@ -811,10 +835,13 @@ def state_field(state, system):
             raise NonVacuumModule(
                 "state over %r has no field counterpart" % (tag,))
         mom = None if tag[1] == zero_coords else tag[1]
-        fword = tuple((g, -m - 1) for (g, m) in word)
-        den = prod(_fact(-m - 1) for (_, m) in word)
+        fword, den = [], 1
+        for (g, m) in word:
+            fword.append((g, -m - 1))
+            if m <= -3:
+                den *= _fact(-m - 1)
         # distinct monomials give distinct (word, mom) keys: nothing to sum
-        terms[(fword, mom)] = c if den == 1 else c / field.lift(den)
+        terms[(tuple(fword), mom)] = c if den == 1 else c / field.lift(den)
     return FieldExpr(system, terms)
 
 
@@ -845,7 +872,7 @@ def bracket(a, b):
     depth_b = module.state_depth2(bstate)
     out = {}
     for (word, mom), c in a.terms.items():
-        w2a = sum(module.gens[g].weight2 + 2 * d for (g, d) in word)
+        w2a = module.field_word_info(word)[1]
         # the momentum pairing shifts the cutoff for lattice factors
         nmax = (depth_b + w2a) // 2 - (
             1 if mom is None else _mom_bound(mom, bstate, module))

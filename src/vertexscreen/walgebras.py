@@ -17,7 +17,7 @@ from .linalg import matrix_rank, nullspace, rank_mod_p
 from .scalars import QQ, RationalFunctionField
 from .screening import set_free_field_tables
 from .vertexcalc import (
-    FieldExpr, Module, comb, apply_field_coeff, bracket, derive,
+    FieldExpr, Module, comb, bracket, derive,
     field_state, flat_table, graded_basis, normal_order, state_acc, state_sum,
     trimmed,
 )
@@ -647,24 +647,3 @@ class WakimotoMap:
                 if flat_table(got) != flat_table(want):
                     failures.append(((d.basis_name(u), d.basis_name(v)), got))
         return checked, failures
-
-    def map_state(self, state, basis_of_gen):
-        """Transport a current-only vacuum state through the substitution.
-
-        basis_of_gen maps source generator indices to datum basis indices
-        (for a screening ambient: {gen: b for b, gen in
-        ctx.current_of_basis.items()}).
-        """
-        target_vac = self.model.system.vacuum_tag()
-
-        def transport(word, tag, c):
-            if tag[0] != "m":
-                raise NonZeroCharge("transport is defined on vacuum states")
-            img = {((), target_vac): c}
-            for (g, m) in reversed(word):
-                fe = self.image_of_basis[basis_of_gen[g]]
-                img = apply_field_coeff(fe, -m - 1, img)
-            return img
-
-        return state_sum(((transport(word, tag, c), self.field.one)
-                          for (word, tag), c in state.items()), self.field)

@@ -24,6 +24,8 @@ from vertexscreen.verify import (verify_brst, verify_fs_suite, verify_miura,
                                  verify_wakimoto, verify_wbn, verify_wick)
 from vertexscreen.walgebras import W2nModel, WBnModel
 
+from sugawara_helper import sugawara
+
 F = RationalFunctionField("k")
 SEED = 20240
 
@@ -56,7 +58,7 @@ def test_criterion_1_bracket_axioms():
 def test_criterion_2_sugawara():
     t0 = time.time()
     ctx = preset_context("sl3-subregular")
-    L = ctx.sugawara()
+    L = sugawara(ctx)
     br = bracket(L, L)
     ok = br.get(0) == derive(L)
     ok = ok and br.get(1) == L.scale_fraction(2)

@@ -11,7 +11,9 @@ RationalFunctionField (strip_row, eliminate) is checked against the
 quotient form it replaces, written out below on RationalFunctions: divide
 the row by the pivot entry, subtract, clear denominators and strip the
 common factor.  Both must agree up to a rational constant and record the
-same common factors.
+same common factors.  eliminate and _heu_gcd are also checked against
+their earlier forms, copied below: the dense step and the gcd of every
+value must give the same rows, factors and cofactors.
 """
 
 from fractions import Fraction
@@ -22,8 +24,8 @@ import pytest
 from vertexscreen import scalars
 from vertexscreen.scalars import (P_ONE, P_ZERO, RationalFunction,
                                   RationalFunctionField, _prs_gcd, _reduce,
-                                  _strip_polys, p_div_exact, p_gcd, p_mul,
-                                  p_neg, p_primitive, p_scale)
+                                  _strip_polys, p_content, p_div_exact, p_gcd,
+                                  p_mul, p_neg, p_primitive, p_scale, p_sub)
 
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
@@ -240,6 +242,105 @@ def test_eliminate_matches_quotient_form(problem):
     if any(out):
         assert sympy.gcd_list([_sym(x) for x in out if x]).is_number
         assert gcd(*[c for x in out for c in x]) == 1
+
+
+def _old_heu_gcd(polys):
+    """scalars._heu_gcd before it stopped at a one-digit running gcd: all
+    values are read, then their gcd."""
+    xi = 2 * min(max(map(abs, a)) for a in polys) + 29
+    for _ in range(6):
+        values = []
+        for a in polys:
+            acc = 0
+            for c in reversed(a):
+                acc = acc * xi + c
+            values.append(acc)
+        h = gcd(*values)
+        g = []
+        while h:
+            c = h % xi
+            if c > xi // 2:
+                c -= xi
+            g.append(c)
+            h = (h - c) // xi
+        if len(g) == 1:
+            return P_ONE, polys
+        g = p_primitive(tuple(g))
+        try:
+            return g, [p_div_exact(a, g) for a in polys]
+        except ArithmeticError:
+            xi = xi * 73794 // 27011
+    return None
+
+
+def _old_eliminate(row, prow, col, factor_sink=None):
+    """RationalFunctionField.eliminate before it touched only nonzero
+    entries: every column is scaled by the pivot cofactor, the subtraction
+    builds -v * y for each nonzero column of prow, the pivot column too."""
+    p, v = prow[col], row[col]
+    if len(p) > 1 and len(v) > 1:
+        p, v = scalars._gcd_cofactors([p, v])[1]
+    c = gcd(p_content(p), p_content(v))
+    if c > 1:
+        p = tuple(x // c for x in p)
+        v = tuple(x // c for x in v)
+    out = list(row) if p == P_ONE else [p_mul(p, x) for x in row]
+    for j, y in enumerate(prow):
+        if y:
+            out[j] = p_sub(out[j], p_mul(v, y))
+    return _strip_polys(out, factor_sink)
+
+
+# a constant is a possible pivot; entries are mostly zero
+nonzero_entries = st.one_of(st.integers(-6, 6).filter(bool).map(
+    lambda c: (c,)), wide_polys.filter(bool))
+sparse_entries = st.one_of(st.just(P_ZERO), st.just(P_ZERO), st.just(P_ZERO),
+                           nonzero_entries)
+
+
+@st.composite
+def sparse_elimination_problems(draw):
+    """Stripped sparse rows row, prow with row[col] and prow[col] nonzero,
+    and maybe a column that is zero in both."""
+    ncols = draw(st.integers(1, 8))
+    col = draw(st.integers(0, ncols - 1))
+    row = draw(st.lists(sparse_entries, min_size=ncols, max_size=ncols))
+    prow = draw(st.lists(sparse_entries, min_size=ncols, max_size=ncols))
+    row[col], prow[col] = draw(nonzero_entries), draw(nonzero_entries)
+    q = draw(st.one_of(factors, st.just(P_ONE)))
+    row = [p_mul(q, x) for x in row]
+    zero_col = draw(st.integers(0, ncols - 1))
+    if zero_col != col:
+        row[zero_col] = prow[zero_col] = P_ZERO
+    return _strip_polys(row), _strip_polys(prow), col
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(sparse_elimination_problems())
+@hypothesis.example(([(3,), (), (1, 2)], [(2,), (), (0, 5)], 0))
+@hypothesis.example(([(), (1, 1), (2, 2)], [(), (1,), ()], 1))
+def test_eliminate_matches_dense_step(problem):
+    """The step that scales only nonzero entries, negates once and sets
+    the pivot column to zero returns the rows and records the factors of
+    the dense step it replaced."""
+    row, prow, col = problem
+    sink, old_sink = [], []
+    out = F.eliminate(row, prow, col, sink)
+    assert out == _old_eliminate(row, prow, col, old_sink)
+    assert sink == old_sink
+    assert out[col] == P_ZERO
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.lists(factors, min_size=2, max_size=4),
+                  st.one_of(factors, st.just(P_ONE)))
+@hypothesis.example([(1, 1), (2, 1)], P_ONE)
+@hypothesis.example([(0, 1), (0, 2)], P_ONE)
+def test_heu_gcd_matches_full_evaluation(polys, q):
+    """Stopping at a one-digit running gcd gives the answer of reading
+    every value."""
+    polys = [p_mul(q, a) for a in polys]
+    assert scalars._heu_gcd(polys) == _old_heu_gcd(polys)
 
 
 def test_quo_is_a_reduced_rational_function():

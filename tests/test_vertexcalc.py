@@ -930,6 +930,30 @@ def test_bracket_top_entry_past_cutoff_is_zero(preset):
                 assert not module.word_coeff_state(word, mom, -n - 1, bstate)
 
 
+@pytest.mark.parametrize("preset", WICK_PRESETS)
+def test_word_tables_equal_direct_sums(preset):
+    """Module.word_depth2 and field_word_info keep each word's depth,
+    parity and doubled weight once per module: on the first call and when
+    read back, they equal the sums over the letters for every state word
+    of doubled weight at most 6 and for the field word of each state."""
+    module = preset_context(preset).system
+    gens = module.gens
+    seen = 0
+    for _ in range(2):
+        for w2 in range(0, 7):
+            for key in graded_basis(module, w2):
+                word = key[0]
+                assert module.word_depth2(word) == w2 == sum(
+                    gens[g].weight2 - 2 * m - 2 for (g, m) in word)
+                fe = state_field({key: module.field.one}, module)
+                for (fword, _) in fe.terms:
+                    assert module.field_word_info(fword) == (
+                        sum(gens[g].parity for (g, _) in fword) % 2,
+                        sum(gens[g].weight2 + 2 * d for (g, d) in fword))
+                    seen += 1
+    assert seen
+
+
 def test_trimmed_hands_back_acc_unless_a_value_is_zero():
     """Without a zero, trimmed is acc itself; with one, a new dict without
     it, and acc is left as it was."""

@@ -10,13 +10,16 @@ from vertexscreen.scalars import QQ, RationalFunctionField
 from vertexscreen.screening import (choose_screenings, expected_character,
                                     generic_screenings,
                                     exponential_screenings, kernel_basis)
-from vertexscreen.vertexcalc import (bracket, derive, field_state,
-                                     graded_basis, normal_order, state_field)
+from vertexscreen.vertexcalc import (apply_field_coeff, bracket, derive,
+                                     field_state, graded_basis, normal_order,
+                                     state_acc, state_field, trimmed)
 from vertexscreen.verify import check_commutator, verify_brst, verify_miura
 from vertexscreen.walgebras import (NonZeroCharge, W2nModel, WakimotoMap,
                                     WBnModel, build_complex, koszul_sorted,
                                     miura_project, verify_fs,
                                     verify_wbn_screening)
+
+from sugawara_helper import sugawara
 
 F = RationalFunctionField("k")
 
@@ -282,7 +285,7 @@ def test_sugawara_virasoro_sl3_subregular():
     """L on the nonabelian g_0 = sl_2 + center is Virasoro; all currents
     are primary of weight one."""
     ctx = preset_context("sl3-subregular")
-    L = ctx.sugawara()
+    L = sugawara(ctx)
     br = bracket(L, L)
     assert br[0] == derive(L)
     assert br[1] == L.scale_fraction(2)
@@ -548,8 +551,21 @@ def test_wakimoto_h_i_to_a_i_for_higher_rank():
 
 
 def _transport(ctx, wm, state):
+    """A current-only vacuum state of ctx through the substitution: each
+    letter g_(m), read from the right, acts as the (-m - 1)st coefficient
+    of the image of g."""
     basis_of_gen = {gidx: b for b, gidx in ctx.current_of_basis.items()}
-    return wm.map_state(state, basis_of_gen)
+    field = wm.field
+    target_vac = wm.model.system.vacuum_tag()
+    acc = {}
+    for (word, tag), c in state.items():
+        assert tag[0] == "m"
+        img = {((), target_vac): c}
+        for (g, m) in reversed(word):
+            fe = wm.image_of_basis[basis_of_gen[g]]
+            img = apply_field_coeff(fe, -m - 1, img)
+        state_acc(acc, img, field.one, field)
+    return trimmed(acc)
 
 
 def test_wakimoto_transports_f_field():

@@ -8,8 +8,7 @@ current brackets are reproduced exactly over Q(k), which realizes the
 affine sl_2 at level k + n - 2 inside the lattice algebra.
 """
 
-from vertexscreen import (W2nModel, WakimotoMap, bracket, preset_context,
-                          verify_fs)
+from vertexscreen import W2nModel, WakimotoMap, bracket, verify_fs
 
 for n in (2, 3):
     m = W2nModel(n)
@@ -23,10 +22,9 @@ for n in (2, 3):
 
 print()
 print("== the substitution from the sl_3 subregular degree-zero currents ==")
-ctx = preset_context("sl3-subregular")
-wm = WakimotoMap(3, ctx.grading)
+wm = WakimotoMap(3)
 for b in wm.g0:
-    print("  J[%s] -> %s" % (ctx.datum.basis_name(b), wm.image_of_basis[b]))
+    print("  J[%s] -> %s" % (wm.datum.basis_name(b), wm.image_of_basis[b]))
 checked, fails = wm.verify_brackets()
 print("bracket pairs reproduced exactly: %d/%d" % (checked - len(fails),
                                                    checked))

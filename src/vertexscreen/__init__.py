@@ -14,7 +14,7 @@ from .vertexcalc import (FieldExpr, Module, comb,
                          CriticalLevel, GradingMismatch, NonAbelianMomentum,
                          NonVacuumModule, UndefinedAction, UnknownGenerator)
 from .screening import (ScreeningContext, ScreeningOp, KernelReport,
-                        NonCartanZeroPart, DegenerateForm,
+                        NonCartanZeroPart,
                         choose_screenings, exponential_screenings,
                         generic_screenings,
                         expected_character, character_of_generators,

@@ -10,8 +10,7 @@ Weights on the command line are doubled integers ("--max-weight 12" means
 conformal weight 6), so half-integer weights never need fraction parsing.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input errors
 (bad arguments, an unreadable or invalid datum, a grading that is not
-good, a critical level, a degenerate form), 3 an internal error, reported
-on one line.
+good, a critical level), 3 an internal error, reported on one line.
 Output is deterministic for a fixed configuration and seed.
 """
 
@@ -19,7 +18,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .errors import InputError
 from .presets import build_preset, level_field, preset_names
@@ -27,16 +25,6 @@ from .screening import (ScreeningContext, choose_screenings,
                         expected_character, kernel_basis)
 from .superdata import good_grading, load_datum
 from . import verify as verify_mod
-
-
-def _parse_level(text):
-    if text == "symbolic":
-        return "symbolic"
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InputError("--level must be \"symbolic\" or a rational p/q, "
-                         "not %r" % text) from None
 
 
 def _grading_from_args(args):
@@ -252,7 +240,7 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        _parse_level(args.level)  # checked once; mapped by level_field
+        level_field(args.level)  # a bad --level fails before any command
         return args.func(args)
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)

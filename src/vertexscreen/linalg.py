@@ -2,32 +2,20 @@
 
 row_reduce is the one exact elimination loop; ranks, decompositions over
 a fixed family and span tests are all read off its output, and so are
-nullspaces over Q(x).  Each field supplies the elimination step:
-strip_row scales a row to a canonical form without denominators,
-eliminate clears one entry against a pivot row and strips the result,
-quo divides two entries of reduced rows back into the field, and dot
-multiplies a stripped row, as (column, entry) pairs, into a stripped one.
-Elimination is fraction-free over both fields: rows are coprime Python
-ints over Q and integer polynomials with no common factor over Q(k), and
-a step is the combination (p/g)*row - (v/g)*pivot_row with g = gcd(p, v),
-taken over the nonzero columns of the pivot row.  Where Bareiss (1968)
-bounds entry growth by exact division by the previous pivot, each row
-here is divided by its own gcd instead.  Only the outputs are divided
-back into Fractions or rational functions.
+nullspaces over Q(x).  Each field supplies the elimination step
+(strip_row, eliminate, quo, dot), fraction-free over both fields: rows
+are coprime Python ints over Q and integer polynomials with no common
+factor over Q(k).  Where Bareiss (1968) bounds entry growth by exact
+division by the previous pivot, each row here is divided by its own gcd
+instead.  Only the outputs are divided back into Fractions or rational
+functions.
 
 One sparse forward elimination modulo the prime P = 2^61 - 1,
-_echelon_mod_p, pivots each column on the shortest row that holds it
-(Markowitz's rule, restricted to the column), which keeps fill-in down
-and changes no pivot column.  It has two callers.  rank_mod_p ranks rows
-over either field at a level k0 through the hook field.mod_row, at most
-the exact rank (von zur Gathen & Gerhard, Modern Computer Algebra,
-5.4-5.5), and BRSTComplex.cohomology_dims certifies its dimensions with
-it.  Over Q, nullspace first scales each row to ints over its nonzero
-entries, then takes the echelon, back substitution, rational
-reconstruction of every entry (5.10) and an exact check of every basis
-vector against every row in ints, which certifies the answer row_reduce
-gives; when that fails it falls back to row_reduce, whose nullspaces over
-either field are checked exactly as well, fraction-free (see nullspace).
+_echelon_mod_p, has two callers: rank_mod_p (von zur Gathen & Gerhard,
+Modern Computer Algebra, 5.4-5.5), with which
+BRSTComplex.cohomology_dims certifies its dimensions, and nullspace over
+Q, which certifies its rational reconstruction (5.10) by an exact check
+and falls back to row_reduce when that fails.
 """
 
 from fractions import Fraction

@@ -48,11 +48,16 @@ def build_preset(name):
 
 def level_field(level):
     """(field, k) for a level: Q(k) and its generator for "symbolic",
-    else Q and the rational level (a Fraction or "p/q" text)."""
+    else Q and the rational level (a Fraction or "p/q" text); other text
+    raises the InputError the command line prints."""
     if level == "symbolic":
         field = RationalFunctionField("k")
         return field, field.gen
-    return QQ, Fraction(level)
+    try:
+        return QQ, Fraction(level)
+    except (ValueError, ZeroDivisionError):
+        raise InputError("--level must be \"symbolic\" or a rational p/q, "
+                         "not %r" % level) from None
 
 
 def preset_context(name, level="symbolic"):

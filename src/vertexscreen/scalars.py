@@ -670,15 +670,18 @@ class RationalFunctionField:
                 acc = p_add(acc, p_mul(x, vec[j]))
         return acc
 
-    def denominators(self, values):
-        """(labels, roots) of the denominators of values.
+    def denominators(self, values, polys=()):
+        """(labels, roots) of the denominators of values and of the
+        integer polynomials polys (as 1/p would hold them, sign positive).
 
         Each distinct denominator polynomial is factored once.  The labels
         are its primitive linear factors and its rootless residual, as
         strings; the roots are every rational zero of those denominators.
         """
+        dens = {x.den for x in values}
+        dens.update(p_neg(p) if p[-1] < 0 else p for p in polys)
         labels, roots = set(), set()
-        for den in {x.den for x in values} - {P_ONE}:
+        for den in dens - {P_ONE}:
             factors, residual = p_linear_factors(den)
             for f in factors:
                 labels.add(p_str(f, self.symbol))
@@ -760,7 +763,7 @@ class Rationals:
     def dot(self, pairs, vec):
         return sum(x * vec[j] for j, x in pairs)
 
-    def denominators(self, values):
+    def denominators(self, values, polys=()):
         return set(), set()
 
     def denominator_labels(self, x):

@@ -31,15 +31,12 @@ from .linalg import nullspace
 from .superdata import DatumError
 from .vertexcalc import (
     CriticalLevel, GradingMismatch, Module, comb, apply_field_coeff,
-    graded_basis, state_acc, state_field, state_sum, trimmed, _fact,
+    field_to_json, graded_basis, state_acc, state_field, state_sum, trimmed,
+    _fact,
 )
 
 
 class NonCartanZeroPart(InputError, ValueError):
-    pass
-
-
-class DegenerateForm(InputError, ZeroDivisionError):
     pass
 
 
@@ -235,12 +232,12 @@ class ScreeningOp:
                        with its neutral fermion, ((Phi_a, 0),)
     """
 
-    def __init__(self, ctx, kind, label, class_roots=None, momentum=None,
+    def __init__(self, ctx, kind, label, class_roots, momentum=None,
                  word=()):
         self.ctx = ctx
         self.kind = kind
         self.label = label
-        self.class_roots = class_roots or []
+        self.class_roots = class_roots
         self.momentum = momentum
         self.word = word
 
@@ -288,14 +285,9 @@ def generic_screenings(ctx):
     for cls in ctx.grading.base.classes:
         deg2 = ctx.grading.deg2[cls[0]]
         names = "+".join(d.basis_name(b) for b in cls)
-        if deg2 == 2:
-            ops.append(ScreeningOp(ctx, "generic-one", "Q[%s]" % names,
-                                   class_roots=list(cls)))
-        elif deg2 == 1:
-            ops.append(ScreeningOp(ctx, "generic-half", "Q[%s]" % names,
-                                   class_roots=list(cls)))
-        else:
-            raise GradingMismatch("restricted base member of degree %s" % deg2)
+        kind = "generic-one" if deg2 == 2 else "generic-half"
+        ops.append(ScreeningOp(ctx, kind, "Q[%s]" % names,
+                               class_roots=list(cls)))
     return ops
 
 
@@ -343,7 +335,7 @@ def choose_screenings(ctx, kind="auto"):
 
 class KernelReport:
     def __init__(self, weight2, ambient_dim, kernel_dim, expected_dim,
-                 basis_fields, denominators, denominator_roots=()):
+                 basis_fields, denominators, denominator_roots):
         self.weight2 = weight2
         self.ambient_dim = ambient_dim
         self.kernel_dim = kernel_dim
@@ -353,7 +345,6 @@ class KernelReport:
         self.denominator_roots = set(denominator_roots)
 
     def to_json(self):
-        from .serialize import field_to_json
         return {
             "weight2": self.weight2,
             "ambient_dim": self.ambient_dim,
@@ -386,14 +377,11 @@ def kernel_basis(ctx, screenings, weight2, expected=None):
                                 ctx.system) for vec in kernel]
     # divisions by pivots happen during back substitution; the levels
     # where a pivot or a stripped row factor vanishes count as
-    # denominators crossed.  Both are entries of stripped rows, so they
-    # are inverted against the unit entry of such a row.
-    unit, = field.strip_row([field.one])
+    # denominators crossed
     denominators, roots = field.denominators(chain(
         (x for row in rows for x in row),
-        (field.quo(unit, p) for p in pivots),
         (c for vec in kernel for c in vec),
-        (field.one / ctx.kappa_shift,)))
+        (field.one / ctx.kappa_shift,)), pivots)
     return KernelReport(weight2, ncols, len(kernel),
                         expected if expected is not None else -1,
                         basis_fields, denominators, roots)

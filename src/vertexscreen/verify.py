@@ -10,9 +10,8 @@ from fractions import Fraction
 from .errors import InputError
 from .presets import build_preset, level_field, preset_context
 from .screening import choose_screenings, expected_character, kernel_basis
-from .serialize import field_to_json
 from .vertexcalc import (
-    apply_field_coeff, bracket, derive, flat_table, graded_basis,
+    apply_field_coeff, bracket, derive, field_to_json, flat_table, graded_basis,
     lambda_shift_skew, normal_order, state_acc, state_field, trimmed, _binom,
     _fact,
 )
@@ -164,8 +163,8 @@ WICK_PRESETS = ("sl2-regular", "osp1_2-regular", "osp1_4-regular",
 def verify_wick(args, rng):
     """Bracket-axiom suite on seeded random composite fields, of doubled
     weight at most --max-weight, capped at 6."""
-    trials = getattr(args, "trials", 25)
-    wmax2 = min(getattr(args, "max_weight", 6), 6)
+    trials = args.trials
+    wmax2 = min(args.max_weight, 6)
     if wmax2 < 1:
         raise InputError("verify wick: argument --max-weight: must be an "
                          "integer >= 1, not %d" % wmax2)
@@ -284,8 +283,7 @@ def verify_fs_suite(args, rng):
 
 def verify_wakimoto(args, rng):
     n = args.n
-    preset = "sl%d-subregular" % n
-    wm = WakimotoMap(n, build_preset(preset))
+    wm = WakimotoMap(n)
     checked, fails = wm.verify_brackets()
     return {
         "status": "pass" if not fails else "fail",

@@ -25,17 +25,10 @@ above the highest vector, a doubled integer.
 A field carries its generator system, which is also the one module over
 it (Module), so the derived operations (field_state, bracket,
 normal_order, derive, apply_field_coeff, ...) take fields and states
-only.  States are dicts {(word, tag): coeff}, and sums are made one way:
-state_acc adds coeff * part into a state in place, Module.word_coeff_acc
-adds coeff * [z^J] word(z) state into one, and trimmed drops the zero
-coefficients once at the end, handing back the state itself when none is
-zero.  So every sum is added into and trimmed in a dict its caller owns,
-never in a memo entry, which callers only read; every empty one is the
-read-only EMPTY.  A module keeps each word's parity, weight and depth
-once.  Fields add through state_acc, and lambda-tables are compared flat
-(flat_table).  A unit factor costs no multiply, and word_coeff_mono
-folds a derivative letter's mode factor into the coefficient once per
-mode; a one-letter word is that one mode.
+only.  States are dicts {(word, tag): coeff}, and sums are made one way
+(state_acc, Module.word_coeff_acc, then trimmed) in a dict the caller
+owns, never in a memo entry, which callers only read; every empty one is
+the read-only EMPTY.
 """
 
 from fractions import Fraction
@@ -278,10 +271,9 @@ class Module:
             self.hvs[tag] = h
         return h
 
-    def register_hv(self, key, parity=0, zero_modes=None, translate_state=None):
+    def register_hv(self, key, parity=0, zero_modes=None):
         tag = self.induced_tag(key)
-        self.hvs[tag] = HighestVector(parity=parity, zero_modes=zero_modes,
-                                      translate_state=translate_state)
+        self.hvs[tag] = HighestVector(parity=parity, zero_modes=zero_modes)
         return tag
 
     def vacuum_state(self):
@@ -802,6 +794,25 @@ class FieldExpr:
 def _term_sort_key(key):
     word, mom = key
     return (word, () if mom is None else tuple(str(x) for x in mom))
+
+
+def field_to_json(fe):
+    """The JSON form of a field in reports, written and never read back:
+    its terms in __str__ order, each {"coeff": "p(k)/q(k)", "word":
+    [[generator name, derivative order], ...], "momentum": ["p/q or
+    p(k)/q(k)", ...]}, momentum omitted when absent."""
+    sys = fe.system
+    out = []
+    for (word, mom), c in sorted(fe.terms.items(),
+                                 key=lambda kv: _term_sort_key(kv[0])):
+        term = {
+            "coeff": str(c),
+            "word": [[sys.gens[g].name, d] for (g, d) in word],
+        }
+        if mom is not None:
+            term["momentum"] = [str(x) for x in mom]
+        out.append(term)
+    return out
 
 
 def field_state(fe):

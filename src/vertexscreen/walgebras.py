@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .errors import InputError
 from .linalg import matrix_rank, nullspace, rank_mod_p
-from .scalars import QQ, RationalFunctionField
+from .presets import build_preset
+from .scalars import RationalFunctionField
 from .screening import set_free_field_tables
 from .vertexcalc import (
     FieldExpr, Module, comb, bracket, derive,
@@ -332,15 +333,11 @@ class WBnFields:
 
 class WBnModel(WBnFields):
     """The fields of WBnFields with [G lambda G] and the W_i it expands into,
-    at the coupling gamma_mode: "symbolic" (the generator of Q(g)) or a
-    rational."""
+    at the coupling g, the generator of Q(g)."""
 
-    def __init__(self, n, gamma_mode="symbolic"):
-        if gamma_mode == "symbolic":
-            field = RationalFunctionField("g")
-            super().__init__(n, field, field.gen)
-        else:
-            super().__init__(n, QQ, Fraction(gamma_mode))
+    def __init__(self, n):
+        field = RationalFunctionField("g")
+        super().__init__(n, field, field.gen)
         self.gamma_consts = self._gamma_consts()
         self.brackets = bracket(self.G, self.G)
         self.W = self._solve_w()
@@ -369,11 +366,7 @@ class WBnModel(WBnFields):
                 % (top, expected_top))
         w = {0: self.brackets.get(0, zero)}
         for i in range(1, self.n):
-            gi = self.gamma_consts[i]
-            if not gi:
-                raise ZeroDivisionError(
-                    "degenerate coupling: gamma_%d = 0" % i)
-            inv = field.one / gi
+            inv = field.one / self.gamma_consts[i]
             w[2 * i - 1] = self.brackets.get(2 * i - 1, zero).scale(inv)
             w[2 * i] = self.brackets.get(2 * i, zero).scale(inv)
         return w
@@ -392,8 +385,6 @@ class WBnModel(WBnFields):
         for combo in combinations(range(self.n), self.n - i):
             word = tuple(sorted((self.bgen[j], 0) for j in combo for _ in (0, 1)))
             terms[(word, None)] = self.field.one
-        if not terms:
-            terms = {((), None): self.field.one}
         return FieldExpr(self.system, terms)
 
     def check_c2_congruences(self):
@@ -576,12 +567,11 @@ def verify_fs(model):
 
 class WakimotoMap:
     """The generator substitution from the degree-zero currents of the
-    subregular reduction of sl_n into the lattice model, with exact
-    verification of all current brackets."""
+    subregular reduction of sl_n (the sl{n}-subregular preset) into the
+    lattice model, with exact verification of all current brackets."""
 
-    def __init__(self, n, grading):
-        if n < 3:
-            raise ModelTooSmall("needs n >= 3 (nonabelian degree-zero part)")
+    def __init__(self, n):
+        grading = build_preset("sl%d-subregular" % n)
         self.n = n
         self.model = W2nModel(n)
         field = self.model.field

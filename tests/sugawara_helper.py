@@ -4,7 +4,6 @@ vertexcalc.sugawara_field."""
 
 from vertexscreen.linalg import decompose
 from vertexscreen.scalars import QQ
-from vertexscreen.screening import DegenerateForm
 from vertexscreen.vertexcalc import sugawara_field
 
 
@@ -18,7 +17,7 @@ def sugawara(ctx):
              for i in range(n)]
     duals = decompose(gram_cols, units, QQ)
     if duals is None:
-        raise DegenerateForm("invariant form degenerates on g_0")
+        raise ZeroDivisionError("invariant form degenerates on g_0")
     pairs = []
     for b, coeffs in zip(g0, duals):
         dual = sum((system.gen_field(ctx.current_of_basis[b2])

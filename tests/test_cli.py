@@ -1,16 +1,18 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from vertexscreen.cli import main, make_parser
 from vertexscreen.errors import InputError
-from vertexscreen.presets import build_preset, preset_context
-from vertexscreen.screening import DegenerateForm, NonCartanZeroPart
-from vertexscreen.serialize import field_to_json
+from vertexscreen.presets import level_field, preset_context
+from vertexscreen.scalars import QQ, RationalFunctionField
+from vertexscreen.screening import NonCartanZeroPart
 from vertexscreen.superdata import (DatumError, DegreeMismatch, NotGoodGrading,
                                     build_sl, datum_to_json)
 from vertexscreen.vertexcalc import (CriticalLevel, GradingMismatch,
-                                     _term_sort_key, derive, normal_order)
+                                     _term_sort_key, derive, field_to_json,
+                                     normal_order)
 from vertexscreen.walgebras import WakimotoMap
 
 
@@ -483,7 +485,7 @@ def test_io_and_json_errors_keep_their_messages(tmp_path, capsys):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.strip() == _stdlib_error(fn), argv
     for exc in (DatumError, NotGoodGrading, DegreeMismatch, CriticalLevel,
-                DegenerateForm, NonCartanZeroPart):
+                NonCartanZeroPart):
         assert issubclass(exc, InputError)
 
 
@@ -562,12 +564,34 @@ def test_info_on_a_datum_reads_no_level(tmp_path, capsys):
 
 
 def test_model_too_small_is_usage_error(capsys):
-    """The lattice model needs n >= 2 and the current substitution n >= 3;
-    a smaller n is bad input (exit 2), not an internal error."""
+    """The lattice model needs n >= 2, and the current substitution an n
+    with an sl_n-subregular preset, so n >= 3; a smaller n is bad input
+    (exit 2), not an internal error."""
     assert main(["verify", "fs", "--n", "1"]) == 2
     assert capsys.readouterr().err.strip() == "error: needs n >= 2"
-    with pytest.raises(InputError):
-        WakimotoMap(2, build_preset("sl3-subregular"))
+    with pytest.raises(InputError, match="unknown preset 'sl2-subregular'"):
+        WakimotoMap(2)
+
+
+@pytest.mark.parametrize("text", ["x", "1/0", ""])
+def test_level_field_rejects_what_the_cli_rejects(text, capsys):
+    """level_field is the one parser of a level: its InputError carries the
+    text the command line prints for the same --level."""
+    message = "--level must be \"symbolic\" or a rational p/q, not %r" % text
+    with pytest.raises(InputError) as exc:
+        level_field(text)
+    assert str(exc.value) == message
+    assert main(["kernel", "--preset", "sl2-regular", "--level", text]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: %s\n" % message)
+
+
+def test_level_field_maps_levels():
+    assert level_field(Fraction(7, 2)) == (QQ, Fraction(7, 2))
+    assert level_field("7/2") == (QQ, Fraction(7, 2))
+    assert type(level_field("7/2")[1]) is Fraction
+    field, k = level_field("symbolic")
+    assert field is RationalFunctionField("k") and k == field.gen
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

@@ -32,6 +32,11 @@ cohomology_dims certified its dimensions from ranks mod 2^61 - 1.
 pivoted each column on its shortest row (the run took 13-18 s then and
 5-7 s after, raw, on a shared 2-vCPU machine); every verify file also
 records that its run tested each weight up to its --max-weight.
+``verify-fs-n3.json``, ``verify-wakimoto-n3.json`` and
+``verify-wakimoto-n4.json`` hold what ``verify fs --n 3`` and ``verify
+wakimoto --n 3``/``--n 4`` wrote at commit 6e01298, before WakimotoMap
+built its own grading and the unreachable checks of the W-algebra models
+were deleted.
 ``datum-sl4.json`` and ``datum-osp1_6.json`` hold ``datum_to_json`` of
 ``build_sl(4)`` and ``build_osp(3)``, dumped as the CLI dumps JSON
 (indent 2, sorted keys, a final newline), while the matrix models were
@@ -82,6 +87,9 @@ INFO_CASES = [("osp1_6-regular", 8), ("sl4-subregular", 8)]
 SUITE_CASES = [
     ("verify-wbn-n3.json", ["verify", "wbn", "--n", "3"]),
     ("verify-wick-symbolic-trials5.json", ["verify", "wick", "--trials", "5"]),
+    ("verify-fs-n3.json", ["verify", "fs", "--n", "3"]),
+    ("verify-wakimoto-n3.json", ["verify", "wakimoto", "--n", "3"]),
+    ("verify-wakimoto-n4.json", ["verify", "wakimoto", "--n", "4"]),
 ]
 
 

@@ -492,3 +492,27 @@ def test_mixed_fields_raise():
             for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
                 with pytest.raises(TypeError):
                     getattr(x, op)(y)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.lists(st.tuples(nonzero_polys,
+                                     st.lists(linear_factors, max_size=2),
+                                     st.integers(1, 3),
+                                     st.sampled_from([1, -1, 6, -4])),
+                           max_size=4),
+                  st.lists(st.tuples(polys, nonzero_polys), max_size=2))
+def test_denominators_of_polys_match_unit_inversion(specs, quotients):
+    """denominators(values, polys) equals denominators of values and of
+    each 1/p, the unit of a stripped row divided by p: on constants,
+    negative leading coefficients and repeated factors."""
+    polys_ = []
+    for base, common, reps, scale in specs:
+        p = p_mul(base, (scale,))
+        for lin in common:
+            for _ in range(reps):
+                p = p_mul(p, lin)
+        polys_.append(p)
+    values = [RationalFunction(F, a, b) for a, b in quotients]
+    unit, = F.strip_row([F.one])
+    want = F.denominators(values + [F.quo(unit, p) for p in polys_])
+    assert F.denominators(values, polys_) == want

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
+from vertexscreen import screening
+from vertexscreen.linalg import nullspace
 from vertexscreen.presets import build_preset, preset_context
-from vertexscreen.screening import (NonCartanZeroPart, expected_character,
+from vertexscreen.screening import (NonCartanZeroPart, choose_screenings,
+                                    expected_character,
                                     character_of_generators,
                                     exponential_screenings,
                                     generic_screenings, kernel_basis)
@@ -322,6 +326,46 @@ def test_kernel_denominator_labels_and_roots(preset, kind):
         assert rep.denominator_roots == {
             Fraction(int(-b), int(a))
             for a, b in (p.all_coeffs() for p in polys if p.degree() == 1)}
+
+
+def _unit_inversion_denominators(ctx, rows, pivots, kernel):
+    """The denominators kernel_basis reported before it passed the pivots
+    to field.denominators as they stand: each pivot and stripped row
+    factor inverted against the unit entry of a stripped row."""
+    field = ctx.field
+    unit, = field.strip_row([field.one])
+    return field.denominators(chain(
+        (x for row in rows for x in row),
+        (field.quo(unit, p) for p in pivots),
+        (c for vec in kernel for c in vec),
+        (field.one / ctx.kappa_shift,)))
+
+
+@pytest.mark.parametrize("preset, max_w2", [
+    ("osp1_4-regular", 8), ("sl4-subregular", 6),
+    ("sl3-subregular-cartan", 6)])
+def test_kernel_denominators_match_unit_inversion(preset, max_w2):
+    """Over Q(k), the (labels, roots) of every kernel report equal those of
+    the unit inversion, on the rows, pivots and kernel of that report."""
+    ctx = preset_context(preset)
+    _, ops = choose_screenings(ctx)
+    seen = []
+
+    def recording(rows, ncols, field, pivot_sink):
+        kernel = nullspace(rows, ncols, field, pivot_sink=pivot_sink)
+        seen.append((rows, pivot_sink, kernel))
+        return kernel
+
+    negative = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(screening, "nullspace", recording)
+        for w2 in range(max_w2 + 1):
+            rep = kernel_basis(ctx, ops, w2)
+            rows, pivots, kernel = seen.pop()
+            negative += sum(p[-1] < 0 for p in pivots)
+            assert (rep.denominators, rep.denominator_roots) == \
+                _unit_inversion_denominators(ctx, rows, pivots, kernel), w2
+    assert negative  # some pivot has its sign made positive
 
 
 @pytest.mark.parametrize("preset, kind, max_w2", [

@@ -438,13 +438,6 @@ def test_wbn_top_coefficient_and_c2():
         assert m.gamma_consts[n] == acc
 
 
-def test_wbn_specialized_gamma():
-    m = WBnModel(2, gamma_mode=Fraction(1, 3))
-    assert m.check_c2_congruences() == []
-    # (1 - 2/9)(1 - 12/9) = (7/9)(-1/3)
-    assert m.gamma_consts[2] == Fraction(-7, 27)
-
-
 def test_wbn_screenings():
     for n in (1, 2, 3):
         model, fails = verify_wbn_screening(n)
@@ -528,7 +521,7 @@ def test_w2n_f_printed_form_n2():
 
 def test_wakimoto_brackets_and_images():
     ctx = preset_context("sl3-subregular")
-    wm = WakimotoMap(3, ctx.grading)
+    wm = WakimotoMap(3)
     checked, fails = wm.verify_brackets()
     assert checked == 16
     assert fails == []
@@ -544,7 +537,7 @@ def test_wakimoto_brackets_and_images():
 
 def test_wakimoto_h_i_to_a_i_for_higher_rank():
     ctx = preset_context("sl4-subregular")
-    wm = WakimotoMap(4, ctx.grading)
+    wm = WakimotoMap(4)
     names = {ctx.datum.basis_name(b): b for b in wm.g0}
     m = wm.model
     assert wm.image_of_basis[names["h3"]] == m.system.gen_field(m.agen[2])
@@ -572,7 +565,7 @@ def test_wakimoto_transports_f_field():
     """The substitution is multiplicative: the composite field F on the
     current side maps onto the lattice-side F."""
     ctx = preset_context("sl3-subregular")
-    wm = WakimotoMap(3, ctx.grading)
+    wm = WakimotoMap(3)
     m = wm.model
     k = m.field.gen
     n = 3
@@ -591,7 +584,7 @@ def test_wakimoto_kernel_transport():
     """Ker of the class screening transports onto Ker of the matching
     lattice exponential, and lands inside all three lattice kernels."""
     ctx = preset_context("sl3-subregular")
-    wm = WakimotoMap(3, ctx.grading)
+    wm = WakimotoMap(3)
     m = wm.model
     field = m.field
     ops = generic_screenings(ctx)

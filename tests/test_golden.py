@@ -37,6 +37,11 @@ records that its run tested each weight up to its --max-weight.
 wakimoto --n 3``/``--n 4`` wrote at commit 6e01298, before WakimotoMap
 built its own grading and the unreachable checks of the W-algebra models
 were deleted.
+``kernel-osp1_4-regular-7_2-12.json``, ``kernel-sl4-subregular-7_2-8.json``
+and ``verify-miura-osp1_6-regular-7_2-6.json``, the specialized kernels
+of the benchmark and a Miura check over Q, hold what ``kernel`` and
+``verify miura`` wrote at commit 81c2620, while values over Q were still
+``fractions.Fraction``.
 ``datum-sl4.json`` and ``datum-osp1_6.json`` hold ``datum_to_json`` of
 ``build_sl(4)`` and ``build_osp(3)``, dumped as the CLI dumps JSON
 (indent 2, sorted keys, a final newline), while the matrix models were
@@ -66,6 +71,8 @@ CASES = [
     ("sl3-regular", "7/2", 8),
     ("sl4-subregular", "symbolic", 6),
     ("osp1_6-regular", "7/2", 8),
+    ("osp1_4-regular", "7/2", 12),
+    ("sl4-subregular", "7/2", 8),
 ]
 VERIFY_CASES = [
     ("brst", "sl3-subregular", "symbolic", 8),
@@ -76,6 +83,7 @@ VERIFY_CASES = [
     ("brst", "sl3-subregular-cartan", "symbolic", 8),
     ("brst", "osp1_6-regular", "symbolic", 8),
     ("brst", "sl3-subregular-cartan", "symbolic", 10),
+    ("miura", "osp1_6-regular", "7/2", 6),
 ]
 GENERIC_CASES = [
     ("osp1_2-regular", "symbolic", 6),

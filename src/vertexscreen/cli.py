@@ -101,8 +101,6 @@ def _print_table(doc):
 
 
 def cmd_info(args):
-    if "level" in getattr(args, "given", ()):
-        raise InputError("info does not read --level")
     grading = _grading_from_args(args)
     datum = grading.datum
     maxw2 = args.max_weight
@@ -174,17 +172,26 @@ _SUITES = {
 
 
 def cmd_verify(args):
-    runner, reads = _SUITES[args.suite]
-    for dest in getattr(args, "given", ()):
-        if dest not in reads.split():
-            raise InputError("verify %s does not read --%s"
-                             % (args.suite, dest.replace("_", "-")))
+    runner = _SUITES[args.suite][0]
     rng = random.Random(args.seed)
     doc = runner(args, rng)
     doc["seed"] = args.seed
     doc["suite"] = args.suite
     _emit(doc, args)
     return 0 if doc["status"] == "pass" else 1
+
+
+def _refuse_unread(args):
+    """Refuse a flag the command does not read, whatever its value."""
+    given = getattr(args, "given", ())
+    if args.command == "info" and "level" in given:
+        raise InputError("info does not read --level")
+    if args.command == "verify":
+        reads = _SUITES[args.suite][1].split()
+        for dest in given:
+            if dest not in reads:
+                raise InputError("verify %s does not read --%s"
+                                 % (args.suite, dest.replace("_", "-")))
 
 
 def make_parser():
@@ -240,6 +247,7 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
+        _refuse_unread(args)  # before any flag's value is read
         level_field(args.level)  # a bad --level fails before any command
         return args.func(args)
     except InputError as exc:

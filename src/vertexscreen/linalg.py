@@ -7,7 +7,7 @@ nullspaces over Q(x).  Each field supplies the elimination step
 are coprime Python ints over Q and integer polynomials with no common
 factor over Q(k).  Where Bareiss (1968) bounds entry growth by exact
 division by the previous pivot, each row here is divided by its own gcd
-instead.  Only the outputs are divided back into Fractions or rational
+instead.  Only the outputs are divided back into rationals or rational
 functions.
 
 One sparse forward elimination modulo the prime P = 2^61 - 1,
@@ -18,10 +18,9 @@ Q, which certifies its rational reconstruction (5.10) by an exact check
 and falls back to row_reduce when that fails.
 """
 
-from fractions import Fraction
 from math import isqrt, lcm
 
-from .scalars import P
+from .scalars import P, QQ
 
 _BOUND = isqrt(P // 2)  # the reconstruction bound sqrt(P/2)
 
@@ -74,10 +73,9 @@ def nullspace(rows, ncols, field, pivot_sink=None):
     Basis vectors are normalized to have 1 in their free coordinate and
     appear in increasing free-column order, so the output is deterministic.
 
-    pivot_sink is passed to row_reduce.  Over Q the modular path of
-    _modular_nullspace comes first and leaves pivot_sink empty when it
-    certifies its answer, which Rationals.denominators ignores anyway.
-    Its answer is the one row_reduce gives, entry for entry:
+    Over Q the modular path of _modular_nullspace comes first, leaving
+    pivot_sink empty; when it certifies its answer, that answer is the one
+    row_reduce gives, entry for entry:
 
     - The rank of M mod P is at most its rank over Q.  The checked vectors
       lie in the kernel over Q and are independent, and there are
@@ -88,10 +86,9 @@ def nullspace(rows, ncols, field, pivot_sink=None):
     - The free columns are then the same, and the basis is the unique
       basis of the kernel over Q that is the identity on them.
 
-    On the row_reduce path field.dot checks each vector, stripped, against
-    each row as row_reduce stripped it.  Stripping scales by a nonzero
-    element of the field, so the sums, of ints or integer polynomials, all
-    vanish exactly when M v = 0; AssertionError is raised where one does not.
+    On the row_reduce path each stripped vector is checked against each
+    stripped row (field.dot); stripping scales by a nonzero element of
+    the field, so AssertionError is raised exactly where M v != 0.
     """
     if ncols == 0:
         return []
@@ -187,19 +184,14 @@ def _echelon_mod_p(sparse, ncols):
     columns in order.  Returns the pivot columns and each pivot row as the
     items right of its pivot, scaled to 1; the row dicts are used up.
 
-    holders[j] lists the rows that have held column j: a row is added
-    when an entry fills in there, and a row whose entry cancelled, or
-    that became a pivot, is dropped when column j comes up (lists rather
-    than sets keep the peak memory of the map down).  Each column is
-    pivoted on the shortest row that holds it, the lowest index among
-    equals: Markowitz's rule restricted to the column (Duff, Erisman &
-    Reid, Direct Methods for Sparse Matrices, ch. 7), so a pivot row
-    spreads as few entries as the column allows.  Which row is chosen
-    does not change the pivot columns: column j is a pivot exactly when
-    it is not in the span of the columns before it, whatever rows
-    eliminate it.  So ranks, and the kernel basis that back substitution
-    reads off the tails (the unique one that is the identity on the free
-    columns), do not depend on the rule either.
+    holders[j] lists the rows that have held column j (lists rather than
+    sets keep the peak memory down).  Each column is pivoted on the
+    shortest row that holds it, the lowest index among equals:
+    Markowitz's rule restricted to the column (Duff, Erisman & Reid,
+    Direct Methods for Sparse Matrices, ch. 7).  The pivot columns, and
+    so the ranks and the kernel basis read off the tails, do not depend
+    on the rule: column j is a pivot exactly when it is not in the span
+    of the columns before it.
     """
     holders = [[] for _ in range(ncols)]
     for i, r in enumerate(sparse):
@@ -249,14 +241,14 @@ def rank_mod_p(rows, ncols, field, k0):
 
 
 def _reconstruct(a):
-    """The Fraction n/d = a mod P with |n|, d <= sqrt(P/2), or None."""
+    """The rational n/d = a mod P with |n|, d <= sqrt(P/2), or None."""
     r0, r1, t0, t1 = P, a, 0, 1
     while r1 > _BOUND:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     if abs(t1) > _BOUND:
         return None
-    return Fraction(r1, t1)
+    return QQ.quo(r1, t1)
 
 
 def decompose(family, targets, field):

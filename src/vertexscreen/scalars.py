@@ -1,20 +1,17 @@
 """Exact coefficient arithmetic: rationals and rational functions.
 
 Everything in the engine is computed over an exact coefficient field,
-either plain rationals (``fractions.Fraction``) or the field Q(x) of
+either the rationals Q, whose values are Rational (a lean reduced pair of
+ints that agrees with fractions.Fraction), or the field Q(x) of
 rational functions in one named symbol (usually the level ``k``).
 Rational functions are stored as a pair of coprime integer-coefficient
 polynomials; the denominator has positive leading coefficient and the
 pair carries no common integer content.  No floating point anywhere.
 
-A value whose denominator is P_ONE = (1,) is canonical as soon as its
-numerator is trimmed: the content gcd with 1 is 1 and the sign is already
-positive.  Sums, differences and products of two such values are built
-from the numerators alone, without _reduce, as one object (_poly_value),
-and most of the values the bracket engine makes are of this kind.  A
-product with a unit factor is the other operand itself, and lift(1) is
-the field's one, so callers that test "is one" see it.  The polynomial
-helpers return trimmed tuples when given trimmed ones.
+A value whose denominator is P_ONE = (1,) is canonical once its numerator
+is trimmed, so sums, differences and products of two such values skip
+_reduce (_poly_value).  A unit factor hands back the other operand, and
+lift(1) is the field's one, on both fields.
 
 Polynomial gcds are taken by evaluation (the heuristic gcd of Char,
 Geddes & Gonnet, J. Symbolic Comput. 7, 1989; von zur Gathen & Gerhard,
@@ -26,7 +23,10 @@ the quotients of that check are the cofactors.  When six points fail,
 the primitive pseudo-remainder sequence decides instead.
 """
 
+import numbers
+import sys
 from fractions import Fraction
+from functools import total_ordering
 from itertools import count
 from math import gcd, isqrt, lcm
 
@@ -119,12 +119,6 @@ def p_eval_mod(a, x):
     return sum(c * pow(x, i, P) for i, c in enumerate(a)) % P
 
 
-def p_shift_mul_x(a, e):
-    if not a:
-        return a
-    return (0,) * e + a
-
-
 def p_pseudo_rem(a, b):
     # lc(b)**(deg a - deg b + 1) * a  mod  b, computed without fractions
     if not b:
@@ -135,7 +129,7 @@ def p_pseudo_rem(a, b):
     while len(r) - 1 >= d and r:
         k = len(r) - 1 - d
         lr = r[-1]
-        r = p_sub(p_scale(r, lb), p_shift_mul_x(p_scale(b, lr), k))
+        r = p_sub(p_scale(r, lb), (0,) * k + p_scale(b, lr))
     return r
 
 
@@ -243,11 +237,6 @@ def p_div_exact(a, b):
     if any(r[:d]):
         raise ArithmeticError("inexact polynomial division")
     return _trim(q)
-
-
-def p_from_fraction(fr):
-    """(num_poly, den_poly) for a constant rational."""
-    return ((fr.numerator,) if fr.numerator else P_ZERO), (fr.denominator,)
 
 
 def p_str(a, sym):
@@ -387,7 +376,7 @@ class RationalFunction:
             if other.field is not self.field:
                 raise TypeError("mixed rational-function fields")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, numbers.Rational):
             return self.field.lift(other)
         return None
 
@@ -600,8 +589,9 @@ class RationalFunctionField:
             if fr == 1:
                 return self.one
             return _poly_value(self, (fr,) if fr else P_ZERO)
-        num, den = p_from_fraction(Fraction(fr))
-        return RationalFunction(self, num, den, _canonical=True)
+        fr = Fraction(fr)
+        return RationalFunction(self, (fr.numerator,) if fr else P_ZERO,
+                                (fr.denominator,), _canonical=True)
 
     def as_fraction(self, x):
         """x as a Fraction if it is constant, else None."""
@@ -625,13 +615,10 @@ class RationalFunctionField:
         """Clear row[col] against the pivot row prow, fraction-free.
 
         Both rows are stripped polynomial rows.  The result is the stripped
-        form of row - (row[col]/prow[col]) * prow, computed as
-        (p/g)*row - (v/g)*prow with g = gcd(p, v), scaling only the nonzero
-        entries of row and subtracting only where prow is nonzero; the
-        column col is zero by construction.  The factor stripped from it
-        is the one stripped from row - (v/p)*prow once its denominators are
-        cleared: it has no factor in common with p/g, since prow is
-        primitive and p/g is coprime to v/g.
+        form of (p/g)*row - (v/g)*prow, with p = prow[col], v = row[col]
+        and g = gcd(p, v).  Its stripped factor is that of row - (v/p)*prow
+        with denominators cleared, since prow is primitive and p/g is
+        coprime to v/g.
         """
         p, v = prow[col], row[col]
         # a constant on either side leaves no polynomial gcd to divide out
@@ -697,18 +684,164 @@ class RationalFunctionField:
         return self.denominators((x,))[1]
 
 
+def _operator(op, reflected=False):
+    """The Rational method op(na, da, nb, db) on reduced pairs of ints,
+    with the operands swapped when reflected; the other operand is a
+    Rational, an int or any other numbers.Rational (a Fraction)."""
+    def method(self, other):
+        if other.__class__ is Rational:
+            nb, db = other.numerator, other.denominator
+        elif other.__class__ is int:
+            nb, db = other, 1
+        elif isinstance(other, numbers.Rational):
+            nb, db = other.numerator, other.denominator
+        else:
+            return NotImplemented
+        if reflected:
+            return op(nb, db, self.numerator, self.denominator)
+        return op(self.numerator, self.denominator, nb, db)
+    return method
+
+
+def _q(n, d):
+    """The Rational n/d of a reduced pair with d > 0, as it stands."""
+    x = object.__new__(Rational)
+    x.numerator = n
+    x.denominator = d
+    return x
+
+
+# the operations of Rational on reduced pairs na/da and nb/db
+def _sum(na, da, nb, db):
+    if da == db:
+        if da == 1:
+            return _q(na + nb, 1)
+        t = na + nb
+        g = gcd(t, da)
+        return _q(t // g, da // g) if g > 1 else _q(t, da)
+    if db == 1:
+        return _q(na + nb * da, da)
+    if da == 1:
+        return _q(na * db + nb, db)
+    g = gcd(da, db)
+    if g == 1:
+        return _q(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    return _q(t // g2, s * (db // g2))
+
+
+def _prod(na, da, nb, db):
+    if db == 1:
+        if da == 1:
+            return _q(na * nb, 1)
+    else:
+        g = gcd(na, db)
+        if g > 1:
+            na //= g
+            db //= g
+    if da != 1:
+        g = gcd(nb, da)
+        if g > 1:
+            nb //= g
+            da //= g
+    return _q(na * nb, da * db)
+
+
+def _div(na, da, nb, db):
+    if not nb:
+        raise ZeroDivisionError("division by zero")
+    g = gcd(na, nb)
+    if g > 1:
+        na //= g
+        nb //= g
+    if da != db:
+        g = gcd(da, db)
+        if g > 1:
+            da //= g
+            db //= g
+        na *= db
+        nb *= da
+    return _q(-na, -nb) if nb < 0 else _q(na, nb)
+
+
+@total_ordering
+class Rational:
+    """An element of Q: coprime ints numerator and denominator > 0.
+
+    Operations take a Rational, an int or a Fraction and give a reduced
+    Rational.  Denominator 1 and equal denominators take short paths;
+    otherwise the gcds are taken crosswise, as in fractions.Fraction.
+    ==, hash and str agree with Fraction's, and the class is registered
+    as a numbers.Rational, so Fraction(x) reads it.  QQ.lift and QQ.quo
+    make the values.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    __add__ = __radd__ = _operator(_sum)
+    __sub__ = _operator(lambda na, da, nb, db: _sum(na, da, -nb, db))
+    __rsub__ = _operator(lambda na, da, nb, db: _sum(nb, db, -na, da))
+    __mul__ = __rmul__ = _operator(_prod)
+    __truediv__ = _operator(_div)
+    __rtruediv__ = _operator(_div, reflected=True)
+    __eq__ = _operator(lambda na, da, nb, db: na == nb and da == db)
+    __lt__ = _operator(lambda na, da, nb, db: na * db < nb * da)
+
+    def __neg__(self):
+        return _q(-self.numerator, self.denominator)
+
+    def __bool__(self):
+        return self.numerator != 0
+
+    def __int__(self):
+        # toward zero, as int(Fraction)
+        n, d = self.numerator, self.denominator
+        return n // d if n >= 0 else -(-n // d)
+
+    def __hash__(self):
+        n, d = self.numerator, self.denominator
+        if d == 1:
+            return hash(n)
+        # Fraction's hash: |n| times the inverse of d modulo the hash prime
+        m = sys.hash_info.modulus
+        h = hash(hash(abs(n)) * pow(d, -1, m)) if d % m else \
+            sys.hash_info.inf
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __str__(self):
+        n, d = self.numerator, self.denominator
+        return str(n) if d == 1 else "%d/%d" % (n, d)
+
+    def __repr__(self):
+        return "Rational(%d, %d)" % (self.numerator, self.denominator)
+
+
+numbers.Rational.register(Rational)
+
+
 class Rationals:
-    """Adapter giving plain Fractions the same factory interface."""
+    """The field Q, whose values are Rational; the factory interface of
+    RationalFunctionField."""
 
     symbol = None
     name = "Q"
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = _q(0, 1)
+        self.one = _q(1, 1)
 
-    def lift(self, fr):
-        return Fraction(fr)
+    def lift(self, x):
+        """x as a Rational: an int, a Rational or a Fraction; no float."""
+        if x.__class__ is Rational:
+            return x
+        if x.__class__ is int:
+            return self.one if x == 1 else _q(x, 1)
+        if isinstance(x, numbers.Rational):
+            return _q(x.numerator, x.denominator)
+        raise TypeError("Q holds exact rationals, not %s" % type(x).__name__)
 
     def as_fraction(self, x):
         return Fraction(x)
@@ -716,7 +849,7 @@ class Rationals:
     def int_row(self, row):
         """(den, row * den) with den the lcm of the denominators of row.
 
-        Entries may be ints or Fractions; the scaled row is a list of ints.
+        Entries may be ints, Rationals or Fractions; the scaled row is a list of ints.
         This is the hook of linalg.nullspace's modular path.
         """
         den = lcm(*[x.denominator for x in row])
@@ -730,7 +863,7 @@ class Rationals:
     def strip_row(self, row, factor_sink=None):
         """Scale a row by a positive rational to coprime ints.
 
-        Entries may be ints or Fractions; a zero row comes back as int
+        Entries may be ints, Rationals or Fractions; a zero row comes back as int
         zeros.
         """
         row = self.int_row(row)[1]
@@ -738,13 +871,9 @@ class Rationals:
         return [x // g for x in row] if g > 1 else row
 
     def eliminate(self, row, prow, col, factor_sink=None):
-        """Clear row[col] against the pivot row prow, fraction-free.
-
-        Both rows are stripped int rows.  The result is the stripped form
-        of row - (row[col]/prow[col]) * prow, computed as
-        (p/g)*row - (v/g)*prow with g = gcd(p, v) and the sign of p
-        divided out, subtracting only where prow is nonzero.
-        """
+        """Clear row[col] against the pivot row prow, fraction-free, as
+        over Q(k): both are stripped int rows, and the sign of p/g is
+        divided out."""
         p, v = prow[col], row[col]
         g = gcd(p, v)
         a, b = p // g, v // g
@@ -758,7 +887,13 @@ class Rationals:
         return [x // g for x in out] if g > 1 else out
 
     def quo(self, a, b):
-        return Fraction(a, b)
+        """The Rational a/b of ints, b != 0."""
+        if not b:
+            raise ZeroDivisionError("division by zero")
+        g = gcd(a, b)
+        if b < 0:
+            g = -g
+        return _q(a // g, b // g)
 
     def dot(self, pairs, vec):
         return sum(x * vec[j] for j, x in pairs)

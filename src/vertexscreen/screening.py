@@ -85,7 +85,7 @@ class ScreeningContext:
 
     The grading carries the restricted base, tau_k and chi.  level: the
     element of field playing the role of k (the field generator for
-    symbolic computations, a Fraction for specializations); see
+    symbolic computations, a rational for specializations); see
     presets.level_field.
     """
 
@@ -200,8 +200,8 @@ class ScreeningContext:
             if out:
                 out = self.system.translate(out)
             part = apply_field_coeff(a_field, -m - n, xstate)
-            c = Fraction((-1) ** ((m + n) % 2) * sigma, _fact(m))
-            state_acc(out, part, field.lift(c), field)
+            c = field.lift((-1) ** ((m + n) % 2) * sigma) / _fact(m)
+            state_acc(out, part, c, field)
         out = trimmed(out)
         self._s_alpha_memo[key] = out
         return out

@@ -67,7 +67,7 @@ class SuperRootDatum:
         self.rank = rank
         self.roots = roots
         self.parity = [0] * rank + [r.parity for r in roots]
-        self.sc = sc                  # (i, j) -> {l: Fraction}
+        self.sc = sc                  # (i, j) -> {l: rational}
         self.form = form              # matrix over the basis
         self.simple, self.theta_pos = _complete_roots(rank, roots, letter)
         self.label = label
@@ -551,7 +551,7 @@ class RestrictedBase:
 class LevelForm:
     """tau(u|v) = k (u|v) + 1/2 kappa_g(u|v) - 1/2 kappa_{g0}(u|v).
 
-    Entries are stored as (constant, k-coefficient) Fraction pairs.
+    Entries are stored as (constant, k-coefficient) rational pairs.
     """
 
     def __init__(self, grading):

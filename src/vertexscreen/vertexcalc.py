@@ -113,12 +113,10 @@ class Module:
     Highest vectors are keyed by tags: ("m", coords) for Fock-type vectors
     over the current span (the vacuum is momentum zero) and ("x", key) for
     registered induced-module vectors with a finite zero-mode table.  Tags
-    are interned (vacuum_tag, momentum_tag, induced_tag): each distinct tag
-    is one HvTag object, hashed and compared by identity, so a state key
-    (word, tag) hashes without touching the coordinates.  word_coeff_acc
-    interns the momentum of a lattice exponential the same way, once per
-    call, and the memos under it are keyed on that tag.  A tag built any
-    other way matches nothing.
+    are interned HvTags (vacuum_tag, momentum_tag, induced_tag), so a state
+    key hashes without touching the coordinates; word_coeff_acc interns a
+    lattice momentum the same way.  A tag built any other way matches
+    nothing.
     """
 
     def __init__(self, field):
@@ -342,13 +340,13 @@ class Module:
                 # a repeated odd mode squares to half its self-bracket,
                 # g_m g_m = [g_m, g_m] / 2, which vanishes only when
                 # g_(j) g = 0 for every j (free fermions)
-                scale = Fraction(1, 2) if repeat else 1
                 entry = self.brackets.get((g, g1), {})
                 for j, lc in entry.items():
-                    bj = _binom(m, j) * scale
+                    bj = _binom(m, j)
                     if bj:
                         part = self.comb_mode(lc, m + m1 - j, rest, tag)
-                        state_acc(acc, part, field.lift(bj), field)
+                        bj = field.lift(bj)
+                        state_acc(acc, part, bj / 2 if repeat else bj, field)
                 if not repeat:
                     sign = (-1) ** (gens[g].parity * gens[g1].parity)
                     inner = self.gen_mode(g, m, rest, tag)
@@ -415,6 +413,8 @@ class Module:
             raise GradingMismatch(
                 "lattice exponential applied to a non-Fock highest vector")
         val = self.pair_momenta(mom[1], hv.momentum)
+        if not val:
+            return 0
         fr = self.field.as_fraction(val)
         if fr is None or fr.denominator != 1:
             raise GradingMismatch(
@@ -614,7 +614,7 @@ class Module:
         field = self.field
         currents = self.currents
         n = len(ladder)
-        scale = field.lift(Fraction(1, n))
+        scale = field.one / n
         parts = [(currents[i], c * scale) for i, c in enumerate(mom[1])
                  if c]
         acc = {}

@@ -324,6 +324,9 @@ def test_verify_rejects_unread_flags(suite, flag, value, capsys):
     ("brst", "--trials", "3"),
     ("brst", "--seed", "7"),
     ("miura", "--n", "4"),
+    # refused before the value is parsed
+    ("wbn", "--level", "1/0"),
+    ("wick", "--level", "x"),
 ])
 def test_verify_rejects_flags_its_suite_does_not_read(suite, flag, value,
                                                       capsys):
@@ -336,11 +339,11 @@ def test_verify_rejects_flags_its_suite_does_not_read(suite, flag, value,
     assert err == "error: verify %s does not read %s\n" % (suite, flag)
 
 
-@pytest.mark.parametrize("level", ["7/2", "symbolic"])
+@pytest.mark.parametrize("level", ["7/2", "symbolic", "x"])
 def test_info_rejects_level(level, capsys):
     """info reads no level: --level exits 2 with one error line, also at
-    its default value, instead of printing the report it prints without
-    the flag."""
+    its default value or a value that is no level, instead of printing
+    the report it prints without the flag."""
     assert main(["info", "--preset", "sl2-regular", "--level", level]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -367,7 +370,7 @@ def test_info_help_does_not_offer_level(capsys):
 
 def test_verify_help_names_the_flags_each_suite_reads(capsys):
     """verify --help ends with one line per suite naming the flags it
-    reads, the same table cmd_verify refuses the others by: every flag
+    reads, the same table main refuses the others by: every flag
     named is accepted and every other suite flag is refused."""
     text = _help(["verify", "wick"], capsys)
     lines = text.split("besides --out and --format; it refuses any other:\n",

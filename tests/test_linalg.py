@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from vertexscreen import cli, linalg, screening
 from vertexscreen.linalg import decompose, matrix_rank, nullspace, solve_in_span
-from vertexscreen.scalars import (QQ, RationalFunction, RationalFunctionField,
-                                  Rationals)
+from vertexscreen.presets import preset_context
+from vertexscreen.scalars import (QQ, Rational, RationalFunction,
+                                  RationalFunctionField, Rationals)
 
 
 def test_rank_and_nullspace_rationals():
@@ -92,13 +94,16 @@ def test_decompose_dependent_family():
 BIG = 2**64 + 13
 
 
-def _all_fractions(values):
-    return all(type(x) is Fraction for x in values)
+def _all_rationals(values):
+    """Every value is a Rational, the type of values over Q, reduced with
+    a positive denominator."""
+    return all(type(x) is Rational and x.denominator > 0
+               and gcd(x.numerator, x.denominator) == 1 for x in values)
 
 
 def test_integer_path_over_q_returns_fractions():
     """Rows of plain ints, and the same rows each scaled by a rational with
-    a non-unit denominator, give the same exact Fraction results, with
+    a non-unit denominator, give the same exact Rational results, with
     entries beyond 2**64 and a zero row."""
     ints = [[BIG, 0, 3, 0],
             [0, 0, 0, 0],
@@ -111,7 +116,7 @@ def test_integer_path_over_q_returns_fractions():
     assert len(null) == 2 and null == nullspace(fracs, 4, QQ)
     assert matrix_rank(ints, 4, QQ) == matrix_rank(fracs, 4, QQ) == 2
     for v in null:
-        assert _all_fractions(v)
+        assert _all_rationals(v)
         for row in ints:
             assert sum(a * b for a, b in zip(row, v)) == 0
 
@@ -122,7 +127,7 @@ def test_integer_path_over_q_returns_fractions():
                [0, 0, 0, 0]]
     got = decompose([v1, v2], targets, QQ)
     assert got == [[3, Fraction(-1, 7)], None, [0, 0]]
-    assert _all_fractions(got[0] + got[2])
+    assert _all_rationals(got[0] + got[2])
     scale = [Fraction(1, 6), 5, Fraction(-3, 4), Fraction(BIG, 7)]
 
     def scaled(v):
@@ -134,7 +139,7 @@ def test_integer_path_over_q_returns_fractions():
     vecs = [dict(zip("abcd", v1)), dict(zip("abcd", v2))]
     target = dict(zip("abcd", targets[0]))
     sol = solve_in_span(vecs, target, QQ)
-    assert sol == [3, Fraction(-1, 7)] and _all_fractions(sol)
+    assert sol == [3, Fraction(-1, 7)] and _all_rationals(sol)
     assert solve_in_span([{k: Fraction(x) for k, x in v.items()}
                           for v in vecs], target, QQ) == sol
 
@@ -144,9 +149,31 @@ def test_all_zero_matrix_over_q():
     assert matrix_rank(zero, 3, QQ) == 0
     null = nullspace(zero, 3, QQ)
     assert null == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert _all_fractions(x for v in null for x in v)
+    assert _all_rationals(x for v in null for x in v)
     assert decompose([[0, 0], [0, 0]], [[0, 0]], QQ) is None
     assert solve_in_span([{"a": 0}], {}, QQ) is None  # a dependent family
+
+
+def test_kernel_basis_over_q_holds_one_element_type(monkeypatch):
+    """Every kernel vector of kernel_basis at k = 7/2, and every
+    coefficient of its basis fields, is a reduced Rational:
+    over Q a kernel holds one element type, whether nullspace certified
+    it mod P or row-reduced it."""
+    vectors = []
+
+    def recording(*args, **kwargs):
+        out = nullspace(*args, **kwargs)
+        vectors.extend(out)
+        return out
+
+    monkeypatch.setattr(screening, "nullspace", recording)
+    ctx = preset_context("osp1_4-regular", Fraction(7, 2))
+    ops = screening.exponential_screenings(ctx)
+    fields = [fe for w2 in range(9)
+              for fe in screening.kernel_basis(ctx, ops, w2).basis_fields]
+    assert len(vectors) == len(fields) == 8
+    assert _all_rationals(x for v in vectors for x in v)
+    assert _all_rationals(c for fe in fields for c in fe.terms.values())
 
 
 def test_polynomial_path_over_qk_returns_rational_functions():

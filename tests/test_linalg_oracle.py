@@ -8,7 +8,7 @@ from vertexscreen import linalg
 from vertexscreen.linalg import (P, decompose, matrix_rank, nullspace,
                                  rank_mod_p)
 from vertexscreen.presets import preset_context
-from vertexscreen.scalars import QQ, RationalFunctionField
+from vertexscreen.scalars import QQ, Rational, RationalFunctionField
 from vertexscreen.screening import (exponential_screenings,
                                     generic_screenings, kernel_basis)
 
@@ -36,7 +36,8 @@ FIELDS = {
 
 
 def _to_sympy(x, dom):
-    if isinstance(x, Fraction):
+    # a value over Q (Rational) or an input entry (Fraction)
+    if isinstance(x, (Rational, Fraction)):
         return dom.convert(sympy.Rational(x.numerator, x.denominator))
     num = sum(c * K_SYM ** i for i, c in enumerate(x.num))
     den = sum(c * K_SYM ** i for i, c in enumerate(x.den))
@@ -156,7 +157,7 @@ def test_certified_nullspace_matches_fallback_and_sympy(problem):
     certified = linalg._modular_nullspace(rows, ncols, QQ)
     if certified is not None:
         assert certified == expected
-        assert all(type(x) is Fraction for v in certified for x in v)
+        assert all(type(x) is Rational for v in certified for x in v)
     assert nullspace(rows, ncols, QQ) == expected
 
 
@@ -271,7 +272,7 @@ def test_certified_nullspace_adversarial(rows, ncols, certified,
     got = nullspace(rows, ncols, QQ)
     assert outcomes == [certified]
     assert got == _sympy_nullspace(rows, ncols)
-    assert all(type(x) is Fraction for v in got for x in v)
+    assert all(type(x) is Rational for v in got for x in v)
 
 
 def test_nullspace_without_columns(monkeypatch):

@@ -13,7 +13,10 @@ the row by the pivot entry, subtract, clear denominators and strip the
 common factor.  Both must agree up to a rational constant and record the
 same common factors.  eliminate and _heu_gcd are also checked against
 their earlier forms, copied below: the dense step and the gcd of every
-value must give the same rows, factors and cofactors.
+value must give the same rows, factors and cofactors.  The values over Q,
+Rational, are checked against fractions.Fraction: every operation, with
+int and Fraction operands on either side, gives the reduced value
+Fraction gives, with the same ==, hash and str.
 """
 
 from fractions import Fraction
@@ -22,7 +25,7 @@ from math import gcd
 import pytest
 
 from vertexscreen import scalars
-from vertexscreen.scalars import (P_ONE, P_ZERO, RationalFunction,
+from vertexscreen.scalars import (P_ONE, P_ZERO, QQ, Rational, RationalFunction,
                                   RationalFunctionField, _prs_gcd, _reduce,
                                   _strip_polys, p_content, p_div_exact, p_gcd,
                                   p_mul, p_neg, p_primitive, p_scale, p_sub)
@@ -516,3 +519,69 @@ def test_denominators_of_polys_match_unit_inversion(specs, quotients):
     unit, = F.strip_row([F.one])
     want = F.denominators(values + [F.quo(unit, p) for p in polys_])
     assert F.denominators(values, polys_) == want
+
+
+# Fractions whose numerators and denominators are zero, +-1 or small far
+# more often than chance, so that denominator 1 and equal denominators,
+# the short paths of Rational, come up in most draws
+q_nums = st.one_of(st.sampled_from([0, 1, -1, 2, -3, 6]),
+                   st.integers(-10 ** 20, 10 ** 20))
+q_dens = st.one_of(st.sampled_from([1, 1, 2, 3, 6]),
+                   st.integers(1, 10 ** 12))
+q_values = st.builds(Fraction, q_nums, q_dens)
+
+
+def _assert_rational(x, want):
+    """x is the reduced Rational of the Fraction want, and agrees with it."""
+    assert type(x) is Rational
+    assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
+    assert x == want and want == x and not x != want
+    assert hash(x) == hash(want) and str(x) == str(want)
+    assert bool(x) == bool(want) and int(x) == int(want)
+    assert Fraction(x) == want and type(Fraction(x)) is Fraction
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(q_values, q_values, st.booleans(),
+                  st.sampled_from(["Q", "int", "Fraction"]), st.booleans())
+def test_rational_operations_match_fraction(a, b, same_den, kind, flip):
+    """+, -, * and / of a Rational with a Rational, an int or a Fraction,
+    on either side, give what Fraction gives; so do -, ==, < and hash."""
+    if same_den:
+        b = Fraction(b.numerator, a.denominator)
+    if kind == "int":
+        b = Fraction(b.numerator)
+    other = {"Q": QQ.lift(b), "int": b.numerator, "Fraction": b}[kind]
+    x, y = (other, QQ.lift(a)) if flip else (QQ.lift(a), other)
+    fx, fy = (b, a) if flip else (a, b)
+    _assert_rational(QQ.lift(a), a)
+    _assert_rational(-QQ.lift(a), -a)
+    _assert_rational(x + y, fx + fy)
+    _assert_rational(x - y, fx - fy)
+    _assert_rational(x * y, fx * fy)
+    if fy:
+        _assert_rational(x / y, fx / fy)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    assert (x == y, x < y, x <= y, x > y, x >= y) == \
+        (fx == fy, fx < fy, fx <= fy, fx > fy, fx >= fy)
+    assert len({QQ.lift(a), a}) == 1
+
+
+@hypothesis.given(st.integers(-10 ** 30, 10 ** 30), st.integers(
+    -10 ** 30, 10 ** 30).filter(bool))
+def test_quo_is_the_reduced_fraction(a, b):
+    _assert_rational(QQ.quo(a, b), Fraction(a, b))
+
+
+def test_lift_takes_exact_rationals_only():
+    assert QQ.lift(1) is QQ.one
+    assert QQ.lift(QQ.one) is QQ.one
+    _assert_rational(QQ.zero, Fraction(0))
+    _assert_rational(QQ.lift(Fraction(-6, 4)), Fraction(-3, 2))
+    for bad in (0.5, 1.0, "1/2", None):
+        with pytest.raises(TypeError):
+            QQ.lift(bad)
+    with pytest.raises(ZeroDivisionError):
+        QQ.quo(1, 0)

@@ -156,9 +156,8 @@ def test_all_zero_matrix_over_q():
 
 def test_kernel_basis_over_q_holds_one_element_type(monkeypatch):
     """Every kernel vector of kernel_basis at k = 7/2, and every
-    coefficient of its basis fields, is a reduced Rational:
-    over Q a kernel holds one element type, whether nullspace certified
-    it mod P or row-reduced it."""
+    coefficient of its basis fields, is a reduced Rational: over Q a
+    kernel holds one element type."""
     vectors = []
 
     def recording(*args, **kwargs):

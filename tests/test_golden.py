@@ -42,6 +42,9 @@ and ``verify-miura-osp1_6-regular-7_2-6.json``, the specialized kernels
 of the benchmark and a Miura check over Q, hold what ``kernel`` and
 ``verify miura`` wrote at commit 81c2620, while values over Q were still
 ``fractions.Fraction``.
+``wick-brackets-seed20240.json`` holds the Q(k) brackets ``verify wick``
+builds (_wick_brackets_doc), written at commit 0743513, while every
+value of Q(k) still passed through one constructor.
 ``datum-sl4.json`` and ``datum-osp1_6.json`` hold ``datum_to_json`` of
 ``build_sl(4)`` and ``build_osp(3)``, dumped as the CLI dumps JSON
 (indent 2, sorted keys, a final newline), while the matrix models were
@@ -54,12 +57,16 @@ file only for an intended change of output, and say why in the commit.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from vertexscreen.cli import main
+from vertexscreen.presets import preset_context
 from vertexscreen.superdata import build_osp, build_sl, datum_to_json
+from vertexscreen.vertexcalc import bracket, field_to_json, normal_order
+from vertexscreen.verify import WICK_PRESETS, _sample_triple
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = [
@@ -151,4 +158,32 @@ def test_suite_report_matches_golden(name, argv, tmp_path, capsys):
 @pytest.mark.parametrize("name, build, n", DATUM_CASES)
 def test_datum_table_matches_golden(name, build, n):
     text = json.dumps(datum_to_json(build(n)), indent=2, sort_keys=True)
+    assert (text + "\n").encode() == (GOLDEN / name).read_bytes()
+
+
+def _wick_brackets_doc():
+    """For each of WICK_PRESETS, the first triple (a, b, c) that
+    ``verify wick`` draws at seed 20240 with its default --max-weight,
+    from a fresh random.Random(20240), and the brackets its checks
+    build: [a_l b], [a_l :bc:] and [f_l c] for each entry f of [a_l b]."""
+    def table(br):
+        return {str(n): field_to_json(f) for n, f in br.items()}
+    doc = {}
+    for preset in WICK_PRESETS:
+        module = preset_context(preset).system
+        a, b, c = _sample_triple(module, random.Random(20240), 6)
+        ab = bracket(a, b)
+        doc[preset] = {
+            "a": field_to_json(a), "b": field_to_json(b),
+            "c": field_to_json(c), "[a_l b]": table(ab),
+            "[a_l :bc:]": table(bracket(a, normal_order(b, c))),
+            "[(a_n b)_l c]": {str(n): table(bracket(f, c))
+                              for n, f in ab.items()},
+        }
+    return doc
+
+
+def test_wick_brackets_match_golden():
+    text = json.dumps(_wick_brackets_doc(), indent=2, sort_keys=True)
+    name = "wick-brackets-seed20240.json"
     assert (text + "\n").encode() == (GOLDEN / name).read_bytes()

@@ -8,10 +8,11 @@ Rational functions are stored as a pair of coprime integer-coefficient
 polynomials; the denominator has positive leading coefficient and the
 pair carries no common integer content.  No floating point anywhere.
 
-A value whose denominator is P_ONE = (1,) is canonical once its numerator
-is trimmed, so sums, differences and products of two such values skip
-_reduce (_poly_value).  A unit factor hands back the other operand, and
-lift(1) is the field's one, on both fields.
+Every value with denominator 1 holds the tuple P_ONE itself, and its
+constant numerators are added, negated and multiplied inline; a constant
+denominator (d,) reduces by integer gcds alone.  _rf builds a canonical
+pair as it stands, the hash is computed on first use, a unit factor hands
+back the other operand, and lift(1) is the field's one, on both fields.
 
 Polynomial gcds are taken by evaluation (the heuristic gcd of Char,
 Geddes & Gonnet, J. Symbolic Comput. 7, 1989; von zur Gathen & Gerhard,
@@ -361,13 +362,9 @@ class RationalFunction:
 
     __slots__ = ("field", "num", "den", "_hash")
 
-    def __init__(self, field, num, den, _canonical=False):
+    def __init__(self, field, num, den):
         self.field = field
-        if _canonical:
-            self.num, self.den = num, den
-        else:
-            self.num, self.den = _reduce(num, den)
-        self._hash = None
+        self.num, self.den = _reduce(num, den)
 
     # -- helpers -----------------------------------------------------------
 
@@ -390,26 +387,35 @@ class RationalFunction:
             other.field is self.field else self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == P_ONE and o.den == P_ONE:
-            return _poly_value(self.field, p_add(self.num, o.num))
-        num = p_add(p_mul(self.num, o.den), p_mul(o.num, self.den))
-        return RationalFunction(self.field, num, p_mul(self.den, o.den))
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if da is P_ONE is db:
+            if len(a) == 1 == len(b):
+                t = a[0] + b[0]
+                num = (t,) if t else P_ZERO
+            else:
+                num = p_add(a, b)
+            x = object.__new__(RationalFunction)
+            x.field = self.field
+            x.num = num
+            x.den = P_ONE
+            return x
+        if len(da) == 1 == len(db):
+            # constant denominators: reduced by integer gcds only
+            p, q = da[0], db[0]
+            return _by_int(self.field, p_add(a, b), p) if p == q else \
+                _by_int(self.field, p_add(p_mul(a, db), p_mul(b, da)), p * q)
+        return RationalFunction(self.field, p_add(p_mul(a, db), p_mul(b, da)),
+                                p_mul(da, db))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(self.field, p_neg(self.num), self.den,
-                                _canonical=True)
+        a = self.num
+        return _rf(self.field, (-a[0],) if len(a) == 1 else p_neg(a),
+                   self.den)
 
     def __sub__(self, other):
-        o = other if other.__class__ is RationalFunction and \
-            other.field is self.field else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == P_ONE and o.den == P_ONE:
-            return _poly_value(self.field, p_sub(self.num, o.num))
-        num = p_sub(p_mul(self.num, o.den), p_mul(o.num, self.den))
-        return RationalFunction(self.field, num, p_mul(self.den, o.den))
+        return self + -other
 
     def __rsub__(self, other):
         return -(self - other)
@@ -419,15 +425,28 @@ class RationalFunction:
             other.field is self.field else self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b, da, db = self.num, o.num, self.den, o.den
         # a unit factor hands back the other operand
-        if o.num == P_ONE and o.den == P_ONE:
+        if b == P_ONE and db is P_ONE:
             return self
-        if self.num == P_ONE and self.den == P_ONE:
+        if a == P_ONE and da is P_ONE:
             return o
-        if self.den == P_ONE and o.den == P_ONE:
-            return _poly_value(self.field, p_mul(self.num, o.num))
-        return RationalFunction(self.field, p_mul(self.num, o.num),
-                                p_mul(self.den, o.den))
+        if da is P_ONE is db:
+            x = object.__new__(RationalFunction)
+            x.field = self.field
+            if len(a) == 1:
+                a, b = b, a
+            if len(b) == 1:
+                t = b[0]
+                x.num = (a[0] * t,) if len(a) == 1 else \
+                    tuple([c * t for c in a])
+            else:
+                x.num = p_mul(a, b)
+            x.den = P_ONE
+            return x
+        if len(da) == 1 == len(db):
+            return _by_int(self.field, p_mul(a, b), da[0] * db[0])
+        return RationalFunction(self.field, p_mul(a, b), p_mul(da, db))
 
     __rmul__ = __mul__
 
@@ -435,10 +454,15 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
+        b, db = o.num, o.den
+        if not b:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.field, p_mul(self.num, o.den),
-                                p_mul(self.den, o.num))
+        if len(b) == 1 == len(db) == len(self.den):
+            # (a/p) / (s/q) = a*q / (p*s), reduced by integer gcds
+            a = p_mul(self.num, db if b[0] > 0 else (-db[0],))
+            return _by_int(self.field, a, self.den[0] * abs(b[0]))
+        return RationalFunction(self.field, p_mul(self.num, db),
+                                p_mul(self.den, b))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -453,14 +477,14 @@ class RationalFunction:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        if self._hash is None:
-            if len(self.num) <= 1 and len(self.den) == 1:
-                # agree with Fraction/int hashing for constants
-                self._hash = hash(Fraction(self.num[0] if self.num else 0,
-                                           self.den[0]))
-            else:
-                self._hash = hash((self.field.symbol, self.num, self.den))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            # constants agree with Fraction/int hashing
+            fr = self.as_fraction()
+            self._hash = h = hash((self.field.symbol, self.num, self.den)
+                                  if fr is None else fr)
+            return h
 
     # -- queries ------------------------------------------------------------
 
@@ -480,7 +504,7 @@ class RationalFunction:
 
     def __str__(self):
         n = p_str(self.num, self.field.symbol)
-        if self.den == P_ONE:
+        if self.den is P_ONE:
             return n
         d = p_str(self.den, self.field.symbol)
         if len(self.num) > 1 or (self.num and self.num[0] < 0):
@@ -492,11 +516,21 @@ class RationalFunction:
     __repr__ = __str__
 
 
-def _poly_value(field, num):
-    """The value num / 1 for a trimmed numerator, canonical as it stands."""
+def _rf(field, num, den):
+    """The value num/den of a canonical pair, as it stands."""
     x = object.__new__(RationalFunction)
-    x.field, x.num, x.den, x._hash = field, num, P_ONE, None
+    x.field = field
+    x.num = num
+    x.den = den
     return x
+
+
+def _by_int(field, num, d):
+    """num/d for a trimmed num and an int d > 0, reduced by an int gcd."""
+    g = gcd(d, *num)
+    if g > 1:
+        num, d = tuple([x // g for x in num]), d // g
+    return _rf(field, num, P_ONE if d == 1 else (d,))
 
 
 def _reduce(num, den):
@@ -514,7 +548,7 @@ def _reduce(num, den):
         den = tuple(x // c for x in den)
     if den[-1] < 0:
         num, den = p_neg(num), p_neg(den)
-    return num, den
+    return num, P_ONE if den == P_ONE else den
 
 
 def _p_lcm(a, b):
@@ -575,9 +609,9 @@ class RationalFunctionField:
 
     def _init(self, symbol):
         self.symbol = symbol
-        self.zero = RationalFunction(self, P_ZERO, P_ONE, _canonical=True)
-        self.one = RationalFunction(self, P_ONE, P_ONE, _canonical=True)
-        self.gen = RationalFunction(self, (0, 1), P_ONE, _canonical=True)
+        self.zero = _rf(self, P_ZERO, P_ONE)
+        self.one = _rf(self, P_ONE, P_ONE)
+        self.gen = _rf(self, (0, 1), P_ONE)
 
     name = property(lambda self: "Q(%s)" % self.symbol)
     # rows of rational functions have no integer form: linalg.nullspace
@@ -588,10 +622,11 @@ class RationalFunctionField:
         if type(fr) is int:
             if fr == 1:
                 return self.one
-            return _poly_value(self, (fr,) if fr else P_ZERO)
-        fr = Fraction(fr)
-        return RationalFunction(self, (fr.numerator,) if fr else P_ZERO,
-                                (fr.denominator,), _canonical=True)
+            return _rf(self, (fr,) if fr else P_ZERO, P_ONE)
+        if fr.__class__ is not Fraction:
+            fr = Fraction(fr)
+        n, d = fr.numerator, fr.denominator
+        return _rf(self, (n,) if n else P_ZERO, P_ONE if d == 1 else (d,))
 
     def as_fraction(self, x):
         """x as a Fraction if it is constant, else None."""

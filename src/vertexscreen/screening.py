@@ -240,6 +240,13 @@ class ScreeningOp:
         self.class_roots = class_roots
         self.momentum = momentum
         self.word = word
+        # interned once: a coordinate tuple is hashed on every lookup
+        self._mom_tag = None if momentum is None else \
+            ctx.system.momentum_tag(momentum)
+        # S^a_1 is never computed for a root with chi(e_a) = 0
+        chi = ctx.grading.chi.of_index
+        self._weights = [(b, ctx.field.lift(chi(b))) for b in class_roots
+                         if chi(b)]
 
     def __repr__(self):
         return "ScreeningOp(%s, %s)" % (self.kind, self.label)
@@ -249,13 +256,10 @@ class ScreeningOp:
         field = ctx.field
         mod = ctx.system
         if self.kind == "exp":
-            return mod.word_coeff_state(self.word, self.momentum, -1, state)
+            return mod.word_coeff_state(self.word, self._mom_tag, -1, state)
         if self.kind == "generic-one":
-            # S^a_1 is never computed for a root with chi(e_a) = 0
-            weights = [(b, ctx.grading.chi.of_index(b))
-                       for b in self.class_roots]
-            return state_sum(((ctx.s_alpha_apply(b, 1, state), field.lift(c))
-                              for b, c in weights if c), field)
+            return state_sum(((ctx.s_alpha_apply(b, 1, state), c)
+                              for b, c in self._weights), field)
         # generic-half
         out = {}
         depth2 = mod.state_depth2(state) if state else 0

@@ -137,6 +137,7 @@ class Module:
         self._drop_memo = {}
         self._ladder_memo = {}
         self._creation_memo = {}
+        self._pairing_memo = {}
 
     # -- generators and brackets ----------------------------------------------
 
@@ -407,19 +408,22 @@ class Module:
     # -- coefficient extraction for normally ordered word fields ----------------
 
     def _mom_pairing_int(self, mom, tag):
-        """(mu|momentum of tag) for the interned momentum mu, as an int."""
+        """(mu|momentum of tag) for the interned momentum mu, as an int,
+        stored per pair of tags."""
+        out = self._pairing_memo.get((mom, tag))
+        if out is not None:
+            return out
         hv = self.hv(tag)
         if hv.momentum is None:
             raise GradingMismatch(
                 "lattice exponential applied to a non-Fock highest vector")
         val = self.pair_momenta(mom[1], hv.momentum)
-        if not val:
-            return 0
         fr = self.field.as_fraction(val)
         if fr is None or fr.denominator != 1:
             raise GradingMismatch(
                 "momentum pairing %s is not an integer" % val)
-        return int(fr)
+        out = self._pairing_memo[mom, tag] = int(fr)
+        return out
 
     def word_coeff_mono(self, word, mom, J, w0, tag):
         """[z^J] of the word field (with optional momentum factor) on a
@@ -626,9 +630,10 @@ class Module:
 
     def word_coeff_acc(self, acc, word, mom, J, state, coeff):
         """Add coeff * [z^J] of the word field, times e^{int mu} for mom = mu
-        (a tuple of current coordinates) or no factor for None, on a state
-        into acc in place.  Memo entries are only read; acc is the caller's."""
-        if mom is not None:
+        (a tuple of current coordinates or its momentum_tag) or no factor
+        for None, on a state into acc in place.  Memo entries are only
+        read; acc is the caller's."""
+        if mom is not None and mom.__class__ is not HvTag:
             mom = self.momentum_tag(mom)
         one = self.field.one
         for (w, t), c in state.items():
@@ -717,7 +722,7 @@ class FieldExpr:
     """Sum of canonical normally ordered words, optionally with a lattice
     exponential factor; equality is equality of canonical forms."""
 
-    __slots__ = ("system", "terms")
+    __slots__ = ("system", "terms", "_state")
 
     def __init__(self, system, terms=None):
         self.system = system
@@ -816,7 +821,12 @@ def field_to_json(fe):
 
 
 def field_state(fe):
-    """The state A_(-1)...|0> (or |mu> for a momentum factor) of a field."""
+    """The state A_(-1)...|0> (or |mu> for a momentum factor) of a field,
+    built once per field and only read by callers."""
+    try:
+        return fe._state
+    except AttributeError:
+        pass
     module = fe.system
     field = module.field
     out = {}
@@ -833,7 +843,8 @@ def field_state(fe):
                           cc if scale is None else cc * scale, field)
             st = nxt
         state_acc(out, st, field.one, field)
-    return trimmed(out)
+    fe._state = out = trimmed(out)
+    return out
 
 
 def state_field(state, system):

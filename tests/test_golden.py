@@ -43,8 +43,8 @@ of the benchmark and a Miura check over Q, hold what ``kernel`` and
 ``verify miura`` wrote at commit 81c2620, while values over Q were still
 ``fractions.Fraction``.
 ``wick-brackets-seed20240.json`` holds the Q(k) brackets ``verify wick``
-builds (_wick_brackets_doc), written at commit 0743513, while every
-value of Q(k) still passed through one constructor.
+builds (_wick_brackets_doc), written at commit 0743513, before values of
+Q(k) took short paths for constant numerators and denominators.
 ``datum-sl4.json`` and ``datum-osp1_6.json`` hold ``datum_to_json`` of
 ``build_sl(4)`` and ``build_osp(3)``, dumped as the CLI dumps JSON
 (indent 2, sorted keys, a final newline), while the matrix models were

@@ -3,9 +3,10 @@
 _reduce and p_gcd are checked against sympy, and p_gcd and _strip_polys
 against the pseudo-remainder gcd _prs_gcd they replaced, also with the
 heuristic gcd switched off so that its fallback runs.  The field operations
-and lift, whose operands with denominator 1 skip _reduce, are checked against
-the general reduction RationalFunction(F, num, den) of the textbook
-formula, against sympy.cancel and against the canonical-form invariants;
+and lift, whose operands with denominator 1 or a constant denominator skip
+_reduce, are checked against the general reduction RationalFunction(F, num,
+den) of the textbook formula, against sympy.cancel and against the
+canonical-form invariants, which include that denominator 1 is P_ONE;
 p_mul with a constant operand is checked against the plain convolution.  The fraction-free step of
 RationalFunctionField (strip_row, eliminate) is checked against the
 quotient form it replaces, written out below on RationalFunctions: divide
@@ -375,6 +376,9 @@ def _assert_canonical(x):
     assert all(type(c) is int for c in num + den)
     assert den and den[-1] > 0
     assert not num or num[-1] != 0
+    if den == P_ONE:
+        # every value with denominator 1 shares the tuple P_ONE itself
+        assert den is P_ONE
     if not num:
         assert den == P_ONE
         return
@@ -387,11 +391,14 @@ def _value(x):
 
 
 # operands: integer polynomials (denominator 1), constants with a
-# non-unit denominator, one, zero and general quotients
+# non-unit denominator, polynomials over a constant denominator, one, zero
+# and general quotients
 operands = st.one_of(
-    polys.map(lambda a: RationalFunction(F, a, P_ONE, _canonical=True)),
+    polys.map(lambda a: RationalFunction(F, a, P_ONE)),
     st.builds(lambda a, b: F.lift(Fraction(a, b)), st.integers(-9, 9),
               st.integers(2, 6)),
+    st.builds(lambda a, d: RationalFunction(F, a, (d,)), polys,
+              st.integers(2, 12)),
     st.just(F.one), st.just(F.zero),
     st.builds(lambda a, b: RationalFunction(F, a, b), polys, nonzero_polys))
 
@@ -406,8 +413,9 @@ def test_field_operations_match_general_reduction(x, y):
         "-": RationalFunction(F, _sum(cross[0], p_neg(cross[1])),
                               _conv(xd, yd)),
         "*": RationalFunction(F, _conv(xn, yn), _conv(xd, yd)),
+        "neg": RationalFunction(F, p_neg(xn), xd),
     }
-    got = {"+": x + y, "-": x - y, "*": x * y}
+    got = {"+": x + y, "-": x - y, "*": x * y, "neg": -x}
     if y:
         want["/"] = RationalFunction(F, _conv(xn, yd), _conv(xd, yn))
         got["/"] = x / y
@@ -415,7 +423,7 @@ def test_field_operations_match_general_reduction(x, y):
         with pytest.raises(ZeroDivisionError):
             x / y
     ref = {"+": _value(x) + _value(y), "-": _value(x) - _value(y),
-           "*": _value(x) * _value(y)}
+           "*": _value(x) * _value(y), "neg": -_value(x)}
     if y:
         ref["/"] = _value(x) / _value(y)
     for op, r in got.items():

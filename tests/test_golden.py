@@ -42,6 +42,10 @@ and ``verify-miura-osp1_6-regular-7_2-6.json``, the specialized kernels
 of the benchmark and a Miura check over Q, hold what ``kernel`` and
 ``verify miura`` wrote at commit 81c2620, while values over Q were still
 ``fractions.Fraction``.
+``kernel-osp1_4-regular-symbolic-9.json``, the benchmark's symbolic top
+weight, holds what ``kernel`` wrote at commit 5f8032b, before the
+screening images reached the nullspace as sparse rows; its reported
+denominators follow the elimination path over Q(k).
 ``wick-brackets-seed20240.json`` holds the Q(k) brackets ``verify wick``
 builds (_wick_brackets_doc), written at commit 0743513, before values of
 Q(k) took short paths for constant numerators and denominators.
@@ -80,6 +84,7 @@ CASES = [
     ("osp1_6-regular", "7/2", 8),
     ("osp1_4-regular", "7/2", 12),
     ("sl4-subregular", "7/2", 8),
+    ("osp1_4-regular", "symbolic", 9),
 ]
 VERIFY_CASES = [
     ("brst", "sl3-subregular", "symbolic", 8),

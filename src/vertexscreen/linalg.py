@@ -10,12 +10,13 @@ division by the previous pivot, each row here is divided by its own gcd
 instead.  Only the outputs are divided back into rationals or rational
 functions.
 
-One sparse forward elimination modulo the prime P = 2^61 - 1,
-_echelon_mod_p, has two callers: rank_mod_p (von zur Gathen & Gerhard,
-Modern Computer Algebra, 5.4-5.5), with which
-BRSTComplex.cohomology_dims certifies its dimensions, and nullspace over
-Q, which certifies its rational reconstruction (5.10) by an exact check
-and falls back to row_reduce when that fails.
+nullspace and rank_mod_p take sparse rows {column: entry}; row_reduce,
+matrix_rank and decompose take lists.  One sparse forward elimination
+modulo the prime P = 2^61 - 1, _echelon_mod_p, has two callers:
+rank_mod_p (von zur Gathen & Gerhard, Modern Computer Algebra, 5.4-5.5),
+with which BRSTComplex.cohomology_dims certifies its dimensions, and
+nullspace over Q, which certifies its rational reconstruction (5.10) by
+an exact check and falls back to row_reduce when that fails.
 """
 
 from math import isqrt, lcm
@@ -68,10 +69,10 @@ def matrix_rank(rows, ncols, field):
 
 
 def nullspace(rows, ncols, field, pivot_sink=None):
-    """Basis of {v : M v = 0} for M given as a list of rows.
+    """Basis of {v : M v = 0}, M given as sparse rows {column: entry}.
 
-    Basis vectors are normalized to have 1 in their free coordinate and
-    appear in increasing free-column order, so the output is deterministic.
+    Basis vectors are lists with 1 in their free coordinate, in increasing
+    free-column order, so the output is deterministic.
 
     Over Q the modular path of _modular_nullspace comes first, leaving
     pivot_sink empty; when it certifies its answer, that answer is the one
@@ -86,9 +87,10 @@ def nullspace(rows, ncols, field, pivot_sink=None):
     - The free columns are then the same, and the basis is the unique
       basis of the kernel over Q that is the identity on them.
 
-    On the row_reduce path each stripped vector is checked against each
-    stripped row (field.dot); stripping scales by a nonzero element of
-    the field, so AssertionError is raised exactly where M v != 0.
+    On the row_reduce path, which takes the rows as lists, each stripped
+    vector is checked against each stripped row (field.dot); stripping
+    scales by a nonzero element of the field, so AssertionError is raised
+    exactly where M v != 0.
     """
     if ncols == 0:
         return []
@@ -96,9 +98,10 @@ def nullspace(rows, ncols, field, pivot_sink=None):
         basis = _modular_nullspace(rows, ncols, field)
         if basis is not None:
             return basis
-    stripped = []
-    reduced, pivots = row_reduce(rows, ncols, field, pivot_sink=pivot_sink,
-                                 stripped=stripped)
+    zero, stripped = field.zero, []
+    reduced, pivots = row_reduce(
+        [[row.get(j, zero) for j in range(ncols)] for row in rows], ncols,
+        field, pivot_sink=pivot_sink, stripped=stripped)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -119,17 +122,16 @@ def nullspace(rows, ncols, field, pivot_sink=None):
 
 def _modular_nullspace(rows, ncols, field):
     """nullspace over Q by elimination mod P, or None when uncertified."""
-    # the rows in ints, column by column for the check and as sparse rows
-    # mod P for the elimination; only the nonzero entries are scaled
+    # the stored entries in ints, column by column for the check and as
+    # sparse rows mod P for the elimination
     columns = [[] for _ in range(ncols)]
     sparse = []
     for i, row in enumerate(rows):
-        nonzero = [j for j, x in enumerate(row) if x]
-        den, ints = field.int_row([row[j] for j in nonzero])
+        den, ints = field.int_row(row.values())
         if den % P == 0:
             return None
         r = {}
-        for j, x in zip(nonzero, ints):
+        for j, x in zip(row, ints):
             columns[j].append((i, x))
             x %= P
             if x:

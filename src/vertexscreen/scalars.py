@@ -624,7 +624,7 @@ class RationalFunctionField:
                 return self.one
             return _rf(self, (fr,) if fr else P_ZERO, P_ONE)
         if fr.__class__ is not Fraction:
-            fr = Fraction(fr)
+            fr = QQ.lift(fr)  # refuses a float or a string, as over Q
         n, d = fr.numerator, fr.denominator
         return _rf(self, (n,) if n else P_ZERO, P_ONE if d == 1 else (d,))
 

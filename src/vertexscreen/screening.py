@@ -17,10 +17,8 @@ Screening charges come in two constructions:
 
 A charge is the z^{-1} Fourier coefficient, with a neutral fermion factor
 inserted for the classes of degree one half (an "exp" charge carries it
-as its word, () otherwise).  Kernels are computed per conformal weight
-(doubled integers; highest vectors sit at depth 0) by exact elimination
-of the screening images, and linalg.nullspace checks every kernel vector
-exactly against those images before it returns.
+as its word, () otherwise).  kernel_basis intersects the kernels at one
+doubled weight, and linalg.nullspace checks each kernel vector exactly.
 """
 
 from fractions import Fraction
@@ -172,11 +170,6 @@ class ScreeningContext:
 
     # -- the generic screening series --------------------------------------------
 
-    def split_word(self, word):
-        wj = tuple(l for l in word if l[0] < self.n_j_gens)
-        wf = tuple(l for l in word if l[0] >= self.n_j_gens)
-        return wj, wf
-
     def s_alpha_mono(self, bidx, n, word, tag):
         """S^a_n applied to one pure-current vacuum monomial.
 
@@ -208,9 +201,10 @@ class ScreeningContext:
 
     def s_alpha_apply(self, bidx, n, state):
         """S^a_n on a state of the ambient (current and fermion letters)."""
-        out = {}
+        out, n_j = {}, self.n_j_gens
         for (word, tag), c in state.items():
-            wj, wf = self.split_word(word)
+            wj = tuple(l for l in word if l[0] < n_j)
+            wf = tuple(l for l in word if l[0] >= n_j)
             part = self.s_alpha_mono(bidx, n, wj, tag)
             if wf:
                 part = {(wm + wf, t2): c2 for (wm, t2), c2 in part.items()}
@@ -360,21 +354,19 @@ class KernelReport:
 
 
 def kernel_basis(ctx, screenings, weight2, expected=None):
-    """Exact intersection of screening kernels at one doubled weight."""
+    """Exact intersection of screening kernels at one doubled weight: the
+    nullspace of the sparse rows {basis position: coefficient}, one per
+    monomial that a screening's images reach, in _state_key order."""
     field = ctx.field
     basis = graded_basis(ctx.system, weight2)
     ncols = len(basis)
     rows = []
     for op in screenings:
-        images = []
-        keys = set()
-        for (w, t) in basis:
-            img = op.apply({(w, t): field.one})
-            images.append(img)
-            keys.update(img)
-        keys = sorted(keys, key=_state_key)
-        for key in keys:
-            rows.append([img.get(key, field.zero) for img in images])
+        by_key = {}
+        for j, key in enumerate(basis):
+            for m, c in op.apply({key: field.one}).items():
+                by_key.setdefault(m, {})[j] = c
+        rows.extend(by_key[m] for m in sorted(by_key, key=_state_key))
     pivots = []
     kernel = nullspace(rows, ncols, field, pivot_sink=pivots)
     basis_fields = [state_field({key: c for c, key in zip(vec, basis) if c},
@@ -383,7 +375,7 @@ def kernel_basis(ctx, screenings, weight2, expected=None):
     # where a pivot or a stripped row factor vanishes count as
     # denominators crossed
     denominators, roots = field.denominators(chain(
-        (x for row in rows for x in row),
+        (x for row in rows for x in row.values()),
         (c for vec in kernel for c in vec),
         (field.one / ctx.kappa_shift,)), pivots)
     return KernelReport(weight2, ncols, len(kernel),

@@ -467,7 +467,9 @@ class GoodGrading:
         for j2, rows in sorted(self._ad_f.items()):
             src = self.slice_indices(j2)
             # combinations sum c_b [f, e_b] = 0: the kernel of the transpose
-            for coeffs in nullspace(list(zip(*rows)), len(src), QQ):
+            sparse = [{i: x for i, x in enumerate(col) if x}
+                      for col in zip(*rows)]
+            for coeffs in nullspace(sparse, len(src), QQ):
                 comb = {b: c for b, c in zip(src, coeffs) if c}
                 pars = {d.parity[b] for b in comb}
                 if len(pars) != 1:

@@ -251,10 +251,13 @@ class BRSTComplex:
     def h0_basis(self, weight2):
         """Kernel of d_(0) on the charge-zero piece (no incoming arrows)."""
         pieces = self.pieces(weight2)
-        src = pieces.get(0, [])
-        mat = self.d0_matrix(src, pieces.get(1, []))
+        src, dst = pieces.get(0, []), pieces.get(1, [])
+        rows = [{} for _ in dst]
+        for j, col in enumerate(self._d0_columns(src, dst)):
+            for i, c in col.items():
+                rows[i][j] = c
         return [{key: c for key, c in zip(src, v) if c}
-                for v in nullspace(mat, len(src), self.field)]
+                for v in nullspace(rows, len(src), self.field)]
 
 
 def build_complex(grading, field, level):

@@ -10,40 +10,47 @@ from vertexscreen.scalars import (QQ, Rational, RationalFunction,
                                   RationalFunctionField, Rationals)
 
 
+def _dense(rows, ncols, zero=0):
+    """Sparse rows {column: entry} laid out as lists, for matrix_rank."""
+    return [[row.get(j, zero) for j in range(ncols)] for row in rows]
+
+
+def _dot(row, v, zero=0):
+    """A sparse row times a vector."""
+    return sum((x * v[j] for j, x in row.items()), zero)
+
+
 def test_rank_and_nullspace_rationals():
     rows = [
-        [Fraction(1), Fraction(2), Fraction(3)],
-        [Fraction(2), Fraction(4), Fraction(6)],
-        [Fraction(0), Fraction(1), Fraction(1)],
+        {0: Fraction(1), 1: Fraction(2), 2: Fraction(3)},
+        {0: Fraction(2), 1: Fraction(4), 2: Fraction(6)},
+        {1: Fraction(1), 2: Fraction(1)},
     ]
-    assert matrix_rank(rows, 3, QQ) == 2
+    assert matrix_rank(_dense(rows, 3), 3, QQ) == 2
     null = nullspace(rows, 3, QQ)
     assert len(null) == 1
     v = null[0]
     for row in rows:
-        assert sum(a * b for a, b in zip(row, v)) == 0
+        assert _dot(row, v) == 0
 
 
 def test_nullspace_symbolic():
     F = RationalFunctionField("k")
     k = F.gen
-    rows = [[k + 1, k * k - 1], [F.one, k - 1]]
+    rows = [{0: k + 1, 1: k * k - 1}, {0: F.one, 1: k - 1}]
     null = nullspace(rows, 2, F)
     assert len(null) == 1
     for row in rows:
-        acc = F.zero
-        for a, b in zip(row, null[0]):
-            acc = acc + a * b
-        assert not acc
+        assert not _dot(row, null[0], F.zero)
     # full-rank case
-    rows = [[k, F.one], [F.one, F.zero]]
+    rows = [{0: k, 1: F.one}, {0: F.one}]
     assert nullspace(rows, 2, F) == []
-    assert matrix_rank(rows, 2, F) == 2
+    assert matrix_rank(_dense(rows, 2, F.zero), 2, F) == 2
 
 
 def test_nullspace_deterministic():
     F = RationalFunctionField("k")
-    rows = [[F.one, F.one, F.one]]
+    rows = [{0: F.one, 1: F.one, 2: F.one}]
     got = nullspace(rows, 3, F)
     again = nullspace(rows, 3, F)
     assert got == again
@@ -105,20 +112,22 @@ def test_integer_path_over_q_returns_fractions():
     """Rows of plain ints, and the same rows each scaled by a rational with
     a non-unit denominator, give the same exact Rational results, with
     entries beyond 2**64 and a zero row."""
-    ints = [[BIG, 0, 3, 0],
-            [0, 0, 0, 0],
-            [2, 5, 0, 3 * BIG],
-            [BIG + 2, 5, 3, 3 * BIG]]
+    ints = [{0: BIG, 2: 3},
+            {},
+            {0: 2, 1: 5, 3: 3 * BIG},
+            {0: BIG + 2, 1: 5, 2: 3, 3: 3 * BIG}]
     scales = [Fraction(1, 3), Fraction(-5, 7), Fraction(2**70, 3**45),
               Fraction(7, 2)]
-    fracs = [[s * x for x in row] for s, row in zip(scales, ints)]
+    fracs = [{j: s * x for j, x in row.items()}
+             for s, row in zip(scales, ints)]
     null = nullspace(ints, 4, QQ)
     assert len(null) == 2 and null == nullspace(fracs, 4, QQ)
-    assert matrix_rank(ints, 4, QQ) == matrix_rank(fracs, 4, QQ) == 2
+    assert matrix_rank(_dense(ints, 4), 4, QQ) == \
+        matrix_rank(_dense(fracs, 4), 4, QQ) == 2
     for v in null:
         assert _all_rationals(v)
         for row in ints:
-            assert sum(a * b for a, b in zip(row, v)) == 0
+            assert _dot(row, v) == 0
 
     # coordinate 1 vanishes on every vector: a zero row of [family | targets]
     v1, v2 = [BIG, 0, 2, 1], [3, 0, BIG, 5]
@@ -145,8 +154,8 @@ def test_integer_path_over_q_returns_fractions():
 
 
 def test_all_zero_matrix_over_q():
-    zero = [[0, 0, 0], [0, 0, 0]]
-    assert matrix_rank(zero, 3, QQ) == 0
+    zero = [{0: 0, 1: 0, 2: 0}, {}]  # stored zeros and an empty row
+    assert matrix_rank(_dense(zero, 3), 3, QQ) == 0
     null = nullspace(zero, 3, QQ)
     assert null == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert _all_rationals(x for v in null for x in v)
@@ -181,19 +190,17 @@ def test_polynomial_path_over_qk_returns_rational_functions():
     RationalFunction, with denominators and a zero row in the input."""
     F = RationalFunctionField("k")
     k = F.gen
-    r1 = [k + 1, F.zero, F.one / (k + 2), k * k]
-    r3 = [F.lift(Fraction(1, 3)), k, F.zero, F.one]
-    rows = [r1, [F.zero] * 4, r3,
-            [a / 5 + b * k / (k - 1) for a, b in zip(r1, r3)]]
+    r1 = {0: k + 1, 2: F.one / (k + 2), 3: k * k}
+    r3 = {0: F.lift(Fraction(1, 3)), 1: k, 3: F.one}
+    rows = [r1, {1: F.zero}, r3,
+            {j: r1.get(j, F.zero) / 5 + r3.get(j, F.zero) * k / (k - 1)
+             for j in range(4)}]
     null = nullspace(rows, 4, F)
-    assert len(null) == 4 - matrix_rank(rows, 4, F) == 2
+    assert len(null) == 4 - matrix_rank(_dense(rows, 4, F.zero), 4, F) == 2
     for v in null:
         assert all(type(x) is RationalFunction for x in v)
         for row in rows:
-            acc = F.zero
-            for a, b in zip(row, v):
-                acc = acc + a * b
-            assert not acc
+            assert not _dot(row, v, F.zero)
 
     v1, v2 = [k, F.zero, F.one, F.one / k], [F.one, F.zero, k + 3, F.zero]
     targets = [[(k + 1) * a - b / (k - 2) for a, b in zip(v1, v2)],
@@ -243,8 +250,8 @@ def _corrupt_back_substitution(monkeypatch, field_cls):
 def test_nullspace_check_rejects_a_wrong_entry(field, monkeypatch):
     """The exact check of the row_reduce path catches one wrong entry."""
     x = field.gen if field is not QQ else Fraction(7, 2)
-    rows = [[field.one, 2 * x, 3 * field.one],
-            [field.zero, x - 1, x * x + 1]]
+    rows = [{0: field.one, 1: 2 * x, 2: 3 * field.one},
+            {1: x - 1, 2: x * x + 1}]
     assert len(nullspace(rows, 3, field)) == 1
     state = _corrupt_back_substitution(monkeypatch, type(field))
     with pytest.raises(AssertionError):
@@ -262,3 +269,26 @@ def test_failed_check_is_an_internal_error(level, monkeypatch, capsys):
                      "4", "--level", level])
     assert code == 3
     assert "internal error: AssertionError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, kind, max_w2", [
+    ("osp1_4-regular", "exponential", 12),
+    ("sl4-subregular", "generic", 8),
+])
+def test_specialized_kernels_never_reach_row_reduce(preset, kind, max_w2,
+                                                    monkeypatch):
+    """At k = 7/2, on the plan of the specialized kernel benchmark, the
+    modular path certifies the nullspace at every weight: with
+    linalg.row_reduce made to raise, kernel_basis still finds each kernel
+    of the expected dimension, so no fallback hides inside its speed."""
+    ctx = preset_context(preset, Fraction(7, 2))
+    _, ops = screening.choose_screenings(ctx, kind)
+    char = screening.expected_character(ctx.datum, ctx.grading, max_w2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("row_reduce called")
+
+    monkeypatch.setattr(linalg, "row_reduce", refuse)
+    for w2 in range(max_w2 + 1):
+        rep = screening.kernel_basis(ctx, ops, w2, expected=char[w2])
+        assert rep.kernel_dim == rep.expected_dim, w2

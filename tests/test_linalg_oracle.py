@@ -6,7 +6,7 @@ import pytest
 
 from vertexscreen import linalg
 from vertexscreen.linalg import (P, decompose, matrix_rank, nullspace,
-                                 rank_mod_p)
+                                 rank_mod_p, row_reduce)
 from vertexscreen.presets import preset_context
 from vertexscreen.scalars import QQ, Rational, RationalFunctionField
 from vertexscreen.screening import (exponential_screenings,
@@ -49,6 +49,28 @@ def _matrix(rows, ncols, dom):
                         (len(rows), ncols), dom)
 
 
+def _sparse(rows):
+    """List rows as the sparse rows {column: entry} that nullspace takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _rref_basis(ref, ncols, dom):
+    """The kernel basis normalized on the free coordinates, which is
+    unique: read off sympy's reduced row echelon form of ref."""
+    rref, pivots = ref.rref()
+    rref = rref.to_list()
+    expected = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [dom.zero] * ncols
+        v[fc] = dom.one
+        for i, pc in enumerate(pivots):
+            v[pc] = -rref[i][fc]
+        expected.append(v)
+    return expected
+
+
 @st.composite
 def problems(draw):
     """(field name, rows, ncols, extra targets), up to 6 x 6."""
@@ -73,23 +95,11 @@ def test_rank_and_nullspace_match_sympy(problem):
     # the shared modular echelon at one level; it can fall short of the
     # rank only when P divides a nonzero minor (or, over Q(k), the minor's
     # value at k0), which no drawn entries come near
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    sparse = _sparse(rows)
     assert rank_mod_p(sparse, ncols, field, 1234567) == ref.rank()
-    # the basis normalized on the free coordinates is unique: read it off
-    # sympy's reduced row echelon form
-    rref, pivots = ref.rref()
-    rref = rref.to_list()
-    expected = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [dom.zero] * ncols
-        v[fc] = dom.one
-        for i, pc in enumerate(pivots):
-            v[pc] = -rref[i][fc]
-        expected.append(v)
-    got = nullspace(rows, ncols, field)
-    assert [[_to_sympy(x, dom) for x in v] for v in got] == expected
+    got = nullspace(sparse, ncols, field)
+    assert [[_to_sympy(x, dom) for x in v] for v in got] == \
+        _rref_basis(ref, ncols, dom)
 
 
 @hypothesis.settings(max_examples=80, deadline=None)
@@ -130,10 +140,11 @@ SPARSE_Q = st.tuples(st.integers(0, 2), Q_ENTRIES) \
 
 
 def _sympy_nullspace(rows, ncols):
-    """sympy's nullspace basis as lists of Fractions."""
-    ref = sympy.Matrix(len(rows), ncols,
-                       [sympy.Rational(x.numerator, x.denominator)
-                        for row in rows for x in row])
+    """sympy's nullspace basis of sparse rows as lists of Fractions."""
+    ref = sympy.zeros(len(rows), ncols)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            ref[i, j] = sympy.Rational(x.numerator, x.denominator)
     return [[Fraction(int(x.p), int(x.q)) for x in v]
             for v in ref.nullspace()]
 
@@ -152,6 +163,7 @@ def _fallback_nullspace(rows, ncols):
              min_size=1, max_size=8))))
 def test_certified_nullspace_matches_fallback_and_sympy(problem):
     ncols, rows = problem
+    rows = _sparse(rows)
     expected = _fallback_nullspace(rows, ncols)
     assert expected == _sympy_nullspace(rows, ncols)
     certified = linalg._modular_nullspace(rows, ncols, QQ)
@@ -159,6 +171,70 @@ def test_certified_nullspace_matches_fallback_and_sympy(problem):
         assert certified == expected
         assert all(type(x) is Rational for v in certified for x in v)
     assert nullspace(rows, ncols, QQ) == expected
+
+
+# the entries of drawn sparse rows, a stored zero among them now and then
+SPARSE_ENTRIES = {"Q": Q_ENTRIES.map(Fraction), "Q(k)": FIELDS["Q(k)"][2]}
+
+
+@st.composite
+def sparse_problems(draw):
+    """(field name, sparse rows, ncols): up to 6 rows over up to 6 columns
+    (ncols may be 0), each a dict built in a drawn key order.  A row may
+    be empty or store a zero, and the columns of a drawn set are zero."""
+    name = draw(st.sampled_from(sorted(SPARSE_ENTRIES)))
+    ncols = draw(st.integers(0, 6))
+    dead = draw(st.sets(st.integers(0, ncols - 1))) if ncols else set()
+    live = [j for j in range(ncols) if j not in dead]
+    cells = st.lists(st.one_of(st.none(), SPARSE_ENTRIES[name]),
+                     min_size=len(live), max_size=len(live))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        order = draw(st.permutations(live))
+        rows.append({j: x for j, x in zip(order, draw(cells))
+                     if x is not None})
+    return name, rows, ncols
+
+
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(sparse_problems())
+def test_sparse_rows_match_sympy_and_densified_rows(problem):
+    """nullspace on sparse rows gives sympy's rank and kernel basis; with
+    the first rational reconstruction made to fail it falls back to
+    row_reduce and gives the same basis, and its pivot_sink then holds
+    what row_reduce gives on the rows laid out as lists (over Q a
+    certified answer leaves it empty)."""
+    name, rows, ncols = problem
+    field, dom, _ = FIELDS[name]
+    dense = [[row.get(j, field.zero) for j in range(ncols)] for row in rows]
+    ref = _matrix(dense, ncols, dom)
+    rank = ref.rank()
+    assert matrix_rank(dense, ncols, field) == rank
+    assert rank_mod_p(rows, ncols, field, 1234567) == rank
+    got = nullspace(rows, ncols, field)
+    assert len(got) == ncols - rank
+    assert [[_to_sympy(x, dom) for x in v] for v in got] == \
+        _rref_basis(ref, ncols, dom)
+    reconstructed, reduced, sink = [], [], []
+    reconstruct, inner = linalg._reconstruct, linalg.row_reduce
+
+    def once(a):
+        reconstructed.append(a)
+        return None if len(reconstructed) == 1 else reconstruct(a)
+
+    def counted(*args, **kwargs):
+        reduced.append(args)
+        return inner(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_reconstruct", once)
+        mp.setattr(linalg, "row_reduce", counted)
+        assert nullspace(rows, ncols, field, pivot_sink=sink) == got
+    if field is not QQ or reconstructed:
+        assert len(reduced) == (1 if ncols else 0)
+    expected = []
+    row_reduce(dense, ncols, field, pivot_sink=expected)
+    assert sink == (expected if reduced else [])
 
 
 def _echelon_first_row(sparse, ncols):
@@ -223,13 +299,13 @@ def test_shortest_row_pivots_match_first_row_rule(problem):
     rank = _matrix(rows, ncols, sympy.QQ).rank()
     assert len(pivots) == rank
     assert rank_mod_p(sparse, ncols, QQ, 0) == rank
-    expected = _fallback_nullspace(rows, ncols)
-    assert expected == _sympy_nullspace(rows, ncols)
-    assert nullspace(rows, ncols, QQ) == expected
-    certified = linalg._modular_nullspace(rows, ncols, QQ)
+    expected = _fallback_nullspace(sparse, ncols)
+    assert expected == _sympy_nullspace(sparse, ncols)
+    assert nullspace(sparse, ncols, QQ) == expected
+    certified = linalg._modular_nullspace(sparse, ncols, QQ)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_echelon_mod_p", _echelon_first_row)
-        assert linalg._modular_nullspace(rows, ncols, QQ) == certified
+        assert linalg._modular_nullspace(sparse, ncols, QQ) == certified
         assert rank_mod_p(sparse, ncols, QQ, 0) == rank
 
 
@@ -250,24 +326,25 @@ def _counting(monkeypatch):
 
 @pytest.mark.parametrize("rows, ncols, certified", [
     # the pivot sets differ mod P: column 0 vanishes there
-    ([[P, 1]], 2, False),
+    ([{0: P, 1: 1}], 2, False),
     # an entry divisible by P is lost mod P and breaks the check ...
-    ([[1, 1, P]], 3, False),
+    ([{0: 1, 1: 1, 2: P}], 3, False),
     # ... or is dropped without harm (it is no pivot mod P)
-    ([[P, 1, 1], [1, 0, 0]], 3, True),
+    ([{0: P, 1: 1, 2: 1}, {0: 1}], 3, True),
     # a kernel entry above the reconstruction bound
-    ([[2**40 + 7, 3]], 2, False),
+    ([{0: 2**40 + 7, 1: 3}], 2, False),
     # a denominator divisible by P, also where the check would pass
-    ([[Fraction(1, P), 1]], 2, False),
-    ([[Fraction(1, P), Fraction(1, P)]], 2, False),
-    # zero rows and an empty row list: every column is free
-    ([[0, 0, 0]], 3, True),
-    ([[0, 0], [0, 0]], 2, True),
+    ([{0: Fraction(1, P), 1: 1}], 2, False),
+    ([{0: Fraction(1, P), 1: Fraction(1, P)}], 2, False),
+    # a row of stored zeros, empty rows and an empty row list: every
+    # column is free
+    ([{0: 0, 1: 0, 2: 0}], 3, True),
+    ([{}, {}], 2, True),
     ([], 3, True),
 ])
 def test_certified_nullspace_adversarial(rows, ncols, certified,
                                          monkeypatch):
-    rows = [[Fraction(x) for x in row] for row in rows]
+    rows = [{j: Fraction(x) for j, x in row.items()} for row in rows]
     outcomes = _counting(monkeypatch)
     got = nullspace(rows, ncols, QQ)
     assert outcomes == [certified]
@@ -278,7 +355,7 @@ def test_certified_nullspace_adversarial(rows, ncols, certified,
 def test_nullspace_without_columns(monkeypatch):
     outcomes = _counting(monkeypatch)
     assert nullspace([], 0, QQ) == []
-    assert nullspace([[], []], 0, QQ) == []
+    assert nullspace([{}, {}], 0, QQ) == []
     assert outcomes == []
 
 

@@ -584,12 +584,21 @@ def test_quo_is_the_reduced_fraction(a, b):
 
 
 def test_lift_takes_exact_rationals_only():
+    """Both fields lift ints, Rationals and Fractions exactly and refuse a
+    float (whose binary expansion is no rational the caller meant), a
+    string and None with the same TypeError."""
     assert QQ.lift(1) is QQ.one
     assert QQ.lift(QQ.one) is QQ.one
     _assert_rational(QQ.zero, Fraction(0))
     _assert_rational(QQ.lift(Fraction(-6, 4)), Fraction(-3, 2))
-    for bad in (0.5, 1.0, "1/2", None):
-        with pytest.raises(TypeError):
-            QQ.lift(bad)
+    assert F.lift(1) is F.one
+    for x in (Fraction(-6, 4), QQ.lift(Fraction(-6, 4)), -3, 0, True):
+        got = F.lift(x)
+        _assert_canonical(got)
+        assert got.as_fraction() == Fraction(x)
+    for field in (QQ, F):
+        for bad in (0.1, 0.5, 1.0, "1/2", "3", None):
+            with pytest.raises(TypeError, match="exact rationals"):
+                field.lift(bad)
     with pytest.raises(ZeroDivisionError):
         QQ.quo(1, 0)

@@ -335,7 +335,7 @@ def _unit_inversion_denominators(ctx, rows, pivots, kernel):
     field = ctx.field
     unit, = field.strip_row([field.one])
     return field.denominators(chain(
-        (x for row in rows for x in row),
+        (x for row in rows for x in row.values()),
         (field.quo(unit, p) for p in pivots),
         (c for vec in kernel for c in vec),
         (field.one / ctx.kappa_shift,)))

@@ -476,8 +476,8 @@ def test_wbn_kernel_dims_match_regular_reduction():
                     imgs.append(mod.word_coeff_state(word, mu, -1,
                                                      {key: field.one}))
                 keys = sorted({kk for img in imgs for kk in img}, key=str)
-                rows.extend([img.get(kk, field.zero) for img in imgs]
-                            for kk in keys)
+                rows.extend({j: img[kk] for j, img in enumerate(imgs)
+                             if kk in img} for kk in keys)
             assert len(nullspace(rows, len(basis), field)) == char[w2], \
                 (n, w2)
 
@@ -596,7 +596,8 @@ def test_wakimoto_kernel_transport():
         imgs = [_transport(ctx, wm, {key: field.one}) for key in basis]
         a2_imgs = [m.apply_screening(momenta[1], st) for st in imgs]
         keys = sorted({kk for img in a2_imgs for kk in img}, key=str)
-        rows = [[img.get(kk, field.zero) for img in a2_imgs] for kk in keys]
+        rows = [{j: img[kk] for j, img in enumerate(a2_imgs) if kk in img}
+                for kk in keys]
         assert len(nullspace(rows, len(basis), field)) == rep.kernel_dim
         for fe in rep.basis_fields:
             st = _transport(ctx, wm, field_state(fe))

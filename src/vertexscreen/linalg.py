@@ -1,24 +1,26 @@
-"""Exact linear algebra over Q or Q(x).
+"""Exact linear algebra over Q or Q(x), on sparse rows {column: entry}.
 
-row_reduce is the one exact elimination loop; ranks, decompositions over
-a fixed family and span tests are all read off its output, and so are
-nullspaces over Q(x).  Each field supplies the elimination step
-(strip_row, eliminate, quo, dot), fraction-free over both fields: rows
+A row or vector is a dict from column (for decompose, any hashable key)
+to entry, and may be empty or store a zero.  row_reduce is the one exact
+elimination loop; ranks, decompositions over a fixed family and span
+tests are all read off its output, and so are nullspaces over Q(x).  Each
+field supplies the elimination step (strip_row, eliminate, quo, dot) on
+sparse rows with no stored zeros, fraction-free over both fields: rows
 are coprime Python ints over Q and integer polynomials with no common
 factor over Q(k).  Where Bareiss (1968) bounds entry growth by exact
 division by the previous pivot, each row here is divided by its own gcd
-instead.  Only the outputs are divided back into rationals or rational
-functions.
+instead.  Only the outputs, coordinate lists, are divided back into
+rationals or rational functions.
 
-nullspace and rank_mod_p take sparse rows {column: entry}; row_reduce,
-matrix_rank and decompose take lists.  One sparse forward elimination
-modulo the prime P = 2^61 - 1, _echelon_mod_p, has two callers:
-rank_mod_p (von zur Gathen & Gerhard, Modern Computer Algebra, 5.4-5.5),
-with which BRSTComplex.cohomology_dims certifies its dimensions, and
-nullspace over Q, which certifies its rational reconstruction (5.10) by
-an exact check and falls back to row_reduce when that fails.
+One sparse forward elimination modulo the prime P = 2^61 - 1,
+_echelon_mod_p, has two callers: rank_mod_p (von zur Gathen & Gerhard,
+Modern Computer Algebra, 5.4-5.5), with which BRSTComplex.cohomology_dims
+certifies its dimensions, and nullspace over Q, which certifies its
+rational reconstruction (5.10) by an exact check and falls back to
+row_reduce when that fails.
 """
 
+from itertools import chain
 from math import isqrt, lcm
 
 from .scalars import P, QQ
@@ -29,14 +31,15 @@ _BOUND = isqrt(P // 2)  # the reconstruction bound sqrt(P/2)
 def row_reduce(rows, ncols, field, pivot_sink=None, stripped=None):
     """Return (echelon_rows, pivot_cols); the input rows are not modified.
 
-    pivot_sink, when given, receives every pivot value used and every
-    stripped common row factor, as entries of stripped rows: divisions by
-    pivots happen during elimination and back substitution, so their
-    vanishing loci belong to the "denominators crossed" by the
+    Each column is pivoted on the first row, in the current order, that
+    holds it.  pivot_sink, when given, receives every pivot value used
+    and every stripped common row factor, as entries of stripped rows:
+    divisions by pivots happen during elimination and back substitution,
+    so their vanishing loci belong to the "denominators crossed" by the
     computation.  stripped, when given, receives the stripped input rows.
     """
     eliminate = field.eliminate
-    rows = [field.strip_row(list(r), pivot_sink) for r in rows]
+    rows = [field.strip_row(r, pivot_sink) for r in rows]
     if stripped is not None:
         stripped.extend(rows)
     pivots = []
@@ -44,20 +47,17 @@ def row_reduce(rows, ncols, field, pivot_sink=None, stripped=None):
     for col in range(ncols):
         piv = None
         for i in range(rank, len(rows)):
-            if rows[i][col]:
+            if col in rows[i]:
                 piv = i
                 break
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         prow = rows[rank]
-        pval = prow[col]
         if pivot_sink is not None:
-            pivot_sink.append(pval)
+            pivot_sink.append(prow[col])
         for i in range(len(rows)):
-            if i == rank:
-                continue
-            if rows[i][col]:
+            if i != rank and col in rows[i]:
                 rows[i] = eliminate(rows[i], prow, col, pivot_sink)
         pivots.append(col)
         rank += 1
@@ -68,11 +68,15 @@ def matrix_rank(rows, ncols, field):
     return len(row_reduce(rows, ncols, field)[1])
 
 
+def _coordinate_lists(vecs, ncols, zero):
+    return [[v.get(j, zero) for j in range(ncols)] for v in vecs]
+
+
 def nullspace(rows, ncols, field, pivot_sink=None):
     """Basis of {v : M v = 0}, M given as sparse rows {column: entry}.
 
-    Basis vectors are lists with 1 in their free coordinate, in increasing
-    free-column order, so the output is deterministic.
+    Basis vectors are coordinate lists with 1 in their free coordinate, in
+    increasing free-column order, so the output is deterministic.
 
     Over Q the modular path of _modular_nullspace comes first, leaving
     pivot_sink empty; when it certifies its answer, that answer is the one
@@ -87,10 +91,9 @@ def nullspace(rows, ncols, field, pivot_sink=None):
     - The free columns are then the same, and the basis is the unique
       basis of the kernel over Q that is the identity on them.
 
-    On the row_reduce path, which takes the rows as lists, each stripped
-    vector is checked against each stripped row (field.dot); stripping
-    scales by a nonzero element of the field, so AssertionError is raised
-    exactly where M v != 0.
+    On the row_reduce path each stripped vector is checked against each
+    stripped row (field.dot); stripping scales by a nonzero element of the
+    field, so AssertionError is raised exactly where M v != 0.
     """
     if ncols == 0:
         return []
@@ -98,26 +101,24 @@ def nullspace(rows, ncols, field, pivot_sink=None):
         basis = _modular_nullspace(rows, ncols, field)
         if basis is not None:
             return basis
-    zero, stripped = field.zero, []
-    reduced, pivots = row_reduce(
-        [[row.get(j, zero) for j in range(ncols)] for row in rows], ncols,
-        field, pivot_sink=pivot_sink, stripped=stripped)
+    stripped = []
+    reduced, pivots = row_reduce(rows, ncols, field, pivot_sink=pivot_sink,
+                                 stripped=stripped)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = {fc: field.one}
         # back substitution: pivot rows are mutually reduced already
         for r, pc in zip(reduced, pivots):
-            if r[fc]:
+            if fc in r:
                 v[pc] = -field.quo(r[fc], r[pc])
         basis.append(v)
-    sparse = [[(j, x) for j, x in enumerate(r) if x] for r in stripped]
     vecs = [field.strip_row(v) for v in basis]
-    if any(field.dot(r, u) for u in vecs for r in sparse):
+    if any(field.dot(r, u) for u in vecs for r in stripped):
         raise AssertionError("a nullspace vector fails the exact check")
-    return basis
+    return _coordinate_lists(basis, ncols, field.zero)
 
 
 def _modular_nullspace(rows, ncols, field):
@@ -163,9 +164,7 @@ def _modular_nullspace(rows, ncols, field):
                     return None
             vecs[fc][pc] = q
     # the exact check, column by column of M
-    basis = []
-    for fc in free:
-        vec = vecs[fc]
+    for vec in vecs.values():
         den = lcm(*[q.denominator for q in vec.values()])
         acc = [0] * len(rows)
         for j, q in vec.items():
@@ -174,11 +173,7 @@ def _modular_nullspace(rows, ncols, field):
                 acc[i] += x * w
         if any(acc):
             return None
-        v = [field.zero] * ncols
-        for j, q in vec.items():
-            v[j] = q
-        basis.append(v)
-    return basis
+    return _coordinate_lists(vecs.values(), ncols, field.zero)
 
 
 def _echelon_mod_p(sparse, ncols):
@@ -235,11 +230,10 @@ def rank_mod_p(rows, ncols, field, k0):
     """Rank mod P of sparse rows {column: entry} at the level k0, through
     field.mod_row, or None where that is undefined.  It is at most the
     rank over the field: a nonzero minor mod P lifts to a nonzero minor."""
-    images = [field.mod_row(list(row.values()), k0) for row in rows]
+    images = [field.mod_row(row, k0) for row in rows]
     if None in images:
         return None
-    return len(_echelon_mod_p([{j: x for j, x in zip(row, xs) if x}
-                               for row, xs in zip(rows, images)], ncols)[0])
+    return len(_echelon_mod_p(images, ncols)[0])
 
 
 def _reconstruct(a):
@@ -256,15 +250,20 @@ def _reconstruct(a):
 def decompose(family, targets, field):
     """Coordinates of each target over an independent family of vectors.
 
-    [family | targets] is row-reduced once, with the family vectors and the
-    targets as its columns.  Returns None when the family is linearly
-    dependent; otherwise one entry per target, in order: its coordinate
-    list, or None when the target lies outside the span of the family.
+    Family and targets are sparse vectors {key: entry} on any hashable
+    keys.  [family | targets] is row-reduced once, one row per key, with
+    the family vectors and the targets as its columns.  Returns None when
+    the family is linearly dependent; otherwise one entry per target, in
+    order: its coordinate list, or None when the target lies outside the
+    span of the family.
     """
     m = len(family)
-    rows = [[v[r] for v in family] + [t[r] for t in targets]
-            for r in range(len(family[0]))]
-    reduced, pivots = row_reduce(rows, m + len(targets), field)
+    rows = {}
+    for j, v in enumerate(chain(family, targets)):
+        for key, x in v.items():
+            rows.setdefault(key, {})[j] = x
+    reduced, pivots = row_reduce(list(rows.values()), m + len(targets),
+                                 field)
     if pivots[:m] != list(range(m)):
         return None
     # rows past the m-th vanish on the family, so a target is in the span
@@ -273,24 +272,17 @@ def decompose(family, targets, field):
     outside = reduced[m:]
     coords = []
     for j in range(m, m + len(targets)):
-        if any(r[j] for r in outside):
+        if any(j in r for r in outside):
             coords.append(None)
         else:
-            coords.append([field.quo(r[j], r[i])
+            coords.append([field.quo(r[j], r[i]) if j in r else field.zero
                            for i, r in enumerate(reduced[:m])])
     return coords
 
 
 def solve_in_span(vectors, target, field):
-    """Coefficients c with sum(c_i * vectors_i) == target, or None.
-
-    Vectors and target are dicts key->coeff, laid out on their sorted keys
-    for decompose; None also when the vectors are linearly dependent.
-    """
-    if not vectors:
-        return [] if not target else None
-    keys = sorted(set(target).union(*vectors))
-    zero = field.zero
-    coords = decompose([[v.get(key, zero) for key in keys] for v in vectors],
-                       [[target.get(key, zero) for key in keys]], field)
+    """Coefficients c with sum(c_i * vectors_i) == target, or None; None
+    also when the vectors are linearly dependent.  Sparse vectors on any
+    hashable keys, as for decompose."""
+    coords = decompose(vectors, [target], field)
     return coords and coords[0]

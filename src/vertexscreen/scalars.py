@@ -561,19 +561,26 @@ def _p_lcm(a, b):
     return p_mul(a, p_div_exact(b, g))
 
 
+def _nonzero(items):
+    """The sparse row {column: entry} of the (column, entry) pairs, its
+    zeros dropped."""
+    return {j: x for j, x in items if x}
+
+
 def _strip_polys(row, factor_sink=None):
-    """Divide a row of integer polynomials by its gcd, content included.
+    """Divide a sparse row {column: nonzero integer polynomial} by its
+    gcd, content included.
 
     A nonconstant common factor vanishes at its roots, so when a
     factor_sink is supplied it is recorded there (its roots are
-    candidate rank-drop levels).  A zero row comes back unchanged.
+    candidate rank-drop levels).  An empty row comes back unchanged.
     """
-    entries = [x for x in row if x]
-    if not entries:
+    if not row:
         return row
-    # a constant entry leaves no polynomial gcd; a row whose nonzero
-    # entries are all one tuple, as a single entry is, is divided by it as
-    # it stands, sign and content included
+    # a constant entry leaves no polynomial gcd; a row whose entries are
+    # all one tuple, as a single entry is, is divided by it as it stands,
+    # sign and content included
+    entries = list(row.values())
     g = min(entries, key=len)
     if len(g) > 1:
         if any(x is not g for x in entries):
@@ -583,11 +590,10 @@ def _strip_polys(row, factor_sink=None):
         if len(g) > 1:
             if factor_sink is not None:
                 factor_sink.append(g)
-            quotients = iter(entries)
-            row = [next(quotients) if x else x for x in row]
-    c = gcd(*[c for x in row for c in x])
+            row = dict(zip(row, entries))
+    c = gcd(*[c for x in row.values() for c in x])
     if c > 1:
-        row = [tuple(y // c for y in x) if x else x for x in row]
+        row = {j: tuple(y // c for y in x) for j, x in row.items()}
     return row
 
 
@@ -633,27 +639,28 @@ class RationalFunctionField:
         return x.as_fraction()
 
     def strip_row(self, row, factor_sink=None):
-        """Scale a row of rational functions to coprime integer polynomials.
+        """Scale a sparse row of rational functions to coprime integer
+        polynomials, its zeros dropped.
 
         The row is multiplied by the lcm of its denominators, then its
         common factor is divided out as in _strip_polys.
         """
         den = P_ONE
-        for x in row:
-            if x:
-                den = _p_lcm(den, x.den)
-        return _strip_polys([x.num if not x or x.den == den
+        for x in row.values():
+            den = _p_lcm(den, x.den)
+        return _strip_polys({j: x.num if x.den == den
                              else p_mul(x.num, p_div_exact(den, x.den))
-                             for x in row], factor_sink)
+                             for j, x in row.items() if x}, factor_sink)
 
     def eliminate(self, row, prow, col, factor_sink=None):
         """Clear row[col] against the pivot row prow, fraction-free.
 
-        Both rows are stripped polynomial rows.  The result is the stripped
-        form of (p/g)*row - (v/g)*prow, with p = prow[col], v = row[col]
-        and g = gcd(p, v).  Its stripped factor is that of row - (v/p)*prow
-        with denominators cleared, since prow is primitive and p/g is
-        coprime to v/g.
+        Both rows are stripped sparse polynomial rows.  The result is the
+        stripped form of (p/g)*row - (v/g)*prow, with p = prow[col],
+        v = row[col] and g = gcd(p, v), without column col, which it
+        clears by construction.  Its stripped factor is that of
+        row - (v/p)*prow with denominators cleared, since prow is
+        primitive and p/g is coprime to v/g.
         """
         p, v = prow[col], row[col]
         # a constant on either side leaves no polynomial gcd to divide out
@@ -663,33 +670,37 @@ class RationalFunctionField:
         if c > 1:
             p = tuple(x // c for x in p)
             v = tuple(x // c for x in v)
-        out = list(row) if p == P_ONE else \
-            [p_mul(p, x) if x else x for x in row]
+        out = {j: p_mul(p, x) for j, x in row.items() if j != col}
         v = p_neg(v)
-        for j, y in enumerate(prow):
-            if y and j != col:
-                out[j] = p_add(out[j], p_mul(v, y))
-        out[col] = P_ZERO
+        for j, y in prow.items():
+            if j != col:
+                x = p_add(out.get(j, P_ZERO), p_mul(v, y))
+                if x:
+                    out[j] = x
+                else:
+                    del out[j]
         return _strip_polys(out, factor_sink)
 
     def mod_row(self, row, k0):
-        """row at k = k0 mod P, a ring map where defined; None when a
-        denominator vanishes there.  The hook of linalg.rank_mod_p."""
-        dens = [p_eval_mod(x.den, k0) for x in row]
+        """A sparse row at k = k0 mod P, its zeros dropped: a ring map
+        where defined, None when a denominator vanishes there.  The hook
+        of linalg.rank_mod_p."""
+        dens = [p_eval_mod(x.den, k0) for x in row.values()]
         if not all(dens):
             return None
-        return [p_eval_mod(x.num, k0) * pow(d, -1, P) % P
-                for x, d in zip(row, dens)]
+        return _nonzero((j, p_eval_mod(x.num, k0) * pow(d, -1, P) % P)
+                        for (j, x), d in zip(row.items(), dens))
 
     def quo(self, a, b):
         return RationalFunction(self, a, b)
 
-    def dot(self, pairs, vec):
-        """sum(x * vec[j]) over the (j, x) pairs; stripped entries."""
+    def dot(self, row, vec):
+        """sum(row[j] * vec[j]) of two stripped sparse rows."""
         acc = P_ZERO
-        for j, x in pairs:
-            if vec[j]:
-                acc = p_add(acc, p_mul(x, vec[j]))
+        for j, x in row.items():
+            y = vec.get(j)
+            if y:
+                acc = p_add(acc, p_mul(x, y))
         return acc
 
     def denominators(self, values, polys=()):
@@ -881,45 +892,41 @@ class Rationals:
     def as_fraction(self, x):
         return Fraction(x)
 
-    def int_row(self, row):
-        """(den, row * den) with den the lcm of the denominators of row.
-
-        Entries may be ints, Rationals or Fractions; the scaled row is a list of ints.
-        This is the hook of linalg.nullspace's modular path.
-        """
-        den = lcm(*[x.denominator for x in row])
-        return den, [x.numerator * (den // x.denominator) for x in row]
+    def int_row(self, values):
+        """(den, [x * den for x in values]) with den the lcm of the
+        denominators of a row's values: ints, Rationals or Fractions.
+        This is the hook of linalg.nullspace's modular path."""
+        den = lcm(*[x.denominator for x in values])
+        return den, [x.numerator * (den // x.denominator) for x in values]
 
     def mod_row(self, row, k0):
-        """int_row mod P at any level k0, or None when P divides its den."""
-        den, ints = self.int_row(row)
-        return [x % P for x in ints] if den % P else None
+        """A sparse row scaled by int_row, mod P and its zeros dropped, at
+        any level k0, or None when P divides its den."""
+        den, ints = self.int_row(row.values())
+        return _nonzero((j, x % P) for j, x in zip(row, ints)) \
+            if den % P else None
 
     def strip_row(self, row, factor_sink=None):
-        """Scale a row by a positive rational to coprime ints.
-
-        Entries may be ints, Rationals or Fractions; a zero row comes back as int
-        zeros.
-        """
-        row = self.int_row(row)[1]
-        g = gcd(*row)
-        return [x // g for x in row] if g > 1 else row
+        """Scale a sparse row of ints, Rationals or Fractions by a positive
+        rational to coprime ints, its zeros dropped."""
+        ints = self.int_row(row.values())[1]
+        g = gcd(*ints)
+        return {j: x // g for j, x in zip(row, ints) if x}
 
     def eliminate(self, row, prow, col, factor_sink=None):
         """Clear row[col] against the pivot row prow, fraction-free, as
-        over Q(k): both are stripped int rows, and the sign of p/g is
-        divided out."""
+        over Q(k): both are stripped sparse int rows, and the sign of p/g
+        is divided out."""
         p, v = prow[col], row[col]
         g = gcd(p, v)
         a, b = p // g, v // g
         if a < 0:
             a, b = -a, -b
-        out = [a * x for x in row] if a != 1 else list(row)
-        for j, y in enumerate(prow):
-            if y:
-                out[j] -= b * y
-        g = gcd(*out)
-        return [x // g for x in out] if g > 1 else out
+        out = {j: a * x for j, x in row.items()}
+        for j, y in prow.items():
+            out[j] = out.get(j, 0) - b * y
+        g = gcd(*out.values())
+        return {j: x // g for j, x in out.items() if x}
 
     def quo(self, a, b):
         """The Rational a/b of ints, b != 0."""
@@ -930,8 +937,8 @@ class Rationals:
             g = -g
         return _q(a // g, b // g)
 
-    def dot(self, pairs, vec):
-        return sum(x * vec[j] for j, x in pairs)
+    def dot(self, row, vec):
+        return sum(x * vec[j] for j, x in row.items() if j in vec)
 
     def denominators(self, values, polys=()):
         return set(), set()

@@ -106,9 +106,9 @@ class SuperRootDatum:
 
     def pairing_to_cartan(self, functional):
         """t in the Cartan with (t|e_l) = functional_l for all l."""
-        cols = [[self.form[i][j] for i in range(self.rank)]
+        cols = [{i: self.form[i][j] for i in range(self.rank)}
                 for j in range(self.rank)]
-        return _coordinates(cols, [functional])[0]
+        return _coordinates(cols, [dict(enumerate(functional))])[0]
 
     def killing(self, i, j, span=None):
         """Supertrace of ad(e_i) ad(e_j), from the structure constants.
@@ -259,8 +259,9 @@ def _complete_roots(rank, roots, letter):
         for b in pos_coords if b != roots[p].coords)]
     if len(simple) != rank:
         raise DatumError("rank does not match the number of simple roots")
-    for r, sc in zip(roots, _coordinates([roots[p].coords for p in simple],
-                                         [r.coords for r in roots])):
+    for r, sc in zip(roots, _coordinates(
+            [dict(enumerate(roots[p].coords)) for p in simple],
+            [dict(enumerate(r.coords)) for r in roots])):
         if any(x.denominator != 1 for x in sc):
             raise DatumError("root outside the root lattice")
         r.simple_coords = tuple(int(x) for x in sc)
@@ -294,11 +295,8 @@ def _datum_from_matrices(rank, cartan, root_entries, space_parity, letter,
     brackets = [_super_bracket(basis[i], basis[j],
                                (-1) ** (parity[i] * parity[j]))
                 for i, j in pairs]
-    keys = sorted(set().union(*basis, *brackets))
     sc = {}
-    for ij, coords in zip(pairs, _coordinates(
-            [[m.get(key, Fraction(0)) for key in keys] for m in basis],
-            [[m.get(key, Fraction(0)) for key in keys] for m in brackets])):
+    for ij, coords in zip(pairs, _coordinates(basis, brackets)):
         comb = {l: c for l, c in enumerate(coords) if c}
         if comb:
             sc[ij] = comb
@@ -417,25 +415,28 @@ class GoodGrading:
 
     def _check_good(self):
         """ad f must map degree j injectively for j >= 1/2 and onto degree
-        j - 1 for j <= 1/2; the matrix of each slice is kept for
-        centralizer_generators."""
+        j - 1 for j <= 1/2; the matrix of each slice, as sparse rows
+        indexed by degree j - 1 with columns indexed by degree j, is kept
+        for centralizer_generators."""
         d = self.datum
         self._ad_f = {}
         for j2 in sorted(set(self.deg2)):
-            dst = self.slice_indices(j2 - 2)
-            rows = []
-            for b in self.slice_indices(j2):
-                img = {}
+            src = self.slice_indices(j2)
+            pos = {l: i for i, l in enumerate(self.slice_indices(j2 - 2))}
+            rows = [{} for _ in pos]
+            for j, b in enumerate(src):
                 for fi in self.f_indices:
                     for l, c in d.bracket(fi, b).items():
-                        img[l] = img.get(l, Fraction(0)) + c
-                rows.append([img.get(l, Fraction(0)) for l in dst])
+                        if l in pos:
+                            row = rows[pos[l]]
+                            row[j] = row.get(j, 0) + c
             self._ad_f[j2] = rows
-            rank = matrix_rank(rows, len(dst), QQ)
-            if j2 >= 1 and rank != len(rows):
+            # a matrix and its transpose have the same rank
+            rank = matrix_rank(rows, len(src), QQ)
+            if j2 >= 1 and rank != len(src):
                 raise NotGoodGrading(
                     "ad f not injective on degree %s" % _half(j2))
-            if j2 <= 1 and rank != len(dst):
+            if j2 <= 1 and rank != len(rows):
                 raise NotGoodGrading(
                     "ad f not surjective onto degree %s" % _half(j2 - 2))
 
@@ -466,10 +467,8 @@ class GoodGrading:
         out = []
         for j2, rows in sorted(self._ad_f.items()):
             src = self.slice_indices(j2)
-            # combinations sum c_b [f, e_b] = 0: the kernel of the transpose
-            sparse = [{i: x for i, x in enumerate(col) if x}
-                      for col in zip(*rows)]
-            for coeffs in nullspace(sparse, len(src), QQ):
+            # combinations sum c_b [f, e_b] = 0
+            for coeffs in nullspace(rows, len(src), QQ):
                 comb = {b: c for b, c in zip(src, coeffs) if c}
                 pars = {d.parity[b] for b in comb}
                 if len(pars) != 1:

@@ -207,12 +207,6 @@ class BRSTComplex:
         return [{pos[m]: c for m, c in self.d0_mono(*key).items()}
                 for key in src]
 
-    def d0_matrix(self, src, dst):
-        """d_(0) from the monomials src to dst: rows indexed by dst,
-        columns by src."""
-        cols, zero = self._d0_columns(src, dst), self.field.zero
-        return [[col.get(i, zero) for col in cols] for i in range(len(dst))]
-
     def cohomology_dims(self, weight2_max):
         """{(weight2, charge): dim H} for all charges at each weight.
 
@@ -221,7 +215,8 @@ class BRSTComplex:
         H^c(k0, P) >= H^c >= 0 for every charge c (d_(0)^2 = 0), and both
         alternating sums are the Euler characteristic sum((-1)^c dim C^c).
         So if H^c(k0, P) = 0 for all c != 0, H^c = 0 and H^0 = H^0(k0, P).
-        A weight that no k0 certifies is ranked exactly, by matrix_rank.
+        A weight that no k0 certifies is ranked exactly, by matrix_rank on
+        the same columns: a matrix and its transpose have the same rank.
         """
         out = {}
         for w2 in range(0, weight2_max + 1):
@@ -239,9 +234,9 @@ class BRSTComplex:
         ranks, dims, field = {}, {}, self.field
         for c, src in sorted(pieces.items()):
             dst = pieces.get(c + 1, [])
-            r = (rank_mod_p(self._d0_columns(src, dst), len(dst), field, k0)
-                 if k0 is not None else
-                 matrix_rank(self.d0_matrix(src, dst), len(src), field))
+            cols = self._d0_columns(src, dst)
+            r = (rank_mod_p(cols, len(dst), field, k0) if k0 is not None
+                 else matrix_rank(cols, len(dst), field))
             if r is None:
                 return None
             ranks[c] = r

@@ -11,11 +11,10 @@ def sugawara(ctx):
     """The Virasoro field on the g_0 currents of ctx."""
     d, g0, system = ctx.datum, ctx.g0, ctx.system
     n = len(g0)
-    gram_cols = [[d.form_entry(b, b2) for b in g0] for b2 in g0]
+    gram_cols = [{i: d.form_entry(b, b2) for i, b in enumerate(g0)}
+                 for b2 in g0]
     # column i of the inverse Gram matrix: the dual of e_i
-    units = [[QQ.one if i == j else QQ.zero for j in range(n)]
-             for i in range(n)]
-    duals = decompose(gram_cols, units, QQ)
+    duals = decompose(gram_cols, [{i: QQ.one} for i in range(n)], QQ)
     if duals is None:
         raise ZeroDivisionError("invariant form degenerates on g_0")
     pairs = []

@@ -10,11 +10,6 @@ from vertexscreen.scalars import (QQ, Rational, RationalFunction,
                                   RationalFunctionField, Rationals)
 
 
-def _dense(rows, ncols, zero=0):
-    """Sparse rows {column: entry} laid out as lists, for matrix_rank."""
-    return [[row.get(j, zero) for j in range(ncols)] for row in rows]
-
-
 def _dot(row, v, zero=0):
     """A sparse row times a vector."""
     return sum((x * v[j] for j, x in row.items()), zero)
@@ -26,7 +21,7 @@ def test_rank_and_nullspace_rationals():
         {0: Fraction(2), 1: Fraction(4), 2: Fraction(6)},
         {1: Fraction(1), 2: Fraction(1)},
     ]
-    assert matrix_rank(_dense(rows, 3), 3, QQ) == 2
+    assert matrix_rank(rows, 3, QQ) == 2
     null = nullspace(rows, 3, QQ)
     assert len(null) == 1
     v = null[0]
@@ -45,7 +40,7 @@ def test_nullspace_symbolic():
     # full-rank case
     rows = [{0: k, 1: F.one}, {0: F.one}]
     assert nullspace(rows, 2, F) == []
-    assert matrix_rank(_dense(rows, 2, F.zero), 2, F) == 2
+    assert matrix_rank(rows, 2, F) == 2
 
 
 def test_nullspace_deterministic():
@@ -72,30 +67,36 @@ def test_solve_in_span():
 def test_decompose_several_targets():
     F = RationalFunctionField("k")
     k = F.gen
-    family = [[F.one, F.zero, k], [F.zero, k + 1, F.one]]
+    family = [{0: F.one, 2: k}, {1: k + 1, 2: F.one}]
     targets = [
-        [k, k * k - 1, k * k + k - 1],   # k v1 + (k - 1) v2
-        [F.one, F.one, F.one],           # outside the span
-        [F.zero, F.zero, F.zero],
-        [F.zero, F.one, F.one / (k + 1)],  # v2 / (k + 1)
+        {0: k, 1: k * k - 1, 2: k * k + k - 1},   # k v1 + (k - 1) v2
+        {0: F.one, 1: F.one, 2: F.one},           # outside the span
+        {0: F.zero, 1: F.zero, 2: F.zero},
+        {1: F.one, 2: F.one / (k + 1)},           # v2 / (k + 1)
     ]
     got = decompose(family, targets, F)
     assert got == [[k, k - 1], None, [F.zero, F.zero],
                    [F.zero, F.one / (k + 1)]]
     half = Fraction(1, 2)
-    got = decompose([[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1)]],
-                    [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(3)]],
-                    QQ)
+    got = decompose([{0: Fraction(2)}, {0: Fraction(1), 1: Fraction(1)}],
+                    [{0: Fraction(1)}, {1: Fraction(3)}], QQ)
     assert got == [[half, 0], [-Fraction(3, 2), 3]]
 
 
 def test_decompose_dependent_family():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert decompose(rows, [[Fraction(1), Fraction(2)]], QQ) is None
+    rows = [{0: Fraction(1), 1: Fraction(2)},
+            {0: Fraction(2), 1: Fraction(4)}]
+    assert decompose(rows, [{0: Fraction(1), 1: Fraction(2)}], QQ) is None
     F = RationalFunctionField("k")
     k = F.gen
-    family = [[k, F.one], [k * k, k], [F.one, F.zero]]
-    assert decompose(family, [[F.one, F.one]], F) is None
+    family = [{0: k, 1: F.one}, {0: k * k, 1: k}, {0: F.one}]
+    assert decompose(family, [{0: F.one, 1: F.one}], F) is None
+    # the empty family is independent and spans only zero
+    for field, one in ((QQ, 1), (F, F.one)):
+        assert decompose([], [{}, {"a": field.zero}], field) == [[], []]
+        assert decompose([], [{"a": one}], field) == [None]
+        assert solve_in_span([], {}, field) == []
+        assert solve_in_span([], {"a": one}, field) is None
 
 
 BIG = 2**64 + 13
@@ -122,44 +123,45 @@ def test_integer_path_over_q_returns_fractions():
              for s, row in zip(scales, ints)]
     null = nullspace(ints, 4, QQ)
     assert len(null) == 2 and null == nullspace(fracs, 4, QQ)
-    assert matrix_rank(_dense(ints, 4), 4, QQ) == \
-        matrix_rank(_dense(fracs, 4), 4, QQ) == 2
+    assert matrix_rank(ints, 4, QQ) == matrix_rank(fracs, 4, QQ) == 2
     for v in null:
         assert _all_rationals(v)
         for row in ints:
             assert _dot(row, v) == 0
 
-    # coordinate 1 vanishes on every vector: a zero row of [family | targets]
-    v1, v2 = [BIG, 0, 2, 1], [3, 0, BIG, 5]
-    targets = [[3 * a - Fraction(1, 7) * b for a, b in zip(v1, v2)],
-               [0, 1, 0, 0],
-               [0, 0, 0, 0]]
+    # key b is a stored zero of every vector: a zero row of
+    # [family | targets]
+    v1 = dict(zip("abcd", [BIG, 0, 2, 1]))
+    v2 = dict(zip("abcd", [3, 0, BIG, 5]))
+    targets = [{key: 3 * v1[key] - Fraction(1, 7) * v2[key] for key in v1},
+               {"b": 1},
+               dict.fromkeys("abcd", 0)]
     got = decompose([v1, v2], targets, QQ)
     assert got == [[3, Fraction(-1, 7)], None, [0, 0]]
     assert _all_rationals(got[0] + got[2])
-    scale = [Fraction(1, 6), 5, Fraction(-3, 4), Fraction(BIG, 7)]
+    scale = dict(zip("abcd", [Fraction(1, 6), 5, Fraction(-3, 4),
+                              Fraction(BIG, 7)]))
 
     def scaled(v):
-        return [s * x for s, x in zip(scale, v)]
+        return {key: scale[key] * x for key, x in v.items()}
 
     assert decompose([scaled(v1), scaled(v2)],
                      [scaled(t) for t in targets], QQ) == got
 
-    vecs = [dict(zip("abcd", v1)), dict(zip("abcd", v2))]
-    target = dict(zip("abcd", targets[0]))
-    sol = solve_in_span(vecs, target, QQ)
+    sol = solve_in_span([v1, v2], targets[0], QQ)
     assert sol == [3, Fraction(-1, 7)] and _all_rationals(sol)
     assert solve_in_span([{k: Fraction(x) for k, x in v.items()}
-                          for v in vecs], target, QQ) == sol
+                          for v in (v1, v2)], targets[0], QQ) == sol
 
 
 def test_all_zero_matrix_over_q():
     zero = [{0: 0, 1: 0, 2: 0}, {}]  # stored zeros and an empty row
-    assert matrix_rank(_dense(zero, 3), 3, QQ) == 0
+    assert matrix_rank(zero, 3, QQ) == 0
     null = nullspace(zero, 3, QQ)
     assert null == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert _all_rationals(x for v in null for x in v)
-    assert decompose([[0, 0], [0, 0]], [[0, 0]], QQ) is None
+    assert decompose([{0: 0, 1: 0}, {0: 0, 1: 0}], [{0: 0, 1: 0}], QQ) \
+        is None
     assert solve_in_span([{"a": 0}], {}, QQ) is None  # a dependent family
 
 
@@ -196,22 +198,22 @@ def test_polynomial_path_over_qk_returns_rational_functions():
             {j: r1.get(j, F.zero) / 5 + r3.get(j, F.zero) * k / (k - 1)
              for j in range(4)}]
     null = nullspace(rows, 4, F)
-    assert len(null) == 4 - matrix_rank(_dense(rows, 4, F.zero), 4, F) == 2
+    assert len(null) == 4 - matrix_rank(rows, 4, F) == 2
     for v in null:
         assert all(type(x) is RationalFunction for x in v)
         for row in rows:
             assert not _dot(row, v, F.zero)
 
-    v1, v2 = [k, F.zero, F.one, F.one / k], [F.one, F.zero, k + 3, F.zero]
-    targets = [[(k + 1) * a - b / (k - 2) for a, b in zip(v1, v2)],
-               [F.zero, F.one, F.zero, F.zero],
-               [F.zero] * 4]
+    v1 = dict(zip("abcd", [k, F.zero, F.one, F.one / k]))
+    v2 = dict(zip("abcd", [F.one, F.zero, k + 3, F.zero]))
+    targets = [{key: (k + 1) * v1[key] - v2[key] / (k - 2) for key in v1},
+               {"b": F.one},
+               dict.fromkeys("abcd", F.zero)]
     got = decompose([v1, v2], targets, F)
     assert got == [[k + 1, -F.one / (k - 2)], None, [F.zero, F.zero]]
     assert all(type(x) is RationalFunction for x in got[0] + got[2])
 
-    vecs = [dict(zip("abcd", v1)), dict(zip("abcd", v2))]
-    sol = solve_in_span(vecs, dict(zip("abcd", targets[0])), F)
+    sol = solve_in_span([v1, v2], targets[0], F)
     assert sol == got[0]
     assert all(type(x) is RationalFunction for x in sol)
 

@@ -1,6 +1,8 @@
-"""Differential property tests of the elimination core against sympy."""
+"""Differential property tests of the elimination core against sympy,
+and of row_reduce against the list-row elimination it replaced."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -8,7 +10,10 @@ from vertexscreen import linalg
 from vertexscreen.linalg import (P, decompose, matrix_rank, nullspace,
                                  rank_mod_p, row_reduce)
 from vertexscreen.presets import preset_context
-from vertexscreen.scalars import QQ, Rational, RationalFunctionField
+from vertexscreen.scalars import (P_ONE, P_ZERO, QQ, Rational,
+                                  RationalFunctionField, _gcd_cofactors,
+                                  _p_lcm, p_add, p_content, p_div_exact,
+                                  p_mul, p_neg)
 from vertexscreen.screening import (exponential_screenings,
                                     generic_screenings, kernel_basis)
 
@@ -45,13 +50,19 @@ def _to_sympy(x, dom):
 
 
 def _matrix(rows, ncols, dom):
-    return DomainMatrix([[_to_sympy(x, dom) for x in row] for row in rows],
+    """sympy's (sparse) DomainMatrix of sparse rows {column: entry}."""
+    nonzero = {i: {j: _to_sympy(x, dom) for j, x in row.items() if x}
+               for i, row in enumerate(rows)}
+    return DomainMatrix({i: row for i, row in nonzero.items() if row},
                         (len(rows), ncols), dom)
 
 
-def _sparse(rows):
-    """List rows as the sparse rows {column: entry} that nullspace takes."""
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+def _rows(entries, ncols, min_size, max_size):
+    """Sparse rows over ncols columns, drawn as lists of entries of which
+    the zeros are not stored."""
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols)
+                    .map(lambda r: {j: x for j, x in enumerate(r) if x}),
+                    min_size=min_size, max_size=max_size)
 
 
 def _rref_basis(ref, ncols, dom):
@@ -73,15 +84,14 @@ def _rref_basis(ref, ncols, dom):
 
 @st.composite
 def problems(draw):
-    """(field name, rows, ncols, extra targets), up to 6 x 6."""
+    """(field name, sparse rows, ncols, extra targets), up to 6 x 6; the
+    targets are sparse vectors on the rows."""
     name = draw(st.sampled_from(sorted(FIELDS)))
     entries = FIELDS[name][2]
     nrows = draw(st.integers(1, 6))
     ncols = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
-                         min_size=nrows, max_size=nrows))
-    targets = draw(st.lists(st.lists(entries, min_size=nrows,
-                                     max_size=nrows), max_size=2))
+    rows = draw(_rows(entries, ncols, nrows, nrows))
+    targets = draw(_rows(entries, nrows, 0, 2))
     return name, rows, ncols, targets
 
 
@@ -95,9 +105,8 @@ def test_rank_and_nullspace_match_sympy(problem):
     # the shared modular echelon at one level; it can fall short of the
     # rank only when P divides a nonzero minor (or, over Q(k), the minor's
     # value at k0), which no drawn entries come near
-    sparse = _sparse(rows)
-    assert rank_mod_p(sparse, ncols, field, 1234567) == ref.rank()
-    got = nullspace(sparse, ncols, field)
+    assert rank_mod_p(rows, ncols, field, 1234567) == ref.rank()
+    got = nullspace(rows, ncols, field)
     assert [[_to_sympy(x, dom) for x in v] for v in got] == \
         _rref_basis(ref, ncols, dom)
 
@@ -108,11 +117,13 @@ def test_rank_and_nullspace_match_sympy(problem):
 def test_decompose_matches_sympy(problem, mix):
     name, rows, ncols, targets = problem
     field, dom, _ = FIELDS[name]
-    family = [list(col) for col in zip(*rows)]
+    family = [{i: row[j] for i, row in enumerate(rows) if j in row}
+              for j in range(ncols)]
     # one target inside the span besides the random ones
-    inside = [field.zero] * len(rows)
+    inside = {}
     for c, v in zip(mix, family):
-        inside = [a + field.lift(c) * b for a, b in zip(inside, v)]
+        for i, x in v.items():
+            inside[i] = inside.get(i, field.zero) + field.lift(c) * x
     targets = targets + [inside]
     ref = _matrix(rows, ncols, dom)
     got = decompose(family, targets, field)
@@ -121,12 +132,13 @@ def test_decompose_matches_sympy(problem, mix):
         return
     assert len(got) == len(targets)
     for t, coords in zip(targets, got):
-        col = _matrix([[x] for x in t], 1, dom)
+        col = _matrix([{0: t[i]} if i in t else {}
+                       for i in range(len(rows))], 1, dom)
         if ref.hstack(col).rank() > ncols:
             assert coords is None
         else:
             assert coords is not None
-            assert ref * _matrix([[c] for c in coords], 1, dom) == col
+            assert ref * _matrix([{0: c} for c in coords], 1, dom) == col
     assert got[-1] == [field.lift(c) for c in mix[:ncols]]
 
 
@@ -158,12 +170,9 @@ def _fallback_nullspace(rows, ncols):
 
 @hypothesis.settings(max_examples=120, deadline=None)
 @hypothesis.given(st.integers(1, 8).flatmap(lambda ncols: st.tuples(
-    st.just(ncols),
-    st.lists(st.lists(SPARSE_Q, min_size=ncols, max_size=ncols),
-             min_size=1, max_size=8))))
+    st.just(ncols), _rows(SPARSE_Q, ncols, 1, 8))))
 def test_certified_nullspace_matches_fallback_and_sympy(problem):
     ncols, rows = problem
-    rows = _sparse(rows)
     expected = _fallback_nullspace(rows, ncols)
     assert expected == _sympy_nullspace(rows, ncols)
     certified = linalg._modular_nullspace(rows, ncols, QQ)
@@ -196,20 +205,156 @@ def sparse_problems(draw):
     return name, rows, ncols
 
 
+# The list-row elimination that row_reduce replaced, kept as a reference:
+# row_reduce and each field's strip_row and eliminate as they were on rows
+# laid out as lists, zeros stored.
+
+def _list_strip_q(row, factor_sink=None):
+    den = lcm(*[x.denominator for x in row])
+    row = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _list_eliminate_q(row, prow, col, factor_sink=None):
+    p, v = prow[col], row[col]
+    g = gcd(p, v)
+    a, b = p // g, v // g
+    if a < 0:
+        a, b = -a, -b
+    out = [a * x for x in row] if a != 1 else list(row)
+    for j, y in enumerate(prow):
+        if y:
+            out[j] -= b * y
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _list_strip_polys(row, factor_sink=None):
+    entries = [x for x in row if x]
+    if not entries:
+        return row
+    g = min(entries, key=len)
+    if len(g) > 1:
+        if any(x is not g for x in entries):
+            g, entries = _gcd_cofactors(entries)
+        else:
+            entries = [P_ONE] * len(entries)
+        if len(g) > 1:
+            if factor_sink is not None:
+                factor_sink.append(g)
+            quotients = iter(entries)
+            row = [next(quotients) if x else x for x in row]
+    c = gcd(*[c for x in row for c in x])
+    if c > 1:
+        row = [tuple(y // c for y in x) if x else x for x in row]
+    return row
+
+
+def _list_strip_qk(row, factor_sink=None):
+    den = P_ONE
+    for x in row:
+        if x:
+            den = _p_lcm(den, x.den)
+    return _list_strip_polys([x.num if not x or x.den == den
+                              else p_mul(x.num, p_div_exact(den, x.den))
+                              for x in row], factor_sink)
+
+
+def _list_eliminate_qk(row, prow, col, factor_sink=None):
+    p, v = prow[col], row[col]
+    if len(p) > 1 and len(v) > 1:
+        p, v = _gcd_cofactors([p, v])[1]
+    c = gcd(p_content(p), p_content(v))
+    if c > 1:
+        p = tuple(x // c for x in p)
+        v = tuple(x // c for x in v)
+    out = list(row) if p == P_ONE else \
+        [p_mul(p, x) if x else x for x in row]
+    v = p_neg(v)
+    for j, y in enumerate(prow):
+        if y and j != col:
+            out[j] = p_add(out[j], p_mul(v, y))
+    out[col] = P_ZERO
+    return _list_strip_polys(out, factor_sink)
+
+
+# per field: the steps on list rows and the zero of a stripped row
+LIST_STEPS = {"Q": (_list_strip_q, _list_eliminate_q, 0),
+              "Q(k)": (_list_strip_qk, _list_eliminate_qk, P_ZERO)}
+
+
+def _list_row_reduce(rows, ncols, name, pivot_sink=None, stripped=None):
+    strip_row, eliminate, _ = LIST_STEPS[name]
+    rows = [strip_row(list(r), pivot_sink) for r in rows]
+    if stripped is not None:
+        stripped.extend(rows)
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        pval = prow[col]
+        if pivot_sink is not None:
+            pivot_sink.append(pval)
+        for i in range(len(rows)):
+            if i == rank:
+                continue
+            if rows[i][col]:
+                rows[i] = eliminate(rows[i], prow, col, pivot_sink)
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+def _list_reference(rows, ncols, name, pivot_sink=None, stripped=None):
+    """_list_row_reduce on sparse rows laid out as lists."""
+    zero = FIELDS[name][0].zero
+    return _list_row_reduce([[row.get(j, zero) for j in range(ncols)]
+                             for row in rows], ncols, name, pivot_sink,
+                            stripped)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(sparse_problems())
+def test_row_reduce_matches_list_row_reference(problem):
+    """On sparse rows row_reduce takes the pivot path of the list-row
+    elimination: the same pivot columns, the same stripped and echelon
+    rows, with no stored zeros, and the same pivot_sink, in order."""
+    name, rows, ncols = problem
+    field, zero = FIELDS[name][0], LIST_STEPS[name][2]
+    sink, stripped, want_sink, want_stripped = [], [], [], []
+    reduced, pivots = row_reduce(rows, ncols, field, pivot_sink=sink,
+                                 stripped=stripped)
+    want_rows, want_pivots = _list_reference(
+        rows, ncols, name, pivot_sink=want_sink, stripped=want_stripped)
+    assert pivots == want_pivots
+    for got, want in ((reduced, want_rows), (stripped, want_stripped)):
+        assert all(x for r in got for x in r.values())
+        assert [[r.get(j, zero) for j in range(ncols)] for r in got] == want
+    assert sink == want_sink
+
+
 @hypothesis.settings(max_examples=120, deadline=None)
 @hypothesis.given(sparse_problems())
 def test_sparse_rows_match_sympy_and_densified_rows(problem):
     """nullspace on sparse rows gives sympy's rank and kernel basis; with
     the first rational reconstruction made to fail it falls back to
     row_reduce and gives the same basis, and its pivot_sink then holds
-    what row_reduce gives on the rows laid out as lists (over Q a
-    certified answer leaves it empty)."""
+    what the list-row elimination gives on the rows laid out as lists
+    (over Q a certified answer leaves it empty)."""
     name, rows, ncols = problem
     field, dom, _ = FIELDS[name]
-    dense = [[row.get(j, field.zero) for j in range(ncols)] for row in rows]
-    ref = _matrix(dense, ncols, dom)
+    ref = _matrix(rows, ncols, dom)
     rank = ref.rank()
-    assert matrix_rank(dense, ncols, field) == rank
+    assert matrix_rank(rows, ncols, field) == rank
     assert rank_mod_p(rows, ncols, field, 1234567) == rank
     got = nullspace(rows, ncols, field)
     assert len(got) == ncols - rank
@@ -233,7 +378,7 @@ def test_sparse_rows_match_sympy_and_densified_rows(problem):
     if field is not QQ or reconstructed:
         assert len(reduced) == (1 if ncols else 0)
     expected = []
-    row_reduce(dense, ncols, field, pivot_sink=expected)
+    _list_reference(rows, ncols, name, pivot_sink=expected)
     assert sink == (expected if reduced else [])
 
 
@@ -266,17 +411,16 @@ def _echelon_first_row(sparse, ncols):
 
 @st.composite
 def markowitz_problems(draw):
-    """(ncols, rows) whose first row holds every column and some later
-    row holds column 0 and at most one other column: the first row
+    """(ncols, sparse rows) whose first row holds every column and some
+    later row holds column 0 and at most one other column: the first row
     holding column 0 is not the shortest one."""
     ncols = draw(st.integers(3, 9))
     nonzero = Q_ENTRIES.map(Fraction).filter(bool)
-    first = draw(st.lists(nonzero, min_size=ncols, max_size=ncols))
-    short = [draw(nonzero)] + [Fraction(0)] * (ncols - 1)
-    other = draw(st.integers(0, ncols - 1))
-    short[other] = draw(nonzero)
-    rest = draw(st.lists(st.lists(SPARSE_Q, min_size=ncols,
-                                  max_size=ncols), max_size=8))
+    first = dict(enumerate(draw(st.lists(nonzero, min_size=ncols,
+                                         max_size=ncols))))
+    short = {0: draw(nonzero)}
+    short[draw(st.integers(0, ncols - 1))] = draw(nonzero)
+    rest = draw(_rows(SPARSE_Q, ncols, 0, 8))
     at = draw(st.integers(0, len(rest)))
     return ncols, [first] + rest[:at] + [short] + rest[at:]
 
@@ -288,15 +432,13 @@ def test_shortest_row_pivots_match_first_row_rule(problem):
     the first-row rule, so the rank mod P is sympy's rank, and back
     substitution reads off the same kernel basis; nullspace over Q equals
     the row_reduce fallback and sympy."""
-    ncols, rows = problem
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    ncols, sparse = problem
     holders = [r for r in sparse if 0 in r]
     assert min(holders, key=len) is not holders[0]
-    images = [{j: x for j, x in zip(r, QQ.mod_row(list(r.values()), 0))
-               if x} for r in sparse]
+    images = [QQ.mod_row(r, 0) for r in sparse]
     pivots, _ = linalg._echelon_mod_p([dict(r) for r in images], ncols)
     assert pivots == _echelon_first_row([dict(r) for r in images], ncols)[0]
-    rank = _matrix(rows, ncols, sympy.QQ).rank()
+    rank = _matrix(sparse, ncols, sympy.QQ).rank()
     assert len(pivots) == rank
     assert rank_mod_p(sparse, ncols, QQ, 0) == rank
     expected = _fallback_nullspace(sparse, ncols)

@@ -119,6 +119,17 @@ def test_gcd_matches_sympy_and_prs(a, b, common, scale):
         assert _reduce(a, b) == _without_heuristic(_reduce, a, b)
 
 
+def _sparse(row):
+    """A list row as the sparse row {column: entry} of the field's
+    elimination step, its zeros dropped."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _dense(row, ncols, zero=P_ZERO):
+    """A sparse row laid out as a list, for the list-row references."""
+    return [row.get(j, zero) for j in range(ncols)]
+
+
 def _chain_strip(row, sink):
     """_strip_polys as a pairwise chain of _prs_gcd from the lowest degree."""
     entries = [x for x in row if x]
@@ -161,9 +172,11 @@ def poly_rows(draw):
 @hypothesis.example([(2, 4), (5,), (4, 8)])
 def test_strip_polys_matches_pairwise_chain(row):
     sink, chain_sink, fallback_sink = [], [], []
-    got = _strip_polys(row, sink)
-    assert got == _chain_strip(row, chain_sink)
-    assert got == _without_heuristic(_strip_polys, row, fallback_sink)
+    sparse = _sparse(row)
+    got = _strip_polys(sparse, sink)
+    assert all(got.values())
+    assert _dense(got, len(row)) == _chain_strip(row, chain_sink)
+    assert got == _without_heuristic(_strip_polys, sparse, fallback_sink)
     assert sink == chain_sink == fallback_sink
     if len({id(x) for x in row if x}) > 1:
         assert all(g[-1] > 0 for g in sink)
@@ -225,18 +238,20 @@ def elimination_problems(draw):
 def test_eliminate_matches_quotient_form(problem):
     row, prow, col = problem
     new_sink, old_sink = [], []
-    prow_poly = F.strip_row(prow, new_sink)
-    row_poly = F.strip_row(row, new_sink)
+    ncols = len(row)
+    prow_poly = F.strip_row(dict(enumerate(prow)), new_sink)
+    row_poly = F.strip_row(dict(enumerate(row)), new_sink)
     old_prow = _old_strip(prow, old_sink)
     old_row = _old_strip(row, old_sink)
-    _same_up_to_constant(prow_poly, old_prow)
-    _same_up_to_constant(row_poly, old_row)
+    _same_up_to_constant(_dense(prow_poly, ncols), old_prow)
+    _same_up_to_constant(_dense(row_poly, ncols), old_row)
     out = F.eliminate(row_poly, prow_poly, col, new_sink)
     # the quotient form, on the rows as the old strip left them
     f = old_row[col] / old_prow[col]
     ref = _old_strip([a - f * b for a, b in zip(old_row, old_prow)],
                      old_sink)
-    assert not out[col]
+    assert col not in out and all(out.values())
+    out = _dense(out, ncols)
     _same_up_to_constant(out, ref)
     assert [_normalized(g) for g in new_sink] == \
         [_normalized(g) for g in old_sink]
@@ -280,7 +295,8 @@ def _old_heu_gcd(polys):
 def _old_eliminate(row, prow, col, factor_sink=None):
     """RationalFunctionField.eliminate before it touched only nonzero
     entries: every column is scaled by the pivot cofactor, the subtraction
-    builds -v * y for each nonzero column of prow, the pivot column too."""
+    builds -v * y for each nonzero column of prow, the pivot column too,
+    on rows laid out as lists, stripped by _chain_strip."""
     p, v = prow[col], row[col]
     if len(p) > 1 and len(v) > 1:
         p, v = scalars._gcd_cofactors([p, v])[1]
@@ -292,7 +308,7 @@ def _old_eliminate(row, prow, col, factor_sink=None):
     for j, y in enumerate(prow):
         if y:
             out[j] = p_sub(out[j], p_mul(v, y))
-    return _strip_polys(out, factor_sink)
+    return _chain_strip(out, factor_sink)
 
 
 # a constant is a possible pivot; entries are mostly zero
@@ -304,8 +320,8 @@ sparse_entries = st.one_of(st.just(P_ZERO), st.just(P_ZERO), st.just(P_ZERO),
 
 @st.composite
 def sparse_elimination_problems(draw):
-    """Stripped sparse rows row, prow with row[col] and prow[col] nonzero,
-    and maybe a column that is zero in both."""
+    """List rows row, prow with row[col] and prow[col] nonzero, and maybe
+    a column that is zero in both."""
     ncols = draw(st.integers(1, 8))
     col = draw(st.integers(0, ncols - 1))
     row = draw(st.lists(sparse_entries, min_size=ncols, max_size=ncols))
@@ -316,7 +332,7 @@ def sparse_elimination_problems(draw):
     zero_col = draw(st.integers(0, ncols - 1))
     if zero_col != col:
         row[zero_col] = prow[zero_col] = P_ZERO
-    return _strip_polys(row), _strip_polys(prow), col
+    return row, prow, col
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
@@ -328,11 +344,14 @@ def test_eliminate_matches_dense_step(problem):
     the pivot column to zero returns the rows and records the factors of
     the dense step it replaced."""
     row, prow, col = problem
+    ncols = len(row)
+    row, prow = _strip_polys(_sparse(row)), _strip_polys(_sparse(prow))
     sink, old_sink = [], []
     out = F.eliminate(row, prow, col, sink)
-    assert out == _old_eliminate(row, prow, col, old_sink)
+    assert _dense(out, ncols) == _old_eliminate(
+        _dense(row, ncols), _dense(prow, ncols), col, old_sink)
     assert sink == old_sink
-    assert out[col] == P_ZERO
+    assert col not in out and all(out.values())
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
@@ -524,7 +543,7 @@ def test_denominators_of_polys_match_unit_inversion(specs, quotients):
                 p = p_mul(p, lin)
         polys_.append(p)
     values = [RationalFunction(F, a, b) for a, b in quotients]
-    unit, = F.strip_row([F.one])
+    unit = F.strip_row({0: F.one})[0]
     want = F.denominators(values + [F.quo(unit, p) for p in polys_])
     assert F.denominators(values, polys_) == want
 

@@ -115,21 +115,26 @@ def _mod_p(q):
 
 def test_mod_row_is_evaluation_mod_p(F):
     k, k0 = F.gen, 1234567
-    row = [F.zero, F.one, k, F.lift(Fraction(-7, 3)),
-           (k * k - 3) / (2 * k + 5),
-           (10 ** 30 * k + 1) / ((k - 2) * (k - 2) * (k - 2) * 11)]
-    assert F.mod_row(row, k0) == [_mod_p(x.evaluate(k0)) for x in row]
+    row = dict(enumerate([F.zero, F.one, k, F.lift(Fraction(-7, 3)),
+                          (k * k - 3) / (2 * k + 5),
+                          (10 ** 30 * k + 1) / ((k - 2) * (k - 2) * (k - 2)
+                                                * 11)]))
+    # a sparse row with its zeros dropped
+    assert F.mod_row(row, k0) == {j: _mod_p(x.evaluate(k0))
+                                  for j, x in row.items() if x}
     # a denominator that vanishes at k0, over the integers or only mod P
     for den in (k - k0, k - (k0 + P), 3 * k - 3 * k0 + 5 * P):
-        assert F.mod_row([k, 1 / den], k0) is None
-    assert F.mod_row([k - k0], k0) == [0]
+        assert F.mod_row({0: k, 1: 1 / den}, k0) is None
+    assert F.mod_row({0: k - k0}, k0) == {}
 
 
 def test_rationals_mod_row_is_int_row_mod_p():
-    row = [Fraction(1, 3), Fraction(-5, 6), 0, Fraction(10 ** 30, 7)]
-    den, ints = QQ.int_row(row)
+    row = dict(enumerate([Fraction(1, 3), Fraction(-5, 6), 0,
+                          Fraction(10 ** 30, 7)]))
+    den, ints = QQ.int_row(row.values())
     got = QQ.mod_row(row, 1234567)
-    assert got == [x % P for x in ints]
+    assert got == {j: x % P for j, x in zip(row, ints) if x % P}
     # the row itself mod P, up to the row scale den
-    assert got == [_mod_p(Fraction(x)) * den % P for x in row]
-    assert QQ.mod_row([Fraction(1, 2 * P), Fraction(1)], 0) is None
+    assert got == {j: _mod_p(Fraction(x)) * den % P
+                   for j, x in row.items() if x}
+    assert QQ.mod_row({0: Fraction(1, 2 * P), 1: Fraction(1)}, 0) is None

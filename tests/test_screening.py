@@ -333,7 +333,7 @@ def _unit_inversion_denominators(ctx, rows, pivots, kernel):
     to field.denominators as they stand: each pivot and stripped row
     factor inverted against the unit entry of a stripped row."""
     field = ctx.field
-    unit, = field.strip_row([field.one])
+    unit = field.strip_row({0: field.one})[0]
     return field.denominators(chain(
         (x for row in rows for x in row.values()),
         (field.quo(unit, p) for p in pivots),

@@ -22,7 +22,6 @@ sys = Module(F)
 J = sys.add_gen("J", parity=0, weight2=2, current=True)
 Psi = sys.add_gen("Psi", parity=1, weight2=1)
 level = (k + 2) * 2
-sys.set_pairing([[level]])
 sys.set_bracket(J, J, {1: comb(const=level)})        # [J_l J] = 2(k+2) l
 sys.set_bracket(Psi, Psi, {0: comb(const=F.one)})    # [Psi_l Psi] = 1
 

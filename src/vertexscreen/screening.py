@@ -39,21 +39,20 @@ class NonCartanZeroPart(InputError, ValueError):
 
 
 def set_free_field_tables(sys, grading, level, currents, fermions):
-    """Pairing and brackets of the currents and neutral fermions of sys.
+    """Brackets of the currents and neutral fermions of sys.
 
     currents maps the basis indices of a bracket-closed span of g (g_0 for
     the screening ambient, g_{<=0} for the BRST complex) to their current
     generators, in generator order; fermions maps the root indices of
-    degree 1/2 to their neutral fermions.  The pairing is tau_k on the
-    span, [J^u_lambda J^v] = J^{[u,v]} + lambda tau_k(u|v) and
-    [Phi_a_lambda Phi_b] = chi([e_a, e_b]).
+    degree 1/2 to their neutral fermions.  [J^u_lambda J^v] = J^{[u,v]} +
+    lambda tau_k(u|v), whose lambda^1 constants are also the form that
+    pairs momenta, and [Phi_a_lambda Phi_b] = chi([e_a, e_b]).
     """
     field = sys.field
     datum, levelform = grading.datum, grading.levelform
     span = list(currents)
     gram = [[levelform.tau_scalar(field, level, b, b2) for b2 in span]
             for b in span]
-    sys.set_pairing(gram)
     for i, b in enumerate(span):
         for j, b2 in enumerate(span[i:], i):
             terms = []

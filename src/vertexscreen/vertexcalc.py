@@ -91,8 +91,11 @@ class Gen:
 
 
 def comb(const=None, terms=()):
-    """A linear combination: constant + sum coeff * d^(der) generator."""
-    return (const, tuple(terms))
+    """The linear combination const + sum coeff * d^d g of the (g, d, coeff)
+    terms as the dict {(): const, (g, d): coeff} of its nonzero parts."""
+    out = {(): const} if const else {}
+    out.update(((g, d), c) for (g, d, c) in terms if c)
+    return out
 
 
 class HvTag(tuple):
@@ -126,7 +129,6 @@ class Module:
         self.brackets = {}
         self.currents = []
         self.current_pos = {}
-        self.pairing = None
         self._tags = {}
         self.hvs = {}
         self._mode_memo = {}
@@ -150,22 +152,20 @@ class Module:
             self.currents.append(g.index)
         return g.index
 
-    def set_pairing(self, gram):
-        """Bilinear form on the current span, used for momentum pairings."""
-        self.pairing = gram
-
     def set_bracket(self, i, j, entries):
-        """entries: {n: comb(...)}; the (j, i) table is filled by skew-symmetry."""
-        entries = {n: lc for n, lc in entries.items() if not _comb_zero(lc)}
+        """entries: {n: comb(...)}, the (j, i) table filled by skew-symmetry.
+        The table is the one statement of the system: the lambda^1
+        constants among the currents are also the form that pairs momenta
+        (_drop_factors)."""
+        entries = {n: lc for n, lc in entries.items() if lc}
         self.brackets[(i, j)] = entries
         mirror = self._skew_entries(i, j, entries)
         if i == j:
-            if not _entries_equal(entries, mirror):
+            if entries != mirror:
                 raise ValueError("bracket of %s with itself is not skew-consistent"
                                  % self.gens[i].name)
         else:
-            if (j, i) in self.brackets and not _entries_equal(
-                    self.brackets[(j, i)], mirror):
+            if (j, i) in self.brackets and self.brackets[(j, i)] != mirror:
                 raise ValueError("bracket table for (%s,%s) inconsistent with skew"
                                  % (self.gens[j].name, self.gens[i].name))
             self.brackets[(j, i)] = mirror
@@ -176,21 +176,18 @@ class Module:
         sign = (-1) ** (self.gens[i].parity * self.gens[j].parity)
         out = {}
         for m in range(0, (max(entries) + 1) if entries else 0):
-            const_acc = field.zero
-            term_acc = {}
-            for n, (const, terms) in entries.items():
+            acc = {}
+            for n, lc in entries.items():
                 if n < m:
                     continue
                 e = n - m
                 cf = field.lift(Fraction((-1) ** n, _fact(e)) * (-sign))
-                if const is not None and e == 0:
-                    const_acc = const_acc + cf * const
-                for (g2, d, coeff) in terms:
-                    state_acc(term_acc, {(g2, d + e): coeff}, cf, field)
-            terms = tuple((g2, d, c)
-                          for (g2, d), c in sorted(trimmed(term_acc).items()))
-            lc = (const_acc or None, terms)
-            if not _comb_zero(lc):
+                # d^e of the constant vanishes for e > 0
+                state_acc(acc, {(k[0], k[1] + e) if k else k: c
+                                for k, c in lc.items() if k or not e},
+                          cf, field)
+            lc = trimmed(acc)
+            if lc:
                 out[m] = lc
         return out
 
@@ -213,17 +210,6 @@ class Module:
     def induced_tag(self, key):
         """The tag of the registered induced-module highest vector key."""
         return self._tag("x", key)
-
-    def pair_momenta(self, a, b):
-        if self.pairing is None:
-            raise NonAbelianMomentum("no pairing on the current span")
-        acc = self.field.zero
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        acc = acc + x * y * self.pairing[i][j]
-        return acc
 
     def gen_field(self, name_or_index, d=0):
         g = name_or_index if isinstance(name_or_index, int) \
@@ -249,16 +235,6 @@ class Module:
             if tag[0] != "m":
                 raise UndefinedAction("unregistered highest vector %r" % (tag,))
             coords = tag[1]
-            zero = {}
-            for g in self.currents:
-                val = self.field.zero
-                row = self.pairing[self.current_pos[g]] if self.pairing else None
-                if row is not None:
-                    for j, c in enumerate(coords):
-                        if c:
-                            val = val + row[j] * c
-                if val:
-                    zero[g] = {tag: val}
             translate = {}
             for j, c in enumerate(coords):
                 if c:
@@ -266,7 +242,7 @@ class Module:
                     word = ((g, -1),)
                     translate[(word, tag)] = c
             h = HighestVector(parity=0, momentum=coords,
-                              zero_modes=zero, translate_state=translate)
+                              translate_state=translate)
             self.hvs[tag] = h
         return h
 
@@ -274,11 +250,6 @@ class Module:
         tag = self.induced_tag(key)
         self.hvs[tag] = HighestVector(parity=parity, zero_modes=zero_modes)
         return tag
-
-    def vacuum_state(self):
-        tag = self.vacuum_tag()
-        self.hv(tag)
-        return {((), tag): self.field.one}
 
     # -- gradings -------------------------------------------------------------
 
@@ -324,11 +295,15 @@ class Module:
         if not word:
             if m >= 1:
                 out = EMPTY
-            elif m == 0:
+            elif m:
+                out = {(((g, m),), tag): field.one}
+            elif self.hv(tag).momentum is not None:
+                # a Fock zero mode multiplies by (g|momentum of tag)
+                c = self._drop_factors(tag).get(g)
+                out = {((), tag): -c} if c else EMPTY
+            else:
                 zm = self.hv(tag).zero_modes.get(g, EMPTY)
                 out = {((), t2): c for t2, c in zm.items()} or EMPTY
-            else:
-                out = {(((g, m),), tag): field.one}
         else:
             g1, m1 = word[0]
             repeat = (g, m) == (g1, m1)
@@ -361,11 +336,14 @@ class Module:
 
     def comb_mode(self, lc, s, word, tag):
         field = self.field
-        const, terms = lc
         acc = {}
-        if const is not None and s == -1:
-            acc[(word, tag)] = const
-        for (g2, d, coeff) in terms:
+        for key, coeff in lc.items():
+            if not key:
+                # a term may reach (word, tag) too: add, not set
+                if s == -1:
+                    state_acc(acc, {(word, tag): coeff}, field.one, field)
+                continue
+            g2, d = key
             f = (-1) ** d * _ffact(s, d)
             if f == 0:
                 continue
@@ -409,7 +387,7 @@ class Module:
 
     def _mom_pairing_int(self, mom, tag):
         """(mu|momentum of tag) for the interned momentum mu, as an int,
-        stored per pair of tags."""
+        read off _drop_factors and stored per pair of tags."""
         out = self._pairing_memo.get((mom, tag))
         if out is not None:
             return out
@@ -417,7 +395,10 @@ class Module:
         if hv.momentum is None:
             raise GradingMismatch(
                 "lattice exponential applied to a non-Fock highest vector")
-        val = self.pair_momenta(mom[1], hv.momentum)
+        pos = self.current_pos
+        val = -sum((f * hv.momentum[pos[h]]
+                    for h, f in self._drop_factors(mom).items()),
+                   self.field.zero)
         fr = self.field.as_fraction(val)
         if fr is None or fr.denominator != 1:
             raise GradingMismatch(
@@ -570,7 +551,8 @@ class Module:
 
     def _drop_factors(self, mom):
         """{g: -(mu|g)} over the currents g with (mu|g) != 0, read off the
-        bracket table once per momentum.  Raises NonAbelianMomentum unless
+        lambda^1 constants of the bracket table once per momentum (or Fock
+        tag): the one Gram of the system.  Raises NonAbelianMomentum unless
         every current in play (mu_i != 0) is even, brackets with each
         current by a central lambda^1 constant and with no other letter:
         the conditions of _annihilation_ladder's closed form."""
@@ -590,14 +572,14 @@ class Module:
                 entries = self.brackets.get((a, h))
                 if not entries:
                     continue
-                const, terms = entries.get(1, (None, ()))
+                lc = entries.get(1, EMPTY)
                 if h not in self.current_pos or len(entries) > 1 or \
-                        const is None or terms:
+                        list(lc) != [()]:
                     raise NonAbelianMomentum(
                         "current %s brackets with %s by more than a central "
                         "lambda constant" % (self.gens[a].name,
                                              self.gens[h].name))
-                state_acc(acc, {h: const}, c, field)
+                state_acc(acc, {h: lc[()]}, c, field)
         out = self._drop_memo[mom] = {h: -v for h, v in trimmed(acc).items()}
         return out
 
@@ -649,21 +631,6 @@ class Module:
         return trimmed(acc)
 
 
-def _comb_zero(lc):
-    const, terms = lc
-    return not const and not any(c for (_, _, c) in terms)
-
-
-def _entries_equal(a, b):
-    """Equality of two bracket tables {n: comb}, compared flat."""
-    def flat(entries):
-        out = {(n,): const for n, (const, _) in entries.items()}
-        out.update(((n, g, d), c) for n, (_, terms) in entries.items()
-                   for (g, d, c) in terms)
-        return trimmed(out)
-    return flat(a) == flat(b)
-
-
 class HighestVector:
     __slots__ = ("parity", "momentum", "zero_modes", "translate_state")
 
@@ -671,7 +638,7 @@ class HighestVector:
                  translate_state=None):
         self.parity = parity
         self.momentum = momentum          # coords over currents, or None
-        self.zero_modes = zero_modes or {}  # gidx -> {tag2: coeff}
+        self.zero_modes = zero_modes or {}  # induced: gidx -> {tag2: coeff}
         self.translate_state = translate_state or {}
 
 

@@ -316,9 +316,6 @@ class WBnFields:
         self.bgen = [sys.add_gen("b%d" % (i + 1), parity=0, weight2=2,
                                  current=True) for i in range(n)]
         self.psi = sys.add_gen("Psi", parity=1, weight2=1)
-        eye = [[field.one if i == j else field.zero for j in range(n)]
-               for i in range(n)]
-        sys.set_pairing(eye)
         for i in range(n):
             sys.set_bracket(self.bgen[i], self.bgen[i], {1: comb(const=field.one)})
         sys.set_bracket(self.psi, self.psi, {0: comb(const=field.one)})
@@ -465,7 +462,6 @@ class W2nModel:
         gram[pos(self.psig)][pos(self.psig)] = field.one
         gram[pos(self.psig)][pos(self.xig)] = field.one
         gram[pos(self.xig)][pos(self.psig)] = field.one
-        sys.set_pairing(gram)
         for g in sys.currents:
             for g2 in sys.currents:
                 if g <= g2:

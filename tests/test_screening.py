@@ -21,7 +21,7 @@ def test_s_series_on_vacuum():
     """S^a_0 |0> = x_a and S^a_n |0> = 0 for n >= 1."""
     for preset in ("sl2-regular", "sl3-subregular", "osp1_2-regular"):
         ctx = preset_context(preset)
-        vac = ctx.system.vacuum_state()
+        vac = {((), ctx.system.vacuum_tag()): ctx.field.one}
         for bidx in ctx.grading.base.pi_half:
             xtag = ctx.xtag_of_root[bidx]
             assert ctx.s_alpha_apply(bidx, 0, vac) == \
@@ -202,7 +202,7 @@ def test_q_kills_vacuum():
     for preset in ("sl2-regular", "osp1_2-regular", "sl3-subregular",
                    "sl3-subregular-cartan"):
         ctx = preset_context(preset)
-        vac = ctx.system.vacuum_state()
+        vac = {((), ctx.system.vacuum_tag()): ctx.field.one}
         ops = generic_screenings(ctx)
         if ctx.grading.g0_is_cartan():
             ops = ops + exponential_screenings(ctx)

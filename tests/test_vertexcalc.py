@@ -4,7 +4,7 @@ from math import factorial, prod
 
 import pytest
 
-from vertexscreen.presets import preset_context, preset_names
+from vertexscreen.presets import build_preset, preset_context, preset_names
 from vertexscreen.scalars import QQ, RationalFunctionField
 from vertexscreen.screening import (character_of_generators,
                                     exponential_screenings)
@@ -14,25 +14,46 @@ from vertexscreen.vertexcalc import (FieldExpr, Module,
                                      graded_basis, normal_order, state_field,
                                      state_acc, state_sum, sugawara_field,
                                      trimmed)
-from vertexscreen.walgebras import WBnFields, build_complex
+from vertexscreen.walgebras import W2nModel, WBnFields, build_complex
 from vertexscreen.verify import (WICK_PRESETS, check_commutator, check_jacobi,
                                  check_skew, check_wick,
                                  random_homogeneous_field)
+
+
+def _heis_gram(F):
+    """The Gram heis_fermion writes on its one current: (J|J) = 2(k+2)."""
+    return [[(F.gen + 2) * 2]]
 
 
 @pytest.fixture
 def heis_fermion():
     """One boson J with [J_l J] = 2(k+2) l, one odd fermion Psi."""
     F = RationalFunctionField("k")
-    k = F.gen
     sys = Module(F)
     j = sys.add_gen("J", parity=0, weight2=2, current=True)
     psi = sys.add_gen("Psi", parity=1, weight2=1)
-    lev = (k + 2) * 2
-    sys.set_pairing([[lev]])
-    sys.set_bracket(j, j, {1: comb(const=lev)})
+    sys.set_bracket(j, j, {1: comb(const=_heis_gram(F)[0][0])})
     sys.set_bracket(psi, psi, {0: comb(const=F.one)})
     return sys
+
+
+def _eye(F, n):
+    return [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
+
+
+def _tau_gram(ctx):
+    """tau_k on the currents of a screening ambient, in generator order,
+    built from the level form and not read off the module."""
+    span = list(ctx.current_of_basis)
+    return [[ctx.grading.levelform.tau_scalar(ctx.field, ctx.level, b, b2)
+             for b2 in span] for b in span]
+
+
+def _pair(gram, a, b):
+    """(a|b) = sum_ij a_i gram_ij b_j, so a test pairs momenta by the Gram
+    it wrote itself, never by the engine's own."""
+    return sum(x * y * gram[i][j] for i, x in enumerate(a)
+               for j, y in enumerate(b))
 
 
 def test_bracket_with_identity(heis_fermion):
@@ -96,7 +117,7 @@ def test_translation_mode_identity(heis_fermion):
 def test_vacuum_annihilation(heis_fermion):
     sys = heis_fermion
     mod = sys
-    vac = mod.vacuum_state()
+    vac = {((), mod.vacuum_tag()): sys.field.one}
     J = sys.gen_field("J")
     for n in (0, 1, 2):
         assert apply_field_coeff(J, -n - 1, vac) == {}
@@ -174,13 +195,13 @@ def test_exp_vertex_basics(heis_fermion):
     E = sys.exp_field(mu)
     assert E.parity() == 0
     # zeroth-order action on the vacuum gives the shifted highest vector
-    img = apply_field_coeff(E, 0, mod.vacuum_state())
+    img = apply_field_coeff(E, 0, {((), mod.vacuum_tag()): F.one})
     assert img == {((), sys.momentum_tag(mu)): F.one}
     # [e^{mu} e^{mu'}] = 0 when the pairing of the momenta vanishes: use
-    # a second system with an isotropic direction
+    # a second system with an isotropic direction, which brackets with
+    # nothing
     sys2 = Module(F)
     xi = sys2.add_gen("xi", parity=0, weight2=2, current=True)
-    sys2.set_pairing([[F.zero]])
     E1 = sys2.exp_field((F.one,))
     E2 = sys2.exp_field((F.lift(2),))
     assert bracket(E1, E2) == {}
@@ -197,7 +218,7 @@ def test_exp_weight_under_sugawara(heis_fermion):
     tag = sys.momentum_tag(mu)
     hvec = {((), tag): F.one}
     got = apply_field_coeff(L, -2, hvec)   # L_(1) = L_0 action
-    want = sys.pair_momenta(mu, mu) / 2
+    want = _pair(_heis_gram(F), mu, mu) / 2
     assert got == {((), tag): want}
 
 
@@ -212,7 +233,7 @@ def test_exp_is_primary_for_sugawara(heis_fermion):
     mu = (-F.one / (k + 2),)
     E = sys.exp_field(mu)
     br = bracket(L, E)
-    delta = sys.pair_momenta(mu, mu) / 2
+    delta = _pair(_heis_gram(F), mu, mu) / 2
     assert br[0] == derive(E)
     assert br[1] == E.scale(delta)
     assert all(n <= 1 for n in br)
@@ -297,7 +318,6 @@ def test_lattice_affine_sl2_realization():
     F = QQ
     sysA = Module(F)
     j = sysA.add_gen("J", parity=0, weight2=2, current=True)
-    sysA.set_pairing([[F.lift(2)]])
     sysA.set_bracket(j, j, {1: comb(const=F.lift(2))})
     Ep = sysA.exp_field((F.one,))
     Em = sysA.exp_field((-F.one,))
@@ -351,12 +371,7 @@ def _mom_mode(mod, mom, n, state):
     return {k: v for k, v in acc.items() if v}
 
 
-def _pairing(mod, mom, tag):
-    """(mu|momentum of tag), which is an integer in every case here."""
-    return int(str(mod.pair_momenta(mom, mod.hv(tag).momentum)))
-
-
-def _exp_coeff_by_partitions(mod, mom, J, w0, tag):
+def _exp_coeff_by_partitions(mod, gram, mom, J, w0, tag):
     """[z^J] e^{int mu}(z) on one monomial, expanding both exponentials
     as sums over partitions: the coefficient of z^(-b) in
     exp(-sum_j mu_(j) z^(-j)/j) is sum over partitions of b of
@@ -364,7 +379,7 @@ def _exp_coeff_by_partitions(mod, mom, J, w0, tag):
     field = mod.field
     sys = mod
     hv = mod.hv(tag)
-    p_int = _pairing(mod, mom, tag)
+    p_int = int(str(_pair(gram, mom, hv.momentum)))
     new_tag = sys.momentum_tag(tuple(a + b for a, b in zip(hv.momentum, mom)))
     out = {}
     for bsum in range(0, mod.word_depth2(w0) // 2 + 1):
@@ -392,9 +407,10 @@ def _exp_coeff_by_partitions(mod, mom, J, w0, tag):
     return {k: v for k, v in out.items() if v}
 
 
-def _check_exp_against_partitions(mod, momenta, starts, max_w2=8):
+def _check_exp_against_partitions(mod, gram, momenta, starts, max_w2=8):
     """Module.word_coeff_state((), mu, J, .) equals the partition sum on
-    every monomial to doubled depth max_w2 over each starting momentum.
+    every monomial to doubled depth max_w2 over each starting momentum,
+    pairing momenta by gram (an integer in every case here).
     On a monomial of doubled depth w2 the coefficient is nonzero from
     J = p - w2 // 2 on (p the momentum pairing) and lands at doubled depth
     w2 + 2 (J - p); J runs from one below that range to the last J that
@@ -405,14 +421,15 @@ def _check_exp_against_partitions(mod, momenta, starts, max_w2=8):
     for mu in momenta:
         for start in starts:
             tag = sys.momentum_tag(start)
-            p = _pairing(mod, mu, tag)
+            p = int(str(_pair(gram, mu, start)))
             for w2 in range(max_w2 + 1):
                 for (w, _) in graded_basis(mod, w2):
                     for J in range(p - w2 // 2 - 1,
                                    p + (max_w2 - w2) // 2 + 1):
                         got = mod.word_coeff_state((), mu, J,
                                                    {(w, tag): field.one})
-                        want = _exp_coeff_by_partitions(mod, mu, J, w, tag)
+                        want = _exp_coeff_by_partitions(mod, gram, mu, J,
+                                                        w, tag)
                         assert got == want, (mu, start, w, J)
                         checked += bool(want)
     assert checked
@@ -424,7 +441,7 @@ def test_exp_recurrence_matches_partitions_heisenberg(heis_fermion):
     mu = (F.one / (F.gen + 2),)
     # (mu|nu) = 2 nu: starting momenta with pairing 0, 1 and -2
     starts = [(F.zero,), (F.lift(Fraction(1, 2)),), (-F.one,)]
-    _check_exp_against_partitions(sys, [mu], starts)
+    _check_exp_against_partitions(sys, _heis_gram(F), [mu], starts)
 
 
 @pytest.mark.parametrize("level", [Fraction(7, 2), "symbolic"])
@@ -435,7 +452,7 @@ def test_exp_recurrence_matches_partitions_osp1_4(level):
     # 2 (k + h_dual) mu pairs integrally with both screening momenta
     starts = [ctx.system.vacuum_tag()[1]]
     starts += [tuple(2 * ctx.kappa_shift * x for x in mu) for mu in momenta]
-    _check_exp_against_partitions(ctx.system, momenta, starts)
+    _check_exp_against_partitions(ctx.system, _tau_gram(ctx), momenta, starts)
 
 
 def test_exp_recurrence_matches_partitions_wb3():
@@ -446,7 +463,7 @@ def test_exp_recurrence_matches_partitions_wb3():
     momenta = [(s, -s, z), (z, s, -s), (z, z, s)]
     # (mu_1|nu) = 1 and (mu_i|nu) = 0 otherwise
     starts = [(z, z, z), (F.one / s, z, z)]
-    _check_exp_against_partitions(model.system, momenta, starts)
+    _check_exp_against_partitions(model.system, _eye(F, 3), momenta, starts)
 
 
 def _exp_coeff_per_b(mod, mom, J, w0, tag):
@@ -616,7 +633,6 @@ def test_closed_form_annihilation_fermion_between_currents():
     psi = sys.add_gen("Psi", parity=1, weight2=1)
     kk = sys.add_gen("K", parity=0, weight2=2, current=True)
     gram = [[k + 2, F.one], [F.one, -F.lift(3)]]
-    sys.set_pairing(gram)
     sys.set_bracket(j, j, {1: comb(const=gram[0][0])})
     sys.set_bracket(j, kk, {1: comb(const=gram[0][1])})
     sys.set_bracket(kk, kk, {1: comb(const=gram[1][1])})
@@ -654,7 +670,6 @@ def _nonabelian_pair(F):
     e = sys.add_gen("E", parity=0, weight2=2, current=True)
     f = sys.add_gen("F", parity=0, weight2=2, current=True)
     h = sys.add_gen("H", parity=0, weight2=2)
-    sys.set_pairing([[F.zero, F.one], [F.one, F.zero]])
     sys.set_bracket(e, f, {0: comb(terms=((h, 0, F.one),)),
                            1: comb(const=F.one)})
     return sys, (F.one, F.zero), "brackets with F"
@@ -663,7 +678,6 @@ def _nonabelian_pair(F):
 def _odd_current(F):
     sys = Module(F)
     x = sys.add_gen("X", parity=1, weight2=2, current=True)
-    sys.set_pairing([[F.zero]])
     sys.set_bracket(x, x, {0: comb(const=F.one)})
     return sys, (F.one,), "odd"
 
@@ -674,7 +688,6 @@ def _current_and_other_letter(F):
     sys = Module(F)
     j = sys.add_gen("J", parity=0, weight2=2, current=True)
     phi = sys.add_gen("Phi", parity=0, weight2=2)
-    sys.set_pairing([[F.one]])
     sys.set_bracket(j, j, {1: comb(const=F.one)})
     sys.set_bracket(j, phi, {1: comb(const=F.one)})
     return sys, (F.one,), "brackets with Phi"
@@ -689,7 +702,75 @@ def test_closed_form_annihilation_guard(build):
     from vertexscreen.vertexcalc import NonAbelianMomentum
     sys, mu, message = build(QQ)
     with pytest.raises(NonAbelianMomentum, match=message):
-        sys.word_coeff_state((), mu, 0, sys.vacuum_state())
+        sys.word_coeff_state((), mu, 0, {((), sys.vacuum_tag()): QQ.one})
+
+
+def _check_gram(mod, gram, momenta, starts):
+    """The Gram the module reads off its bracket table is gram: for each
+    momentum mu and Fock tag nu, _mom_pairing_int gives (mu|nu), and every
+    current J has the zero mode (J|nu) on the highest vector of nu."""
+    field = mod.field
+    for nu in starts:
+        tag = mod.momentum_tag(nu)
+        for mu in momenta:
+            got = mod._mom_pairing_int(mod.momentum_tag(mu), tag)
+            assert field.lift(got) == _pair(gram, mu, nu), (mu, nu)
+        for i, g in enumerate(mod.currents):
+            unit = [field.zero] * len(mod.currents)
+            unit[i] = field.one
+            want = _pair(gram, unit, nu)
+            assert mod.gen_mode(g, 0, (), tag) == (
+                {((), tag): want} if want else {}), (g, nu)
+
+
+CARTAN_PRESETS = [p for p in preset_names() if build_preset(p).g0_is_cartan()]
+
+
+@pytest.mark.parametrize("level", ["symbolic", Fraction(7, 2)])
+@pytest.mark.parametrize("preset", CARTAN_PRESETS)
+def test_derived_gram_is_tau_k(preset, level):
+    ctx = preset_context(preset, level)
+    momenta = [op.momentum for op in exponential_screenings(ctx)]
+    assert momenta
+    starts = [ctx.system.vacuum_tag()[1]]
+    starts += [tuple(2 * ctx.kappa_shift * x for x in mu) for mu in momenta]
+    _check_gram(ctx.system, _tau_gram(ctx), momenta, starts)
+
+
+def test_derived_gram_of_the_models():
+    m = W2nModel(3)
+    xi = m.coords({m.xig: m.field.one})
+    units = [m.coords({g: m.field.one}) for g in m.system.currents]
+    _check_gram(m.system, m.gram, [xi, tuple(-x for x in xi)],
+                [m.coords({})] + units)
+    F = RationalFunctionField("s")
+    s = F.gen
+    model = WBnFields(3, F, s - F.one / s)
+    z = F.zero
+    _check_gram(model.system, _eye(F, 3),
+                [(s, -s, z), (z, s, -s), (z, z, s)],
+                [(z, z, z), (F.one / s, z, z)])
+
+
+def test_comb_is_a_dict_of_nonzero_parts():
+    assert comb() == {}
+    assert comb(const=QQ.zero, terms=[(0, 1, QQ.zero)]) == {}
+    assert comb(const=QQ.lift(2), terms=[(0, 1, QQ.one), (1, 0, QQ.zero)]) \
+        == {(): QQ.lift(2), (0, 1): QQ.one}
+
+
+def test_skew_inconsistent_tables_raise():
+    sys = Module(QQ)
+    a = sys.add_gen("A", parity=0, weight2=2)
+    b = sys.add_gen("B", parity=0, weight2=2)
+    # [A_l A] = 1 breaks skew-symmetry for an even A
+    with pytest.raises(ValueError, match="itself"):
+        sys.set_bracket(a, a, {0: {(): QQ.one}})
+    # [A_l B] = A forces [B_l A] = -A, not A
+    sys.set_bracket(a, b, {0: {(a, 0): QQ.one}})
+    assert sys.brackets[(b, a)] == {0: {(a, 0): -QQ.one}}
+    with pytest.raises(ValueError, match="inconsistent with skew"):
+        sys.set_bracket(b, a, {0: {(a, 0): QQ.one}})
 
 
 def test_tags_are_interned(heis_fermion):

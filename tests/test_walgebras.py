@@ -310,8 +310,9 @@ def test_sugawara_virasoro_sl3_subregular():
 def test_miura_vacuum_and_leading_terms():
     brst, (datum, grading, base, lf, ch) = make_brst("sl2-regular")
     ctx = preset_context("sl2-regular")
-    vac = brst.system.vacuum_state()
-    assert miura_project(brst, vac, ctx) == ctx.system.vacuum_state()
+    vac = {((), brst.system.vacuum_tag()): F.one}
+    assert miura_project(brst, vac, ctx) == {((), ctx.system.vacuum_tag()):
+                                             F.one}
     with pytest.raises(NonZeroCharge):
         key = brst.pieces(2)[1][0]
         miura_project(brst, {key: F.one}, ctx)

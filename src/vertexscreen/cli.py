@@ -17,6 +17,7 @@ Output is deterministic for a fixed configuration and seed.
 import argparse
 import json
 import random
+import re
 import sys
 
 from .errors import InputError
@@ -245,6 +246,12 @@ def make_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes "-1/2" for a flag, though it reads "-2" and "-0.5" as
+    # values: a negative p/q is joined to its --level
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--level" and re.fullmatch(r"-\d+/\d+", argv[i]):
+            argv[i - 1:i + 1] = ["--level=" + argv[i]]
     args = make_parser().parse_args(argv)
     try:
         _refuse_unread(args)  # before any flag's value is read

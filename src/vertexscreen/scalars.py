@@ -21,7 +21,11 @@ read back in balanced base xi and made primitive, is a candidate G, and
 one call covers a numerator and denominator or a whole row.  G is exact
 as soon as it divides every a_i, provided xi >= 2 * min ||a_i||_inf + 2;
 the quotients of that check are the cofactors.  When six points fail,
-the primitive pseudo-remainder sequence decides instead.
+the primitive pseudo-remainder sequence decides instead.  xi is read off
+one operand, the shortest: 2 * ||a||_inf + 29, whose norm is at least the
+minimum, so the condition holds without reading every coefficient of a
+row.  Any common factor G divides that a, so its roots lie within
+||a||_inf + 1 of 0 and |G(xi)| > xi / 2 when G is not constant.
 """
 
 import numbers
@@ -86,7 +90,7 @@ def p_mul(a, b):
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
-    return _trim(out)
+    return tuple(out) if out[-1] else _trim(out)
 
 
 def p_scale(a, s):
@@ -96,10 +100,7 @@ def p_scale(a, s):
 
 
 def p_content(a):
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*a)
 
 
 def p_primitive(a):
@@ -163,7 +164,7 @@ def _heu_gcd(polys):
     which divides it: then g = P_ONE with no division, and no more values
     are read.  None when six points xi all fail.
     """
-    xi = 2 * min(max(map(abs, a)) for a in polys) + 29
+    xi = 2 * max(map(abs, min(polys, key=len))) + 29
     for _ in range(6):
         h = 0
         for a in polys:
@@ -237,7 +238,7 @@ def p_div_exact(a, b):
                 r[k + j] -= c * b[j]
     if any(r[:d]):
         raise ArithmeticError("inexact polynomial division")
-    return _trim(q)
+    return tuple(q) if q[-1] else _trim(q)
 
 
 def p_str(a, sym):
@@ -542,7 +543,7 @@ def _reduce(num, den):
     # a constant on either side leaves no polynomial gcd to divide out
     if len(num) > 1 and len(den) > 1:
         num, den = _gcd_cofactors([num, den])[1]
-    c = gcd(p_content(num), p_content(den))
+    c = gcd(*num, *den)
     if c > 1:
         num = tuple(x // c for x in num)
         den = tuple(x // c for x in den)
@@ -557,7 +558,7 @@ def _p_lcm(a, b):
         return a
     if a == P_ONE:
         return b
-    g = p_scale(p_gcd(a, b), gcd(p_content(a), p_content(b)))
+    g = p_scale(p_gcd(a, b), gcd(*a, *b))
     return p_mul(a, p_div_exact(b, g))
 
 
@@ -591,10 +592,13 @@ def _strip_polys(row, factor_sink=None):
             if factor_sink is not None:
                 factor_sink.append(g)
             row = dict(zip(row, entries))
-    c = gcd(*[c for x in row.values() for c in x])
-    if c > 1:
-        row = {j: tuple(y // c for y in x) for j, x in row.items()}
-    return row
+    c = 0
+    for x in row.values():
+        c = gcd(c, *x)
+        if c == 1:
+            return row
+    # the running gcd of nonzero entries never reached 1: c > 1
+    return {j: tuple(y // c for y in x) for j, x in row.items()}
 
 
 class RationalFunctionField:
@@ -666,7 +670,7 @@ class RationalFunctionField:
         # a constant on either side leaves no polynomial gcd to divide out
         if len(p) > 1 and len(v) > 1:
             p, v = _gcd_cofactors([p, v])[1]
-        c = gcd(p_content(p), p_content(v))
+        c = gcd(*p, *v)
         if c > 1:
             p = tuple(x // c for x in p)
             v = tuple(x // c for x in v)

@@ -102,6 +102,24 @@ def test_kernel_specialized_level(capsys):
 def test_kernel_critical_level_is_usage_error(capsys):
     code = main(["kernel", "--preset", "sl2-regular", "--level", "-2"])
     assert code == 2
+    assert "k = -h_dual is excluded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--preset", "sl2-regular", "--max-weight", "2"],
+    ["verify", "brst", "--preset", "sl2-regular", "--max-weight", "4"],
+])
+def test_negative_fraction_level_reads_as_a_value(argv, capsys):
+    """argparse takes "-1/2" after a space for a flag; the command line
+    reads it as the level, as it reads "--level=-1/2"."""
+    joined = main(argv + ["--level=-1/2"]), capsys.readouterr()
+    spaced = main(argv + ["--level", "-1/2"]), capsys.readouterr()
+    assert spaced == joined
+    assert joined[0] == 0 and json.loads(joined[1].out)["status"] != "fail"
+    # a flag after --level is still no value
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--level", "--max-weight", "2"])
+    assert exc.value.code == 2
 
 
 def test_kernel_nongeneric_level_exits_one(capsys):

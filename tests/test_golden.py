@@ -46,6 +46,12 @@ of the benchmark and a Miura check over Q, hold what ``kernel`` and
 weight, holds what ``kernel`` wrote at commit 5f8032b, before the
 screening images reached the nullspace as sparse rows; its reported
 denominators follow the elimination path over Q(k).
+``kernel-sl3-subregular-symbolic-8.json`` (105 columns at doubled weight
+8, where 26 denominators are reported, composite residuals among them)
+and ``verify-miura-sl3-subregular-symbolic-8.json`` (the h0_basis path)
+hold what ``kernel`` and ``verify miura`` wrote at commit 230caae, before
+the heuristic gcd took its evaluation point from one operand and the
+row contents stopped at 1; they follow longer eliminations over Q(k).
 ``wick-brackets-seed20240.json`` holds the Q(k) brackets ``verify wick``
 builds (_wick_brackets_doc), written at commit 0743513, before values of
 Q(k) took short paths for constant numerators and denominators.
@@ -85,6 +91,7 @@ CASES = [
     ("osp1_4-regular", "7/2", 12),
     ("sl4-subregular", "7/2", 8),
     ("osp1_4-regular", "symbolic", 9),
+    ("sl3-subregular", "symbolic", 8),
 ]
 VERIFY_CASES = [
     ("brst", "sl3-subregular", "symbolic", 8),
@@ -96,6 +103,7 @@ VERIFY_CASES = [
     ("brst", "osp1_6-regular", "symbolic", 8),
     ("brst", "sl3-subregular-cartan", "symbolic", 10),
     ("miura", "osp1_6-regular", "7/2", 6),
+    ("miura", "sl3-subregular", "symbolic", 8),
 ]
 GENERIC_CASES = [
     ("osp1_2-regular", "symbolic", 6),

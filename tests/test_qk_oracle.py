@@ -14,7 +14,13 @@ the row by the pivot entry, subtract, clear denominators and strip the
 common factor.  Both must agree up to a rational constant and record the
 same common factors.  eliminate and _heu_gcd are also checked against
 their earlier forms, copied below: the dense step and the gcd of every
-value must give the same rows, factors and cofactors.  The values over Q,
+value must give the same rows, factors and cofactors.  Rows and pairs whose first or shortest
+entry has the largest norm, or whose entries carry a huge content, are
+checked against the pseudo-remainder chain and the fallback, since the
+heuristic's evaluation point comes from the shortest entry alone; p_content
+against its earlier running loop; and p_mul and p_div_exact on trimmed
+operands with interior zeros against the plain convolution and sympy.div.
+The values over Q,
 Rational, are checked against fractions.Fraction: every operation, with
 int and Fraction operands on either side, gives the reduced value
 Fraction gives, with the same ==, hash and str.
@@ -364,6 +370,117 @@ def test_heu_gcd_matches_full_evaluation(polys, q):
     every value."""
     polys = [p_mul(q, a) for a in polys]
     assert scalars._heu_gcd(polys) == _old_heu_gcd(polys)
+
+
+# rows whose first or shortest entry has the largest norm, or whose
+# entries all carry a huge content: the heuristic gcd takes its evaluation
+# point from the shortest entry alone, and the row content stops at 1
+BIG = 10 ** 30
+short_polys = st.lists(small_coeffs, min_size=1, max_size=4).map(
+    _trimmed).filter(bool)
+
+
+@st.composite
+def lopsided_rows(draw):
+    """Rows of 2 to 5 nonzero entries over a planted common factor: the
+    shortest entry, first or last, is scaled by about 10**30, or every
+    entry is scaled by a huge content."""
+    q = draw(st.one_of(factors, st.just(P_ONE)))
+    row = sorted(draw(st.lists(short_polys, min_size=2, max_size=5)), key=len)
+    scale = draw(st.sampled_from([BIG, -BIG - 1, 6 * BIG]))
+    if draw(st.booleans()):
+        row[0] = p_scale(row[0], scale)
+    else:
+        row = [p_scale(x, 2 ** 100 * 3) for x in row]
+    if draw(st.booleans()):
+        row.reverse()
+    return [p_mul(q, x) for x in row]
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(lopsided_rows())
+@hypothesis.example([(BIG, BIG), (1, 2, 1), (-1, 0, 1)])
+@hypothesis.example([(3 << 100, 3 << 100), (0, 3 << 100)])
+@hypothesis.example([(0, -BIG - 1), (0, 1, 1), (0, 0, 1)])
+# a point read off the shortest entry's leading or smallest coefficient
+# (31) would take the common factor k - 40 for a unit
+@hypothesis.example([(-40, 1), (-40, -39, 1), (0, -40, 1)])
+def test_lopsided_rows_match_the_prs_chain(row):
+    """_strip_polys, p_gcd, _reduce, _heu_gcd and eliminate on rows and
+    pairs whose first or shortest entry has the largest norm, or a huge
+    content: the same rows, factors and cofactors as the pseudo-remainder
+    chain and the fallback, with the same sink."""
+    sparse = _sparse(row)
+    sink, chain_sink, fallback_sink = [], [], []
+    got = _strip_polys(sparse, sink)
+    assert _dense(got, len(row)) == _chain_strip(row, chain_sink)
+    assert got == _without_heuristic(_strip_polys, sparse, fallback_sink)
+    assert sink == chain_sink == fallback_sink
+    a, b = row[0], row[-1]
+    g = p_gcd(a, b)
+    assert g == _prs_gcd(a, b) == _without_heuristic(p_gcd, a, b)
+    assert _reduce(a, b) == _without_heuristic(_reduce, a, b)
+    heu = scalars._heu_gcd([a, b]) if len(a) > 1 < len(b) else None
+    if heu is not None:
+        assert heu == (g, [p_div_exact(a, g), p_div_exact(b, g)])
+    # eliminate the first column of the row against the stripped pair
+    # (a, b) as a pivot row
+    prow = _strip_polys({0: a, 1: b})
+    if 0 in prow:
+        sink, fallback_sink = [], []
+        out = F.eliminate(sparse, prow, 0, sink)
+        assert out == _without_heuristic(F.eliminate, sparse, prow, 0,
+                                         fallback_sink)
+        assert sink == fallback_sink
+
+
+@hypothesis.given(st.lists(st.one_of(st.just(0), wide_coeffs,
+                                     st.integers(-BIG, BIG)), max_size=6))
+@hypothesis.example([])
+@hypothesis.example([0, 0])
+@hypothesis.example([-4, 0, 6])
+@hypothesis.example([-7])
+def test_p_content_matches_the_running_loop(coeffs):
+    g = 0
+    for x in coeffs:
+        g = gcd(g, abs(x))
+    assert p_content(tuple(coeffs)) == g
+
+
+# trimmed operands with interior zeros
+gappy_polys = st.lists(st.one_of(st.just(0), st.just(0), small_coeffs,
+                                 wide_coeffs), min_size=1,
+                       max_size=7).map(_trimmed).filter(bool)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(gappy_polys, gappy_polys)
+@hypothesis.example((1, 0, 0, 2), (0, 0, -3))
+@hypothesis.example((5,), (0, 0, 0, 1))
+def test_p_mul_and_p_div_exact_on_trimmed_operands(a, b):
+    """Products and exact quotients of trimmed operands are the plain
+    convolution and sympy's quotient, as trimmed tuples."""
+    ab = p_mul(a, b)
+    assert type(ab) is tuple and ab == _conv(a, b) and ab[-1]
+    for x, y in ((a, b), (b, a)):
+        got = p_div_exact(ab, y)
+        quo, rem = sympy.div(sympy.Poly(_sym(ab), K), sympy.Poly(_sym(y), K))
+        assert rem.is_zero
+        assert type(got) is tuple and got[-1]
+        assert got == x == _poly(quo.as_expr())
+    if len(b) > 1:
+        with pytest.raises(ArithmeticError):
+            p_div_exact(scalars.p_add(ab, P_ONE), b)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(lopsided_rows())
+def test_p_lcm_matches_sympy(row):
+    """The lcm of two integer polynomials, content included, is sympy's
+    up to sign."""
+    a, b = row[0], row[-1]
+    want = _poly(sympy.lcm(_sym(a), _sym(b)))
+    assert scalars._p_lcm(a, b) in (want, p_neg(want))
 
 
 def test_quo_is_a_reduced_rational_function():

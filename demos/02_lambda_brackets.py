@@ -47,9 +47,9 @@ for trial in range(5):
     a = random_homogeneous_field(sys, rng, 1 + rng.randrange(6))
     b = random_homogeneous_field(sys, rng, 1 + rng.randrange(6))
     c = random_homogeneous_field(sys, rng, 1 + rng.randrange(6))
-    assert check_skew(a, b)
-    assert check_jacobi(a, b, c)
-    assert check_wick(a, b, c)
+    assert check_skew(a, b, bracket)
+    assert check_jacobi(a, b, c, bracket)
+    assert check_wick(a, b, c, bracket)
 print("  skew-symmetry, Jacobi, and the Wick expansion hold exactly")
 
 print("graded PBW bases (doubled weights):",

@@ -48,13 +48,13 @@ def build_preset(name):
 
 def level_field(level):
     """(field, k) for a level: Q(k) and its generator for "symbolic",
-    else Q and the rational level (a Fraction or "p/q" text); other text
-    raises the InputError the command line prints."""
+    else Q and the rational level (a Fraction or "p/q" text) as an element
+    of Q; other text raises the InputError the command line prints."""
     if level == "symbolic":
         field = RationalFunctionField("k")
         return field, field.gen
     try:
-        return QQ, Fraction(level)
+        return QQ, QQ.lift(Fraction(level))
     except (ValueError, ZeroDivisionError):
         raise InputError("--level must be \"symbolic\" or a rational p/q, "
                          "not %r" % level) from None

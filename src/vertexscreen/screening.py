@@ -231,11 +231,8 @@ class ScreeningOp:
         self.kind = kind
         self.label = label
         self.class_roots = class_roots
-        self.momentum = momentum
+        self.momentum = momentum  # a momentum_tag of ctx.system, or None
         self.word = word
-        # interned once: a coordinate tuple is hashed on every lookup
-        self._mom_tag = None if momentum is None else \
-            ctx.system.momentum_tag(momentum)
         # S^a_1 is never computed for a root with chi(e_a) = 0
         chi = ctx.grading.chi.of_index
         self._weights = [(b, ctx.field.lift(chi(b))) for b in class_roots
@@ -249,7 +246,7 @@ class ScreeningOp:
         field = ctx.field
         mod = ctx.system
         if self.kind == "exp":
-            return mod.word_coeff_state(self.word, self._mom_tag, -1, state)
+            return mod.word_coeff_state(self.word, self.momentum, -1, state)
         if self.kind == "generic-one":
             return state_sum(((ctx.s_alpha_apply(b, 1, state), c)
                               for b, c in self._weights), field)
@@ -304,7 +301,8 @@ def exponential_screenings(ctx):
     for bidx in ctx.grading.base.pi_half:
         root = d.root_at(bidx)
         t_coords = d.pairing_to_cartan(root.coords)
-        mu = tuple(-field.lift(c) / ctx.kappa_shift for c in t_coords)
+        mu = ctx.system.momentum_tag(-field.lift(c) / ctx.kappa_shift
+                                     for c in t_coords)
         deg2 = ctx.grading.deg2[bidx]
         if deg2 == 1:
             word = ((ctx.fermion_of_root[bidx], 0),)

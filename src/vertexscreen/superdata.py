@@ -631,8 +631,9 @@ def datum_from_json(doc):
     """Load a datum from the JSON schema; validated by the same invariants.
 
     Basis indices: 0..rank-1 are Cartan elements, rank+i is the i-th entry
-    of "roots".  Rationals are "p/q" strings; half-integer grading labels
-    elsewhere in the toolchain are doubled integers.
+    of "roots".  The rank, indices and parities are ints, rationals ints or
+    "p/q" strings (_exact refuses a float or a bool); half-integer grading
+    labels elsewhere in the toolchain are doubled integers.
     """
     if not isinstance(doc, dict):
         raise DatumError("a datum is a JSON object, not %s"
@@ -642,27 +643,32 @@ def datum_from_json(doc):
     if missing:
         raise DatumError("datum lacks %s" % ", ".join(map(repr, missing)))
     try:
-        rank = int(doc["rank"])
+        rank = _exact(doc["rank"], int, "rank")
         roots = []
-        for spec in doc["roots"]:
-            coords = [Fraction(c) for c in spec["coords"]]
+        for p, spec in enumerate(doc["roots"]):
+            coords = [_exact(c, Fraction, "roots[%d] coordinate" % p)
+                      for c in spec["coords"]]
             if len(coords) != rank:
                 raise DatumError("a root has %d coordinates, not rank %d"
                                  % (len(coords), rank))
             positive = spec.get("positive")
             if positive is None:
                 positive = _lex_positive(coords)
-            parity = int(spec["parity"])
+            parity = _exact(spec["parity"], int, "roots[%d] parity" % p)
             if parity not in (0, 1):
                 raise DatumError("root parity must be 0 or 1")
             roots.append(Root(coords, parity, bool(positive)))
         nbasis = rank + len(roots)
         sc = {}
-        for i, j, l, c in doc["structure_constants"]:
-            if not all(0 <= int(x) < nbasis for x in (i, j, l)):
+        for n, (i, j, l, c) in enumerate(doc["structure_constants"]):
+            what = "structure_constants[%d]" % n
+            i, j, l = (_exact(x, int, what + " index") for x in (i, j, l))
+            if not all(0 <= x < nbasis for x in (i, j, l)):
                 raise DatumError("structure constant index out of range")
-            sc.setdefault((int(i), int(j)), {})[int(l)] = Fraction(c)
-        form = [[Fraction(x) for x in row] for row in doc["form"]]
+            sc.setdefault((i, j), {})[l] = _exact(c, Fraction, what)
+        form = [[_exact(x, Fraction, "form[%d][%d]" % (r, c))
+                 for c, x in enumerate(row)]
+                for r, row in enumerate(doc["form"])]
         if len(form) != nbasis or any(len(row) != nbasis for row in form):
             raise DatumError("form must be %d x %d" % (nbasis, nbasis))
     except DatumError:
@@ -675,6 +681,17 @@ def datum_from_json(doc):
                            doc.get("label", "loaded"))
     datum.check_invariants()
     return datum
+
+
+def _exact(x, read, what):
+    """read(x) (int or Fraction) of a JSON value that is not a float or a
+    bool: int() would truncate a float and Fraction() read its binary
+    value, so a datum entry is never rounded on the way in."""
+    if isinstance(x, (float, bool)):
+        raise DatumError("%s must be %s, not %r" % (
+            what, "an int" if read is int else 'an int or a "p/q" string',
+            x))
+    return read(x)
 
 
 def load_datum(path):

@@ -77,8 +77,7 @@ def _table_acc(table, key, f, coeff):
               f.system.field)
 
 
-def check_skew(a, b, *, brackets=None):
-    br = brackets or bracket
+def check_skew(a, b, br):
     lp, direct = br(a, b), br(b, a)
     want = lambda_shift_skew(lp, a.parity(), b.parity(), a.system)
     return flat_table(direct) == flat_table(want)
@@ -104,8 +103,7 @@ def _jacobi_rhs(br, table, a, b, c):
                 _table_acc(table, (n + t, j - t), f, field.lift(coeff))
 
 
-def check_jacobi(a, b, c, *, brackets=None):
-    br = brackets or bracket
+def check_jacobi(a, b, c, br):
     lhs, rhs = {}, {}
     _double_left(br, lhs, a, b, c, 1, False)
     _double_left(br, lhs, b, a, c, -(-1) ** (a.parity() * b.parity()), True)
@@ -113,9 +111,8 @@ def check_jacobi(a, b, c, *, brackets=None):
     return trimmed(lhs) == trimmed(rhs)
 
 
-def check_wick(a, b, c, *, brackets=None):
+def check_wick(a, b, c, br):
     """[a_l :bc:] = :[a_l b]c: + (-1)^{p(a)p(b)} :b [a_l c]: + integral term."""
-    br = brackets or bracket
     field = a.system.field
     lhs = br(a, normal_order(b, c))
     ab = br(a, b)
@@ -135,14 +132,15 @@ def check_wick(a, b, c, *, brackets=None):
     return flat_table(lhs) == trimmed(rhs)
 
 
-def check_commutator(a, b, cases, *, brackets=None):
+def check_commutator(a, b, cases, br):
     """The first (v, m, n) of cases where [a_(m), b_(n)] v differs from
     sum_j C(m, j) (a_(j) b)_(m+n-j) v, or None when every case holds.
 
-    The bracket depends only on the pair, so it is computed once."""
+    The bracket depends only on the pair, so it is computed once, by br
+    (vertexcalc.bracket or a _Brackets table), as in the other checks."""
     field = a.system.field
     sign = field.lift(-(-1) ** (a.parity() * b.parity()))
-    ab = (brackets or bracket)(a, b)
+    ab = br(a, b)
     for v, m, n in cases:
         diff = apply_field_coeff(a, -m - 1, apply_field_coeff(b, -n - 1, v))
         parts = [(b, -n - 1, apply_field_coeff(a, -m - 1, v), sign)]
@@ -182,14 +180,13 @@ def verify_wick(args, rng):
             a, b, c = triple
             count += 3
             br = _Brackets()
-            ok = check_skew(a, b, brackets=br) and \
-                check_jacobi(a, b, c, brackets=br) and \
-                check_wick(a, b, c, brackets=br)
+            ok = check_skew(a, b, br) and check_jacobi(a, b, c, br) and \
+                check_wick(a, b, c, br)
             if ok:
                 v = {key: ctx.field.one
                      for key in graded_basis(module, rng.randrange(0, 5))}
                 m, n = rng.randint(-2, 2), rng.randint(-2, 2)
-                ok = check_commutator(a, b, [(v, m, n)], brackets=br) is None
+                ok = check_commutator(a, b, [(v, m, n)], br) is None
             if not ok:
                 failures.append({"preset": preset, "trial": t,
                                  "a": field_to_json(a), "b": field_to_json(b),

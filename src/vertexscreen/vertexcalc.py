@@ -16,9 +16,10 @@ mode actions on module states:
     are computed as coefficient extractions [z^J] (F(z) v) and converted
     back to canonical words.
 
-Highest vectors carry momentum (Fock modules over the abelian current
-part) or a finite zero-mode action table (induced modules); a lattice
-exponential acts through the mode series of its creation half and the
+A Fock highest vector over the abelian current part is its momentum, an
+interned tag read directly; an induced-module highest vector carries a
+finite zero-mode action table.  A lattice exponential, whose momentum is
+that same tag, acts through the mode series of its creation half and the
 closed form of its annihilation half.  All states are graded by depth
 above the highest vector, a doubled integer.
 
@@ -117,9 +118,11 @@ class Module:
     over the current span (the vacuum is momentum zero) and ("x", key) for
     registered induced-module vectors with a finite zero-mode table.  Tags
     are interned HvTags (vacuum_tag, momentum_tag, induced_tag), so a state
-    key hashes without touching the coordinates; word_coeff_acc interns a
-    lattice momentum the same way.  A tag built any other way matches
-    nothing.
+    key hashes without touching the coordinates.  A momentum tag is the one
+    form of a lattice momentum, in field terms and in word_coeff_acc too,
+    and everything about its Fock vector (parity 0, zero modes,
+    translation, pairings) is read off it; only induced vectors are stored
+    as HighestVectors (hv).  A tag built any other way matches nothing.
     """
 
     def __init__(self, field):
@@ -223,27 +226,18 @@ class Module:
         return FieldExpr(self, {((), None): self.field.one})
 
     def exp_field(self, coords):
-        """The lattice exponential e^{int mu} as a field."""
-        tag = self.momentum_tag(coords)
-        return FieldExpr(self, {((), tag[1]): self.field.one})
+        """The lattice exponential e^{int mu} as a field, keyed by the
+        momentum_tag of mu."""
+        return FieldExpr(self, {((), self.momentum_tag(coords)):
+                                self.field.one})
 
     # -- highest vectors -----------------------------------------------------
 
     def hv(self, tag):
+        """The registered induced-module highest vector of tag."""
         h = self.hvs.get(tag)
         if h is None:
-            if tag[0] != "m":
-                raise UndefinedAction("unregistered highest vector %r" % (tag,))
-            coords = tag[1]
-            translate = {}
-            for j, c in enumerate(coords):
-                if c:
-                    g = self.currents[j]
-                    word = ((g, -1),)
-                    translate[(word, tag)] = c
-            h = HighestVector(parity=0, momentum=coords,
-                              translate_state=translate)
-            self.hvs[tag] = h
+            raise UndefinedAction("unregistered highest vector %r" % (tag,))
         return h
 
     def register_hv(self, key, parity=0, zero_modes=None):
@@ -278,7 +272,9 @@ class Module:
         return sum(self.gens[g].charge for (g, m) in word)
 
     def mono_parity(self, word, tag):
-        return (self.word_parity(word) + self.hv(tag).parity) % 2
+        # a Fock highest vector is even
+        hv_parity = self.hv(tag).parity if tag[0] == "x" else 0
+        return (self.word_parity(word) + hv_parity) % 2
 
     def state_depth2(self, state):
         return max((self.word_depth2(w) for (w, t) in state), default=0)
@@ -297,7 +293,7 @@ class Module:
                 out = EMPTY
             elif m:
                 out = {(((g, m),), tag): field.one}
-            elif self.hv(tag).momentum is not None:
+            elif tag[0] == "m":
                 # a Fock zero mode multiplies by (g|momentum of tag)
                 c = self._drop_factors(tag).get(g)
                 out = {((), tag): -c} if c else EMPTY
@@ -364,7 +360,11 @@ class Module:
         if out is not None:
             return out
         field = self.field
-        if not word:
+        if not word and tag[0] == "m":
+            # T|mu> = mu_(-1)|mu> on a Fock highest vector
+            out = {(((self.currents[j], -1),), tag): c
+                   for j, c in enumerate(tag[1]) if c}
+        elif not word:
             out = dict(self.hv(tag).translate_state)
         else:
             g1, m1 = word[0]
@@ -391,12 +391,11 @@ class Module:
         out = self._pairing_memo.get((mom, tag))
         if out is not None:
             return out
-        hv = self.hv(tag)
-        if hv.momentum is None:
+        if tag[0] != "m":
             raise GradingMismatch(
                 "lattice exponential applied to a non-Fock highest vector")
         pos = self.current_pos
-        val = -sum((f * hv.momentum[pos[h]]
+        val = -sum((f * tag[1][pos[h]]
                     for h, f in self._drop_factors(mom).items()),
                    self.field.zero)
         fr = self.field.as_fraction(val)
@@ -526,10 +525,7 @@ class Module:
         out = self._ladder_memo.get(key)
         if out is not None:
             return out
-        hv = self.hv(tag)
-        new_coords = tuple(a + b for a, b in zip(hv.momentum, mom[1]))
-        new_tag = self.momentum_tag(new_coords)
-        self.hv(new_tag)
+        new_tag = self.momentum_tag(a + b for a, b in zip(tag[1], mom[1]))
         drops = self._drop_factors(mom)
         field = self.field
         # {(kept word, b): coeff} over the letters read so far
@@ -611,12 +607,9 @@ class Module:
         return trimmed(acc)
 
     def word_coeff_acc(self, acc, word, mom, J, state, coeff):
-        """Add coeff * [z^J] of the word field, times e^{int mu} for mom = mu
-        (a tuple of current coordinates or its momentum_tag) or no factor
-        for None, on a state into acc in place.  Memo entries are only
-        read; acc is the caller's."""
-        if mom is not None and mom.__class__ is not HvTag:
-            mom = self.momentum_tag(mom)
+        """Add coeff * [z^J] of the word field, times e^{int mu} for the
+        momentum_tag mom of mu or no factor for None, on a state into acc in
+        place.  Memo entries are only read; acc is the caller's."""
         one = self.field.one
         for (w, t), c in state.items():
             part = self.word_coeff_mono(word, mom, J, w, t)
@@ -632,12 +625,12 @@ class Module:
 
 
 class HighestVector:
-    __slots__ = ("parity", "momentum", "zero_modes", "translate_state")
+    """A registered induced-module highest vector (Module.register_hv)."""
 
-    def __init__(self, parity=0, momentum=None, zero_modes=None,
-                 translate_state=None):
+    __slots__ = ("parity", "zero_modes", "translate_state")
+
+    def __init__(self, parity=0, zero_modes=None, translate_state=None):
         self.parity = parity
-        self.momentum = momentum          # coords over currents, or None
         self.zero_modes = zero_modes or {}  # induced: gidx -> {tag2: coeff}
         self.translate_state = translate_state or {}
 
@@ -754,7 +747,7 @@ class FieldExpr:
                 letters.append(nm if d == 0 else "d^%d %s" % (d, nm)
                                if d > 1 else "d %s" % nm)
             if mom is not None:
-                letters.append("e^{%s}" % ",".join(map(str, mom)))
+                letters.append("e^{%s}" % ",".join(map(str, mom[1])))
             body = ":" + " ".join(letters) + ":" if len(letters) > 1 else \
                 (letters[0] if letters else "1")
             bits.append("(%s)*%s" % (c, body))
@@ -765,7 +758,7 @@ class FieldExpr:
 
 def _term_sort_key(key):
     word, mom = key
-    return (word, () if mom is None else tuple(str(x) for x in mom))
+    return (word, () if mom is None else tuple(str(x) for x in mom[1]))
 
 
 def field_to_json(fe):
@@ -782,7 +775,7 @@ def field_to_json(fe):
             "word": [[sys.gens[g].name, d] for (g, d) in word],
         }
         if mom is not None:
-            term["momentum"] = [str(x) for x in mom]
+            term["momentum"] = [str(x) for x in mom[1]]
         out.append(term)
     return out
 
@@ -798,10 +791,7 @@ def field_state(fe):
     field = module.field
     out = {}
     for (word, mom), c in fe.terms.items():
-        tag = module.momentum_tag(mom) if mom is not None \
-            else module.vacuum_tag()
-        module.hv(tag)
-        st = {((), tag): c}
+        st = {((), module.vacuum_tag() if mom is None else mom): c}
         for (g, d) in reversed(word):
             scale = field.lift(_fact(d)) if d >= 2 else None
             nxt = {}
@@ -818,12 +808,12 @@ def state_field(state, system):
     """Inverse of field_state on Fock-type states (canonical words)."""
     field = system.field
     terms = {}
-    zero_coords = (field.zero,) * len(system.currents)
+    vacuum = system.vacuum_tag()
     for (word, tag), c in state.items():
         if tag[0] != "m":
             raise NonVacuumModule(
                 "state over %r has no field counterpart" % (tag,))
-        mom = None if tag[1] == zero_coords else tag[1]
+        mom = None if tag is vacuum else tag
         fword, den = [], 1
         for (g, m) in word:
             fword.append((g, -m - 1))
@@ -874,7 +864,6 @@ def bracket(a, b):
 
 def _mom_bound(mom, bstate, module):
     worst = 0
-    mom = module.momentum_tag(mom)
     for (w, t) in bstate:
         p = module._mom_pairing_int(mom, t)
         worst = min(worst, p)

@@ -417,7 +417,8 @@ def verify_wbn_screening(n):
         if i < n:
             coords[i] = -s
         word = () if i < n else ((model.psi, 0),)
-        img = model.system.word_coeff_state(word, tuple(coords), -1, gstate)
+        mu = model.system.momentum_tag(coords)
+        img = model.system.word_coeff_state(word, mu, -1, gstate)
         if img:
             failures.append((i, img))
     return model, failures
@@ -537,13 +538,9 @@ class W2nModel:
         return out.scale(field.lift(-1))
 
     def screening_momenta(self):
-        out = [self.coords({self.agen[i]: self.field.one})
-               for i in range(self.n - 1)]
-        out.append(self.coords({self.psig: self.field.one}))
-        return out
-
-    def apply_screening(self, mu, state):
-        return self.system.word_coeff_state((), mu, -1, state)
+        """The momentum tags of a_1, ..., a_{n-1} and psi."""
+        return [self.system.momentum_tag(self.coords({g: self.field.one}))
+                for g in self.agen + [self.psig]]
 
 
 def verify_fs(model):
@@ -552,7 +549,7 @@ def verify_fs(model):
     for name, fe in (("E", model.E), ("F", model.F)):
         st = field_state(fe)
         for i, mu in enumerate(model.screening_momenta()):
-            img = model.apply_screening(mu, st)
+            img = model.system.word_coeff_state((), mu, -1, st)
             if img:
                 label = "A%d" % (i + 1) if i < model.n - 1 else "Q"
                 failures.append((label, name, img))

@@ -6,7 +6,7 @@ import pytest
 from vertexscreen.cli import main, make_parser
 from vertexscreen.errors import InputError
 from vertexscreen.presets import level_field, preset_context
-from vertexscreen.scalars import QQ, RationalFunctionField
+from vertexscreen.scalars import QQ, Rational, RationalFunctionField
 from vertexscreen.screening import NonCartanZeroPart
 from vertexscreen.superdata import (DatumError, DegreeMismatch, NotGoodGrading,
                                     build_sl, datum_to_json)
@@ -58,7 +58,7 @@ def test_serialize_round_trip():
             assert _sympy_value(term["coeff"]) - _sympy_of(c) == 0
             written = term.get("momentum")
             assert (written is None) == (mom is None)
-            for text, x in zip(written or (), mom or ()):
+            for text, x in zip(written or (), () if mom is None else mom[1]):
                 assert _sympy_value(text) - _sympy_of(x) == 0
     assert any("momentum" in term for term in field_to_json(E))
 
@@ -453,6 +453,25 @@ def test_malformed_datum_is_usage_error(doc, tmp_path, capsys):
     assert err.startswith("error: ") and "internal" not in err
 
 
+@pytest.mark.parametrize("entry,value", [
+    (("structure_constants", 0, 0), 0.9), (("rank",), 1.7),
+    (("roots", 0, "parity"), 0.6), (("form", 0, 0), 2.1),
+])
+def test_float_in_datum_is_usage_error(entry, value, tmp_path, capsys):
+    """kernel --datum exits 2 on a JSON float in the datum, naming it."""
+    doc = datum_to_json(build_sl(2))
+    node = doc
+    for key in entry[:-1]:
+        node = node[key]
+    node[entry[-1]] = value
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    assert main(["kernel", "--datum", str(path),
+                 "--labels", '{"s1": 2}', "--max-weight", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not %r" % value in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--labels", "[1]"],
     ["--labels", '{"s1": "two"}'],
@@ -610,7 +629,7 @@ def test_level_field_rejects_what_the_cli_rejects(text, capsys):
 def test_level_field_maps_levels():
     assert level_field(Fraction(7, 2)) == (QQ, Fraction(7, 2))
     assert level_field("7/2") == (QQ, Fraction(7, 2))
-    assert type(level_field("7/2")[1]) is Fraction
+    assert type(level_field("7/2")[1]) is Rational
     field, k = level_field("symbolic")
     assert field is RationalFunctionField("k") and k == field.gen
 

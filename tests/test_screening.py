@@ -217,7 +217,8 @@ def test_exponential_q_on_current_state():
     gj = ctx.current_of_basis[ctx.g0[0]]
     st = {(((gj, -1),), ctx.system.vacuum_tag()): ctx.field.one}
     img = op.apply(st)
-    tag = ctx.system.momentum_tag(op.momentum)
+    tag = op.momentum
+    assert tag is ctx.system.momentum_tag(tag[1])
     assert set(img) == {((), tag)}
     assert img[((), tag)]
 

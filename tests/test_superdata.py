@@ -248,3 +248,53 @@ def test_json_rejects_broken_constants():
     doc["structure_constants"][0][3] = "17/3"
     with pytest.raises(DatumError):
         datum_from_json(doc)
+
+
+def _sl2_doc_with(path, value):
+    """datum_to_json(build_sl(2)) with the entry at path (keys and list
+    positions) replaced by value."""
+    doc = datum_to_json(build_sl(2))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# (entry, JSON float or bool, the name the error gives the entry); at
+# int() and Fraction() the floats read as 0, 1, 0 and a binary fraction
+FLOAT_ENTRIES = [
+    (("structure_constants", 0, 0), 0.9, "structure_constants[0] index"),
+    (("rank",), 1.7, "rank"),
+    (("roots", 0, "parity"), 0.6, "roots[0] parity"),
+    (("form", 0, 0), 2.1, "form[0][0]"),
+    (("form", 1, 1), 2.0, "form[1][1]"),
+    (("roots", 1, "coords", 0), -2.0, "roots[1] coordinate"),
+    (("structure_constants", 0, 3), 2.0, "structure_constants[0]"),
+    (("roots", 0, "parity"), False, "roots[0] parity"),
+    (("structure_constants", 0, 3), True, "structure_constants[0]"),
+]
+
+
+@pytest.mark.parametrize("path,value,name", FLOAT_ENTRIES)
+def test_json_refuses_floats_and_bools(path, value, name):
+    """A JSON float or bool is refused where an index, the rank, a parity
+    or a rational is read, naming the entry, never truncated or read as
+    its binary value."""
+    doc = _sl2_doc_with(path, value)
+    with pytest.raises(DatumError, match=r"^%s must be an int" %
+                       name.replace("[", r"\[").replace("]", r"\]")):
+        datum_from_json(json.loads(json.dumps(doc)))
+
+
+def test_json_reads_ints_and_fraction_strings():
+    """Ints and "p/q" strings stay accepted wherever a rational is read."""
+    d = build_sl(2)
+    doc = datum_to_json(d)
+    doc["form"] = [[int(Fraction(x)) for x in row] for row in doc["form"]]
+    doc["roots"][0]["coords"] = ["4/2"]
+    doc["structure_constants"] = [[i, j, l, int(Fraction(c))]
+                                  for i, j, l, c in doc["structure_constants"]]
+    d2 = datum_from_json(json.loads(json.dumps(doc)))
+    assert (d2.rank, d2.sc, d2.form) == (d.rank, d.sc, d.form)
+    assert [r.coords for r in d2.roots] == [r.coords for r in d.roots]

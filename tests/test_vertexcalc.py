@@ -7,9 +7,10 @@ import pytest
 from vertexscreen.presets import build_preset, preset_context, preset_names
 from vertexscreen.scalars import QQ, RationalFunctionField
 from vertexscreen.screening import (character_of_generators,
-                                    exponential_screenings)
+                                    choose_screenings,
+                                    exponential_screenings, kernel_basis)
 from vertexscreen.vertexcalc import (FieldExpr, Module,
-                                     NonVacuumModule, comb, apply_field_coeff,
+                                     NonVacuumModule, UndefinedAction, comb, apply_field_coeff,
                                      bracket, derive, derive_n, field_state,
                                      graded_basis, normal_order, state_field,
                                      state_acc, state_sum, sugawara_field,
@@ -282,12 +283,12 @@ def test_axioms_on_seeded_samples(heis_fermion):
         c = random_homogeneous_field(mod, rng, 1 + rng.randrange(4))
         if None in (a, b, c):
             continue
-        assert check_skew(a, b)
-        assert check_jacobi(a, b, c)
-        assert check_wick(a, b, c)
+        assert check_skew(a, b, bracket)
+        assert check_jacobi(a, b, c, bracket)
+        assert check_wick(a, b, c, bracket)
         v = {key: sys.field.one for key in graded_basis(mod, 3)}
         case = (v, rng.randint(-2, 2), rng.randint(-2, 2))
-        assert check_commutator(a, b, [case]) is None, case
+        assert check_commutator(a, b, [case], bracket) is None, case
 
 
 @pytest.mark.parametrize("hh, invariant", [(2, True), (4, False)])
@@ -305,9 +306,9 @@ def test_bracket_axiom_checks_can_fail(hh, invariant):
                            1: comb(const=k)})
     sys.set_bracket(h, h, {1: comb(const=k * hh)})
     E, H, Fm = (sys.gen_field(g) for g in (e, h, f))
-    assert check_jacobi(E, Fm, H) is invariant
-    assert check_jacobi(H, E, Fm) is invariant
-    assert check_wick(E, Fm, H) is invariant
+    assert check_jacobi(E, Fm, H, bracket) is invariant
+    assert check_jacobi(H, E, Fm, bracket) is invariant
+    assert check_wick(E, Fm, H, bracket) is invariant
 
 
 def test_lattice_affine_sl2_realization():
@@ -327,11 +328,11 @@ def test_lattice_affine_sl2_realization():
     assert bracket(Em, Ep) == {0: -Jf, 1: one}
     assert bracket(Jf, Ep) == {0: Ep.scale_fraction(2)}
     assert bracket(Ep, Ep) == {}
-    assert check_skew(Ep, Em) and check_skew(Jf, Ep)
-    assert check_jacobi(Ep, Em, Jf)
-    assert check_jacobi(Jf, Ep, Em)
-    assert check_wick(Ep, Em, Jf)
-    assert check_wick(Jf, Ep, Em)
+    assert check_skew(Ep, Em, bracket) and check_skew(Jf, Ep, bracket)
+    assert check_jacobi(Ep, Em, Jf, bracket)
+    assert check_jacobi(Jf, Ep, Em, bracket)
+    assert check_wick(Ep, Em, Jf, bracket)
+    assert check_wick(Jf, Ep, Em, bracket)
 
 
 def test_momentum_needs_current_span(heis_fermion):
@@ -378,9 +379,8 @@ def _exp_coeff_by_partitions(mod, gram, mom, J, w0, tag):
     prod_n (-mu_(n)/n)^m_n / m_n!, and likewise for the creation part."""
     field = mod.field
     sys = mod
-    hv = mod.hv(tag)
-    p_int = int(str(_pair(gram, mom, hv.momentum)))
-    new_tag = sys.momentum_tag(tuple(a + b for a, b in zip(hv.momentum, mom)))
+    p_int = int(str(_pair(gram, mom, tag[1])))
+    new_tag = sys.momentum_tag(tuple(a + b for a, b in zip(tag[1], mom)))
     out = {}
     for bsum in range(0, mod.word_depth2(w0) // 2 + 1):
         asum = J - p_int + bsum
@@ -426,8 +426,8 @@ def _check_exp_against_partitions(mod, gram, momenta, starts, max_w2=8):
                 for (w, _) in graded_basis(mod, w2):
                     for J in range(p - w2 // 2 - 1,
                                    p + (max_w2 - w2) // 2 + 1):
-                        got = mod.word_coeff_state((), mu, J,
-                                                   {(w, tag): field.one})
+                        got = mod.word_coeff_state((), sys.momentum_tag(mu),
+                                                   J, {(w, tag): field.one})
                         want = _exp_coeff_by_partitions(mod, gram, mu, J,
                                                         w, tag)
                         assert got == want, (mu, start, w, J)
@@ -447,7 +447,7 @@ def test_exp_recurrence_matches_partitions_heisenberg(heis_fermion):
 @pytest.mark.parametrize("level", [Fraction(7, 2), "symbolic"])
 def test_exp_recurrence_matches_partitions_osp1_4(level):
     ctx = preset_context("osp1_4-regular", level)
-    momenta = [op.momentum for op in exponential_screenings(ctx)]
+    momenta = [op.momentum[1] for op in exponential_screenings(ctx)]
     assert len(momenta) == 2
     # 2 (k + h_dual) mu pairs integrally with both screening momenta
     starts = [ctx.system.vacuum_tag()[1]]
@@ -542,9 +542,9 @@ def test_shared_creation_ladder_matches_per_b_osp1_4(level, monkeypatch):
     ctx = preset_context("osp1_4-regular", level)
     mod = ctx.system
     ops = exponential_screenings(ctx)
-    momenta = [mod.momentum_tag(op.momentum) for op in ops]
-    (fop,) = [(op.word[0][0], mod.momentum_tag(op.momentum)) for op in ops
-              if op.word]
+    momenta = [op.momentum for op in ops]
+    assert all(mu is mod.momentum_tag(mu[1]) for mu in momenta)
+    (fop,) = [(op.word[0][0], op.momentum) for op in ops if op.word]
     _check_shared_creation_ladder(mod, momenta, fop, monkeypatch)
 
 
@@ -646,7 +646,7 @@ def test_closed_form_annihilation_fermion_between_currents():
 @pytest.mark.parametrize("level", [Fraction(7, 2), "symbolic"])
 def test_closed_form_annihilation_osp1_4(level):
     ctx = preset_context("osp1_4-regular", level)
-    momenta = [op.momentum for op in exponential_screenings(ctx)]
+    momenta = [op.momentum[1] for op in exponential_screenings(ctx)]
     starts = [ctx.system.vacuum_tag()[1]]
     starts += [tuple(2 * ctx.kappa_shift * x for x in mu) for mu in momenta]
     reached = _check_closed_form_annihilation(ctx.system, momenta, starts)
@@ -702,7 +702,8 @@ def test_closed_form_annihilation_guard(build):
     from vertexscreen.vertexcalc import NonAbelianMomentum
     sys, mu, message = build(QQ)
     with pytest.raises(NonAbelianMomentum, match=message):
-        sys.word_coeff_state((), mu, 0, {((), sys.vacuum_tag()): QQ.one})
+        sys.word_coeff_state((), sys.momentum_tag(mu), 0,
+                             {((), sys.vacuum_tag()): QQ.one})
 
 
 def _check_gram(mod, gram, momenta, starts):
@@ -730,7 +731,7 @@ CARTAN_PRESETS = [p for p in preset_names() if build_preset(p).g0_is_cartan()]
 @pytest.mark.parametrize("preset", CARTAN_PRESETS)
 def test_derived_gram_is_tau_k(preset, level):
     ctx = preset_context(preset, level)
-    momenta = [op.momentum for op in exponential_screenings(ctx)]
+    momenta = [op.momentum[1] for op in exponential_screenings(ctx)]
     assert momenta
     starts = [ctx.system.vacuum_tag()[1]]
     starts += [tuple(2 * ctx.kappa_shift * x for x in mu) for mu in momenta]
@@ -783,9 +784,10 @@ def test_tags_are_interned(heis_fermion):
     k2 = F.gen + 2
     assert sys.momentum_tag([k2 / (k2 * k2)]) is tag
     assert sys.momentum_tag((mu0 - mu0,)) is sys.vacuum_tag()
-    # the highest vector of a momentum is stored under that one tag
-    sys.hv(sys.momentum_tag((F.zero + mu0,)))
-    assert [key for key in sys.hvs if key is tag] == [tag]
+    # a momentum tag is its Fock highest vector: none is stored for it
+    with pytest.raises(UndefinedAction):
+        sys.hv(tag)
+    assert not sys.hvs
     # indexing and str are those of the plain tuple
     assert (tag[0], tag[1]) == ("m", (mu0,))
     assert str(tag) == str(("m", (mu0,)))
@@ -800,6 +802,46 @@ def test_tags_are_interned(heis_fermion):
     assert str(other.vacuum_tag()) == str(sys.vacuum_tag())
     assert other.vacuum_tag() != sys.vacuum_tag()
     assert not other.vacuum_tag() == sys.vacuum_tag()
+
+
+def test_kernels_store_no_fock_highest_vector():
+    """A symbolic osp1_4-regular kernel to doubled weight 6 runs its
+    lattice exponentials on momentum tags alone: the stored highest
+    vectors are the induced x_a the context registered, and no more."""
+    ctx = preset_context("osp1_4-regular", "symbolic")
+    kind, ops = choose_screenings(ctx)
+    assert kind == "exponential"
+    for w2 in range(7):
+        kernel_basis(ctx, ops, w2)
+    hvs = ctx.system.hvs
+    assert all(tag[0] == "x" for tag in hvs)
+    assert sorted(map(str, hvs)) == sorted(map(str, ctx.xtag_of_root.values()))
+    with pytest.raises(UndefinedAction):
+        ctx.system.hv(ops[0].momentum)
+
+
+def test_momentum_keys_are_interned_tags():
+    """A field's momentum is the interned tag: exp_field keys its term by
+    momentum_tag(mu), and bracket and normal_order of W2nModel(3)'s E and
+    F give fields keyed by tags of the same system, with no key for
+    momentum zero."""
+    m = W2nModel(3)
+    sys = m.system
+    mu = m.coords({m.xig: m.field.one})
+    (key,) = sys.exp_field(mu).terms
+    assert key[0] == () and key[1] is sys.momentum_tag(mu)
+    psi = sys.gen_field(m.psig)
+    charged = [normal_order(m.E, m.E), normal_order(m.F, m.F),
+               normal_order(psi, m.F), *bracket(psi, m.F).values(),
+               *bracket(psi, m.E).values()]
+    neutral = [normal_order(m.E, m.F), *bracket(m.E, m.F).values()]
+    assert all(fe.terms for fe in charged + neutral)
+    for fe in charged:
+        keys = [mom for (_, mom) in fe.terms]
+        assert keys and all(mom is sys.momentum_tag(mom[1]) for mom in keys)
+        assert sys.vacuum_tag() not in keys
+    for fe in neutral:
+        assert all(mom is None for (_, mom) in fe.terms)
 
 
 def test_screening_zero_modes_use_registered_tags():
@@ -921,7 +963,8 @@ def test_bracket_memos_left_intact():
     fields = [random_homogeneous_field(module, rng, w2)
               for w2 in (1, 2, 2, 3, 3, 4)]
     a, b, c = fields[:3]
-    assert check_skew(a, b) and check_jacobi(a, b, c) and check_wick(a, b, c)
+    assert check_skew(a, b, bracket) and check_jacobi(a, b, c, bracket) \
+        and check_wick(a, b, c, bracket)
     derive_n(c, 2)
     memos = (module._word_memo, module._translate_memo, module._mode_memo)
     snaps = [{key: dict(val) for key, val in memo.items()} for memo in memos]
@@ -931,7 +974,7 @@ def test_bracket_memos_left_intact():
             bracket(x, y)
             normal_order(x, y)
         derive(x)
-    assert check_skew(fields[3], fields[4])
+    assert check_skew(fields[3], fields[4], bracket)
     for memo, snap in zip(memos, snaps):
         for key, val in snap.items():
             assert memo[key] == val, key
@@ -1055,8 +1098,6 @@ def test_trimmed_hands_back_acc_unless_a_value_is_zero():
 def _word_coeff_by_state_sum(module, word, mom, J, state):
     """[z^J] word(z) state as word_coeff_state read before sums were added
     into the caller's state: one trimmed state_sum over the monomials."""
-    if mom is not None:
-        mom = module.momentum_tag(mom)
     return state_sum(((module.word_coeff_mono(word, mom, J, w, t), c)
                       for (w, t), c in state.items()), module.field)
 

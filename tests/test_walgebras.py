@@ -132,7 +132,7 @@ def test_brst_mode_commutators(preset, w2max):
              for m in (-1, 0) for n in (-1, 0)]
     for a in fields:
         for b in fields:
-            bad = check_commutator(a, b, cases)
+            bad = check_commutator(a, b, cases, bracket)
             assert bad is None, (preset, str(a), str(b)) + bad
 
 
@@ -158,7 +158,7 @@ def test_state_sums_leave_memo_entries_intact():
              for m in (-1, 0) for n in (-1, 0)]
     for a in fields:
         for b in fields:
-            assert check_commutator(a, b, cases) is None
+            assert check_commutator(a, b, cases, bracket) is None
     for memo, snap in zip(memos, snaps):
         for key, val in snap.items():
             assert memo[key] == val, key
@@ -467,7 +467,7 @@ def test_wbn_kernel_dims_match_regular_reduction():
                 coords[i] = -s
             else:
                 coords[n - 1] = s
-            momenta.append((tuple(coords), i == n))
+            momenta.append((mod.momentum_tag(coords), i == n))
         for w2 in range(0, 7):
             basis = graded_basis(mod, w2)
             rows = []
@@ -596,7 +596,8 @@ def test_wakimoto_kernel_transport():
         basis = graded_basis(ctx.system, w2)
         rep = kernel_basis(ctx, ops, w2, expected=char[w2])
         imgs = [_transport(ctx, wm, {key: field.one}) for key in basis]
-        a2_imgs = [m.apply_screening(momenta[1], st) for st in imgs]
+        a2_imgs = [m.system.word_coeff_state((), momenta[1], -1, st)
+                   for st in imgs]
         keys = sorted({kk for img in a2_imgs for kk in img}, key=str)
         rows = [{j: img[kk] for j, img in enumerate(a2_imgs) if kk in img}
                 for kk in keys]
@@ -604,4 +605,4 @@ def test_wakimoto_kernel_transport():
         for fe in rep.basis_fields:
             st = _transport(ctx, wm, field_state(fe))
             for mu in momenta:
-                assert m.apply_screening(mu, st) == {}
+                assert m.system.word_coeff_state((), mu, -1, st) == {}

@@ -48,8 +48,8 @@ def build_preset(name):
 
 def level_field(level):
     """(field, k) for a level: Q(k) and its generator for "symbolic",
-    else Q and the rational level (a Fraction or "p/q" text) as an element
-    of Q; other text raises the InputError the command line prints."""
+    else Q and the rational level (a Fraction, or "p/q" text that Fraction
+    parses) as a Rational; other text raises the InputError of the CLI."""
     if level == "symbolic":
         field = RationalFunctionField("k")
         return field, field.gen

@@ -2,8 +2,11 @@
 
 Everything in the engine is computed over an exact coefficient field,
 either the rationals Q, whose values are Rational (a lean reduced pair of
-ints that agrees with fractions.Fraction), or the field Q(x) of
-rational functions in one named symbol (usually the level ``k``).
+ints), or the field Q(x) of rational functions in one named symbol
+(usually the level ``k``).  Every rational in the engine is a Rational;
+Fraction only parses outside text (presets.level_field, the datum loader).
+Rational stays a registered numbers.Rational that takes any as an operand,
+so callers' Fractions and the Rationals of a second import still agree.
 Rational functions are stored as a pair of coprime integer-coefficient
 polynomials; the denominator has positive leading coefficient and the
 pair carries no common integer content.  No floating point anywhere.
@@ -30,7 +33,6 @@ row.  Any common factor G divides that a, so its roots lie within
 
 import numbers
 import sys
-from fractions import Fraction
 from functools import total_ordering
 from itertools import count
 from math import gcd, isqrt, lcm
@@ -111,7 +113,7 @@ def p_primitive(a):
 
 
 def p_eval(a, x):
-    acc = Fraction(0)
+    acc = QQ.zero
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -321,7 +323,7 @@ def _squarefree_rational_roots(s):
         c = lc * r % modulus
         if c > modulus // 2:
             c -= modulus
-        root = Fraction(c, lc)
+        root = QQ.quo(c, lc)
         if _p_hom_eval(s, root.numerator, root.denominator) == 0:
             roots.add(root)
     return roots
@@ -354,8 +356,8 @@ def p_linear_factors(a):
 
 
 def p_rational_roots(a):
-    """All rational roots of an integer polynomial, as a set of Fractions."""
-    return {Fraction(-f[0], f[1]) for f in p_linear_factors(a)[0]}
+    """All rational roots of an integer polynomial, as a set of Rationals."""
+    return {QQ.quo(-f[0], f[1]) for f in p_linear_factors(a)[0]}
 
 
 class RationalFunction:
@@ -481,21 +483,17 @@ class RationalFunction:
         try:
             return self._hash
         except AttributeError:
-            # constants agree with Fraction/int hashing
-            fr = self.as_fraction()
+            # constants hash as the Rational (and so the int) they equal
+            q = self.field.as_rational(self)
             self._hash = h = hash((self.field.symbol, self.num, self.den)
-                                  if fr is None else fr)
+                                  if q is None else q)
             return h
 
     # -- queries ------------------------------------------------------------
 
-    def as_fraction(self):
-        """The value as a Fraction if constant, else None."""
-        if len(self.num) <= 1 and len(self.den) <= 1:
-            return Fraction(self.num[0] if self.num else 0, self.den[0])
-        return None
-
     def evaluate(self, x):
+        """The Rational value at the rational x; a float raises TypeError."""
+        x = QQ.lift(x)
         den = p_eval(self.den, x)
         if den == 0:
             raise ZeroDivisionError(
@@ -628,19 +626,20 @@ class RationalFunctionField:
     # takes no modular path over Q(k)
     int_row = None
 
-    def lift(self, fr):
-        if type(fr) is int:
-            if fr == 1:
+    def lift(self, x):
+        if type(x) is int:
+            if x == 1:
                 return self.one
-            return _rf(self, (fr,) if fr else P_ZERO, P_ONE)
-        if fr.__class__ is not Fraction:
-            fr = QQ.lift(fr)  # refuses a float or a string, as over Q
-        n, d = fr.numerator, fr.denominator
+            return _rf(self, (x,) if x else P_ZERO, P_ONE)
+        q = QQ.lift(x)  # refuses a float or a string, as over Q
+        n, d = q.numerator, q.denominator
         return _rf(self, (n,) if n else P_ZERO, P_ONE if d == 1 else (d,))
 
-    def as_fraction(self, x):
-        """x as a Fraction if it is constant, else None."""
-        return x.as_fraction()
+    def as_rational(self, x):
+        """x as a Rational if it is constant, else None."""
+        if len(x.num) <= 1 and len(x.den) <= 1:
+            return _q(x.num[0] if x.num else 0, x.den[0])
+        return None
 
     def strip_row(self, row, factor_sink=None):
         """Scale a sparse row of rational functions to coprime integer
@@ -722,7 +721,7 @@ class RationalFunctionField:
             factors, residual = p_linear_factors(den)
             for f in factors:
                 labels.add(p_str(f, self.symbol))
-                roots.add(Fraction(-f[0], f[1]))
+                roots.add(QQ.quo(-f[0], f[1]))
             if len(residual) > 1:
                 labels.add(p_str(residual, self.symbol))
         return labels, roots
@@ -737,7 +736,8 @@ class RationalFunctionField:
 def _operator(op, reflected=False):
     """The Rational method op(na, da, nb, db) on reduced pairs of ints,
     with the operands swapped when reflected; the other operand is a
-    Rational, an int or any other numbers.Rational (a Fraction)."""
+    Rational, an int or another numbers.Rational (a Fraction, a Rational of
+    a second import of this module)."""
     def method(self, other):
         if other.__class__ is Rational:
             nb, db = other.numerator, other.denominator
@@ -820,12 +820,12 @@ def _div(na, da, nb, db):
 class Rational:
     """An element of Q: coprime ints numerator and denominator > 0.
 
-    Operations take a Rational, an int or a Fraction and give a reduced
-    Rational.  Denominator 1 and equal denominators take short paths;
-    otherwise the gcds are taken crosswise, as in fractions.Fraction.
+    Operations take a Rational, an int or any numbers.Rational and give a
+    reduced Rational.  Denominator 1 and equal denominators take short
+    paths; otherwise the gcds are taken crosswise, as in fractions.Fraction.
     ==, hash and str agree with Fraction's, and the class is registered
-    as a numbers.Rational, so Fraction(x) reads it.  QQ.lift and QQ.quo
-    make the values.
+    as a numbers.Rational, so the Fraction constructor reads it.  QQ.lift
+    and QQ.quo make the values.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -884,7 +884,7 @@ class Rationals:
         self.one = _q(1, 1)
 
     def lift(self, x):
-        """x as a Rational: an int, a Rational or a Fraction; no float."""
+        """x as a Rational: an int or a numbers.Rational; no float."""
         if x.__class__ is Rational:
             return x
         if x.__class__ is int:
@@ -893,12 +893,11 @@ class Rationals:
             return _q(x.numerator, x.denominator)
         raise TypeError("Q holds exact rationals, not %s" % type(x).__name__)
 
-    def as_fraction(self, x):
-        return Fraction(x)
+    as_rational = lift  # every value of Q is constant
 
     def int_row(self, values):
         """(den, [x * den for x in values]) with den the lcm of the
-        denominators of a row's values: ints, Rationals or Fractions.
+        denominators of a row's values: ints or Rationals.
         This is the hook of linalg.nullspace's modular path."""
         den = lcm(*[x.denominator for x in values])
         return den, [x.numerator * (den // x.denominator) for x in values]
@@ -911,7 +910,7 @@ class Rationals:
             if den % P else None
 
     def strip_row(self, row, factor_sink=None):
-        """Scale a sparse row of ints, Rationals or Fractions by a positive
+        """Scale a sparse row of ints or Rationals by a positive
         rational to coprime ints, its zeros dropped."""
         ints = self.int_row(row.values())[1]
         g = gcd(*ints)

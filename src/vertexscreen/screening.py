@@ -21,7 +21,6 @@ as its word, () otherwise).  kernel_basis intersects the kernels at one
 doubled weight, and linalg.nullspace checks each kernel vector exactly.
 """
 
-from fractions import Fraction
 from itertools import chain
 
 from .errors import InputError
@@ -156,7 +155,7 @@ class ScreeningContext:
         pair = d.form_entry(bidx, neg)
         if not pair:
             raise DatumError("(e_a|e_-a) vanishes")
-        pref = -(field.one / self.kappa_shift) * field.lift(Fraction(1, 1) / pair)
+        pref = -(field.one / self.kappa_shift) / field.lift(pair)
         state = {}
         for b2 in cls:
             for gam, c in d.bracket(b2, neg).items():

@@ -5,11 +5,13 @@ vector per root), exact structure constants, parities and an invariant
 bilinear form normalized so the highest even root theta has squared length
 2.  It is read from a structure-constant table in a JSON file or built
 from a matrix realization: elementary matrices for sl_n, supermatrices for
-osp(1|2n), each a sparse {(row, col): Fraction}.  The structure constants
+osp(1|2n), each a sparse {(row, col): Rational}.  The structure constants
 come first: every super bracket of the basis matrices is decomposed once
 over the basis, each root's coordinates are read off [h_i, e_a], and the
-form is the supertrace of the products.  Half-integer gradings are stored
-as doubled integers throughout; no floating point is used anywhere.
+form is the supertrace of the products.  Every rational here is a
+scalars.Rational (Fraction only parses a JSON datum's "p/q" text, in
+_exact).  Half-integer gradings are stored as doubled integers throughout;
+no floating point is used anywhere.
 """
 
 import json
@@ -118,7 +120,7 @@ class SuperRootDatum:
         when None).
         """
         sc, parity = self.sc, self.parity
-        total = Fraction(0)
+        total = QQ.zero
         for b in range(self.nbasis) if span is None else span:
             for m, c in sc.get((j, b), {}).items():
                 x = sc.get((i, m), {}).get(b)
@@ -151,7 +153,7 @@ class SuperRootDatum:
         for (i, j), comb in self.sc.items():
             mirror = self.bracket(j, i)
             for l, c in comb.items():
-                if mirror.get(l, Fraction(0)) != -(-1) ** (p[i] * p[j]) * c:
+                if mirror.get(l, QQ.zero) != -(-1) ** (p[i] * p[j]) * c:
                     raise DatumError("structure constants not super-antisymmetric")
         # invariance ([a,b]|c) = (a|[b,c])
         for i in range(n):
@@ -178,14 +180,14 @@ class SuperRootDatum:
                     acc = {}
                     for m, x in self.bracket(b, c).items():
                         for l, y in self.bracket(a, m).items():
-                            acc[l] = acc.get(l, Fraction(0)) + x * y
+                            acc[l] = acc.get(l, QQ.zero) + x * y
                     for m, x in ab.items():
                         for l, y in self.bracket(m, c).items():
-                            acc[l] = acc.get(l, Fraction(0)) - x * y
+                            acc[l] = acc.get(l, QQ.zero) - x * y
                     sgn = (-1) ** (p[a] * p[b])
                     for m, x in self.bracket(a, c).items():
                         for l, y in self.bracket(b, m).items():
-                            acc[l] = acc.get(l, Fraction(0)) - sgn * x * y
+                            acc[l] = acc.get(l, QQ.zero) - sgn * x * y
                     if any(acc.values()):
                         raise DatumError(
                             "Jacobi superidentity fails on (%d,%d,%d)" % (a, b, c))
@@ -270,14 +272,14 @@ def _complete_roots(rank, roots, letter):
 
 
 def _super_bracket(x, y, sign):
-    """x y - sign * y x of sparse matrices {(row, col): Fraction}."""
+    """x y - sign * y x of sparse matrices {(row, col): Rational}."""
     out = {}
     for (a, b), u in x.items():
         for (c, d), v in y.items():
             if b == c:
-                out[a, d] = out.get((a, d), 0) + u * v
+                out[a, d] = out.get((a, d), QQ.zero) + u * v
             if d == a:
-                out[c, b] = out.get((c, b), 0) - sign * v * u
+                out[c, b] = out.get((c, b), QQ.zero) - sign * v * u
     return {key: v for key, v in out.items() if v}
 
 
@@ -305,12 +307,12 @@ def _datum_from_matrices(rank, cartan, root_entries, space_parity, letter,
         weights = [sc.get((i, b), {}) for i in range(rank)]
         if any(set(w) - {b} for w in weights):
             raise DatumError("root vector is not an ad-eigenvector")
-        roots.append(Root([w.get(b, Fraction(0)) for w in weights], par,
+        roots.append(Root([w.get(b, QQ.zero) for w in weights], par,
                           positive))
 
     # supertrace form str(x y), rescaled so (theta|theta) = 2
-    form = [[sum((u * y.get((b, a), 0) * (-1) ** space_parity[a]
-                  for (a, b), u in x.items()), Fraction(0))
+    form = [[sum((u * y.get((b, a), QQ.zero) * (-1) ** space_parity[a]
+                  for (a, b), u in x.items()), QQ.zero)
              for y in basis] for x in basis]
     datum = SuperRootDatum(rank, roots, sc, form, letter, label)
     norm = datum.theta_norm()
@@ -325,7 +327,7 @@ def build_sl(n):
     """sl_n from elementary matrices; trace form, all parities even."""
     if n < 2:
         raise DatumError("sl_n needs n >= 2")
-    one = Fraction(1)
+    one = QQ.one
     cartan = [{(i, i): one, (i + 1, i + 1): -one} for i in range(n - 1)]
     root_entries = [({(i, j): one}, 0, i < j)
                     for i in range(n) for j in range(n) if i != j]
@@ -341,7 +343,7 @@ def build_osp(n):
     """
     if n < 1:
         raise DatumError("osp(1|2n) needs n >= 1")
-    one = Fraction(1)
+    one = QQ.one
     span = range(1, n + 1)
     cartan = [{(i, i): one, (n + i, n + i): -one} for i in span]
     # even roots of sp(2n): eps_i - eps_j, then +-2 eps_i and +-(eps_i+eps_j)
@@ -573,10 +575,9 @@ class LevelForm:
 
     def tau_pair(self, i, j):
         """(constant, k-coefficient) of tau(e_i|e_j)."""
-        const = Fraction(1, 2) * self.killing_g[i][j]
+        const = self.killing_g[i][j] / 2
         if i in self._g0_pos and j in self._g0_pos:
-            const -= Fraction(1, 2) * \
-                self.killing_g0[self._g0_pos[i]][self._g0_pos[j]]
+            const -= self.killing_g0[self._g0_pos[i]][self._g0_pos[j]] / 2
         return const, self.datum.form[i][j]
 
     def tau_scalar(self, field, level, i, j):
@@ -592,7 +593,7 @@ class ChiFunctional:
         self.grading = grading
         self.values = []
         for b in range(datum.nbasis):
-            v = sum(datum.form[fi][b] for fi in grading.f_indices)
+            v = sum((datum.form[fi][b] for fi in grading.f_indices), QQ.zero)
             self.values.append(v)
         # f sits in degree -1, so the form pairs it against degree +1 only
         for b in range(datum.nbasis):
@@ -632,8 +633,9 @@ def datum_from_json(doc):
 
     Basis indices: 0..rank-1 are Cartan elements, rank+i is the i-th entry
     of "roots".  The rank, indices and parities are ints, rationals ints or
-    "p/q" strings (_exact refuses a float or a bool); half-integer grading
-    labels elsewhere in the toolchain are doubled integers.
+    "p/q" strings (_exact refuses a float or a bool), a root's "positive"
+    a bool or absent; half-integer grading labels elsewhere in the
+    toolchain are doubled integers.
     """
     if not isinstance(doc, dict):
         raise DatumError("a datum is a JSON object, not %s"
@@ -646,18 +648,19 @@ def datum_from_json(doc):
         rank = _exact(doc["rank"], int, "rank")
         roots = []
         for p, spec in enumerate(doc["roots"]):
-            coords = [_exact(c, Fraction, "roots[%d] coordinate" % p)
+            coords = [_exact(c, QQ.lift, "roots[%d] coordinate" % p)
                       for c in spec["coords"]]
             if len(coords) != rank:
                 raise DatumError("a root has %d coordinates, not rank %d"
                                  % (len(coords), rank))
-            positive = spec.get("positive")
-            if positive is None:
-                positive = _lex_positive(coords)
+            positive = spec.get("positive", _lex_positive(coords))
+            if positive.__class__ is not bool:
+                raise DatumError("roots[%d] positive must be true or false, "
+                                 "not %r" % (p, positive))
             parity = _exact(spec["parity"], int, "roots[%d] parity" % p)
             if parity not in (0, 1):
                 raise DatumError("root parity must be 0 or 1")
-            roots.append(Root(coords, parity, bool(positive)))
+            roots.append(Root(coords, parity, positive))
         nbasis = rank + len(roots)
         sc = {}
         for n, (i, j, l, c) in enumerate(doc["structure_constants"]):
@@ -665,8 +668,8 @@ def datum_from_json(doc):
             i, j, l = (_exact(x, int, what + " index") for x in (i, j, l))
             if not all(0 <= x < nbasis for x in (i, j, l)):
                 raise DatumError("structure constant index out of range")
-            sc.setdefault((i, j), {})[l] = _exact(c, Fraction, what)
-        form = [[_exact(x, Fraction, "form[%d][%d]" % (r, c))
+            sc.setdefault((i, j), {})[l] = _exact(c, QQ.lift, what)
+        form = [[_exact(x, QQ.lift, "form[%d][%d]" % (r, c))
                  for c, x in enumerate(row)]
                 for r, row in enumerate(doc["form"])]
         if len(form) != nbasis or any(len(row) != nbasis for row in form):
@@ -684,14 +687,14 @@ def datum_from_json(doc):
 
 
 def _exact(x, read, what):
-    """read(x) (int or Fraction) of a JSON value that is not a float or a
-    bool: int() would truncate a float and Fraction() read its binary
-    value, so a datum entry is never rounded on the way in."""
+    """int(x), or the Rational read(Fraction(x)) of an int or "p/q" text, of
+    a JSON value that is not a float or a bool: int() would truncate a
+    float and Fraction() read its binary value, so nothing is rounded."""
     if isinstance(x, (float, bool)):
         raise DatumError("%s must be %s, not %r" % (
             what, "an int" if read is int else 'an int or a "p/q" string',
             x))
-    return read(x)
+    return int(x) if read is int else read(Fraction(x))
 
 
 def load_datum(path):

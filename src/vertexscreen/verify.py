@@ -5,10 +5,9 @@ run is reproducible from its seed.  Each suite returns a JSON-ready dict
 with "status": "pass"/"fail" and a first-failure witness when applicable.
 """
 
-from fractions import Fraction
-
 from .errors import InputError
 from .presets import build_preset, level_field, preset_context
+from .scalars import QQ
 from .screening import choose_screenings, expected_character, kernel_basis
 from .vertexcalc import (
     apply_field_coeff, bracket, derive, field_to_json, flat_table, graded_basis,
@@ -89,7 +88,7 @@ def _double_left(br, table, a, b, c, sign, swap):
     field = a.system.field
     for j, cj in br(b, c).items():
         for i, f in br(a, cj).items():
-            coeff = field.lift(Fraction(sign, _fact(i) * _fact(j)))
+            coeff = field.lift(QQ.quo(sign, _fact(i) * _fact(j)))
             _table_acc(table, (j, i) if swap else (i, j), f, coeff)
 
 
@@ -99,7 +98,7 @@ def _jacobi_rhs(br, table, a, b, c):
     for n, fn in br(a, b).items():
         for j, f in br(fn, c).items():
             for t in range(j + 1):
-                coeff = Fraction(_binom(j, t), _fact(n) * _fact(j))
+                coeff = QQ.quo(_binom(j, t), _fact(n) * _fact(j))
                 _table_acc(table, (n + t, j - t), f, field.lift(coeff))
 
 
@@ -127,7 +126,7 @@ def check_wick(a, b, c, br):
     for n, fn in ab.items():
         for j, f in br(fn, c).items():
             m = n + j + 1
-            coeff = Fraction(_fact(m), _fact(n) * _fact(j) * (j + 1))
+            coeff = QQ.quo(_fact(m), _fact(n) * _fact(j) * (j + 1))
             _table_acc(rhs, (m,), f, field.lift(coeff))
     return flat_table(lhs) == trimmed(rhs)
 

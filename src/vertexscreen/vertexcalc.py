@@ -32,11 +32,11 @@ owns, never in a memo entry, which callers only read; every empty one is
 the read-only EMPTY.
 """
 
-from fractions import Fraction
 from math import factorial as _fact, prod
 from types import MappingProxyType
 
 from .errors import InputError
+from .scalars import QQ
 
 
 class UnknownGenerator(KeyError):
@@ -184,7 +184,7 @@ class Module:
                 if n < m:
                     continue
                 e = n - m
-                cf = field.lift(Fraction((-1) ** n, _fact(e)) * (-sign))
+                cf = field.lift(QQ.quo(-sign * (-1) ** n, _fact(e)))
                 # d^e of the constant vanishes for e > 0
                 state_acc(acc, {(k[0], k[1] + e) if k else k: c
                                 for k, c in lc.items() if k or not e},
@@ -398,11 +398,11 @@ class Module:
         val = -sum((f * tag[1][pos[h]]
                     for h, f in self._drop_factors(mom).items()),
                    self.field.zero)
-        fr = self.field.as_fraction(val)
-        if fr is None or fr.denominator != 1:
+        q = self.field.as_rational(val)
+        if q is None or q.denominator != 1:
             raise GradingMismatch(
                 "momentum pairing %s is not an integer" % val)
-        out = self._pairing_memo[mom, tag] = int(fr)
+        out = self._pairing_memo[mom, tag] = q.numerator
         return out
 
     def word_coeff_mono(self, word, mom, J, w0, tag):
@@ -891,7 +891,7 @@ def lambda_shift_skew(lp, pa, pb, system):
     out = {}
     for m in range(0, max(lp, default=-1) + 1):
         acc = sum((derive_n(lp[n], n - m).scale_fraction(
-            Fraction((-1) ** n * sign, _fact(n - m)))
+            QQ.quo((-1) ** n * sign, _fact(n - m)))
             for n in sorted(lp) if n >= m), system.zero_field())
         if not acc.is_zero():
             out[m] = acc

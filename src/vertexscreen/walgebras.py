@@ -10,8 +10,6 @@ realization on V_xi together with the Wakimoto-style homomorphism from the
 degree-zero currents of the subregular reduction.
 """
 
-from fractions import Fraction
-
 from .errors import InputError
 from .linalg import matrix_rank, nullspace, rank_mod_p
 from .presets import build_preset
@@ -150,7 +148,7 @@ class BRSTComplex:
                     c = d.bracket(b2, b3).get(b)
                     if c:
                         sgn = (-1) ** (d.parity[b] * d.parity[b2])
-                        add(terms, field.lift(Fraction(-sgn * c, 2)),
+                        add(terms, field.lift(-sgn * c / 2),
                             (ph[b2], 0), (ph[b3], 0))
             self.d0_image[ph[b]] = FieldExpr(self.system, terms)
 

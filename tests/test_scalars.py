@@ -89,10 +89,10 @@ def test_denominator_labels_at_any_coefficient_size(F):
                                        "k^2+10000000000000"}
 
 
-def test_as_fraction_on_both_fields(F):
-    assert F.as_fraction(F.lift(Fraction(5, 2))) == Fraction(5, 2)
-    assert F.as_fraction(F.gen) is None
-    assert QQ.as_fraction(Fraction(-4)) == Fraction(-4)
+def test_as_rational_on_both_fields(F):
+    assert F.as_rational(F.lift(Fraction(5, 2))) == Fraction(5, 2)
+    assert F.as_rational(F.gen) is None
+    assert QQ.as_rational(Fraction(-4)) == Fraction(-4)
 
 
 def test_division_by_zero(F):

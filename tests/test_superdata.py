@@ -298,3 +298,22 @@ def test_json_reads_ints_and_fraction_strings():
     d2 = datum_from_json(json.loads(json.dumps(doc)))
     assert (d2.rank, d2.sc, d2.form) == (d.rank, d.sc, d.form)
     assert [r.coords for r in d2.roots] == [r.coords for r in d.roots]
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None, "true"])
+def test_json_positive_flag_is_a_bool(value):
+    """A root's "positive" is a JSON bool or absent: a string or an int is
+    refused naming the entry, not read through bool()."""
+    doc = _sl2_doc_with(("roots", 1, "positive"), value)
+    with pytest.raises(DatumError,
+                       match=r"^roots\[1\] positive must be true or false"):
+        datum_from_json(json.loads(json.dumps(doc)))
+
+
+def test_json_positive_flag_may_be_absent():
+    d = build_sl(2)
+    doc = datum_to_json(d)
+    for spec in doc["roots"]:
+        del spec["positive"]
+    d2 = datum_from_json(json.loads(json.dumps(doc)))
+    assert [r.positive for r in d2.roots] == [r.positive for r in d.roots]

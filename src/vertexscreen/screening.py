@@ -349,22 +349,26 @@ class KernelReport:
         }
 
 
-def kernel_basis(ctx, screenings, weight2, expected=None):
-    """Exact intersection of screening kernels at one doubled weight: the
-    nullspace of the sparse rows {basis position: coefficient}, one per
-    monomial that a screening's images reach, in _state_key order."""
-    field = ctx.field
-    basis = graded_basis(ctx.system, weight2)
-    ncols = len(basis)
+def image_rows(maps, basis, field):
+    """Rows {basis position: coefficient} of maps (state -> state) on basis:
+    one per monomial an image reaches, map by map, in _state_key order."""
     rows = []
-    for op in screenings:
+    for f in maps:
         by_key = {}
         for j, key in enumerate(basis):
-            for m, c in op.apply({key: field.one}).items():
+            for m, c in f({key: field.one}).items():
                 by_key.setdefault(m, {})[j] = c
         rows.extend(by_key[m] for m in sorted(by_key, key=_state_key))
+    return rows
+
+
+def kernel_basis(ctx, screenings, weight2, expected=None):
+    """Exact nullspace of the screenings' image_rows at one doubled weight."""
+    field = ctx.field
+    basis = graded_basis(ctx.system, weight2)
+    rows = image_rows([op.apply for op in screenings], basis, field)
     pivots = []
-    kernel = nullspace(rows, ncols, field, pivot_sink=pivots)
+    kernel = nullspace(rows, len(basis), field, pivot_sink=pivots)
     basis_fields = [state_field({key: c for c, key in zip(vec, basis) if c},
                                 ctx.system) for vec in kernel]
     # divisions by pivots happen during back substitution; the levels
@@ -374,7 +378,7 @@ def kernel_basis(ctx, screenings, weight2, expected=None):
         (x for row in rows for x in row.values()),
         (c for vec in kernel for c in vec),
         (field.one / ctx.kappa_shift,)), pivots)
-    return KernelReport(weight2, ncols, len(kernel),
+    return KernelReport(weight2, len(basis), len(kernel),
                         expected if expected is not None else -1,
                         basis_fields, denominators, roots)
 

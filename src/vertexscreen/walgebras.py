@@ -14,7 +14,7 @@ from .errors import InputError
 from .linalg import matrix_rank, nullspace, rank_mod_p
 from .presets import build_preset
 from .scalars import RationalFunctionField
-from .screening import set_free_field_tables
+from .screening import image_rows, set_free_field_tables
 from .vertexcalc import (
     FieldExpr, Module, comb, bracket, derive,
     field_state, flat_table, graded_basis, normal_order, state_acc, state_sum,
@@ -219,36 +219,33 @@ class BRSTComplex:
         out = {}
         for w2 in range(0, weight2_max + 1):
             pieces = self.pieces(w2)
+            arrows = [(c, len(pieces.get(c + 1, [])),
+                       self._d0_columns(src, pieces.get(c + 1, [])))
+                      for c, src in sorted(pieces.items())]
             for k0 in _K0 + (None,):
-                dims = self._dims(pieces, k0)
+                dims = self._dims(arrows, k0)
                 if dims is not None and not any(dims[c] for c in dims if c):
                     break
             out.update(((w2, c), h) for c, h in dims.items())
         return out
 
-    def _dims(self, pieces, k0):
-        """{charge: dim H} at one weight from the ranks of d_(0) mod P at
-        k0, or exact ones when k0 is None; None where mod_row is undefined."""
+    def _dims(self, arrows, k0):
+        """{charge: dim H} from the ranks of one weight's d_(0) arrows mod P
+        at k0 (exact when k0 is None); None where mod_row is undefined."""
         ranks, dims, field = {}, {}, self.field
-        for c, src in sorted(pieces.items()):
-            dst = pieces.get(c + 1, [])
-            cols = self._d0_columns(src, dst)
-            r = (rank_mod_p(cols, len(dst), field, k0) if k0 is not None
-                 else matrix_rank(cols, len(dst), field))
+        for c, n_dst, cols in arrows:
+            r = (rank_mod_p(cols, n_dst, field, k0) if k0 is not None
+                 else matrix_rank(cols, n_dst, field))
             if r is None:
                 return None
             ranks[c] = r
-            dims[c] = len(src) - r - ranks.get(c - 1, 0)
+            dims[c] = len(cols) - r - ranks.get(c - 1, 0)
         return dims
 
     def h0_basis(self, weight2):
         """Kernel of d_(0) on the charge-zero piece (no incoming arrows)."""
-        pieces = self.pieces(weight2)
-        src, dst = pieces.get(0, []), pieces.get(1, [])
-        rows = [{} for _ in dst]
-        for j, col in enumerate(self._d0_columns(src, dst)):
-            for i, c in col.items():
-                rows[i][j] = c
+        src = self.pieces(weight2).get(0, [])
+        rows = image_rows([self.d0_state], src, self.field)
         return [{key: c for key, c in zip(src, v) if c}
                 for v in nullspace(rows, len(src), self.field)]
 

@@ -11,7 +11,8 @@ from vertexscreen.screening import (NonCartanZeroPart, choose_screenings,
                                     expected_character,
                                     character_of_generators,
                                     exponential_screenings,
-                                    generic_screenings, kernel_basis)
+                                    generic_screenings, image_rows,
+                                    kernel_basis)
 from vertexscreen.vertexcalc import (CriticalLevel, _fact, apply_field_coeff,
                                      field_state, graded_basis, state_acc,
                                      state_field)
@@ -367,6 +368,30 @@ def test_kernel_denominators_match_unit_inversion(preset, max_w2):
             assert (rep.denominators, rep.denominator_roots) == \
                 _unit_inversion_denominators(ctx, rows, pivots, kernel), w2
     assert negative  # some pivot has its sign made positive
+
+
+@pytest.mark.parametrize("preset, max_w2", [
+    ("osp1_4-regular", 6), ("sl3-subregular", 4)])
+def test_kernel_rows_are_image_rows(preset, max_w2):
+    """kernel_basis hands nullspace the image_rows of its screenings, in
+    order, so its pivots and denominators are those of that matrix."""
+    ctx = preset_context(preset)
+    _, ops = choose_screenings(ctx)
+    seen = []
+
+    def recording(rows, ncols, field, pivot_sink):
+        seen.append(rows)
+        return nullspace(rows, ncols, field, pivot_sink=pivot_sink)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(screening, "nullspace", recording)
+        for w2 in range(max_w2 + 1):
+            kernel_basis(ctx, ops, w2)
+    assert len(seen) == max_w2 + 1
+    for w2, rows in enumerate(seen):
+        basis = graded_basis(ctx.system, w2)
+        assert rows == image_rows([op.apply for op in ops], basis,
+                                  ctx.field), w2
 
 
 @pytest.mark.parametrize("preset, kind, max_w2", [

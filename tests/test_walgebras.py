@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +10,8 @@ from vertexscreen.presets import build_preset, preset_context, preset_names
 from vertexscreen.scalars import QQ, RationalFunctionField
 from vertexscreen.screening import (choose_screenings, expected_character,
                                     generic_screenings,
-                                    exponential_screenings, kernel_basis)
+                                    exponential_screenings, image_rows,
+                                    kernel_basis)
 from vertexscreen.vertexcalc import (apply_field_coeff, bracket, derive,
                                      field_state, graded_basis, normal_order,
                                      state_acc, state_field, trimmed)
@@ -237,6 +239,33 @@ def test_certified_cohomology_matches_exact_ranks_over_q(preset):
     assert brst.cohomology_dims(6) == _exact_dims(brst, 6)
 
 
+def _h0_by_transposed_columns(brst, w2):
+    """Kernel of d_(0) on the charge-zero piece, from the rows of the
+    transposed columns of d_(0) into charge one."""
+    pieces = brst.pieces(w2)
+    src, dst = pieces.get(0, []), pieces.get(1, [])
+    rows = [{} for _ in dst]
+    for j, col in enumerate(brst._d0_columns(src, dst)):
+        for i, c in col.items():
+            rows[i][j] = c
+    return [{key: c for key, c in zip(src, v) if c}
+            for v in nullspace(rows, len(src), brst.field)]
+
+
+@pytest.mark.parametrize("preset, level", [
+    *((p, "symbolic") for p in preset_names()),
+    ("sl3-subregular-cartan", Fraction(7, 2)),
+    ("osp1_4-regular", Fraction(7, 2))], ids=str)
+def test_h0_basis_matches_transposed_columns(preset, level):
+    """h0_basis reads d_(0) through image_rows, in _state_key row order;
+    the reduced kernel basis is that of the columns' transpose."""
+    grading = build_preset(preset)
+    brst = (build_complex(grading, F, F.gen) if level == "symbolic"
+            else build_complex(grading, QQ, level))
+    for w2 in range(7):
+        assert brst.h0_basis(w2) == _h0_by_transposed_columns(brst, w2), w2
+
+
 def _count_exact_ranks(monkeypatch):
     calls = []
 
@@ -280,6 +309,24 @@ def test_an_unlucky_k0_is_retried_before_exact_ranks(monkeypatch):
                         if k0 == first else real(self, row, k0))
     assert brst.cohomology_dims(6) == _exact_dims(brst, 6)
     assert calls == []
+
+
+def test_d0_columns_are_built_once_per_weight(monkeypatch):
+    """Every level cohomology_dims tries ranks the same columns: with no
+    k0 defined, each weight still builds one d_(0) map per charge."""
+    brst, _ = make_brst("sl3-subregular-cartan")
+    n_maps = sum(len(brst.pieces(w2)) for w2 in range(7))
+    calls, columns = [], walgebras.BRSTComplex._d0_columns
+
+    def counted(self, src, dst):
+        calls.append(len(src))
+        return columns(self, src, dst)
+
+    monkeypatch.setattr(walgebras.BRSTComplex, "_d0_columns", counted)
+    monkeypatch.setattr(RationalFunctionField, "mod_row",
+                        lambda self, row, k0: None)
+    assert brst.cohomology_dims(6) == _exact_dims(brst, 6)
+    assert len(calls) == n_maps + n_maps  # cohomology_dims, then _exact_dims
 
 
 def test_sugawara_virasoro_sl3_subregular():
@@ -459,7 +506,7 @@ def test_wbn_kernel_dims_match_regular_reduction():
         s = field.gen
         mod = model.system
         char = character_of_generators(gens, 6)
-        momenta = []
+        screenings = []
         for i in range(1, n + 1):
             coords = [field.zero] * n
             if i < n:
@@ -467,19 +514,12 @@ def test_wbn_kernel_dims_match_regular_reduction():
                 coords[i] = -s
             else:
                 coords[n - 1] = s
-            momenta.append((mod.momentum_tag(coords), i == n))
+            word = ((model.psi, 0),) if i == n else ()
+            screenings.append(partial(mod.word_coeff_state, word,
+                                      mod.momentum_tag(coords), -1))
         for w2 in range(0, 7):
             basis = graded_basis(mod, w2)
-            rows = []
-            for mu, dressed in momenta:
-                imgs = []
-                for key in basis:
-                    word = ((model.psi, 0),) if dressed else ()
-                    imgs.append(mod.word_coeff_state(word, mu, -1,
-                                                     {key: field.one}))
-                keys = sorted({kk for img in imgs for kk in img}, key=str)
-                rows.extend({j: img[kk] for j, img in enumerate(imgs)
-                             if kk in img} for kk in keys)
+            rows = image_rows(screenings, basis, field)
             assert len(nullspace(rows, len(basis), field)) == char[w2], \
                 (n, w2)
 
@@ -592,15 +632,12 @@ def test_wakimoto_kernel_transport():
     ops = generic_screenings(ctx)
     char = expected_character(ctx.datum, ctx.grading, 4)
     momenta = m.screening_momenta()
+    a2 = partial(m.system.word_coeff_state, (), momenta[1], -1)
     for w2 in (0, 2, 4):
         basis = graded_basis(ctx.system, w2)
         rep = kernel_basis(ctx, ops, w2, expected=char[w2])
-        imgs = [_transport(ctx, wm, {key: field.one}) for key in basis]
-        a2_imgs = [m.system.word_coeff_state((), momenta[1], -1, st)
-                   for st in imgs]
-        keys = sorted({kk for img in a2_imgs for kk in img}, key=str)
-        rows = [{j: img[kk] for j, img in enumerate(a2_imgs) if kk in img}
-                for kk in keys]
+        rows = image_rows([lambda st: a2(_transport(ctx, wm, st))], basis,
+                          field)
         assert len(nullspace(rows, len(basis), field)) == rep.kernel_dim
         for fe in rep.basis_fields:
             st = _transport(ctx, wm, field_state(fe))

@@ -5,10 +5,8 @@ roots (doubled integers) and the support of the nilpotent f (a set of
 positive roots a, with f = sum of e_{-a}).
 """
 
-from fractions import Fraction
-
 from .errors import InputError
-from .scalars import QQ, RationalFunctionField
+from .scalars import QQ, RationalFunctionField, read_rational
 from .screening import ScreeningContext
 from .superdata import build_osp, build_sl, good_grading
 
@@ -48,13 +46,14 @@ def build_preset(name):
 
 def level_field(level):
     """(field, k) for a level: Q(k) and its generator for "symbolic",
-    else Q and the rational level (a Fraction, or "p/q" text that Fraction
-    parses) as a Rational; other text raises the InputError of the CLI."""
+    else Q and the level (a numbers.Rational, or read_rational text) as a
+    Rational; other text raises the InputError of the CLI."""
     if level == "symbolic":
         field = RationalFunctionField("k")
         return field, field.gen
     try:
-        return QQ, QQ.lift(Fraction(level))
+        return QQ, (read_rational(level) if isinstance(level, str)
+                    else QQ.lift(level))
     except (ValueError, ZeroDivisionError):
         raise InputError("--level must be \"symbolic\" or a rational p/q, "
                          "not %r" % level) from None

@@ -3,8 +3,8 @@
 Everything in the engine is computed over an exact coefficient field,
 either the rationals Q, whose values are Rational (a lean reduced pair of
 ints), or the field Q(x) of rational functions in one named symbol
-(usually the level ``k``).  Every rational in the engine is a Rational;
-Fraction only parses outside text (presets.level_field, the datum loader).
+(usually the level ``k``).  Every rational in the engine is a Rational,
+and read_rational is the one reader of outside text.
 Rational stays a registered numbers.Rational that takes any as an operand,
 so callers' Fractions and the Rationals of a second import still agree.
 Rational functions are stored as a pair of coprime integer-coefficient
@@ -32,6 +32,7 @@ row.  Any common factor G divides that a, so its roots lie within
 """
 
 import numbers
+import re
 import sys
 from functools import total_ordering
 from itertools import count
@@ -707,30 +708,28 @@ class RationalFunctionField:
         return acc
 
     def denominators(self, values, polys=()):
-        """(labels, roots) of the denominators of values and of the
-        integer polynomials polys (as 1/p would hold them, sign positive).
+        """The labels of the denominators of values and of the integer
+        polynomials polys (as 1/p would hold them, sign positive).
 
         Each distinct denominator polynomial is factored once.  The labels
         are its primitive linear factors and its rootless residual, as
-        strings; the roots are every rational zero of those denominators.
+        strings; the zero -p/q of each linear label p + q*k is a root.
         """
         dens = {x.den for x in values}
         dens.update(p_neg(p) if p[-1] < 0 else p for p in polys)
-        labels, roots = set(), set()
+        labels = set()
         for den in dens - {P_ONE}:
             factors, residual = p_linear_factors(den)
-            for f in factors:
-                labels.add(p_str(f, self.symbol))
-                roots.add(QQ.quo(-f[0], f[1]))
+            labels.update(p_str(f, self.symbol) for f in factors)
             if len(residual) > 1:
                 labels.add(p_str(residual, self.symbol))
-        return labels, roots
+        return labels
 
     def denominator_labels(self, x):
-        return self.denominators((x,))[0]
+        return self.denominators((x,))
 
     def denominator_roots(self, x):
-        return self.denominators((x,))[1]
+        return p_rational_roots(x.den)
 
 
 def _operator(op, reflected=False):
@@ -933,18 +932,13 @@ class Rationals:
 
     def quo(self, a, b):
         """The Rational a/b of ints, b != 0."""
-        if not b:
-            raise ZeroDivisionError("division by zero")
-        g = gcd(a, b)
-        if b < 0:
-            g = -g
-        return _q(a // g, b // g)
+        return _div(a, 1, b, 1)
 
     def dot(self, row, vec):
         return sum(x * vec[j] for j, x in row.items() if j in vec)
 
     def denominators(self, values, polys=()):
-        return set(), set()
+        return set()
 
     def denominator_labels(self, x):
         return set()
@@ -954,3 +948,15 @@ class Rationals:
 
 
 QQ = Rationals()
+
+
+def read_rational(text):
+    """The Rational of text [-+]?d+(/d+|.d+)? in ASCII digits, on every
+    Python; other text raises ValueError, a zero q ZeroDivisionError."""
+    m = re.fullmatch(r"([-+]?\d+)(?:/(\d+)|\.(\d+))?", text, re.ASCII)
+    if m is None:
+        raise ValueError("not a rational p/q: %r" % text)
+    num, den, decimals = m.groups()
+    if decimals:
+        return QQ.quo(int(num + decimals), 10 ** len(decimals))
+    return QQ.quo(int(num), int(den or 1))

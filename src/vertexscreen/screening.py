@@ -50,23 +50,18 @@ def set_free_field_tables(sys, grading, level, currents, fermions):
     field = sys.field
     datum, levelform = grading.datum, grading.levelform
     span = list(currents)
-    gram = [[levelform.tau_scalar(field, level, b, b2) for b2 in span]
-            for b in span]
     for i, b in enumerate(span):
-        for j, b2 in enumerate(span[i:], i):
+        for b2 in span[i:]:
             terms = []
             for l, c in datum.bracket(b, b2).items():
                 if l in currents:
                     terms.append((currents[l], 0, field.lift(c)))
                 elif c:
                     raise ValueError("the current span is not bracket-closed")
-            entries = {}
-            if terms:
-                entries[0] = comb(terms=terms)
-            if gram[i][j]:
-                entries[1] = comb(const=gram[i][j])
-            if entries:
-                sys.set_bracket(currents[b], currents[b2], entries)
+            tau = levelform.tau_scalar(field, level, b, b2)
+            if terms or tau:  # set_bracket drops the empty combination
+                sys.set_bracket(currents[b], currents[b2],
+                                {0: comb(terms=terms), 1: comb(const=tau)})
     half = sorted(fermions)
     for i, b in enumerate(half):
         for b2 in half[i:]:
@@ -329,14 +324,13 @@ def choose_screenings(ctx, kind="auto"):
 
 class KernelReport:
     def __init__(self, weight2, ambient_dim, kernel_dim, expected_dim,
-                 basis_fields, denominators, denominator_roots):
+                 basis_fields, denominators):
         self.weight2 = weight2
         self.ambient_dim = ambient_dim
         self.kernel_dim = kernel_dim
         self.expected_dim = expected_dim
         self.basis_fields = basis_fields
         self.denominators = denominators
-        self.denominator_roots = set(denominator_roots)
 
     def to_json(self):
         return {
@@ -374,13 +368,13 @@ def kernel_basis(ctx, screenings, weight2, expected=None):
     # divisions by pivots happen during back substitution; the levels
     # where a pivot or a stripped row factor vanishes count as
     # denominators crossed
-    denominators, roots = field.denominators(chain(
+    denominators = field.denominators(chain(
         (x for row in rows for x in row.values()),
         (c for vec in kernel for c in vec),
         (field.one / ctx.kappa_shift,)), pivots)
     return KernelReport(weight2, len(basis), len(kernel),
                         expected if expected is not None else -1,
-                        basis_fields, denominators, roots)
+                        basis_fields, denominators)
 
 
 def _state_key(key):
@@ -401,23 +395,13 @@ def expected_character(datum, grading, max_weight2):
 
 
 def character_of_generators(gens, max_weight2):
-    """The free-algebra character from explicit (doubled weight, parity)."""
-    series = {0: 1}
-    for (w2, par) in gens:
-        factor = {0: 1}
-        # modes w2, w2+2, ...: an even one repeats freely, an odd one once
+    """The free-algebra character from explicit (doubled weight, parity):
+    each mode multiplies the series by 1/(1 - q^mode), totals upward, for
+    an even generator and by 1 + q^mode, totals downward, for an odd one."""
+    series = [int(w2 == 0) for w2 in range(max_weight2 + 1)]
+    for w2, par in gens:
         for mode in range(w2, max_weight2 + 1, 2):
-            cap = max_weight2 if par == 0 else mode
-            new = dict(factor)
-            for start, c in factor.items():
-                for total in range(start + mode,
-                                   min(start + cap, max_weight2) + 1, mode):
-                    new[total] = new.get(total, 0) + c
-            factor = new
-        merged = {}
-        for a, ca in series.items():
-            for b, cb in factor.items():
-                if a + b <= max_weight2:
-                    merged[a + b] = merged.get(a + b, 0) + ca * cb
-        series = merged
-    return {w2: series.get(w2, 0) for w2 in range(0, max_weight2 + 1)}
+            totals = range(mode, max_weight2 + 1)
+            for total in totals if par == 0 else reversed(totals):
+                series[total] += series[total - mode]
+    return dict(enumerate(series))

@@ -9,17 +9,16 @@ osp(1|2n), each a sparse {(row, col): Rational}.  The structure constants
 come first: every super bracket of the basis matrices is decomposed once
 over the basis, each root's coordinates are read off [h_i, e_a], and the
 form is the supertrace of the products.  Every rational here is a
-scalars.Rational (Fraction only parses a JSON datum's "p/q" text, in
+scalars.Rational (read_rational reads a JSON datum's "p/q" text, in
 _exact).  Half-integer gradings are stored as doubled integers throughout;
 no floating point is used anywhere.
 """
 
 import json
-from fractions import Fraction
 
 from .errors import InputError
 from .linalg import decompose, matrix_rank, nullspace
-from .scalars import QQ
+from .scalars import QQ, read_rational
 
 
 class DatumError(InputError, ValueError):
@@ -256,9 +255,8 @@ def _complete_roots(rank, roots, letter):
     if not even:
         raise DatumError("no even positive root")
     pos_coords = {roots[p].coords for p in positive}
-    simple = [p for p in positive if not any(
-        tuple(x - y for x, y in zip(roots[p].coords, b)) in pos_coords
-        for b in pos_coords if b != roots[p].coords)]
+    simple = [p for p in positive
+              if _indecomposable(roots[p].coords, pos_coords)]
     if len(simple) != rank:
         raise DatumError("rank does not match the number of simple roots")
     for r, sc in zip(roots, _coordinates(
@@ -269,6 +267,11 @@ def _complete_roots(rank, roots, letter):
         r.simple_coords = tuple(int(x) for x in sc)
         r.name = _root_name(r.simple_coords, letter)
     return simple, max(even, key=lambda p: sum(roots[p].simple_coords))
+
+
+def _indecomposable(a, pool):
+    """No b of pool, a zero-free set of roots, leaves a - b in pool."""
+    return not any(tuple(x - y for x, y in zip(a, b)) in pool for b in pool)
 
 
 def _super_bracket(x, y, sign):
@@ -518,10 +521,7 @@ class RestrictedBase:
         self.pi_half = []
         for b in sorted(pos, key=lambda b: (grading.deg2[b],
                                             d.root_at(b).simple_coords)):
-            a = d.root_at(b).coords
-            dec = any(tuple(x - y for x, y in zip(a, c)) in coords
-                      for c in coords)
-            if not dec:
+            if _indecomposable(d.root_at(b).coords, coords):
                 self.pi_half.append(b)
         self.split = {1: [b for b in self.pi_half if grading.deg2[b] == 1],
                       2: [b for b in self.pi_half if grading.deg2[b] == 2]}
@@ -633,7 +633,7 @@ def datum_from_json(doc):
 
     Basis indices: 0..rank-1 are Cartan elements, rank+i is the i-th entry
     of "roots".  The rank, indices and parities are ints, rationals ints or
-    "p/q" strings (_exact refuses a float or a bool), a root's "positive"
+    "p/q" strings (_exact refuses anything else), a root's "positive"
     a bool or absent; half-integer grading labels elsewhere in the
     toolchain are doubled integers.
     """
@@ -687,14 +687,14 @@ def datum_from_json(doc):
 
 
 def _exact(x, read, what):
-    """int(x), or the Rational read(Fraction(x)) of an int or "p/q" text, of
-    a JSON value that is not a float or a bool: int() would truncate a
-    float and Fraction() read its binary value, so nothing is rounded."""
-    if isinstance(x, (float, bool)):
-        raise DatumError("%s must be %s, not %r" % (
-            what, "an int" if read is int else 'an int or a "p/q" string',
-            x))
-    return int(x) if read is int else read(Fraction(x))
+    """read(x) of a JSON int, or read_rational(x) of text where a rational
+    is read; a float or a bool is refused, never truncated or rounded."""
+    if x.__class__ is str and read is not int:
+        return read_rational(x)
+    if x.__class__ is int:
+        return read(x)
+    raise DatumError("%s must be %s, not %r" % (
+        what, "an int" if read is int else 'an int or a "p/q" string', x))
 
 
 def load_datum(path):

@@ -441,30 +441,12 @@ class W2nModel:
         self.agen.reverse()  # agen[i-1] is a_i
         self.psig = sys.add_gen("psi", parity=0, weight2=2, current=True)
         self.xig = sys.add_gen("xi", parity=0, weight2=2, current=True)
-        m = n + 1  # current count
         kn = k + field.lift(n)
-        gram = [[field.zero] * m for _ in range(m)]
-
-        def pos(g):
-            return sys.current_pos[g]
-
-        for i in range(1, n):
-            gram[pos(self.agen[i - 1])][pos(self.agen[i - 1])] = kn * 2
-        for i in range(1, n - 1):
-            p1, p2 = pos(self.agen[i - 1]), pos(self.agen[i])
-            gram[p1][p2] = gram[p2][p1] = -kn
-        p1, p2 = pos(self.agen[0]), pos(self.psig)
-        gram[p1][p2] = gram[p2][p1] = -kn
-        gram[pos(self.psig)][pos(self.psig)] = field.one
-        gram[pos(self.psig)][pos(self.xig)] = field.one
-        gram[pos(self.xig)][pos(self.psig)] = field.one
-        for g in sys.currents:
-            for g2 in sys.currents:
-                if g <= g2:
-                    val = gram[pos(g)][pos(g2)]
-                    if val:
-                        sys.set_bracket(g, g2, {1: comb(const=val)})
-        self.gram = gram
+        for a, prev in reversed(list(zip(self.agen, [self.psig] + self.agen))):
+            sys.set_bracket(a, a, {1: comb(const=kn * 2)})
+            sys.set_bracket(a, prev, {1: comb(const=-kn)})
+        sys.set_bracket(self.psig, self.psig, {1: comb(const=field.one)})
+        sys.set_bracket(self.psig, self.xig, {1: comb(const=field.one)})
         self.E = self.exp_field({self.xig: field.one})
         self.F = self._assemble(self._build_p_words(),
                                 self.exp_field({self.xig: -field.one}))

@@ -613,7 +613,8 @@ def test_model_too_small_is_usage_error(capsys):
         WakimotoMap(2)
 
 
-@pytest.mark.parametrize("text", ["x", "1/0", ""])
+@pytest.mark.parametrize("text", ["x", "1/0", "", " 7/2", "7 / 2", "1_000",
+                                  "1e3", ".5"])
 def test_level_field_rejects_what_the_cli_rejects(text, capsys):
     """level_field is the one parser of a level: its InputError carries the
     text the command line prints for the same --level."""

@@ -1,11 +1,10 @@
 """Rational is the engine's one rational type.
 
 Every rational a datum, a grading or a root finder hands out is a
-scalars.Rational; fractions.Fraction is imported only by the two readers
-of outside text, presets.level_field and the datum loader.  The
-numbers.Rational boundary of scalars stays: a Fraction, or the Rational of
-a second import of the module, still compares and hashes as the Rational
-it equals.
+scalars.Rational, and no module of the package imports fractions: outside
+text is read by scalars.read_rational alone.  The numbers.Rational
+boundary of scalars stays: a Fraction, or the Rational of a second import
+of the module, still compares and hashes as the Rational it equals.
 """
 
 import ast
@@ -61,8 +60,8 @@ def test_roots_are_rationals():
     a = p_mul(p_mul((3, 2), (-1, 7)), (5, 0, 1))   # (2k+3)(7k-1)(k^2+5)
     x = F.one / F.quo(a, (1,))
     assert p_rational_roots(a) == {Fraction(-3, 2), Fraction(1, 7)}
-    found = (*p_rational_roots(a), *F.denominators((x,), (a,))[1],
-             *F.denominator_roots(x))
+    assert F.denominator_roots(x) == p_rational_roots(a)
+    found = (*p_rational_roots(a), *F.denominator_roots(x))
     assert found and all(type(r) is Rational for r in found)
 
 
@@ -73,11 +72,11 @@ def _imports_fractions(node):
         any(alias.name == "fractions" for alias in node.names)
 
 
-def test_only_the_readers_import_fractions():
+def test_no_module_imports_fractions():
     importers = {path.name for path in SRC.glob("*.py")
                  if any(map(_imports_fractions,
                             ast.walk(ast.parse(path.read_text()))))}
-    assert importers == {"presets.py", "superdata.py"}
+    assert importers == set()
 
 
 def test_evaluate_gives_a_rational_and_refuses_a_float():

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from vertexscreen.scalars import (P, QQ, RationalFunction,
+from vertexscreen.scalars import (P, QQ, Rational, RationalFunction,
                                   RationalFunctionField, p_gcd,
-                                  p_linear_factors, p_mul, p_rational_roots)
+                                  p_linear_factors, p_mul, p_rational_roots,
+                                  read_rational)
 
 
 @pytest.fixture
@@ -54,8 +55,8 @@ def test_evaluate_and_denominator_roots(F):
     k = F.gen
     x = (k + 1) / ((k + 2) * (2 * k - 3))
     assert x.evaluate(Fraction(0)) == Fraction(1, -6)
-    assert F.denominators((x,)) == ({"k+2", "2*k-3"},
-                                    {Fraction(-2), Fraction(3, 2)})
+    assert F.denominators((x,)) == F.denominator_labels(x) == {"k+2", "2*k-3"}
+    assert F.denominator_roots(x) == {Fraction(-2), Fraction(3, 2)}
     with pytest.raises(ZeroDivisionError):
         x.evaluate(Fraction(-2))
 
@@ -85,8 +86,8 @@ def test_denominator_labels_at_any_coefficient_size(F):
     x = 1 / ((1000003 * F.gen + 7) * (999983 * F.gen + 1)
              * (F.gen * F.gen + 10 ** 13))
     assert x.den == LARGE
-    assert F.denominators((x,))[0] == {"1000003*k+7", "999983*k+1",
-                                       "k^2+10000000000000"}
+    assert F.denominators((x,)) == {"1000003*k+7", "999983*k+1",
+                                    "k^2+10000000000000"}
 
 
 def test_as_rational_on_both_fields(F):
@@ -138,3 +139,25 @@ def test_rationals_mod_row_is_int_row_mod_p():
     assert got == {j: _mod_p(Fraction(x)) * den % P
                    for j, x in row.items() if x}
     assert QQ.mod_row({0: Fraction(1, 2 * P), 1: Fraction(1)}, 0) is None
+
+
+@pytest.mark.parametrize("text", ["7/2", "-7/2", "+7/2", "3", "-0", "007/014",
+                                  "0.5", "-2.25", "12.50"])
+def test_read_rational_reads_the_grammar(text):
+    got = read_rational(text)
+    assert type(got) is Rational and got == Fraction(text)
+
+
+@pytest.mark.parametrize("text", [" 7/2", "7/2 ", "7 / 2", "1_000", "1e3",
+                                  ".5", "7.", "+", "", "1/-2", "1.5/2",
+                                  "0x10", "\u0661"])
+def test_read_rational_refuses_other_text(text):
+    """Text outside [-+]?d+(/d+|.d+)? in ASCII digits is refused, whatever
+    the running Python's Fraction accepts."""
+    with pytest.raises(ValueError, match="not a rational p/q"):
+        read_rational(text)
+
+
+def test_read_rational_refuses_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+        read_rational("1/0")

@@ -13,9 +13,12 @@ from vertexscreen.screening import (NonCartanZeroPart, choose_screenings,
                                     exponential_screenings,
                                     generic_screenings, image_rows,
                                     kernel_basis)
-from vertexscreen.vertexcalc import (CriticalLevel, _fact, apply_field_coeff,
-                                     field_state, graded_basis, state_acc,
-                                     state_field)
+from vertexscreen.scalars import QQ
+from vertexscreen.vertexcalc import (CriticalLevel, Module, _fact,
+                                     apply_field_coeff, field_state,
+                                     graded_basis, state_acc, state_field)
+
+from oracle_helper import label_roots
 
 
 def test_s_series_on_vacuum():
@@ -263,6 +266,29 @@ def test_expected_character_examples():
                                            6)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_character_counts_the_pbw_basis(seed):
+    """character_of_generators(gens, N)[w2] is the number of PBW monomials
+    graded_basis lists at w2 on a module with those generators, for every
+    w2 <= N; the count shares no code with the recurrence."""
+    rng = random.Random(seed)
+    gens = [(rng.randint(1, 6), rng.randint(0, 1))
+            for _ in range(rng.randint(0, 4))]
+    mod = Module(QQ)
+    for i, (w2, par) in enumerate(gens):
+        mod.add_gen("g%d" % i, parity=par, weight2=w2)
+    for n in (0, 10):
+        char = character_of_generators(gens, n)
+        assert char == {w2: len(graded_basis(mod, w2))
+                        for w2 in range(n + 1)}, (gens, n)
+
+
+def test_character_of_no_generators():
+    assert character_of_generators([], 0) == {0: 1}
+    assert character_of_generators([], 5) == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0,
+                                              5: 0}
+
+
 def test_kernel_reports_deterministic():
     ctx = preset_context("sl2-regular")
     ops = exponential_screenings(ctx)
@@ -313,8 +339,8 @@ KERNEL_DENOMINATORS = {
 
 @pytest.mark.parametrize("preset, kind", sorted(KERNEL_DENOMINATORS))
 def test_kernel_denominator_labels_and_roots(preset, kind):
-    """Roots reported are exactly the zeros of the linear labels, read by
-    sympy."""
+    """The labels are the frozen ones, and the roots label_roots reads off
+    them are exactly the zeros of the linear labels, read by sympy."""
     sympy = pytest.importorskip("sympy")
     k = sympy.Symbol("k")
     ctx = preset_context(preset)
@@ -325,7 +351,7 @@ def test_kernel_denominator_labels_and_roots(preset, kind):
         assert sorted(rep.denominators) == expected
         polys = [sympy.Poly(sympy.sympify(label.replace("^", "**")), k)
                  for label in rep.denominators]
-        assert rep.denominator_roots == {
+        assert label_roots(rep.denominators) == {
             Fraction(int(-b), int(a))
             for a, b in (p.all_coeffs() for p in polys if p.degree() == 1)}
 
@@ -347,8 +373,9 @@ def _unit_inversion_denominators(ctx, rows, pivots, kernel):
     ("osp1_4-regular", 8), ("sl4-subregular", 6),
     ("sl3-subregular-cartan", 6)])
 def test_kernel_denominators_match_unit_inversion(preset, max_w2):
-    """Over Q(k), the (labels, roots) of every kernel report equal those of
-    the unit inversion, on the rows, pivots and kernel of that report."""
+    """Over Q(k), the labels of every kernel report, and so the roots they
+    name, equal those of the unit inversion, on the rows, pivots and kernel
+    of that report."""
     ctx = preset_context(preset)
     _, ops = choose_screenings(ctx)
     seen = []
@@ -365,7 +392,7 @@ def test_kernel_denominators_match_unit_inversion(preset, max_w2):
             rep = kernel_basis(ctx, ops, w2)
             rows, pivots, kernel = seen.pop()
             negative += sum(p[-1] < 0 for p in pivots)
-            assert (rep.denominators, rep.denominator_roots) == \
+            assert rep.denominators == \
                 _unit_inversion_denominators(ctx, rows, pivots, kernel), w2
     assert negative  # some pivot has its sign made positive
 
@@ -411,7 +438,7 @@ def test_symbolic_basis_specializes_to_basis_over_q(preset, kind, max_w2):
     char = expected_character(sym.datum, sym.grading, max_w2)
     for w2 in range(max_w2 + 1):
         rep = kernel_basis(sym, ops_sym, w2)
-        assert level not in rep.denominator_roots
+        assert level not in label_roots(rep.denominators)
         got = [{key: c.evaluate(level) for key, c in f.terms.items()}
                for f in rep.basis_fields]
         got = [{key: c for key, c in vec.items() if c} for vec in got]

@@ -300,6 +300,28 @@ def test_json_reads_ints_and_fraction_strings():
     assert [r.coords for r in d2.roots] == [r.coords for r in d.roots]
 
 
+@pytest.mark.parametrize("text", [" 7/2", "7 / 2", "1_000", "1e3", ".5"])
+def test_json_refuses_text_outside_the_grammar(text):
+    """A rational is read by scalars.read_rational's grammar alone, on every
+    Python, so text that a Fraction may read is refused."""
+    doc = _sl2_doc_with(("form", 0, 0), text)
+    with pytest.raises(DatumError, match="not a rational p/q"):
+        datum_from_json(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("path,value,name", [
+    (("rank",), " 1 ", "rank"), (("rank",), "1", "rank"),
+    (("roots", 0, "parity"), "0", "roots[0] parity"),
+    (("structure_constants", 0, 0), "0", "structure_constants[0] index"),
+])
+def test_json_refuses_text_where_an_int_is_read(path, value, name):
+    """The rank, indices and parities are JSON ints, not text int() reads."""
+    doc = _sl2_doc_with(path, value)
+    with pytest.raises(DatumError, match=r"^%s must be an int, not %r$" % (
+            name.replace("[", r"\[").replace("]", r"\]"), value)):
+        datum_from_json(json.loads(json.dumps(doc)))
+
+
 @pytest.mark.parametrize("value", ["false", 0, 1, None, "true"])
 def test_json_positive_flag_is_a_bool(value):
     """A root's "positive" is a JSON bool or absent: a string or an int is

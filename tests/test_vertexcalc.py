@@ -20,6 +20,8 @@ from vertexscreen.verify import (WICK_PRESETS, check_commutator, check_jacobi,
                                  check_skew, check_wick,
                                  random_homogeneous_field)
 
+from oracle_helper import w2n_gram
+
 
 def _heis_gram(F):
     """The Gram heis_fermion writes on its one current: (J|J) = 2(k+2)."""
@@ -742,8 +744,8 @@ def test_derived_gram_of_the_models():
     m = W2nModel(3)
     xi = m.coords({m.xig: m.field.one})
     units = [m.coords({g: m.field.one}) for g in m.system.currents]
-    _check_gram(m.system, m.gram, [xi, tuple(-x for x in xi)],
-                [m.coords({})] + units)
+    _check_gram(m.system, w2n_gram(m.field, 3),
+                [xi, tuple(-x for x in xi)], [m.coords({})] + units)
     F = RationalFunctionField("s")
     s = F.gen
     model = WBnFields(3, F, s - F.one / s)

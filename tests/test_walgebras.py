@@ -21,6 +21,7 @@ from vertexscreen.walgebras import (NonZeroCharge, W2nModel, WakimotoMap,
                                     miura_project, verify_fs,
                                     verify_wbn_screening)
 
+from oracle_helper import lambda1_gram, w2n_gram
 from sugawara_helper import sugawara
 
 F = RationalFunctionField("k")
@@ -525,20 +526,12 @@ def test_wbn_kernel_dims_match_regular_reduction():
 
 
 def test_w2n_gram_matrix():
+    """The lambda^1 constants of the bracket table, in both orders, are the
+    Gram written out, zero where no entry is set."""
     for n in (2, 3):
         m = W2nModel(n)
-        k = m.k
-        kn = k + m.field.lift(n)
-        pos = m.system.current_pos
-        for i in range(1, n):
-            assert m.gram[pos[m.agen[i - 1]]][pos[m.agen[i - 1]]] == kn * 2
-        for i in range(1, n - 1):
-            assert m.gram[pos[m.agen[i - 1]]][pos[m.agen[i]]] == -kn
-        assert m.gram[pos[m.agen[0]]][pos[m.psig]] == -kn
-        assert m.gram[pos[m.psig]][pos[m.psig]] == m.field.one
-        assert m.gram[pos[m.psig]][pos[m.xig]] == m.field.one
-        assert m.gram[pos[m.xig]][pos[m.xig]] == m.field.zero
-        assert m.gram[pos[m.agen[0]]][pos[m.xig]] == m.field.zero
+        assert m.system.currents == [*reversed(m.agen), m.psig, m.xig]
+        assert lambda1_gram(m.system) == w2n_gram(m.field, n)
 
 
 def test_w2n_f_forms_and_screenings():

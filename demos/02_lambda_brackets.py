@@ -22,8 +22,8 @@ sys = Module(F)
 J = sys.add_gen("J", parity=0, weight2=2, current=True)
 Psi = sys.add_gen("Psi", parity=1, weight2=1)
 level = (k + 2) * 2
-sys.set_bracket(J, J, {1: comb(const=level)})        # [J_l J] = 2(k+2) l
-sys.set_bracket(Psi, Psi, {0: comb(const=F.one)})    # [Psi_l Psi] = 1
+sys.set_bracket(J, J, {1: comb(sys, const=level)})        # [J_l J] = 2(k+2) l
+sys.set_bracket(Psi, Psi, {0: comb(sys, const=F.one)})    # [Psi_l Psi] = 1
 
 Jf, Pf = sys.gen_field("J"), sys.gen_field("Psi")
 print("derivative is a derivation of the normal product:")

@@ -61,14 +61,15 @@ def set_free_field_tables(sys, grading, level, currents, fermions):
             tau = levelform.tau_scalar(field, level, b, b2)
             if terms or tau:  # set_bracket drops the empty combination
                 sys.set_bracket(currents[b], currents[b2],
-                                {0: comb(terms=terms), 1: comb(const=tau)})
+                                {0: comb(sys, terms=terms),
+                                 1: comb(sys, const=tau)})
     half = sorted(fermions)
     for i, b in enumerate(half):
         for b2 in half[i:]:
             val = grading.chi.of_comb(datum.bracket(b, b2))
             if val:
                 sys.set_bracket(fermions[b], fermions[b2],
-                                {0: comb(const=field.lift(val))})
+                                {0: comb(sys, const=field.lift(val))})
 
 
 class ScreeningContext:

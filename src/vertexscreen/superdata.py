@@ -559,11 +559,9 @@ class LevelForm:
 
     def __init__(self, grading):
         datum = self.datum = grading.datum
-        self.grading = grading
         self.killing_g = datum.killing_matrix()
         self.h_dual = datum.dual_coxeter()
         g0 = grading.g0_indices()
-        self.g0 = g0
         pos = {b: i for i, b in enumerate(g0)}
         for b in g0:
             for j in g0:
@@ -589,8 +587,7 @@ class ChiFunctional:
     """chi(u) = (f|u); supported on degree -1."""
 
     def __init__(self, grading):
-        datum = self.datum = grading.datum
-        self.grading = grading
+        datum = grading.datum
         self.values = []
         for b in range(datum.nbasis):
             v = sum((datum.form[fi][b] for fi in grading.f_indices), QQ.zero)

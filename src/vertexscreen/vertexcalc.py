@@ -91,12 +91,12 @@ class Gen:
         return "Gen(%s)" % self.name
 
 
-def comb(const=None, terms=()):
-    """The linear combination const + sum coeff * d^d g of the (g, d, coeff)
-    terms as the dict {(): const, (g, d): coeff} of its nonzero parts."""
-    out = {(): const} if const else {}
-    out.update(((g, d), c) for (g, d, c) in terms if c)
-    return out
+def comb(system, const=None, terms=()):
+    """The field const + sum coeff * d^d g of the (g, d, coeff) terms, a
+    bracket-table entry of system."""
+    out = {((), None): const} if const else {}
+    out.update(((((g, d),), None), c) for (g, d, c) in terms if c)
+    return FieldExpr(system, out)
 
 
 class HvTag(tuple):
@@ -156,43 +156,30 @@ class Module:
         return g.index
 
     def set_bracket(self, i, j, entries):
-        """entries: {n: comb(...)}, the (j, i) table filled by skew-symmetry.
+        """entries: {n: field}, each linear in the generators (comb), stored
+        as {n: terms}; the (j, i) table is filled by lambda_shift_skew.
         The table is the one statement of the system: the lambda^1
         constants among the currents are also the form that pairs momenta
         (_drop_factors)."""
-        entries = {n: lc for n, lc in entries.items() if lc}
-        self.brackets[(i, j)] = entries
-        mirror = self._skew_entries(i, j, entries)
+        gi, gj = self.gens[i], self.gens[j]
+        entries = {n: f for n, f in entries.items() if f.terms}
+        for f in entries.values():
+            if any(len(w) > 1 or mom is not None for (w, mom) in f.terms):
+                raise ValueError("bracket of %s with %s is not linear in the "
+                                 "generators: %s" % (gi.name, gj.name, f))
+        mirror = {n: f.terms for n, f in lambda_shift_skew(
+            entries, gi.parity, gj.parity, self).items()}
+        entries = self.brackets[(i, j)] = {n: f.terms
+                                           for n, f in entries.items()}
         if i == j:
             if entries != mirror:
                 raise ValueError("bracket of %s with itself is not skew-consistent"
-                                 % self.gens[i].name)
+                                 % gi.name)
         else:
             if (j, i) in self.brackets and self.brackets[(j, i)] != mirror:
                 raise ValueError("bracket table for (%s,%s) inconsistent with skew"
-                                 % (self.gens[j].name, self.gens[i].name))
+                                 % (gj.name, gi.name))
             self.brackets[(j, i)] = mirror
-
-    def _skew_entries(self, i, j, entries):
-        # [b_m a] = -(-1)^{p_i p_j} sum_{n>=m} (-1)^n / (n-m)! d^{n-m} (a_(n) b)
-        field = self.field
-        sign = (-1) ** (self.gens[i].parity * self.gens[j].parity)
-        out = {}
-        for m in range(0, (max(entries) + 1) if entries else 0):
-            acc = {}
-            for n, lc in entries.items():
-                if n < m:
-                    continue
-                e = n - m
-                cf = field.lift(QQ.quo(-sign * (-1) ** n, _fact(e)))
-                # d^e of the constant vanishes for e > 0
-                state_acc(acc, {(k[0], k[1] + e) if k else k: c
-                                for k, c in lc.items() if k or not e},
-                          cf, field)
-            lc = trimmed(acc)
-            if lc:
-                out[m] = lc
-        return out
 
     def _tag(self, kind, payload):
         key = (kind, payload)
@@ -312,13 +299,30 @@ class Module:
                 # a repeated odd mode squares to half its self-bracket,
                 # g_m g_m = [g_m, g_m] / 2, which vanishes only when
                 # g_(j) g = 0 for every j (free fermions)
-                entry = self.brackets.get((g, g1), {})
-                for j, lc in entry.items():
+                for j, terms in self.brackets.get((g, g1), EMPTY).items():
                     bj = _binom(m, j)
-                    if bj:
-                        part = self.comb_mode(lc, m + m1 - j, rest, tag)
-                        bj = field.lift(bj)
-                        state_acc(acc, part, bj / 2 if repeat else bj, field)
+                    if not bj:
+                        continue
+                    # (d^d g2)_(s) = (-1)^d ff(s, d) g2_(s-d) on rest; the
+                    # constant acts at s = -1 only
+                    s = m + m1 - j
+                    part = {}
+                    for (w, _), c in terms.items():
+                        if not w:
+                            # a term may reach (rest, tag) too: add, not set
+                            if s == -1:
+                                state_acc(part, {(rest, tag): c}, field.one,
+                                          field)
+                            continue
+                        (g2, d), = w
+                        f = (-1) ** d * _ffact(s, d)
+                        if f:
+                            mode = self.gen_mode(g2, s - d, rest, tag)
+                            state_acc(part, mode, c if f == 1 else
+                                      c * field.lift(f), field)
+                    bj = field.lift(bj)
+                    state_acc(acc, trimmed(part), bj / 2 if repeat else bj,
+                              field)
                 if not repeat:
                     sign = (-1) ** (gens[g].parity * gens[g1].parity)
                     inner = self.gen_mode(g, m, rest, tag)
@@ -329,24 +333,6 @@ class Module:
                 out = trimmed(acc) or EMPTY
         self._mode_memo[key] = out
         return out
-
-    def comb_mode(self, lc, s, word, tag):
-        field = self.field
-        acc = {}
-        for key, coeff in lc.items():
-            if not key:
-                # a term may reach (word, tag) too: add, not set
-                if s == -1:
-                    state_acc(acc, {(word, tag): coeff}, field.one, field)
-                continue
-            g2, d = key
-            f = (-1) ** d * _ffact(s, d)
-            if f == 0:
-                continue
-            c = coeff if f == 1 else coeff * field.lift(f)
-            part = self.gen_mode(g2, s - d, word, tag)
-            state_acc(acc, part, c, field)
-        return trimmed(acc)
 
     def gen_mode_state(self, g, m, state):
         return state_sum(((self.gen_mode(g, m, w, t), c)
@@ -570,12 +556,12 @@ class Module:
                     continue
                 lc = entries.get(1, EMPTY)
                 if h not in self.current_pos or len(entries) > 1 or \
-                        list(lc) != [()]:
+                        list(lc) != [((), None)]:
                     raise NonAbelianMomentum(
                         "current %s brackets with %s by more than a central "
                         "lambda constant" % (self.gens[a].name,
                                              self.gens[h].name))
-                state_acc(acc, {h: lc[()]}, c, field)
+                state_acc(acc, {h: lc[((), None)]}, c, field)
         out = self._drop_memo[mom] = {h: -v for h, v in trimmed(acc).items()}
         return out
 

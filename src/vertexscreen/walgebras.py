@@ -89,7 +89,7 @@ class BRSTComplex:
                         terms.append((self.phigen[b2], 0, field.lift(c)))
                 if terms:
                     sys.set_bracket(self.phigen[b], self.jgen[u],
-                                    {0: comb(terms=sorted(terms))})
+                                    {0: comb(sys, terms=sorted(terms))})
         self._build_differential()
         self._d0_memo = {}
 
@@ -312,8 +312,9 @@ class WBnFields:
                                  current=True) for i in range(n)]
         self.psi = sys.add_gen("Psi", parity=1, weight2=1)
         for i in range(n):
-            sys.set_bracket(self.bgen[i], self.bgen[i], {1: comb(const=field.one)})
-        sys.set_bracket(self.psi, self.psi, {0: comb(const=field.one)})
+            sys.set_bracket(self.bgen[i], self.bgen[i],
+                            {1: comb(sys, const=field.one)})
+        sys.set_bracket(self.psi, self.psi, {0: comb(sys, const=field.one)})
         out = sys.gen_field(self.psi)
         for i in range(n - 1, -1, -1):
             b = sys.gen_field(self.bgen[i])
@@ -443,10 +444,11 @@ class W2nModel:
         self.xig = sys.add_gen("xi", parity=0, weight2=2, current=True)
         kn = k + field.lift(n)
         for a, prev in reversed(list(zip(self.agen, [self.psig] + self.agen))):
-            sys.set_bracket(a, a, {1: comb(const=kn * 2)})
-            sys.set_bracket(a, prev, {1: comb(const=-kn)})
-        sys.set_bracket(self.psig, self.psig, {1: comb(const=field.one)})
-        sys.set_bracket(self.psig, self.xig, {1: comb(const=field.one)})
+            sys.set_bracket(a, a, {1: comb(sys, const=kn * 2)})
+            sys.set_bracket(a, prev, {1: comb(sys, const=-kn)})
+        sys.set_bracket(self.psig, self.psig,
+                        {1: comb(sys, const=field.one)})
+        sys.set_bracket(self.psig, self.xig, {1: comb(sys, const=field.one)})
         self.E = self.exp_field({self.xig: field.one})
         self.F = self._assemble(self._build_p_words(),
                                 self.exp_field({self.xig: -field.one}))
@@ -540,11 +542,10 @@ class WakimotoMap:
 
     def __init__(self, n):
         grading = build_preset("sl%d-subregular" % n)
-        self.n = n
         self.model = W2nModel(n)
         field = self.model.field
         self.field = field
-        self.datum = grading.datum
+        d = self.datum = grading.datum
         self.grading = grading
         k = field.gen
         m = self.model
@@ -555,34 +556,24 @@ class WakimotoMap:
                 else sys.gen_field(g)
 
         # Cartan: h_1, h_2, h_i
-        h_imgs = []
-        h_imgs.append(cur(m.xig, k + field.lift(n - 2)) +
-                      cur(m.psig).scale(field.lift(2)) + cur(m.agen[0]))
-        h_imgs.append(cur(m.xig) - cur(m.psig) + cur(m.agen[1]))
+        h_images = [cur(m.xig, k + field.lift(n - 2)) +
+                    cur(m.psig).scale(field.lift(2)) + cur(m.agen[0]),
+                    cur(m.xig) - cur(m.psig) + cur(m.agen[1])]
         for i in range(3, n):
-            h_imgs.append(cur(m.agen[i - 1]))
-        self.h_images = h_imgs
+            h_images.append(cur(m.agen[i - 1]))
         # e_{a1} and e_{-a1}
-        self.e_image = m.E
-        self.f_image = m.rewritten_f(steps=1)
-        self._index_images()
-
-    def _index_images(self):
-        d = self.datum
-        self.g0 = self.grading.g0_indices()
+        a1 = (1,) + (0,) * (d.rank - 1)
+        root_images = {a1: m.E,
+                       tuple(-c for c in a1): m.rewritten_f(steps=1)}
+        self.g0 = grading.g0_indices()
         self.image_of_basis = {}
-        cartan_done = 0
         for b in self.g0:
-            if b < d.rank:
-                self.image_of_basis[b] = self.h_images[b]
-            else:
-                root = d.root_at(b)
-                if root.simple_coords == tuple([1] + [0] * (d.rank - 1)):
-                    self.image_of_basis[b] = self.e_image
-                elif root.simple_coords == tuple([-1] + [0] * (d.rank - 1)):
-                    self.image_of_basis[b] = self.f_image
-                else:
-                    raise ValueError("unexpected degree-zero root %s" % root.name)
+            root = d.root_at(b) if b >= d.rank else None
+            img = h_images[b] if root is None \
+                else root_images.get(root.simple_coords)
+            if img is None:
+                raise ValueError("unexpected degree-zero root %s" % root.name)
+            self.image_of_basis[b] = img
 
     def image_of_comb(self, comb_dict):
         return sum((self.image_of_basis[b].scale(self.field.lift(c))

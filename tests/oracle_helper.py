@@ -35,5 +35,6 @@ def lambda1_gram(system):
     """The lambda^1 constants among the currents of system's bracket table,
     read in both orders, zero where the table has no entry."""
     zero = system.field.zero
-    return [[system.brackets.get((g, h), {}).get(1, {}).get((), zero)
+    return [[system.brackets.get((g, h), {}).get(1, {}).get(((), None),
+                                                            zero)
              for h in system.currents] for g in system.currents]

@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 
-from vertexscreen.presets import build_preset, preset_context, preset_names
+from vertexscreen.presets import (build_preset, level_field, preset_context,
+                                  preset_names)
 from vertexscreen.scalars import QQ, RationalFunctionField
 from vertexscreen.screening import (character_of_generators,
                                     choose_screenings,
@@ -15,7 +18,7 @@ from vertexscreen.vertexcalc import (FieldExpr, Module,
                                      graded_basis, normal_order, state_field,
                                      state_acc, state_sum, sugawara_field,
                                      trimmed)
-from vertexscreen.walgebras import W2nModel, WBnFields, build_complex
+from vertexscreen.walgebras import W2nModel, WBnFields, WBnModel, build_complex
 from vertexscreen.verify import (WICK_PRESETS, check_commutator, check_jacobi,
                                  check_skew, check_wick,
                                  random_homogeneous_field)
@@ -35,8 +38,8 @@ def heis_fermion():
     sys = Module(F)
     j = sys.add_gen("J", parity=0, weight2=2, current=True)
     psi = sys.add_gen("Psi", parity=1, weight2=1)
-    sys.set_bracket(j, j, {1: comb(const=_heis_gram(F)[0][0])})
-    sys.set_bracket(psi, psi, {0: comb(const=F.one)})
+    sys.set_bracket(j, j, {1: comb(sys, const=_heis_gram(F)[0][0])})
+    sys.set_bracket(psi, psi, {0: comb(sys, const=F.one)})
     return sys
 
 
@@ -143,7 +146,7 @@ def test_graded_basis_odd_multiplicity():
     F = QQ
     sys = Module(F)
     psi = sys.add_gen("Psi", parity=1, weight2=1)
-    sys.set_bracket(psi, psi, {0: comb(const=F.one)})
+    sys.set_bracket(psi, psi, {0: comb(sys, const=F.one)})
     mod = sys
     # doubled weight 3 = conformal weight 3/2: only Psi_(-2)|0>
     basis = graded_basis(mod, 3)
@@ -302,11 +305,11 @@ def test_bracket_axiom_checks_can_fail(hh, invariant):
     k = F.gen
     sys = Module(F)
     e, h, f = (sys.add_gen(name, parity=0, weight2=2) for name in "ehf")
-    sys.set_bracket(h, e, {0: comb(terms=[(e, 0, F.lift(2))])})
-    sys.set_bracket(h, f, {0: comb(terms=[(f, 0, F.lift(-2))])})
-    sys.set_bracket(e, f, {0: comb(terms=[(h, 0, F.one)]),
-                           1: comb(const=k)})
-    sys.set_bracket(h, h, {1: comb(const=k * hh)})
+    sys.set_bracket(h, e, {0: comb(sys, terms=[(e, 0, F.lift(2))])})
+    sys.set_bracket(h, f, {0: comb(sys, terms=[(f, 0, F.lift(-2))])})
+    sys.set_bracket(e, f, {0: comb(sys, terms=[(h, 0, F.one)]),
+                           1: comb(sys, const=k)})
+    sys.set_bracket(h, h, {1: comb(sys, const=k * hh)})
     E, H, Fm = (sys.gen_field(g) for g in (e, h, f))
     assert check_jacobi(E, Fm, H, bracket) is invariant
     assert check_jacobi(H, E, Fm, bracket) is invariant
@@ -321,7 +324,7 @@ def test_lattice_affine_sl2_realization():
     F = QQ
     sysA = Module(F)
     j = sysA.add_gen("J", parity=0, weight2=2, current=True)
-    sysA.set_bracket(j, j, {1: comb(const=F.lift(2))})
+    sysA.set_bracket(j, j, {1: comb(sysA, const=F.lift(2))})
     Ep = sysA.exp_field((F.one,))
     Em = sysA.exp_field((-F.one,))
     Jf = sysA.gen_field("J")
@@ -635,10 +638,10 @@ def test_closed_form_annihilation_fermion_between_currents():
     psi = sys.add_gen("Psi", parity=1, weight2=1)
     kk = sys.add_gen("K", parity=0, weight2=2, current=True)
     gram = [[k + 2, F.one], [F.one, -F.lift(3)]]
-    sys.set_bracket(j, j, {1: comb(const=gram[0][0])})
-    sys.set_bracket(j, kk, {1: comb(const=gram[0][1])})
-    sys.set_bracket(kk, kk, {1: comb(const=gram[1][1])})
-    sys.set_bracket(psi, psi, {0: comb(const=F.one)})
+    sys.set_bracket(j, j, {1: comb(sys, const=gram[0][0])})
+    sys.set_bracket(j, kk, {1: comb(sys, const=gram[0][1])})
+    sys.set_bracket(kk, kk, {1: comb(sys, const=gram[1][1])})
+    sys.set_bracket(psi, psi, {0: comb(sys, const=F.one)})
     momenta = [(F.one, F.zero), (F.lift(2) / (k + 2), -F.one)]
     reached = _check_closed_form_annihilation(sys, momenta, [(F.zero,) * 2])
     assert any(_repeats_a_current(sys, w) for w in reached)
@@ -672,15 +675,15 @@ def _nonabelian_pair(F):
     e = sys.add_gen("E", parity=0, weight2=2, current=True)
     f = sys.add_gen("F", parity=0, weight2=2, current=True)
     h = sys.add_gen("H", parity=0, weight2=2)
-    sys.set_bracket(e, f, {0: comb(terms=((h, 0, F.one),)),
-                           1: comb(const=F.one)})
+    sys.set_bracket(e, f, {0: comb(sys, terms=((h, 0, F.one),)),
+                           1: comb(sys, const=F.one)})
     return sys, (F.one, F.zero), "brackets with F"
 
 
 def _odd_current(F):
     sys = Module(F)
     x = sys.add_gen("X", parity=1, weight2=2, current=True)
-    sys.set_bracket(x, x, {0: comb(const=F.one)})
+    sys.set_bracket(x, x, {0: comb(sys, const=F.one)})
     return sys, (F.one,), "odd"
 
 
@@ -690,8 +693,8 @@ def _current_and_other_letter(F):
     sys = Module(F)
     j = sys.add_gen("J", parity=0, weight2=2, current=True)
     phi = sys.add_gen("Phi", parity=0, weight2=2)
-    sys.set_bracket(j, j, {1: comb(const=F.one)})
-    sys.set_bracket(j, phi, {1: comb(const=F.one)})
+    sys.set_bracket(j, j, {1: comb(sys, const=F.one)})
+    sys.set_bracket(j, phi, {1: comb(sys, const=F.one)})
     return sys, (F.one,), "brackets with Phi"
 
 
@@ -756,10 +759,17 @@ def test_derived_gram_of_the_models():
 
 
 def test_comb_is_a_dict_of_nonzero_parts():
-    assert comb() == {}
-    assert comb(const=QQ.zero, terms=[(0, 1, QQ.zero)]) == {}
-    assert comb(const=QQ.lift(2), terms=[(0, 1, QQ.one), (1, 0, QQ.zero)]) \
-        == {(): QQ.lift(2), (0, 1): QQ.one}
+    sys = Module(QQ)
+    a = sys.add_gen("A", parity=0, weight2=2)
+    b = sys.add_gen("B", parity=0, weight2=2)
+    assert comb(sys).terms == {}
+    assert comb(sys, const=QQ.zero, terms=[(a, 1, QQ.zero)]).terms == {}
+    two_da = comb(sys, const=QQ.lift(2),
+                  terms=[(a, 1, QQ.one), (b, 0, QQ.zero)])
+    assert two_da.terms == {((), None): QQ.lift(2), (((a, 1),), None): QQ.one}
+    # the entry is the field itself: 2 + dA
+    assert two_da == sys.one_field().scale(QQ.lift(2)) + \
+        derive(sys.gen_field(a))
 
 
 def test_skew_inconsistent_tables_raise():
@@ -768,12 +778,64 @@ def test_skew_inconsistent_tables_raise():
     b = sys.add_gen("B", parity=0, weight2=2)
     # [A_l A] = 1 breaks skew-symmetry for an even A
     with pytest.raises(ValueError, match="itself"):
-        sys.set_bracket(a, a, {0: {(): QQ.one}})
+        sys.set_bracket(a, a, {0: comb(sys, const=QQ.one)})
     # [A_l B] = A forces [B_l A] = -A, not A
-    sys.set_bracket(a, b, {0: {(a, 0): QQ.one}})
-    assert sys.brackets[(b, a)] == {0: {(a, 0): -QQ.one}}
+    sys.set_bracket(a, b, {0: comb(sys, terms=[(a, 0, QQ.one)])})
+    assert sys.brackets[(b, a)] == {0: {(((a, 0),), None): -QQ.one}}
     with pytest.raises(ValueError, match="inconsistent with skew"):
-        sys.set_bracket(b, a, {0: {(a, 0): QQ.one}})
+        sys.set_bracket(b, a, {0: comb(sys, terms=[(a, 0, QQ.one)])})
+
+
+def test_set_bracket_refuses_an_entry_that_is_not_linear():
+    sys = Module(QQ)
+    a = sys.add_gen("A", parity=0, weight2=2, current=True)
+    b = sys.add_gen("B", parity=0, weight2=2)
+    A = sys.gen_field(a)
+    # a word of two letters, and a lattice exponential
+    for f in (normal_order(A, A), sys.exp_field((QQ.one,))):
+        with pytest.raises(ValueError, match="bracket of A with B is not "
+                                             "linear"):
+            sys.set_bracket(a, b, {0: comb(sys, const=QQ.one), 1: f})
+        assert (a, b) not in sys.brackets and (b, a) not in sys.brackets
+
+
+def _table_systems():
+    """The generator systems of the presets' screening ambients and
+    symbolic BRST complexes, WB_3 and W^(2)_3."""
+    for name in preset_names():
+        yield preset_context(name).system
+        yield build_complex(build_preset(name),
+                            *level_field("symbolic")).system
+    yield WBnModel(3).system
+    yield W2nModel(3).system
+
+
+def test_engine_reproduces_its_own_table():
+    """bracket() of two generators, computed by straightening, is the
+    table entry the system was built from, on every stored pair."""
+    pairs = 0
+    for sys in _table_systems():
+        for (i, j), entry in sys.brackets.items():
+            got = bracket(sys.gen_field(i), sys.gen_field(j))
+            assert {n: f.terms for n, f in got.items()} == entry, \
+                (sys.gens[i], sys.gens[j])
+            pairs += 1
+    assert pairs == 533
+
+
+def test_a_module_is_freed_without_the_cyclic_gc():
+    """No module is kept alive by a cycle through its own table."""
+    gc.disable()
+    try:
+        for make in (lambda: preset_context("sl3-subregular").system,
+                     lambda: build_complex(build_preset("sl3-subregular"),
+                                           *level_field("symbolic")).system):
+            sys = make()
+            ref = weakref.ref(sys)
+            del sys
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_tags_are_interned(heis_fermion):
